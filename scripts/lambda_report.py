@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from f1gtheory.burnside import build_burnside
-from f1gtheory.groups import build_group, library_names
+from f1gtheory.groups import build_group, is_odd_cyclic, library_names
 from f1gtheory.lambda_ops import verify_lambda_ring, verify_pre_lambda
 
 
@@ -27,13 +27,6 @@ class ReportConfig:
     seed: int = 7
     k_cap: int = 3
     l_cap: int = 2
-
-
-def is_odd_cyclic(group) -> bool:
-    if group.order % 2 == 0 and group.order > 1:
-        return False
-    return any(group.element_order(x) == group.order
-               for x in range(group.order))
 
 
 def run(config: ReportConfig) -> int:

@@ -9,11 +9,12 @@ ghost (marks) ring and back-substitutes exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
-from .groups import FiniteGroup, SubgroupClassification, classify_subgroups, weyl_group
+from .groups import (FiniteGroup, SubgroupClassification, _generating_sequence,
+                     classify_subgroups, weyl_group)
 from .modules import FiniteModule, coset_module, group_monoid, wedge
 
 __all__ = [
@@ -38,7 +39,6 @@ class BurnsideRing:
             coset_module(group, rep.elements) for rep in reps
         )
         self.marks = self._build_marks()
-        self._series_cache: Dict[Tuple[Tuple[int, ...], int], object] = {}
 
     def _build_marks(self) -> Tuple[Tuple[int, ...], ...]:
         reps = self.classification.representatives
@@ -60,6 +60,34 @@ class BurnsideRing:
             if table[i][i] != w.order:
                 raise InternalCheckError("diagonal mark disagrees with the Weyl group order")
         return tuple(tuple(r) for r in table)
+
+    @cached_property
+    def orbit_lengths(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+        """Entry [i][j]: the K_j-orbit lengths on the nonzero points of G/H_i.
+
+        Sorted ascending; the ones count the marks.  Built on first use by
+        the lambda engine, not with the ring.
+        """
+        reps = self.classification.representatives
+        table = []
+        for coset in self.cosets:
+            row = []
+            for k_rep in reps:
+                seen: set = set()
+                lengths = []
+                for x in range(1, coset.size):
+                    if x not in seen:
+                        orbit = {coset.action[x][g + 1] for g in k_rep.elements}
+                        seen |= orbit
+                        lengths.append(len(orbit))
+                row.append(tuple(sorted(lengths)))
+            table.append(tuple(row))
+        return tuple(table)
+
+    @cached_property
+    def generators(self) -> Tuple[int, ...]:
+        """A generating set of the group, chosen greedily, for orbit walks."""
+        return tuple(_generating_sequence(self.group))
 
     # -- elements ---------------------------------------------------------
 
@@ -144,8 +172,15 @@ class BurnsideRing:
         }
 
 
-@lru_cache(maxsize=None)
 def build_burnside(group: FiniteGroup) -> BurnsideRing:
+    # group equality ignores name and labels; groups that print differently
+    # must not share a ring
+    return _build_burnside(group, group.name, group.labels)
+
+
+@lru_cache(maxsize=None)
+def _build_burnside(group: FiniteGroup, name: Optional[str],
+                    labels: Optional[Tuple[str, ...]]) -> BurnsideRing:
     return BurnsideRing(group)
 
 

@@ -20,7 +20,7 @@ from .burnside import BurnsideRing, build_burnside, marks_to_csv
 from .errors import InternalCheckError, ResourceLimitError
 from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, build_group,
                      classify_subgroups, conjugacy_classes_of_elements,
-                     group_from_json)
+                     group_from_json, is_odd_cyclic)
 from .gtheory import (cartan_zero, count_simple_factors, g0_presentation,
                       g1_via_splitting)
 from .lambda_ops import (diamond, lambda_k, verify_lambda_ring,
@@ -224,7 +224,7 @@ def _cmd_lambda_verify(args) -> int:
     pre = verify_pre_lambda(ring, args.k_cap, args.trials, rng)
     families = verify_lambda_ring(ring, args.k_cap, args.l_cap, args.trials,
                                   random.Random(args.seed + 1))
-    odd_cyclic = _is_odd_cyclic(group)
+    odd_cyclic = is_odd_cyclic(group)
     guaranteed = [pre, families[0]] + (families[1:] if odd_cyclic else [])
     ok = all(rep.passed for rep in guaranteed)
     if args.format == "json":
@@ -245,13 +245,6 @@ def _cmd_lambda_verify(args) -> int:
             print(f"  {rep.summary_line()}{tag}")
         print(f"overall: {'pass' if ok else 'FAIL'}")
     return 0 if ok else 1
-
-
-def _is_odd_cyclic(group: FiniteGroup) -> bool:
-    if group.order % 2 == 0 and group.order > 1:
-        return False
-    return any(group.element_order(x) == group.order
-               for x in range(group.order))
 
 
 def _cmd_diamond(args) -> int:
@@ -467,7 +460,7 @@ def _cmd_suite(args) -> int:
     reports = _suite_reports(group, args.seed)
     ring_axioms = verify_lambda_ring(build_burnside(group), 3, 2, 5,
                                      random.Random(args.seed + 3))
-    odd_cyclic = _is_odd_cyclic(group)
+    odd_cyclic = is_odd_cyclic(group)
     asserted = reports + [ring_axioms[0]] + (ring_axioms[1:] if odd_cyclic else [])
     ok = all(rep.passed for rep in asserted)
     if args.format == "json":

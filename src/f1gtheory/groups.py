@@ -727,6 +727,14 @@ def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
     return find_isomorphism(g1, g2) is not None
 
 
+def is_odd_cyclic(group: FiniteGroup) -> bool:
+    """Cyclic of odd order: where the lambda-ring identities are guaranteed."""
+    if group.order % 2 == 0 and group.order > 1:
+        return False
+    return any(group.element_order(x) == group.order
+               for x in range(group.order))
+
+
 @lru_cache(maxsize=None)
 def conjugacy_classes_of_elements(group: FiniteGroup) -> Tuple[Tuple[int, ...], ...]:
     """Conjugacy classes of elements, each sorted, ordered by least member."""

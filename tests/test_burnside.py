@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f1gtheory.burnside import build_burnside, decompose, marks_to_csv
-from f1gtheory.groups import build_group, weyl_group
+from f1gtheory.groups import FiniteGroup, build_group, weyl_group
 from f1gtheory.modules import coset_module, diagonal_smash, free_module, \
     group_monoid, wedge
 from f1gtheory.sampling import random_effective, random_element
@@ -153,3 +153,11 @@ def test_json_roundtrip():
     blob = x.to_json()
     assert blob["coeffs"] == [1, -1, 0, 2]
     assert list(blob["basis"]) == list(ring.labels)
+
+
+def test_ring_cache_keeps_group_names_apart():
+    # group equality ignores the name, which the ring prints
+    flip = build_burnside(FiniteGroup(2, ((0, 1), (1, 0)), name="flip"))
+    c2 = build_burnside(build_group(name="C2"))
+    assert flip.to_json()["group"] == "flip"
+    assert c2.to_json()["group"] == "C2"

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import f1gtheory
 from f1gtheory.cli import main
 
 
@@ -213,3 +217,17 @@ def test_suite_json(capsys):
     blob = json.loads(out)
     assert blob["status"] == "pass"
     assert blob["odd_cyclic"] is False
+
+
+def test_suite_stdout_independent_of_hash_seed():
+    src = os.path.dirname(os.path.dirname(f1gtheory.__file__))
+    outputs = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-m", "f1gtheory.cli", "suite", "--group", "S3"],
+            capture_output=True, env=env, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert b"overall: pass" in outputs[0]
