@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iter_product
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import islice, product as iter_product
+from typing import (Collection, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from .burnside import BurnsideRing, build_burnside
 from .errors import InternalCheckError, ResourceLimitError
@@ -20,16 +21,18 @@ from .groups import (FiniteGroup, abelianization, classify_subgroups,
 from .modules import (FiniteModule, PointedMonoid, are_isomorphic, free_module,
                       group_monoid, is_cofibration, quotient,
                       submodule_inclusion)
-from .snf import (cokernel_invariants, cokernel_invariants_sparse, factorize,
-                  merge_cyclic_factors)
+from .snf import cokernel_invariants, factorize, merge_cyclic_factors
 
 __all__ = [
     "AbelianGroupReport", "GrothendieckPresentation", "CartanReport",
     "g0_presentation", "g1_via_splitting", "cartan_zero", "mult_by_regular",
-    "count_simple_factors", "DEFAULT_CANDIDATE_CAP",
+    "count_simple_factors", "DEFAULT_CANDIDATE_CAP", "GROUP_GENERATOR_CAP",
 ]
 
 DEFAULT_CANDIDATE_CAP = 20000
+# Most count vectors a group-monoid presentation may enumerate; D12 at its
+# default bound |G| + 3, the largest library case, has 132,312.
+GROUP_GENERATOR_CAP = 150000
 RELATION_AUDIT_SAMPLE = 40
 
 
@@ -73,11 +76,16 @@ class AbelianGroupReport:
 
 @dataclass(frozen=True)
 class GrothendieckPresentation:
-    """Generators-and-relations data behind a degree-0 computation."""
+    """Generators-and-relations data behind a degree-0 computation.
+
+    Each relation row is a tuple of sorted (generator index, coefficient)
+    pairs.  Group monoids give a lazy view that re-derives its rows on
+    iteration; general monoids give a tuple.
+    """
 
     size_bound: int
     generators: Tuple[str, ...]
-    relations: Tuple[Tuple[Tuple[int, int], ...], ...]
+    relations: Collection[Tuple[Tuple[int, int], ...]]
     result: AbelianGroupReport
     stability: str
 
@@ -97,21 +105,21 @@ def _class_label(elements: Sequence[int]) -> str:
 
 # --- G_0 for group monoids ----------------------------------------------
 
-def _group_g0(ring: BurnsideRing, size_bound: int) -> GrothendieckPresentation:
-    """Presentation over a group monoid via the orbit-class classification.
+def _count_by_total(sizes: Sequence[int], budget: int) -> List[int]:
+    """ways[t]: count vectors over `sizes` whose total size is exactly t <= budget."""
+    ways = [1] + [0] * budget
+    for step in sizes:
+        for t in range(step, budget + 1):
+            ways[t] += ways[t - step]
+    return ways
 
-    Modules up to iso are multisets of transitive classes, so generators are
-    count vectors; relations peel one orbit at a time, which generates every
-    split relation by induction on orbit count.  A sample of rows is
-    re-verified on explicit modules through the category operations.
-    """
-    sizes = [ring.group.order // rep.order
-             for rep in ring.classification.representatives]
-    budget = size_bound - 1
+
+def _count_vectors(sizes: Sequence[int], budget: int) -> List[Tuple[int, ...]]:
+    """All count vectors over `sizes` with total size <= budget, in lex order."""
     gens: List[Tuple[int, ...]] = []
 
     def grow(prefix: Tuple[int, ...], used: int) -> None:
-        if len(prefix) == ring.rank:
+        if len(prefix) == len(sizes):
             gens.append(prefix)
             return
         step = sizes[len(prefix)]
@@ -121,45 +129,124 @@ def _group_g0(ring: BurnsideRing, size_bound: int) -> GrothendieckPresentation:
             count += 1
 
     grow((), 0)
-    gen_index = {c: i for i, c in enumerate(gens)}
-    zero_idx = gen_index[(0,) * ring.rank]
-    singles = {}
-    for i in range(ring.rank):
-        single = tuple(1 if j == i else 0 for j in range(ring.rank))
-        if single in gen_index:
-            singles[i] = gen_index[single]
+    return gens
 
-    rows: List[Dict[int, int]] = [{zero_idx: -1}]
-    audit: List[Tuple[Tuple[int, ...], int]] = []
+
+def _peel_sites(gens: Sequence[Tuple[int, ...]]) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    """(c, i) for every generator c and every class i with c[i] > 0, in row order."""
     for c in gens:
-        if all(v == 0 for v in c):
-            continue
-        for i in range(ring.rank):
-            if c[i] == 0:
-                continue
-            if i not in singles:
-                raise InternalCheckError("transitive class exceeds the size bound")
-            smaller = tuple(v - 1 if j == i else v for j, v in enumerate(c))
-            row: Dict[int, int] = {}
-            for idx, delta in ((gen_index[c], 1), (gen_index[smaller], -1),
-                               (singles[i], -1)):
-                row[idx] = row.get(idx, 0) + delta
-            rows.append({k: v for k, v in row.items() if v})
-            audit.append((c, i))
+        for i, v in enumerate(c):
+            if v:
+                yield c, i
 
-    stride = max(1, len(audit) // RELATION_AUDIT_SAMPLE)
-    for c, i in audit[::stride]:
+
+def _peel_rows(gens: Sequence[Tuple[int, ...]],
+               gen_index: Dict[Tuple[int, ...], int]) -> Iterator[Tuple[Tuple[int, int], ...]]:
+    """The relation rows as sorted (column, coefficient) pairs.
+
+    First [0], then [c] - [c - e_i] - [e_i] for every peel site (c, i).
+    """
+    rank = len(gens[0])
+    yield ((gen_index[(0,) * rank], -1),)
+    for c, i in _peel_sites(gens):
+        row: Dict[int, int] = {}
+        smaller = c[:i] + (c[i] - 1,) + c[i + 1:]
+        single = (0,) * i + (1,) + (0,) * (rank - i - 1)
+        for key, delta in ((c, 1), (smaller, -1), (single, -1)):
+            idx = gen_index[key]
+            row[idx] = row.get(idx, 0) + delta
+        yield tuple(sorted((k, v) for k, v in row.items() if v))
+
+
+@dataclass(frozen=True)
+class _PeelRelations:
+    """Sized, re-iterable view of the peel relations at one size bound.
+
+    Rows are re-derived on each iteration instead of being stored.  The
+    length is closed-form: one row per nonzero entry of each generator, plus
+    the [0] row.  Generators with c[i] > 0 are e_i plus a vector of total
+    size <= budget - sizes[i].
+    """
+
+    sizes: Tuple[int, ...]
+    budget: int
+
+    def __len__(self) -> int:
+        ways = _count_by_total(self.sizes, self.budget)
+        return 1 + sum(sum(ways[:self.budget - step + 1])
+                       for step in self.sizes if step <= self.budget)
+
+    def __iter__(self) -> Iterator[Tuple[Tuple[int, int], ...]]:
+        gens = _count_vectors(self.sizes, self.budget)
+        return _peel_rows(gens, {c: i for i, c in enumerate(gens)})
+
+
+def _group_g0(ring: BurnsideRing, size_bound: int) -> GrothendieckPresentation:
+    """Presentation over a group monoid via the orbit-class classification.
+
+    Modules up to iso are multisets of transitive classes, so generators are
+    count vectors; relations peel one orbit at a time, which generates every
+    split relation by induction on orbit count.  A sample of rows is
+    re-verified on explicit modules through the category operations.
+
+    The cokernel comes from a linear certificate, not a Smith normal form:
+    every row lies in the kernel of [c] -> c, and every generator other than
+    a single orbit is the unit-coefficient top term of a row whose other
+    terms have fewer orbits.  So the single orbits that fit generate the
+    cokernel and map to independent unit vectors: it is free on them.
+    """
+    sizes = tuple(ring.group.order // rep.order
+                  for rep in ring.classification.representatives)
+    budget = size_bound - 1
+    # G/G has size 1, so there are at least size_bound count vectors.
+    count = (sum(_count_by_total(sizes, budget))
+             if size_bound <= GROUP_GENERATOR_CAP else size_bound)
+    if count > GROUP_GENERATOR_CAP:
+        raise ResourceLimitError(
+            f"size bound {size_bound} gives {count} or more generators, over "
+            f"the cap {GROUP_GENERATOR_CAP}; lower the size bound")
+    relations = _PeelRelations(sizes, budget)
+    gens = _count_vectors(sizes, budget)
+    if len(gens) != count:
+        raise InternalCheckError(
+            f"{len(gens)} generators enumerated, {count} counted")
+    gen_index = {c: i for i, c in enumerate(gens)}
+    orbits = [sum(c) for c in gens]
+    reduced = bytearray(len(gens))
+    rows = 0
+    for row in _peel_rows(gens, gen_index):
+        image = [0] * ring.rank
+        for idx, v in row:
+            image = [x + v * y for x, y in zip(image, gens[idx])]
+        if any(image):
+            raise InternalCheckError(
+                f"relation {row} is not in the kernel of [c] -> c")
+        depth = [orbits[idx] for idx, _ in row]
+        top = max(depth)
+        if depth.count(top) == 1:
+            idx, v = row[depth.index(top)]
+            if v in (1, -1):
+                reduced[idx] = 1
+        rows += 1
+    if rows != len(relations):
+        raise InternalCheckError(
+            f"{rows} relation rows, expected {len(relations)}")
+    if any(not done and n != 1 for done, n in zip(reduced, orbits)):
+        raise InternalCheckError(
+            "a generator with other than one orbit is not rewritten by a row")
+
+    stride = max(1, (rows - 1) // RELATION_AUDIT_SAMPLE)
+    for c, i in islice(_peel_sites(gens), 0, None, stride):
         _audit_group_relation(ring, c, i)
 
-    free_rank, torsion = cokernel_invariants_sparse(rows, len(gens))
-    stable = (free_rank == ring.rank and not torsion)
+    free_rank = orbits.count(1)
+    stable = free_rank == ring.rank
     result = AbelianGroupReport(
-        free_rank, tuple(torsion),
+        free_rank, (),
         provenance=f"generators-relations bound={size_bound}",
         basis_interpretation=tuple(ring.labels) if stable else None,
     )
     labels = tuple("[" + ",".join(str(v) for v in c) + "]" for c in gens)
-    relations = tuple(tuple(sorted(r.items())) for r in rows)
     return GrothendieckPresentation(
         size_bound, labels, relations, result,
         "stable at bound" if stable else "bounded approximation",

@@ -115,17 +115,21 @@ def cokernel_invariants(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[int,
     return free, torsion
 
 
-def cokernel_invariants_sparse(rows: Sequence[Dict[int, int]], ncols: int) -> Tuple[int, List[int]]:
-    """Like cokernel_invariants for rows given as {column: coefficient} dicts.
+def cokernel_invariants_sparse(rows: Sequence, ncols: int) -> Tuple[int, List[int]]:
+    """Like cokernel_invariants for sparse rows.
 
+    A row is a {column: coefficient} dict or a sequence of (column,
+    coefficient) pairs, the form of `GrothendieckPresentation.relations`.
     Unit-pivot elimination first: a +-1 pivot lets the row and column be
-    removed without changing the cokernel, which keeps large but shallow
-    relation systems cheap.  Whatever remains is handed to the dense routine.
+    removed without changing the cokernel.  Whatever remains is handed to
+    the dense routine.  The library does not call this: it is the test
+    oracle for the linear certificate that computes group-monoid degree-0
+    groups, and it is quadratic with fill-in on those presentations.
     """
     live: Dict[int, Dict[int, int]] = {}
     col_rows: Dict[int, set] = {}
     for idx, row in enumerate(rows):
-        cleaned = {c: v for c, v in row.items() if v}
+        cleaned = {c: v for c, v in dict(row).items() if v}
         if not cleaned:
             continue
         live[idx] = cleaned

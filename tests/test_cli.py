@@ -108,6 +108,32 @@ def test_g0_monoid_json(capsys, tmp_path):
     assert json.loads(out)["stability"] == "bounded approximation"
 
 
+@pytest.mark.parametrize("group,text", [
+    ("D6", "degree-0 group of D6 at size bound 15: Z^10 (stable at bound)\n"
+           "  generators: 1822, relations: 5584\n"),
+    ("S4", "degree-0 group of S4 at size bound 27: Z^11 (stable at bound)\n"
+           "  generators: 8080, relations: 28464\n"),
+], ids=("D6", "S4"))
+def test_g0_text_golden(capsys, group, text):
+    code, out, _ = run_cli(capsys, "g0", "--group", group)
+    assert code == 0
+    assert out == text
+
+
+def test_g0_bound_above_generator_cap_exits_2(capsys):
+    code, out, err = run_cli(capsys, "g0", "--group", "S3", "--bound", "200")
+    assert code == 2
+    assert out == ""
+    assert "cap 150000" in err
+
+
+def test_suite_s4_exit_zero(capsys):
+    code, out, _ = run_cli(capsys, "suite", "--group", "S4")
+    assert code == 0
+    assert "degree-0 presentation stabilizes at Burnside rank: 1 instances, pass" in out
+    assert out.endswith("overall: pass\n")
+
+
 def test_simple_factors(capsys):
     code, out, _ = run_cli(capsys, "simple-factors", "--group", "C3",
                            "--q", "2", "--format", "json")

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import pytest
 
-from f1gtheory.errors import ResourceLimitError
-from f1gtheory.groups import build_group, conjugacy_classes_of_elements
+from f1gtheory import gtheory
+from f1gtheory.errors import InternalCheckError, ResourceLimitError
+from f1gtheory.groups import (build_group, conjugacy_classes_of_elements,
+                              library_names)
 from f1gtheory.gtheory import (AbelianGroupReport, cartan_zero,
                                count_simple_factors, g0_presentation,
                                g1_via_splitting, mult_by_regular)
 from f1gtheory.modules import PointedMonoid, group_monoid
+from f1gtheory.snf import cokernel_invariants_sparse
 
 from conftest import ring_of
 
@@ -50,6 +53,59 @@ def test_g0_generator_count_matches_multisets():
     count = sum(1 for a in range(5) for b in range(5)
                 if a * sizes[0] + b * sizes[1] <= 4)
     assert len(p.generators) == count
+
+
+def test_g0_certificate_matches_sparse_snf_oracle():
+    for name in library_names():
+        group = build_group(name=name)
+        if group.order > 8:
+            continue
+        m = group_monoid(group)
+        for bound in range(1, group.order + 4):
+            p = g0_presentation(m, bound)
+            assert cokernel_invariants_sparse(
+                list(p.relations), len(p.generators)) == \
+                (p.result.free_rank, list(p.result.torsion)), (name, bound)
+
+
+def test_g0_relations_view_is_sized_and_reiterable():
+    p = g0_presentation(group_monoid(build_group(name="S3")), 9)
+    rows = list(p.relations)
+    assert len(p.relations) == len(rows) == 78
+    assert list(p.relations) == rows
+    assert rows[0] == ((0, -1),)
+    assert all(list(r) == sorted(r) and all(v for _, v in r) for r in rows)
+
+
+def test_g0_certificate_rejects_row_outside_kernel(monkeypatch):
+    peel_rows = gtheory._peel_rows
+
+    def with_bad_row(gens, gen_index):
+        yield from peel_rows(gens, gen_index)
+        yield ((gen_index[(1,) + (0,) * (len(gens[0]) - 1)], 1),)
+
+    monkeypatch.setattr(gtheory, "_peel_rows", with_bad_row)
+    with pytest.raises(InternalCheckError, match="kernel"):
+        g0_presentation(group_monoid(build_group(name="C2")), 5)
+
+
+def test_g0_generator_cap_refuses_before_enumerating(monkeypatch):
+    def enumerate_nothing(sizes, budget):
+        raise AssertionError("count vectors enumerated past the cap")
+
+    monkeypatch.setattr(gtheory, "GROUP_GENERATOR_CAP", 10)
+    monkeypatch.setattr(gtheory, "_count_vectors", enumerate_nothing)
+    m = group_monoid(build_group(name="C2"))
+    with pytest.raises(ResourceLimitError, match="cap 10"):
+        g0_presentation(m, 6)  # 12 count vectors of total size <= 5
+    with pytest.raises(ResourceLimitError, match="cap 10"):
+        g0_presentation(m, 10 ** 12)  # refused without an O(bound) count
+
+
+def test_g0_generator_count_is_exact_at_the_cap(monkeypatch):
+    m = group_monoid(build_group(name="C2"))
+    monkeypatch.setattr(gtheory, "GROUP_GENERATOR_CAP", 12)
+    assert len(g0_presentation(m, 6).generators) == 12
 
 
 def test_g0_nongroup_monoid_runs():
