@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
 from .groups import (FiniteGroup, SubgroupClassification, _generating_sequence,
-                     classify_subgroups, weyl_group)
+                     classify_subgroups)
 from .modules import FiniteModule, coset_module, group_monoid, wedge
 
 __all__ = [
@@ -35,31 +35,32 @@ class BurnsideRing:
             f"order{len(rep.elements)}_rep{'-'.join(str(x) for x in rep.elements)}"
             for rep in reps
         )
-        self.cosets: Tuple[FiniteModule, ...] = tuple(
-            coset_module(group, rep.elements) for rep in reps
-        )
         self.marks = self._build_marks()
 
     def _build_marks(self) -> Tuple[Tuple[int, ...], ...]:
-        reps = self.classification.representatives
-        table = []
-        for i, coset in enumerate(self.cosets):
-            row = []
-            for j, k_rep in enumerate(reps):
-                count = 0
-                for x in range(1, coset.size):
-                    if all(coset.action[x][g + 1] == x for g in k_rep.elements):
-                        count += 1
-                row.append(count)
-            table.append(row)
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                if table[i][j] != 0:
-                    raise InternalCheckError("table of marks is not lower triangular")
-            w = weyl_group(self.group, self.classification.representatives[i])
-            if table[i][i] != w.order:
-                raise InternalCheckError("diagonal mark disagrees with the Weyl group order")
+        """Marks read off the classification, with no G-set built.
+
+        m(G/H)(K) = |N_G(H)|/|H| * #{H' conjugate to H : K <= H'}, and
+        |N_G(H)| = |G| / |class of H|.  K <= H' needs |K| <= |H'|, and
+        equal orders force K = H', so the table is lower triangular.
+        """
+        classes = self.classification.classes
+        reps = [frozenset(cls[0].elements) for cls in classes]
+        table = [[0] * self.rank for _ in range(self.rank)]
+        for i, cls in enumerate(classes):
+            weight = self.group.order // (cls[0].order * len(cls))
+            for member in cls:
+                h = frozenset(member.elements)
+                for j in range(i + 1):
+                    if reps[j] <= h:
+                        table[i][j] += weight
         return tuple(tuple(r) for r in table)
+
+    @cached_property
+    def cosets(self) -> Tuple[FiniteModule, ...]:
+        """The transitive G-sets G/H, one per class; built on first use."""
+        return tuple(coset_module(self.group, rep.elements)
+                     for rep in self.classification.representatives)
 
     @cached_property
     def orbit_lengths(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
@@ -110,9 +111,6 @@ class BurnsideRing:
         coeffs[i] = 1
         return self.element(coeffs)
 
-    def class_of_subgroup(self, elements: Sequence[int]) -> int:
-        return self.classification.class_index(elements)
-
     # -- decomposition and multiplication ---------------------------------
 
     def decompose(self, module: FiniteModule) -> "BurnsideElement":
@@ -160,15 +158,12 @@ class BurnsideRing:
 
     # -- reporting --------------------------------------------------------
 
-    def marks_rows(self) -> List[List[int]]:
-        return [list(r) for r in self.marks]
-
     def to_json(self) -> Dict:
         return {
             "group": self.group.name or "custom",
             "order": self.group.order,
             "classes": list(self.labels),
-            "marks": self.marks_rows(),
+            "marks": [list(r) for r in self.marks],
         }
 
 

@@ -62,8 +62,6 @@ def _add_group_args(sub: argparse.ArgumentParser) -> None:
 def _add_common_args(sub: argparse.ArgumentParser, formats=("text", "json")) -> None:
     sub.add_argument("--format", choices=list(formats), default="text")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="worker count; execution falls back to sequential")
 
 
 def _group_from_args(args: argparse.Namespace) -> FiniteGroup:
@@ -578,12 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) > 1:
-        print("note: running sequentially; --jobs is accepted for "
-              "compatibility", file=sys.stderr)
-    elif getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except InternalCheckError as exc:

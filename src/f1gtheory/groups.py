@@ -146,21 +146,35 @@ class Subgroup:
         return self.parent.order // len(self.elements)
 
 
+def _derived(cls, *values):
+    """An instance of a validated dataclass whose field values are trusted.
+
+    Objects the library derives from validated ones are built here and skip
+    `__post_init__`; `values` gives every field in declaration order.  Input
+    from outside the library goes through the class constructor instead.
+    """
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def closure_of(group: FiniteGroup, seed: Iterable[int]) -> Tuple[int, ...]:
-    """Smallest subgroup of `group` containing `seed`, as a sorted tuple."""
+    """Smallest subgroup of `group` containing `seed`, as a sorted tuple.
+
+    Right multiplication by the seed elements alone suffices: in a finite
+    group the monoid they generate is already the subgroup.
+    """
+    gens = set(seed)
     members = {group.identity}
     frontier = [group.identity]
-    for s in seed:
-        if s not in members:
-            members.add(s)
-            frontier.append(s)
     while frontier:
-        x = frontier.pop()
-        for y in tuple(members):
-            for z in (group.mul(x, y), group.mul(y, x)):
-                if z not in members:
-                    members.add(z)
-                    frontier.append(z)
+        row = group.cayley[frontier.pop()]
+        for s in gens:
+            z = row[s]
+            if z not in members:
+                members.add(z)
+                frontier.append(z)
     return tuple(sorted(members))
 
 
@@ -232,7 +246,7 @@ def _group_from_perms(perms: Sequence[Tuple[int, ...]], degree: int, cap: int,
     )
     if labels is None:
         labels = tuple(_cycle_string(p) for p in elems)
-    return FiniteGroup(len(elems), table, 0, tuple(labels), name)
+    return _derived(FiniteGroup, len(elems), table, 0, tuple(labels), name)
 
 
 def _cycle_string(perm: Tuple[int, ...]) -> str:
@@ -443,7 +457,8 @@ def group_from_json(obj: Dict, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteG
             raise ValueError("declared order disagrees with the table size")
         g = build_group(cayley=table, order_cap=order_cap)
         if obj.get("name"):
-            g = FiniteGroup(g.order, g.cayley, g.identity, g.labels, str(obj["name"]))
+            g = _derived(FiniteGroup, g.order, g.cayley, g.identity, g.labels,
+                         str(obj["name"]))
         return g
     if "generators" in obj:
         return build_group(generators=obj["generators"],
@@ -466,8 +481,11 @@ def all_subgroups(group: FiniteGroup) -> Tuple[Subgroup, ...]:
     """All subgroups, sorted by (order, element tuple).
 
     Enumeration is by cyclic extension: grow each known subgroup by one
-    extra generator until nothing new appears.  Exhaustive only up to order
-    64; larger groups are refused rather than silently truncated.
+    extra generator until nothing new appears.  Each subgroup keeps the
+    generators it was found with, so a closure runs over a short seed, and
+    one x per coset Hx is tried, since <H, hx> = <H, x>.  Exhaustive only
+    up to order 64; larger groups are refused rather than silently
+    truncated.
     """
     if group.order > SUBGROUP_ENUMERATION_LIMIT:
         raise ResourceLimitError(
@@ -475,20 +493,22 @@ def all_subgroups(group: FiniteGroup) -> Tuple[Subgroup, ...]:
             f"got {group.order}"
         )
     trivial = (group.identity,)
-    found = {trivial}
+    found: Dict[Tuple[int, ...], Tuple[int, ...]] = {trivial: ()}
     frontier = [trivial]
     while frontier:
         h = frontier.pop()
-        members = set(h)
+        tried = set(h)
         for x in range(group.order):
-            if x in members:
+            if x in tried:
                 continue
-            k = closure_of(group, h + (x,))
+            tried.update(group.cayley[a][x] for a in h)
+            gens = found[h] + (x,)
+            k = closure_of(group, gens)
             if k not in found:
-                found.add(k)
+                found[k] = gens
                 frontier.append(k)
     ordered = sorted(found, key=lambda t: (len(t), t))
-    return tuple(Subgroup(group, t) for t in ordered)
+    return tuple(_derived(Subgroup, group, t) for t in ordered)
 
 
 @dataclass(frozen=True)
@@ -541,7 +561,7 @@ def classify_subgroups(group: FiniteGroup) -> SubgroupClassification:
         members = sorted(orbit)
         for m in members:
             remaining.discard(m)
-        classes.append(tuple(Subgroup(group, m) for m in members))
+        classes.append(tuple(_derived(Subgroup, group, m) for m in members))
     classes.sort(key=lambda cls: (cls[0].order, cls[0].elements))
     return SubgroupClassification(group, tuple(classes))
 
@@ -552,7 +572,7 @@ def normalizer(group: FiniteGroup, sub: Subgroup) -> Subgroup:
         g for g in range(group.order)
         if {group.conj(g, x) for x in sub.elements} == target
     ]
-    return Subgroup(group, tuple(sorted(members)))
+    return _derived(Subgroup, group, tuple(members))
 
 
 def subgroup_as_group(group: FiniteGroup, elements: Sequence[int]) -> Tuple[FiniteGroup, Tuple[int, ...]]:
@@ -568,7 +588,7 @@ def subgroup_as_group(group: FiniteGroup, elements: Sequence[int]) -> Tuple[Fini
         tuple(pos[group.mul(a, b)] for b in elems) for a in elems
     )
     labels = tuple(group.label(x) for x in elems)
-    sub_group = FiniteGroup(len(elems), table, pos[group.identity], labels, None)
+    sub_group = _derived(FiniteGroup, len(elems), table, pos[group.identity], labels, None)
     return sub_group, elems
 
 
@@ -594,7 +614,7 @@ def quotient_group(group: FiniteGroup, normal_elements: Sequence[int]) -> Finite
         for i in range(len(reps))
     )
     labels = tuple(f"[{r}]" for r in reps)
-    return FiniteGroup(len(reps), table, 0, labels, None)
+    return _derived(FiniteGroup, len(reps), table, 0, labels, None)
 
 
 def weyl_group(group: FiniteGroup, sub: Subgroup) -> FiniteGroup:

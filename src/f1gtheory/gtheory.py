@@ -16,7 +16,7 @@ from typing import (Collection, Dict, Iterator, List, Optional, Sequence,
 
 from .burnside import BurnsideRing, build_burnside
 from .errors import InternalCheckError, ResourceLimitError
-from .groups import (FiniteGroup, abelianization, classify_subgroups,
+from .groups import (FiniteGroup, _derived, abelianization, classify_subgroups,
                      conjugacy_classes_of_elements, weyl_group)
 from .modules import (FiniteModule, PointedMonoid, are_isomorphic, free_module,
                       group_monoid, is_cofibration, quotient,
@@ -280,21 +280,23 @@ def _audit_group_relation(ring: BurnsideRing, counts: Tuple[int, ...], cls: int)
 
 # --- G_0 for general monoids --------------------------------------------
 
-def _count_candidates(msize: int, size_bound: int) -> int:
+def _count_candidates(msize: int, size_bound: int, cap: int) -> int:
+    """Candidate action tables up to the bound; stops summing once past `cap`."""
     total = 0
     for s in range(1, size_bound + 1):
         total += s ** ((s - 1) * (msize - 2))
+        if total > cap:
+            break
     return total
 
 
 def _enumerate_modules(m: PointedMonoid, size_bound: int,
                        candidate_cap: int) -> List[FiniteModule]:
     """All modules with carrier size <= bound, one per isomorphism class."""
-    candidates = _count_candidates(m.size, size_bound)
-    if candidates > candidate_cap:
+    if _count_candidates(m.size, size_bound, candidate_cap) > candidate_cap:
         raise ResourceLimitError(
-            f"{candidates} candidate tables exceed the cap {candidate_cap}; "
-            "raise candidate_cap or lower the size bound")
+            f"more than {candidate_cap} candidate tables; "
+            "lower the size bound")
     mul = m.mul
     found: List[FiniteModule] = []
     for s in range(1, size_bound + 1):
@@ -322,7 +324,7 @@ def _enumerate_modules(m: PointedMonoid, size_bound: int,
                         break
             if not ok:
                 continue
-            module = FiniteModule(m, s, tuple(tuple(r) for r in action))
+            module = _derived(FiniteModule, m, s, tuple(tuple(r) for r in action))
             if not any(are_isomorphic(module, seen)[0] for seen in found
                        if seen.size == s):
                 found.append(module)

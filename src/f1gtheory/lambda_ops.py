@@ -14,6 +14,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .burnside import BurnsideElement, BurnsideRing
+from .groups import _derived
 from .modules import FiniteModule, ModuleHom, submodule_inclusion, zero_module
 from .polynomials import universal_polynomial
 from .reports import CheckReport
@@ -62,7 +63,7 @@ def diamond(s: FiniteModule, k: int) -> FiniteModule:
             else:
                 row.append(index[image])
         action.append(row)
-    return FiniteModule(s.monoid, 1 + len(tuples), tuple(tuple(r) for r in action))
+    return _derived(FiniteModule, s.monoid, 1 + len(tuples), tuple(tuple(r) for r in action))
 
 
 def diamond_filtered(chain: Sequence[ModuleHom]) -> FiniteModule:
@@ -120,7 +121,7 @@ def subset_module(s: FiniteModule, k: int) -> FiniteModule:
             else:
                 row.append(index[tuple(sorted(image))])
         action.append(row)
-    return FiniteModule(s.monoid, 1 + len(subsets), tuple(tuple(r) for r in action))
+    return _derived(FiniteModule, s.monoid, 1 + len(subsets), tuple(tuple(r) for r in action))
 
 
 def _subset_decompose(ring: BurnsideRing, s: FiniteModule, k: int) -> BurnsideElement:

@@ -13,9 +13,8 @@ from typing import Dict, List, Sequence, Tuple
 
 from .burnside import BurnsideElement, BurnsideRing, build_burnside
 from .errors import InternalCheckError
-from .groups import FiniteGroup, subgroup_as_group
-from .modules import (MonoidHom, base_change, coset_module, group_monoid,
-                      restrict_scalars)
+from .groups import FiniteGroup, _derived, subgroup_as_group
+from .modules import MonoidHom, base_change, group_monoid, restrict_scalars
 
 __all__ = [
     "SubgroupContext", "subgroup_context", "restrict", "induce", "conjugate",
@@ -45,8 +44,8 @@ class SubgroupContext:
     @property
     def monoid_inclusion(self) -> MonoidHom:
         hmap = [0] + [e + 1 for e in self.embedding]
-        return MonoidHom(group_monoid(self.group), group_monoid(self.ambient),
-                         tuple(hmap))
+        return _derived(MonoidHom, group_monoid(self.group),
+                        group_monoid(self.ambient), tuple(hmap))
 
     def position_of(self, ambient_element: int) -> int:
         """Index inside the re-indexed group of an ambient subgroup element."""

@@ -2,18 +2,19 @@
 
 Carriers are dense 0-based index sets.  Index 0 of a monoid is its absorbing
 zero and index 1 its unit; index 0 of a module carrier is the basepoint.
-All structure tables are validated exhaustively on construction.
+The class constructors validate their tables exhaustively; objects the
+functions here derive from validated ones are built with `_derived` and
+trusted.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
-from .groups import FiniteGroup, classify_subgroups
+from .groups import FiniteGroup, _derived, classify_subgroups
 
 __all__ = [
     "PointedMonoid", "MonoidHom", "FiniteModule", "ModuleHom", "Bimodule",
@@ -89,7 +90,7 @@ def group_monoid(group: FiniteGroup) -> PointedMonoid:
         for b in range(group.order):
             mul[a + 1][b + 1] = group.cayley[a][b] + 1
     labels = ("0",) + tuple(group.label(x) for x in range(group.order))
-    return PointedMonoid(n, tuple(tuple(r) for r in mul), labels, group)
+    return _derived(PointedMonoid, n, tuple(tuple(r) for r in mul), labels, group)
 
 
 F1 = group_monoid(FiniteGroup(1, ((0,),), 0, ("e",), "C1"))
@@ -109,23 +110,22 @@ def monoid_from_json(obj: Dict) -> PointedMonoid:
 def detect_group(monoid: PointedMonoid) -> PointedMonoid:
     """Attach the underlying group to a monoid whose nonzero part is a group.
 
-    Raises ValueError when the nonzero elements fail to form a group.
+    Raises ValueError when the nonzero elements fail to form a group.  The
+    monoid is validated, so they form one exactly when each row of their
+    table is a permutation: no zero divisors and left cancellation.
     """
     if monoid.group is not None:
         return monoid
     n = monoid.size - 1
-    table = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            v = monoid.mul[a + 1][b + 1]
-            if v == 0:
-                raise ValueError("monoid has zero divisors; not a group monoid")
-            row.append(v - 1)
-        table.append(tuple(row))
-    group = FiniteGroup(n, tuple(table), 0,
-                        tuple(monoid.label(x + 1) for x in range(n)), None)
-    return PointedMonoid(monoid.size, monoid.mul, monoid.labels, group)
+    table = tuple(tuple(v - 1 for v in row[1:]) for row in monoid.mul[1:])
+    for row in table:
+        if -1 in row:
+            raise ValueError("monoid has zero divisors; not a group monoid")
+        if len(set(row)) != n:
+            raise ValueError("monoid elements lack inverses; not a group monoid")
+    group = _derived(FiniteGroup, n, table, 0,
+                     tuple(monoid.label(x + 1) for x in range(n)), None)
+    return _derived(PointedMonoid, monoid.size, monoid.mul, monoid.labels, group)
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ class MonoidHom:
 
 
 def identity_monoid_hom(m: PointedMonoid) -> MonoidHom:
-    return MonoidHom(m, m, tuple(range(m.size)))
+    return _derived(MonoidHom, m, m, tuple(range(m.size)))
 
 
 @dataclass(frozen=True)
@@ -262,12 +262,12 @@ class ModuleHom:
         """self after other (other first)."""
         if other.target != self.source:
             raise ValueError("composition mismatch")
-        return ModuleHom(other.source, self.target,
-                         tuple(self.map[v] for v in other.map))
+        return _derived(ModuleHom, other.source, self.target,
+                        tuple(self.map[v] for v in other.map))
 
 
 def identity_hom(s: FiniteModule) -> ModuleHom:
-    return ModuleHom(s, s, tuple(range(s.size)))
+    return _derived(ModuleHom, s, s, tuple(range(s.size)))
 
 
 @dataclass(frozen=True)
@@ -328,19 +328,19 @@ def bimodule_from_monoid_hom(alpha: MonoidHom) -> Bimodule:
         tuple(n.mul[alpha.map[m]][x] for m in range(alpha.source.size))
         for x in range(n.size)
     )
-    return Bimodule(alpha.source, n, n.size, left, n.mul)
+    return _derived(Bimodule, alpha.source, n, n.size, left, n.mul)
 
 
 def bimodule_from_module(t: FiniteModule) -> Bimodule:
     """A right module as an F1-on-the-left bimodule."""
     left = tuple((0, x) for x in range(t.size))
-    return Bimodule(F1, t.monoid, t.size, left, t.action)
+    return _derived(Bimodule, F1, t.monoid, t.size, left, t.action)
 
 
 # --- constructors --------------------------------------------------------
 
 def zero_module(m: PointedMonoid) -> FiniteModule:
-    return FiniteModule(m, 1, (tuple([0] * m.size),))
+    return _derived(FiniteModule, m, 1, (tuple([0] * m.size),))
 
 
 def free_module(m: PointedMonoid, rank: int) -> FiniteModule:
@@ -357,7 +357,7 @@ def free_module(m: PointedMonoid, rank: int) -> FiniteModule:
                 v = m.mul[x][n]
                 row.append(0 if v == 0 else 1 + j * block + (v - 1))
             action.append(row)
-    return FiniteModule(m, size, tuple(tuple(r) for r in action))
+    return _derived(FiniteModule, m, size, tuple(tuple(r) for r in action))
 
 
 def wedge(mods: Sequence[FiniteModule]) -> FiniteModule:
@@ -381,10 +381,10 @@ def wedge_with_inclusions(mods: Sequence[FiniteModule]) -> Tuple[FiniteModule, L
     for s, off in zip(mods, offsets):
         for x in range(1, s.size):
             action.append([0 if v == 0 else v + off for v in s.action[x]])
-    out = FiniteModule(monoid, total, tuple(tuple(r) for r in action))
-    incls = []
-    for s, off in zip(mods, offsets):
-        incls.append(ModuleHom(s, out, tuple(0 if x == 0 else x + off for x in range(s.size))))
+    out = _derived(FiniteModule, monoid, total, tuple(tuple(r) for r in action))
+    incls = [_derived(ModuleHom, s, out,
+                      tuple(0 if x == 0 else x + off for x in range(s.size)))
+             for s, off in zip(mods, offsets)]
     return out, incls
 
 
@@ -412,7 +412,7 @@ def coset_module(group: FiniteGroup, elements: Tuple[int, ...]) -> FiniteModule:
         for g in range(group.order):
             row.append(1 + coset_index[group.mul(rep, g)])
         action.append(row)
-    return FiniteModule(monoid, 1 + len(reps), tuple(tuple(r) for r in action))
+    return _derived(FiniteModule, monoid, 1 + len(reps), tuple(tuple(r) for r in action))
 
 
 def submodule_inclusion(s: FiniteModule, members: Iterable[int]) -> ModuleHom:
@@ -426,8 +426,8 @@ def submodule_inclusion(s: FiniteModule, members: Iterable[int]) -> ModuleHom:
     action = tuple(
         tuple(pos[s.action[x][m]] for m in range(s.monoid.size)) for x in keep
     )
-    sub = FiniteModule(s.monoid, len(keep), action)
-    return ModuleHom(sub, s, tuple(keep))
+    sub = _derived(FiniteModule, s.monoid, len(keep), action)
+    return _derived(ModuleHom, sub, s, tuple(keep))
 
 
 def module_from_json(obj: Dict, monoid: Optional[PointedMonoid] = None) -> FiniteModule:
@@ -575,8 +575,8 @@ def quotient_with_projection(f: ModuleHom) -> Tuple[FiniteModule, ModuleHom]:
     action = [[0] * t.monoid.size]
     for x in keep:
         action.append([proj[t.action[x][m]] for m in range(t.monoid.size)])
-    q = FiniteModule(t.monoid, 1 + len(keep), tuple(tuple(r) for r in action))
-    return q, ModuleHom(t, q, proj)
+    q = _derived(FiniteModule, t.monoid, 1 + len(keep), tuple(tuple(r) for r in action))
+    return q, _derived(ModuleHom, t, q, proj)
 
 
 class _UnionFind:
@@ -653,9 +653,9 @@ def pushout(f: ModuleHom, g: ModuleHom) -> Tuple[FiniteModule, ModuleHom, Module
                 raise InternalCheckError("pushout action is not well defined")
             row.append(images.pop())
         action.append(row)
-    p = FiniteModule(monoid, len(classes), tuple(tuple(r) for r in action))
-    leg1 = ModuleHom(t1, p, tuple(index[node1(x)] for x in range(n1)))
-    leg2 = ModuleHom(t2, p, tuple(index[node2(y)] for y in range(n2)))
+    p = _derived(FiniteModule, monoid, len(classes), tuple(tuple(r) for r in action))
+    leg1 = _derived(ModuleHom, t1, p, tuple(index[node1(x)] for x in range(n1)))
+    leg2 = _derived(ModuleHom, t2, p, tuple(index[node2(y)] for y in range(n2)))
     ok2, _ = is_cofibration(leg2)
     if not ok2:
         raise InternalCheckError("pushout failed to produce a cofibration leg")
@@ -704,8 +704,8 @@ def _smash_tables(s: FiniteModule, t: Bimodule) -> Tuple[FiniteModule, List[int]
                 raise InternalCheckError("smash action is not well defined")
             row.append(images.pop())
         action.append(row)
-    module = FiniteModule(t.right_monoid, len(classes),
-                          tuple(tuple(r) for r in action))
+    module = _derived(FiniteModule, t.right_monoid, len(classes),
+                      tuple(tuple(r) for r in action))
     return module, index, block
 
 
@@ -741,7 +741,7 @@ def diagonal_smash(s: FiniteModule, t: FiniteModule) -> FiniteModule:
             action.append([
                 node(s.action[a][m], t.action[b][m]) for m in range(s.monoid.size)
             ])
-    return FiniteModule(s.monoid, total, tuple(tuple(r) for r in action))
+    return _derived(FiniteModule, s.monoid, total, tuple(tuple(r) for r in action))
 
 
 def base_change(alpha: MonoidHom, s: FiniteModule) -> FiniteModule:
@@ -772,7 +772,7 @@ def base_change_hom(alpha: MonoidHom, f: ModuleHom) -> ModuleHom:
                 mapping[c_src] = c_dst
             elif mapping[c_src] != c_dst:
                 raise InternalCheckError("base change of a hom is not well defined")
-    return ModuleHom(src, dst, tuple(v if v is not None else 0 for v in mapping))
+    return _derived(ModuleHom, src, dst, tuple(v if v is not None else 0 for v in mapping))
 
 
 def restrict_scalars(alpha: MonoidHom, s: FiniteModule) -> FiniteModule:
@@ -783,7 +783,7 @@ def restrict_scalars(alpha: MonoidHom, s: FiniteModule) -> FiniteModule:
         tuple(s.action[x][alpha.map[m]] for m in range(alpha.source.size))
         for x in range(s.size)
     )
-    return FiniteModule(alpha.source, s.size, action)
+    return _derived(FiniteModule, alpha.source, s.size, action)
 
 
 # --- isomorphism ---------------------------------------------------------
@@ -860,15 +860,7 @@ def _iso_generic_case(s: FiniteModule, t: FiniteModule) -> Optional[Tuple[int, .
 
     def backtrack(i: int, chosen: List[int]) -> Optional[Tuple[int, ...]]:
         if i == len(gens):
-            full = extend(chosen)
-            if full is not None:
-                # propagation fixed phi on generator orbits; confirm globally
-                for x in range(s.size):
-                    for m in range(msize):
-                        if full[s.action[x][m]] != t.action[full[x]][m]:
-                            return None
-                return full
-            return None
+            return extend(chosen)
         for cand in range(1, t.size):
             if prof_t[cand] != prof_s[gens[i]]:
                 continue
@@ -912,8 +904,8 @@ def permute_module(s: FiniteModule, perm: Sequence[int]) -> Tuple[FiniteModule, 
     for x in range(s.size):
         for m in range(s.monoid.size):
             action[perm[x]][m] = perm[s.action[x][m]]
-    out = FiniteModule(s.monoid, s.size, tuple(tuple(r) for r in action))
-    return out, ModuleHom(s, out, tuple(perm))
+    out = _derived(FiniteModule, s.monoid, s.size, tuple(tuple(r) for r in action))
+    return out, _derived(ModuleHom, s, out, tuple(perm))
 
 
 # --- sections and the extension property ---------------------------------

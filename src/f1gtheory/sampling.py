@@ -13,11 +13,11 @@ from typing import List, Optional, Tuple
 from .burnside import BurnsideElement, BurnsideRing
 from .groups import build_group
 from .modules import (FiniteModule, ModuleHom, MonoidHom, PointedMonoid,
-                      generating_set, group_monoid, permute_module, wedge,
-                      wedge_with_inclusions, zero_module)
+                      generating_set, group_monoid, permute_module,
+                      wedge_with_inclusions)
 
 __all__ = [
-    "random_effective", "random_element", "random_gset", "monoid_pool",
+    "random_effective", "random_element", "monoid_pool",
     "monoid_homs", "random_module", "random_hom", "random_permutation",
     "random_wedge_cofibration", "SplitInstance", "random_split_instance",
     "ExtensionInstance", "random_extension_instance",
@@ -45,11 +45,6 @@ def random_element(ring: BurnsideRing, rng: random.Random,
     """A virtual element: difference of two bounded effective elements."""
     return (random_effective(ring, rng, max_size=max_size)
             - random_effective(ring, rng, max_size=max_size))
-
-
-def random_gset(ring: BurnsideRing, rng: random.Random,
-                max_size: int = 8) -> FiniteModule:
-    return ring.realize(random_effective(ring, rng, max_size=max_size))
 
 
 def _monoid_from_rows(rows: List[List[int]], name_labels: Tuple[str, ...]) -> PointedMonoid:

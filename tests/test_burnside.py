@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f1gtheory.burnside import build_burnside, decompose, marks_to_csv
-from f1gtheory.groups import FiniteGroup, build_group, weyl_group
+from f1gtheory.burnside import (BurnsideRing, build_burnside, decompose,
+                                marks_to_csv)
+from f1gtheory.groups import FiniteGroup, build_group, library_names, weyl_group
 from f1gtheory.modules import coset_module, diagonal_smash, free_module, \
     group_monoid, wedge
 from f1gtheory.sampling import random_effective, random_element
@@ -20,14 +21,34 @@ def test_c2_marks():
     assert [list(r) for r in ring.marks] == [[2, 0], [1, 1]]
 
 
-@pytest.mark.parametrize("name", ["S3", "D4", "A4", "Q8"])
+def _explicit_marks(ring):
+    """K-fixed points of each G/H, counted on the coset modules."""
+    return [[sum(1 for x in range(1, coset.size)
+                 if all(coset.action[x][g + 1] == x for g in k.elements))
+             for k in ring.classification.representatives]
+            for coset in ring.cosets]
+
+
+# every library group has order <= 24
+@pytest.mark.parametrize("name", library_names() + ["S4xC2"])
 def test_marks_diagonal_is_weyl_order(name):
-    ring = ring_of(name)
-    for i in range(ring.rank):
-        rep = ring.classification.representatives[i]
-        assert ring.marks[i][i] == weyl_group(ring.group, rep).order
-        for j in range(i + 1, ring.rank):
-            assert ring.marks[i][j] == 0
+    if name == "S4xC2":
+        group = build_group(generators=["(1 2 3 4)", "(1 2)", "(5 6)"], degree=6)
+    else:
+        group = build_group(name=name)
+    ring = build_burnside(group)
+    # the marks formula against the fixed points counted on G/H
+    assert [list(r) for r in ring.marks] == _explicit_marks(ring)
+    for i, rep in enumerate(ring.classification.representatives):
+        assert ring.marks[i][i] == weyl_group(group, rep).order
+        assert all(ring.marks[i][j] == 0 for j in range(i + 1, ring.rank))
+
+
+def test_cosets_are_built_on_first_use():
+    ring = BurnsideRing(build_group(name="S3"))
+    assert "cosets" not in vars(ring)
+    assert [c.size for c in ring.cosets] == [7, 4, 3, 2]
+    assert "cosets" in vars(ring)
 
 
 def test_marks_first_column_is_index():

@@ -127,6 +127,17 @@ def test_g0_bound_above_generator_cap_exits_2(capsys):
     assert "cap 150000" in err
 
 
+def test_g0_candidate_cap_exits_2(capsys, tmp_path):
+    path = tmp_path / "monoid.json"
+    path.write_text(json.dumps(
+        {"size": 3, "mul": [[0, 0, 0], [0, 1, 2], [0, 2, 2]]}))
+    code, out, err = run_cli(capsys, "g0", "--monoid-json", str(path),
+                             "--bound", "100000")
+    assert code == 2
+    assert out == ""
+    assert "more than 20000 candidate tables" in err
+
+
 def test_suite_s4_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "suite", "--group", "S4")
     assert code == 0
@@ -222,12 +233,11 @@ def test_order_cap_env(capsys, monkeypatch):
     assert code == 2
 
 
-def test_jobs_note_on_stderr(capsys):
-    code, out, err = run_cli(capsys, "marks", "--group", "C2",
-                             "--format", "csv", "--jobs", "4")
-    assert code == 0
-    assert "sequentially" in err
-    assert "sequentially" not in out
+def test_jobs_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["marks", "--group", "C2", "--format", "csv", "--jobs", "4"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_suite_exit_zero(capsys):

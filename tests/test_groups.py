@@ -127,11 +127,37 @@ def test_order_cap_enforced():
         build_group(name="C24", order_cap=12)
 
 
+def brute_force_closure(group, seed):
+    """Close {e} and the seed under products on both sides, as an oracle."""
+    members = {group.identity, *seed}
+    while True:
+        grown = members | {group.mul(a, b) for a in members for b in members}
+        if grown == members:
+            return tuple(sorted(members))
+        members = grown
+
+
 def test_closure_of():
     group = build_group(name="S3")
     gens = [g for g in range(group.order) if group.element_order(g) == 3]
     closure = closure_of(group, gens[:1])
     assert len(closure) == 3
+    for name in ("S4", "Q8", "D6"):
+        group = build_group(name=name)
+        for size in range(3):
+            for seed in combinations(range(group.order), size):
+                assert closure_of(group, seed) == brute_force_closure(group, seed)
+
+
+@pytest.mark.parametrize("generators,degree,count,classes", [
+    (["(1 2 3 4)", "(1 2)", "(5 6)"], 6, 98, 33),
+    (["(1 2)", "(3 4)", "(5 6)", "(7 8)", "(9 10)"], 10, 374, 374),
+    (["(1 2 3 4)", "(1 3)", "(5 6)", "(7 8)", "(9 10)"], 10, 937, 681),
+], ids=["S4xC2", "C2^5", "D4xC2^3"])
+def test_subgroup_counts_of_larger_groups(generators, degree, count, classes):
+    group = build_group(generators=generators, degree=degree)
+    assert len(all_subgroups(group)) == count
+    assert classify_subgroups(group).rank == classes
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from f1gtheory import gtheory
@@ -119,6 +121,14 @@ def test_g0_candidate_cap():
     nil = PointedMonoid(3, ((0, 0, 0), (0, 1, 2), (0, 2, 0)))
     with pytest.raises(ResourceLimitError):
         g0_presentation(nil, 9, candidate_cap=10)
+
+
+def test_g0_candidate_cap_refuses_large_bound_at_once():
+    idem = PointedMonoid(3, ((0, 0, 0), (0, 1, 2), (0, 2, 2)))
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="more than 20000 candidate tables"):
+        g0_presentation(idem, 10 ** 5)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_report_validation():

@@ -55,6 +55,13 @@ def test_detect_group_rejects_zero_divisors():
         detect_group(nilpotent_monoid())
 
 
+def test_detect_group_rejects_missing_inverses():
+    # 0, 1, e with e*e = e: no zero divisors, but e has no inverse
+    idem = PointedMonoid(3, ((0, 0, 0), (0, 1, 2), (0, 2, 2)))
+    with pytest.raises(ValueError, match="inverses"):
+        detect_group(idem)
+
+
 def test_free_module_size_and_orbits():
     m = group_monoid(build_group(name="C4"))
     f = free_module(m, 3)
