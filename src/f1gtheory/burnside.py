@@ -124,10 +124,12 @@ class BurnsideRing:
         return self.element(coeffs)
 
     def marks_of(self, x: "BurnsideElement") -> Tuple[int, ...]:
-        return tuple(
-            sum(c * self.marks[i][j] for i, c in enumerate(x.coeffs))
-            for j in range(self.rank)
-        )
+        ghost = [0] * self.rank
+        for c, row in zip(x.coeffs, self.marks):
+            if c:
+                for j, m in enumerate(row):
+                    ghost[j] += c * m
+        return tuple(ghost)
 
     def from_marks(self, ghost: Sequence[int]) -> "BurnsideElement":
         """Invert the marks homomorphism; integrality is checked, not assumed."""

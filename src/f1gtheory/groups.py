@@ -580,13 +580,23 @@ def subgroup_as_group(group: FiniteGroup, elements: Sequence[int]) -> Tuple[Fini
 
     Returns (group, embedding) where embedding[i] is the parent element for
     index i.  Elements are taken in ascending parent order, which keeps the
-    parent identity (index 0) at index 0.
+    parent identity (index 0) at index 0.  Raises ValueError unless the
+    elements are a subgroup: nonempty, in range, distinct and closed.
     """
     elems = tuple(sorted(elements))
+    if not elems:
+        raise ValueError("a subgroup needs at least one element")
+    if elems[0] < 0 or elems[-1] >= group.order:
+        raise ValueError(f"{elems} has an element outside 0..{group.order - 1}")
     pos = {x: i for i, x in enumerate(elems)}
-    table = tuple(
-        tuple(pos[group.mul(a, b)] for b in elems) for a in elems
-    )
+    if len(pos) != len(elems):
+        raise ValueError(f"{elems} repeats an element")
+    try:
+        table = tuple(
+            tuple(pos[group.mul(a, b)] for b in elems) for a in elems
+        )
+    except KeyError:
+        raise ValueError(f"{elems} is not closed under multiplication") from None
     labels = tuple(group.label(x) for x in elems)
     sub_group = _derived(FiniteGroup, len(elems), table, pos[group.identity], labels, None)
     return sub_group, elems

@@ -1,20 +1,19 @@
 """Restriction, induction, and conjugation between Burnside rings.
 
-Everything runs on explicit module models: restriction is restriction of
-scalars along the subgroup monoid inclusion, induction is base change, and
-both are extended linearly from cached basis images.
+Both maps are read off the classification.  Induction sends H/L to G/L.
+Restriction keeps every mark: m(Res_H x)(K) = m(x)(K) for K <= H (tom Dieck,
+Transformation Groups and Representation Theory, LNM 766, section 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from .burnside import BurnsideElement, BurnsideRing, build_burnside
 from .errors import InternalCheckError
-from .groups import FiniteGroup, _derived, subgroup_as_group
-from .modules import MonoidHom, base_change, group_monoid, restrict_scalars
+from .groups import FiniteGroup, subgroup_as_group
 
 __all__ = [
     "SubgroupContext", "subgroup_context", "restrict", "induce", "conjugate",
@@ -41,11 +40,14 @@ class SubgroupContext:
     def ambient_ring(self) -> BurnsideRing:
         return build_burnside(self.ambient)
 
-    @property
-    def monoid_inclusion(self) -> MonoidHom:
-        hmap = [0] + [e + 1 for e in self.embedding]
-        return _derived(MonoidHom, group_monoid(self.group),
-                        group_monoid(self.ambient), tuple(hmap))
+    @cached_property
+    def class_map(self) -> Tuple[int, ...]:
+        """Entry i: the ambient class of subgroup class i's representative."""
+        classification = self.ambient_ring.classification
+        return tuple(
+            classification.class_index(self.embedding[e] for e in rep.elements)
+            for rep in self.ring.classification.representatives
+        )
 
     def position_of(self, ambient_element: int) -> int:
         """Index inside the re-indexed group of an ambient subgroup element."""
@@ -59,50 +61,22 @@ def subgroup_context(ambient: FiniteGroup, elements: Tuple[int, ...]) -> Subgrou
     return SubgroupContext(ambient, elems, group, embedding)
 
 
-_RESTRICT_BASIS: Dict[Tuple[SubgroupContext, int], Tuple[int, ...]] = {}
-_INDUCE_BASIS: Dict[Tuple[SubgroupContext, int], Tuple[int, ...]] = {}
-
-
 def restrict(ctx: SubgroupContext, x: BurnsideElement) -> BurnsideElement:
     """Restriction A(ambient) -> A(subgroup), linear in x."""
-    g_ring = ctx.ambient_ring
-    if x.ring.group != g_ring.group:
+    if x.ring.group != ctx.ambient:
         raise ValueError("element does not live over the ambient group")
-    h_ring = ctx.ring
-    out = [0] * h_ring.rank
-    for i, c in enumerate(x.coeffs):
-        if c == 0:
-            continue
-        key = (ctx, i)
-        vec = _RESTRICT_BASIS.get(key)
-        if vec is None:
-            module = restrict_scalars(ctx.monoid_inclusion, g_ring.cosets[i])
-            vec = h_ring.decompose(module).coeffs
-            _RESTRICT_BASIS[key] = vec
-        for j, v in enumerate(vec):
-            out[j] += c * v
-    return h_ring.element(out)
+    ghost = x.marks()
+    return ctx.ring.from_marks([ghost[j] for j in ctx.class_map])
 
 
 def induce(ctx: SubgroupContext, y: BurnsideElement) -> BurnsideElement:
     """Induction A(subgroup) -> A(ambient), additive in y."""
-    h_ring = ctx.ring
-    if y.ring.group != h_ring.group:
+    if y.ring.group != ctx.group:
         raise ValueError("element does not live over the context subgroup")
-    g_ring = ctx.ambient_ring
-    out = [0] * g_ring.rank
+    out = [0] * ctx.ambient_ring.rank
     for i, c in enumerate(y.coeffs):
-        if c == 0:
-            continue
-        key = (ctx, i)
-        vec = _INDUCE_BASIS.get(key)
-        if vec is None:
-            module = base_change(ctx.monoid_inclusion, h_ring.cosets[i])
-            vec = g_ring.decompose(module).coeffs
-            _INDUCE_BASIS[key] = vec
-        for j, v in enumerate(vec):
-            out[j] += c * v
-    return g_ring.element(out)
+        out[ctx.class_map[i]] += c
+    return ctx.ambient_ring.element(out)
 
 
 def transport(src_ring: BurnsideRing, dst_ring: BurnsideRing,

@@ -388,7 +388,6 @@ def wedge_with_inclusions(mods: Sequence[FiniteModule]) -> Tuple[FiniteModule, L
     return out, incls
 
 
-@lru_cache(maxsize=None)
 def coset_module(group: FiniteGroup, elements: Tuple[int, ...]) -> FiniteModule:
     """Right cosets Hx as a module over the group monoid, basepoint adjoined.
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -166,6 +167,57 @@ def test_mackey_check_passes(capsys):
                            "--trials", "10")
     assert code == 0
     assert "overall: pass" in out
+
+
+MACKEY_CHECK_SHA256 = {
+    ("D6", "text"):
+        "fb109a4012404f3490c91a1ad8ef3d7c1544f8987a0bff4d2073e53621d384e9",
+    ("D6", "json"):
+        "3b74560ec00644ac504efb8b950a2d44f23315f76dc24e7fe2dcca410cecb89c",
+    ("S4", "json"):
+        "0526c238b55577213c623a9e2a0dd7a01f5fd38e47ad6d59af74888af8a1819e",
+}
+
+
+@pytest.mark.parametrize("group,fmt", sorted(MACKEY_CHECK_SHA256),
+                         ids=lambda v: v)
+def test_mackey_check_golden(capsys, group, fmt):
+    code, out, _ = run_cli(capsys, "mackey-check", "--group", group,
+                           "--seed", "1729", "--format", fmt)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == MACKEY_CHECK_SHA256[group, fmt]
+
+
+NO_MODULE_RUN = """
+import sys
+import f1gtheory.cli
+from f1gtheory import modules
+
+def refuse(*args, **kwargs):
+    raise AssertionError("mackey-check built a module")
+
+originals = (modules.base_change, modules.restrict_scalars,
+             modules._smash_tables)
+for name, module in list(sys.modules.items()):
+    if name.startswith("f1gtheory"):
+        for attr, value in list(vars(module).items()):
+            if any(value is original for original in originals):
+                setattr(module, attr, refuse)
+sys.exit(f1gtheory.cli.main(sys.argv[1:]))
+"""
+
+
+def test_mackey_check_builds_no_module():
+    # a fresh process, so no cache filled by an earlier test can hide a build
+    src = os.path.dirname(os.path.dirname(f1gtheory.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", NO_MODULE_RUN, "mackey-check", "--group", "D6",
+         "--seed", "1729"],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert run.returncode == 0, run.stderr
+    digest = hashlib.sha256(run.stdout).hexdigest()
+    assert digest == MACKEY_CHECK_SHA256["D6", "text"]
 
 
 def test_lambda_verify_odd_cyclic(capsys):

@@ -194,6 +194,17 @@ def test_subgroup_as_group_embedding():
                                                            embedding[b])
 
 
+@pytest.mark.parametrize("elements,message", [
+    ((0, 1, 2), "not closed"),
+    ((), "at least one element"),
+    ((0, 0, 1), "repeats"),
+    ((0, 6), "outside"),
+], ids=["not-closed", "empty", "repeated", "out-of-range"])
+def test_subgroup_as_group_rejects_non_subgroups(elements, message):
+    with pytest.raises(ValueError, match=message):
+        subgroup_as_group(build_group(name="S3"), elements)
+
+
 def test_library_names_build():
     names = library_names()
     assert "S3" in names and "Q8" in names and "C12" in names

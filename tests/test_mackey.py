@@ -4,11 +4,14 @@ import random
 
 import pytest
 
-from f1gtheory.groups import all_subgroups, build_group
+from f1gtheory.burnside import build_burnside
+from f1gtheory.groups import all_subgroups, build_group, library_names
 from f1gtheory.mackey import (check_double_coset, check_frobenius, conjugate,
                               double_coset_reps, green_morphism_check, induce,
                               linear_dimension, restrict, subgroup_context,
                               transport)
+from f1gtheory.modules import (MonoidHom, base_change, group_monoid,
+                               restrict_scalars)
 from f1gtheory.sampling import random_element
 
 from conftest import ring_of
@@ -178,3 +181,26 @@ def test_induction_transitivity():
     via_k = induce(k_ctx, induce(h_in_k, h_in_k.ring.one()))
     direct = induce(full, y)
     assert via_k == direct
+
+
+def test_restrict_and_induce_match_module_oracle():
+    # restriction of scalars and base change along the monoid inclusion,
+    # on every basis class of every library group of order <= 24
+    for name in library_names():
+        group = build_group(name=name)
+        if group.order > 24:
+            continue
+        ring = build_burnside(group)
+        for rep in ring.classification.representatives:
+            ctx = subgroup_context(group, rep.elements)
+            incl = MonoidHom(group_monoid(ctx.group), group_monoid(group),
+                             (0,) + tuple(e + 1 for e in ctx.embedding))
+            for i in range(ring.rank):
+                restricted = restrict_scalars(incl, ring.cosets[i])
+                assert restrict(ctx, ring.basis_element(i)) == \
+                    ctx.ring.decompose(restricted), (name, rep.elements, i)
+            for i in range(ctx.ring.rank):
+                induced = base_change(incl, ctx.ring.cosets[i])
+                assert induce(ctx, ctx.ring.basis_element(i)) == \
+                    ring.decompose(induced), (name, rep.elements, i)
+
