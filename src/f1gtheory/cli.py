@@ -29,6 +29,7 @@ from .mackey import (check_double_coset, check_frobenius, green_morphism_check,
                      subgroup_context)
 from .modules import (detect_group, diagonal_smash, group_monoid,
                       module_from_json, monoid_from_json)
+from .polynomials import universal_polynomial
 from .reports import CheckReport
 from .sampling import random_effective, random_element
 from .snf import factorize
@@ -217,6 +218,12 @@ def _cmd_lambda(args) -> int:
 
 def _cmd_lambda_verify(args) -> int:
     group = _group_from_args(args)
+    # fetch every polynomial the run uses, so an over-cap degree is refused
+    # before any ring work
+    for k in range(2, args.k_cap + 1):
+        universal_polynomial("product", k)
+        for l in range(2, args.l_cap + 1):
+            universal_polynomial("composition", k, l)
     ring = build_burnside(group)
     rng = random.Random(args.seed)
     pre = verify_pre_lambda(ring, args.k_cap, args.trials, rng)

@@ -32,11 +32,11 @@ class SubgroupContext:
     group: FiniteGroup
     embedding: Tuple[int, ...]
 
-    @property
+    @cached_property
     def ring(self) -> BurnsideRing:
         return build_burnside(self.group)
 
-    @property
+    @cached_property
     def ambient_ring(self) -> BurnsideRing:
         return build_burnside(self.ambient)
 

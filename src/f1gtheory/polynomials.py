@@ -2,16 +2,22 @@
 
 P_k rewrites e_k of the pairwise products x_i y_j in the elementary symmetric
 polynomials of each variable family; P_{k,l} rewrites e_k of the l-fold
-products of one family.  Both are computed symbolically by leading-term
-elimination over exact integers and verified by integer specialization.
+products of one family.  Both are plethysms e_k[f], computed in the
+power-sum basis (Macdonald, Symmetric Functions and Hall Polynomials, 2nd
+ed., I.2 and I.8): e_k = sum over partitions lam of k of eps_lam p_lam /
+z_lam, p_n[f] is f with every p_m replaced by p_{nm}, and Newton's identity
+writes each p_m in the elementary basis.  Every coefficient must come out
+integral, and the result is verified by integer specialization.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import factorial, prod
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
 
@@ -24,14 +30,6 @@ MAX_COMPOSITION_L = 3
 
 # A polynomial is a dict from exponent tuples to nonzero int coefficients.
 Poly = Dict[Tuple[int, ...], int]
-
-
-def _p_const(nvars: int, c: int) -> Poly:
-    return {(0,) * nvars: c} if c else {}
-
-
-def _p_monomial(nvars: int, exps: Sequence[int], c: int = 1) -> Poly:
-    return {tuple(exps): c} if c else {}
 
 
 def _p_add_into(acc: Poly, other: Poly, scale: int = 1) -> None:
@@ -56,76 +54,66 @@ def _p_mul(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def _elementary_of(items: Sequence[Poly], k: int, nvars: int) -> Poly:
-    """e_k of a list of polynomials, by the one-item-at-a-time recurrence."""
-    e: List[Poly] = [_p_const(nvars, 1)] + [{} for _ in range(k)]
-    for item in items:
-        for j in range(k, 0, -1):
-            _p_add_into(e[j], _p_mul(e[j - 1], item))
-    return e[k]
+def _partitions(n: int, largest: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
+    """Partitions of n as nonincreasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
 
 
-def _elementary_basis(nvars: int, block: Sequence[int], upto: int) -> List[Poly]:
-    """e_1..e_upto of the plain variables in one block; index 0 holds 1."""
-    items = [_p_monomial(nvars, [1 if v == i else 0 for v in range(nvars)])
-             for i in block]
-    e: List[Poly] = [_p_const(nvars, 1)] + [{} for _ in range(upto)]
-    for item in items:
-        for j in range(upto, 0, -1):
-            _p_add_into(e[j], _p_mul(e[j - 1], item))
-    return e
+def _z(lam: Sequence[int]) -> int:
+    """z_lam = prod over parts i of i^(m_i) m_i!, m_i the multiplicity of i."""
+    return prod(i ** m * factorial(m) for i, m in Counter(lam).items())
 
 
-def _express_in_elementary(p: Poly, nvars: int,
-                           blocks: Sequence[Sequence[int]]) -> Dict[Tuple[Tuple[int, ...], ...], int]:
-    """Rewrite a per-block-symmetric polynomial in elementary symmetric terms.
+def _power_sums_in_elementary(n: int) -> List[Poly]:
+    """p_1..p_n in e_1..e_n (index 0 unused), by Newton's identity.
 
-    Result keys are one exponent tuple per block, position i holding the
-    exponent of e_{i+1} of that block's variables.
+    p_m = sum_{i<m} (-1)^(i-1) e_i p_{m-i} + (-1)^(m-1) m e_m.
     """
-    bases = [_elementary_basis(nvars, b, len(b)) for b in blocks]
-    work: Poly = dict(p)
-    result: Dict[Tuple[Tuple[int, ...], ...], int] = {}
-    while work:
-        lead = max(work)
-        coeff = work[lead]
-        key_parts: List[Tuple[int, ...]] = []
-        for b in blocks:
-            exps = [lead[v] for v in b]
-            for i in range(len(exps) - 1):
-                if exps[i] < exps[i + 1]:
-                    raise InternalCheckError("leading term violates per-block symmetry")
-            key_parts.append(tuple(
-                exps[i] - (exps[i + 1] if i + 1 < len(exps) else 0)
-                for i in range(len(exps))
-            ))
-        key = tuple(key_parts)
-        term = _p_const(nvars, 1)
-        for base, degs in zip(bases, key_parts):
-            for i, d in enumerate(degs):
-                for _ in range(d):
-                    term = _p_mul(term, base[i + 1])
-        _p_add_into(work, term, -coeff)
-        if max(work, default=None) == lead:
-            raise InternalCheckError("leading-term elimination failed to make progress")
-        result[key] = result.get(key, 0) + coeff
-    return {k: v for k, v in result.items() if v}
+    def e(i: int) -> Tuple[int, ...]:
+        return tuple(int(v == i - 1) for v in range(n))
+
+    p: List[Poly] = [{}]
+    for m in range(1, n + 1):
+        p_m: Poly = {e(m): (-1) ** (m - 1) * m}
+        for i in range(1, m):
+            _p_add_into(p_m, _p_mul({e(i): 1}, p[m - i]), (-1) ** (i - 1))
+        p.append(p_m)
+    return p
 
 
-def _eval_poly_at_ints(p: Poly, values: Sequence[int]) -> int:
-    total = 0
-    for mono, c in p.items():
-        v = c
-        for e, x in zip(mono, values):
-            v *= x ** e
-        total += v
-    return total
+def _elementary_plethysm(k: int, power_plethysms: Mapping[int, Poly],
+                         nvars: int) -> Poly:
+    """e_k[f] = sum_{lam |- k} eps_lam / z_lam prod_i p_{lam_i}[f].
+
+    power_plethysms[n] holds p_n[f] for n = 1..k.  k!/z_lam is the size of
+    the class of cycle type lam, so the sum is taken times k! in integers
+    and divided exactly; e_k[f] of an integral f is integral.
+    """
+    k_fact = factorial(k)
+    total: Poly = {}
+    for lam in _partitions(k):
+        term: Poly = {(0,) * nvars: 1}
+        for part in lam:
+            term = _p_mul(term, power_plethysms[part])
+        _p_add_into(total, term, (-1) ** (k - len(lam)) * (k_fact // _z(lam)))
+    out: Poly = {}
+    for mono, c in total.items():
+        q, r = divmod(c, k_fact)
+        if r:
+            raise InternalCheckError("plethysm gave a non-integral coefficient")
+        out[mono] = q
+    return out
 
 
-def _elementary_values(values: Sequence[int]) -> List[int]:
-    e = [1] + [0] * len(values)
+def _elementary_values(values: Sequence[int], upto: int) -> List[int]:
+    e = [1] + [0] * upto
     for x in values:
-        for j in range(len(values), 0, -1):
+        for j in range(upto, 0, -1):
             e[j] += e[j - 1] * x
     return e
 
@@ -185,7 +173,7 @@ class UniversalPolynomial:
 
 
 def _verify_by_specialization(kind: str, k: int, l: Optional[int], nvars: int,
-                              blocks: Sequence[Sequence[int]], target: Poly,
+                              blocks: Sequence[Sequence[int]],
                               terms: Dict[Tuple[Tuple[int, ...], ...], int]) -> None:
     # a few fixed integer points; enough to catch any wiring slip
     samples = [
@@ -194,8 +182,12 @@ def _verify_by_specialization(kind: str, k: int, l: Optional[int], nvars: int,
         [((7 * i + 3) % 5) + 1 for i in range(nvars)],
     ]
     for values in samples:
-        direct = _eval_poly_at_ints(target, values)
-        evalues = [_elementary_values([values[v] for v in b]) for b in blocks]
+        if kind == "product":
+            args = [values[i] * values[k + j] for i in range(k) for j in range(k)]
+        else:
+            args = [prod(c) for c in combinations(values, l)]
+        direct = _elementary_values(args, k)[k]
+        evalues = [_elementary_values([values[v] for v in b], len(b)) for b in blocks]
         total = 0
         for key, coeff in terms.items():
             v = coeff
@@ -215,34 +207,33 @@ def universal_polynomial(kind: str, k: int, l: Optional[int] = None) -> Universa
             raise ValueError("the product rule takes no second index")
         if not 1 <= k <= MAX_PRODUCT_K:
             raise ValueError(f"product rule supports 1 <= k <= {MAX_PRODUCT_K}")
+        # p_n[XY] = p_n(x) p_n(y); x and y own the first and last k variables
         nvars = 2 * k
-        blocks = [list(range(k)), list(range(k, 2 * k))]
-        items = []
-        for i in range(k):
-            for j in range(k):
-                exps = [0] * nvars
-                exps[i] = 1
-                exps[k + j] = 1
-                items.append(_p_monomial(nvars, exps))
+        blocks = [range(k), range(k, nvars)]
+        p = _power_sums_in_elementary(k)
+        power_plethysms = {
+            n: {mx + my: cx * cy for mx, cx in p[n].items() for my, cy in p[n].items()}
+            for n in range(1, k + 1)
+        }
     elif kind == "composition":
         if l is None:
             raise ValueError("the composition rule needs both indices")
         if not 1 <= k <= MAX_COMPOSITION_K or not 1 <= l <= MAX_COMPOSITION_L:
             raise ValueError(
                 f"composition rule supports k <= {MAX_COMPOSITION_K}, l <= {MAX_COMPOSITION_L}")
+        # p_n[e_l] is e_l with every p_m replaced by p_{nm}
         nvars = k * l
-        blocks = [list(range(nvars))]
-        items = []
-        for subset in combinations(range(nvars), l):
-            exps = [0] * nvars
-            for v in subset:
-                exps[v] = 1
-            items.append(_p_monomial(nvars, exps))
+        blocks = [range(nvars)]
+        p = _power_sums_in_elementary(nvars)
+        power_plethysms = {
+            n: _elementary_plethysm(l, {m: p[n * m] for m in range(1, l + 1)}, nvars)
+            for n in range(1, k + 1)
+        }
     else:
         raise ValueError(f"unknown polynomial kind {kind!r}")
 
-    target = _elementary_of(items, k, nvars)
-    terms = _express_in_elementary(target, nvars, blocks)
-    _verify_by_specialization(kind, k, l, nvars, blocks, target, terms)
+    terms = {tuple(tuple(mono[v] for v in b) for b in blocks): coeff
+             for mono, coeff in _elementary_plethysm(k, power_plethysms, nvars).items()}
+    _verify_by_specialization(kind, k, l, nvars, blocks, terms)
     ordered = tuple(sorted(terms.items()))
     return UniversalPolynomial(kind, k, l, ordered)

@@ -5,21 +5,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 
-def xgcd(a: int, b: int) -> Tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and g == a*x + b*y."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int | None = None) -> List[int]:
     """Diagonal of the Smith normal form of an integer matrix.
 

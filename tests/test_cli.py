@@ -220,6 +220,35 @@ def test_mackey_check_builds_no_module():
     assert digest == MACKEY_CHECK_SHA256["D6", "text"]
 
 
+LAMBDA_VERIFY_SHA256 = {
+    "text": "654a0efbe4b7d9c3373087923019e101555be5ee06ee7aa6e970b35dfa129144",
+    "json": "ff3a0aa0540b516bc22343b34e40b80acae51c85566ed1f3b1e0f1ae87e4b704",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(LAMBDA_VERIFY_SHA256))
+def test_lambda_verify_golden(capsys, fmt):
+    code, out, _ = run_cli(capsys, "lambda-verify", "--group", "C5",
+                           "--l-cap", "3", "--seed", "1729", "--format", fmt)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == LAMBDA_VERIFY_SHA256[fmt]
+
+
+@pytest.mark.parametrize("flag,value,cap", [("--k-cap", "5", "k <= 4"),
+                                            ("--l-cap", "4", "l <= 3")])
+def test_lambda_verify_refuses_over_cap_before_building_ring(
+        capsys, monkeypatch, flag, value, cap):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lambda-verify built the ring")
+
+    monkeypatch.setattr("f1gtheory.cli.build_burnside", refuse)
+    code, _, err = run_cli(capsys, "lambda-verify", "--group", "C5",
+                           flag, value)
+    assert code == 2
+    assert cap in err
+
+
 def test_lambda_verify_odd_cyclic(capsys):
     code, out, _ = run_cli(capsys, "lambda-verify", "--group", "C3",
                            "--trials", "5")

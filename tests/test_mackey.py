@@ -5,11 +5,13 @@ import random
 import pytest
 
 from f1gtheory.burnside import build_burnside
-from f1gtheory.groups import all_subgroups, build_group, library_names
-from f1gtheory.mackey import (check_double_coset, check_frobenius, conjugate,
-                              double_coset_reps, green_morphism_check, induce,
-                              linear_dimension, restrict, subgroup_context,
-                              transport)
+from f1gtheory import mackey
+from f1gtheory.groups import (all_subgroups, build_group, library_names,
+                              subgroup_as_group)
+from f1gtheory.mackey import (SubgroupContext, check_double_coset,
+                              check_frobenius, conjugate, double_coset_reps,
+                              green_morphism_check, induce, linear_dimension,
+                              restrict, subgroup_context, transport)
 from f1gtheory.modules import (MonoidHom, base_change, group_monoid,
                                restrict_scalars)
 from f1gtheory.sampling import random_element
@@ -204,3 +206,22 @@ def test_restrict_and_induce_match_module_oracle():
                 assert induce(ctx, ctx.ring.basis_element(i)) == \
                     ring.decompose(induced), (name, rep.elements, i)
 
+
+
+def test_context_builds_each_ring_once(monkeypatch):
+    calls = []
+    original = mackey.build_burnside
+
+    def counting(group):
+        calls.append(group)
+        return original(group)
+
+    monkeypatch.setattr(mackey, "build_burnside", counting)
+    ambient = build_group(name="S3")
+    sub = next(s for s in all_subgroups(ambient) if s.order == 2)
+    group, embedding = subgroup_as_group(ambient, sub.elements)
+    ctx = SubgroupContext(ambient, sub.elements, group, embedding)
+    rings = [ctx.ring for _ in range(3)]
+    assert len(calls) == 1 and rings[0] is rings[1] is rings[2]
+    ambient_rings = [ctx.ambient_ring for _ in range(3)]
+    assert len(calls) == 2 and ambient_rings[0] is ambient_rings[2]

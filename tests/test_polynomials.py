@@ -4,9 +4,11 @@ from math import comb
 
 import pytest
 
+from f1gtheory.cli import main
 from f1gtheory.polynomials import universal_polynomial
 
 from conftest import ring_of
+from oracles import elimination_terms
 
 
 def int_lambda(n, k):
@@ -62,7 +64,7 @@ def test_product_rule_on_integers(k):
             assert value.coeffs == (comb(m * n, k),), (k, m, n)
 
 
-@pytest.mark.parametrize("k,l", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("k,l", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])
 def test_composition_rule_on_integers(k, l):
     ring = ring_of("C1")
     p = universal_polynomial("composition", k, l)
@@ -71,6 +73,25 @@ def test_composition_rule_on_integers(k, l):
                                [int_lambda(n, i) for i in range(k * l + 1)])
         value = p.evaluate(ring, lam)
         assert value.coeffs == (comb(comb(n, l), k),), (k, l, n)
+
+
+# every in-cap case the elimination oracle finishes (k*l <= 9)
+ORACLE_CASES = ([("product", k, None) for k in range(1, 5)]
+                + [("composition", k, l) for k in range(1, 5) for l in range(1, 4)
+                   if k * l <= 9])
+
+
+@pytest.mark.parametrize("kind,k,l", ORACLE_CASES)
+def test_plethysm_matches_elimination_oracle(kind, k, l):
+    assert universal_polynomial(kind, k, l).terms == elimination_terms(kind, k, l)
+
+
+def test_lambda_verify_odd_cyclic_at_top_caps(capsys):
+    # C5 is odd cyclic, so every identity must hold: an independent check of P_{4,3}
+    code = main(["lambda-verify", "--group", "C5", "--k-cap", "4", "--l-cap", "3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "overall: pass" in out
 
 
 def test_caps_enforced():
