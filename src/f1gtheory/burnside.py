@@ -9,12 +9,12 @@ ghost (marks) ring and back-substitutes exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import InternalCheckError
 from .groups import (FiniteGroup, SubgroupClassification, _generating_sequence,
-                     classify_subgroups)
+                     _memo_on_group, classify_subgroups)
 from .modules import FiniteModule, coset_module, group_monoid, wedge
 
 __all__ = [
@@ -169,15 +169,8 @@ class BurnsideRing:
         }
 
 
+@_memo_on_group
 def build_burnside(group: FiniteGroup) -> BurnsideRing:
-    # group equality ignores name and labels; groups that print differently
-    # must not share a ring
-    return _build_burnside(group, group.name, group.labels)
-
-
-@lru_cache(maxsize=None)
-def _build_burnside(group: FiniteGroup, name: Optional[str],
-                    labels: Optional[Tuple[str, ...]]) -> BurnsideRing:
     return BurnsideRing(group)
 
 

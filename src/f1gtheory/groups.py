@@ -10,7 +10,7 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, wraps
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ResourceLimitError
@@ -157,6 +157,28 @@ def _derived(cls, *values):
     for name, value in zip(cls.__dataclass_fields__, values):
         object.__setattr__(obj, name, value)
     return obj
+
+
+def _memo_on_group(fn):
+    """Memoize `fn(group, *args)` in the instance `__dict__` of `group`.
+
+    That is where `functools.cached_property` stores its value, so frozen
+    dataclasses allow it; calls with extra arguments share one dict keyed by
+    them.  The memo is freed with the group, and two groups with one table
+    but different names or labels never share a result.
+    """
+    slot = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def memoized(group, *args):
+        memo, key = group.__dict__, slot
+        if args:
+            memo, key = memo.setdefault(slot, {}), args
+        if key not in memo:
+            memo[key] = fn(group, *args)
+        return memo[key]
+
+    return memoized
 
 
 def closure_of(group: FiniteGroup, seed: Iterable[int]) -> Tuple[int, ...]:
@@ -476,7 +498,7 @@ def load_group(path: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 
 # --- subgroup structure --------------------------------------------------
 
-@lru_cache(maxsize=None)
+@_memo_on_group
 def all_subgroups(group: FiniteGroup) -> Tuple[Subgroup, ...]:
     """All subgroups, sorted by (order, element tuple).
 
@@ -547,10 +569,10 @@ class SubgroupClassification:
             raise ValueError(f"{key} is not a subgroup of the classified group") from None
 
 
-@lru_cache(maxsize=None)
+@_memo_on_group
 def classify_subgroups(group: FiniteGroup) -> SubgroupClassification:
     subs = all_subgroups(group)
-    remaining = {s.elements for s in subs}
+    remaining = {s.elements: s for s in subs}
     classes: List[Tuple[Subgroup, ...]] = []
     for s in subs:  # ascending canonical order, so reps come out least-first
         if s.elements not in remaining:
@@ -558,10 +580,7 @@ def classify_subgroups(group: FiniteGroup) -> SubgroupClassification:
         orbit = set()
         for g in range(group.order):
             orbit.add(tuple(sorted(group.conj(g, x) for x in s.elements)))
-        members = sorted(orbit)
-        for m in members:
-            remaining.discard(m)
-        classes.append(tuple(_derived(Subgroup, group, m) for m in members))
+        classes.append(tuple(remaining.pop(m) for m in sorted(orbit)))
     classes.sort(key=lambda cls: (cls[0].order, cls[0].elements))
     return SubgroupClassification(group, tuple(classes))
 
@@ -765,7 +784,7 @@ def is_odd_cyclic(group: FiniteGroup) -> bool:
                for x in range(group.order))
 
 
-@lru_cache(maxsize=None)
+@_memo_on_group
 def conjugacy_classes_of_elements(group: FiniteGroup) -> Tuple[Tuple[int, ...], ...]:
     """Conjugacy classes of elements, each sorted, ordered by least member."""
     seen = set()

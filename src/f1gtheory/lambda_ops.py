@@ -285,8 +285,11 @@ def verify_lambda_ring(ring: BurnsideRing, k_cap: int, l_cap: int, trials: int,
                 "k": k, "x": list(x.coeffs), "y": list(y.coeffs),
                 "lhs": list(lhs.coeffs), "rhs": list(rhs.coeffs),
             })
+        if k_cap < 2 or l_cap < 2:
+            continue
+        # series prefixes do not depend on the cap, so one series serves every l
+        lam_deep = lambda_series(ring, x, k_cap * l_cap)
         for l in range(2, l_cap + 1):
-            lam_deep = lambda_series(ring, x, k_cap * l)
             inner = lam_deep[l]
             lam_inner = lambda_series(ring, inner, k_cap)
             for k in range(2, k_cap + 1):

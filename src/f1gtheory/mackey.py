@@ -8,12 +8,12 @@ Transformation Groups and Representation Theory, LNM 766, section 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from .burnside import BurnsideElement, BurnsideRing, build_burnside
 from .errors import InternalCheckError
-from .groups import FiniteGroup, subgroup_as_group
+from .groups import FiniteGroup, _memo_on_group, subgroup_as_group
 
 __all__ = [
     "SubgroupContext", "subgroup_context", "restrict", "induce", "conjugate",
@@ -54,7 +54,7 @@ class SubgroupContext:
         return self.embedding.index(ambient_element)
 
 
-@lru_cache(maxsize=None)
+@_memo_on_group
 def subgroup_context(ambient: FiniteGroup, elements: Tuple[int, ...]) -> SubgroupContext:
     elems = tuple(sorted(elements))
     group, embedding = subgroup_as_group(ambient, elems)

@@ -10,11 +10,10 @@ trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
-from .groups import FiniteGroup, _derived, classify_subgroups
+from .groups import FiniteGroup, _derived, _memo_on_group, classify_subgroups
 
 __all__ = [
     "PointedMonoid", "MonoidHom", "FiniteModule", "ModuleHom", "Bimodule",
@@ -79,7 +78,7 @@ class PointedMonoid:
         return {"size": self.size, "mul": [list(r) for r in self.mul]}
 
 
-@lru_cache(maxsize=None)
+@_memo_on_group
 def group_monoid(group: FiniteGroup) -> PointedMonoid:
     """The group with an adjoined absorbing zero; element i sits at index i+1."""
     if group.identity != 0:

@@ -100,76 +100,6 @@ def cokernel_invariants(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[int,
     return free, torsion
 
 
-def cokernel_invariants_sparse(rows: Sequence, ncols: int) -> Tuple[int, List[int]]:
-    """Like cokernel_invariants for sparse rows.
-
-    A row is a {column: coefficient} dict or a sequence of (column,
-    coefficient) pairs, the form of `GrothendieckPresentation.relations`.
-    Unit-pivot elimination first: a +-1 pivot lets the row and column be
-    removed without changing the cokernel.  Whatever remains is handed to
-    the dense routine.  The library does not call this: it is the test
-    oracle for the linear certificate that computes group-monoid degree-0
-    groups, and it is quadratic with fill-in on those presentations.
-    """
-    live: Dict[int, Dict[int, int]] = {}
-    col_rows: Dict[int, set] = {}
-    for idx, row in enumerate(rows):
-        cleaned = {c: v for c, v in dict(row).items() if v}
-        if not cleaned:
-            continue
-        live[idx] = cleaned
-        for c in cleaned:
-            col_rows.setdefault(c, set()).add(idx)
-    dead_cols: set = set()
-    unit_rank = 0
-    while True:
-        pivot = None
-        for rid in sorted(live):
-            row = live[rid]
-            units = [c for c, v in row.items() if abs(v) == 1]
-            if units:
-                pivot = (rid, min(units))
-                break
-        if pivot is None:
-            break
-        rid, c = pivot
-        prow = live[rid]
-        val = prow[c]
-        for other in sorted(col_rows.get(c, ()) - {rid}):
-            orow = live.get(other)
-            if orow is None or c not in orow:
-                continue
-            factor = orow[c] * val  # val in {1, -1}
-            for pc, pv in prow.items():
-                nv = orow.get(pc, 0) - factor * pv
-                if nv:
-                    orow[pc] = nv
-                    col_rows.setdefault(pc, set()).add(other)
-                else:
-                    orow.pop(pc, None)
-                    col_rows.get(pc, set()).discard(other)
-            if not orow:
-                del live[other]
-        for pc in prow:
-            col_rows.get(pc, set()).discard(rid)
-        del live[rid]
-        dead_cols.add(c)
-        unit_rank += 1
-    if live:
-        remaining = sorted(set(range(ncols)) - dead_cols)
-        colmap = {c: i for i, c in enumerate(remaining)}
-        dense = []
-        for rid in sorted(live):
-            row = [0] * len(remaining)
-            for c, v in live[rid].items():
-                row[colmap[c]] = v
-            dense.append(row)
-        free, torsion = cokernel_invariants(dense, len(remaining))
-    else:
-        free, torsion = ncols - unit_rank, []
-    return free, torsion
-
-
 def factorize(n: int) -> Dict[int, int]:
     if n < 1:
         raise ValueError(f"factorize needs a positive integer, got {n}")

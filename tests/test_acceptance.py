@@ -27,11 +27,11 @@ from f1gtheory.modules import (are_isomorphic, base_change, base_change_hom,
                                induced_quotient_map, is_cofibration, pushout,
                                quotient_with_projection, wedge)
 from f1gtheory.polynomials import universal_polynomial
-from f1gtheory.sampling import (monoid_homs, monoid_pool, random_effective,
-                                random_element, random_extension_instance,
-                                random_hom, random_module,
-                                random_split_instance,
-                                random_wedge_cofibration)
+from f1gtheory.sampling import random_effective, random_element
+
+from oracles import (monoid_homs, monoid_pool, random_extension_instance,
+                     random_hom, random_module, random_split_instance,
+                     random_wedge_cofibration)
 
 
 def _report(number, description, ok):

@@ -190,6 +190,23 @@ def test_lambda_ring_product_family_fails_on_c2():
     assert lhs.coeffs == (2, 2)
 
 
+def test_composition_rule_takes_one_deep_series_per_trial(monkeypatch):
+    caps = []
+
+    def recording(ring, x, cap):
+        caps.append(cap)
+        return lambda_series(ring, x, cap)
+
+    monkeypatch.setattr("f1gtheory.lambda_ops.lambda_series", recording)
+    ring = ring_of("S3")
+    _, _, composition = verify_lambda_ring(ring, 1, 60, 2, random.Random(0))
+    assert composition.instances == 0 and max(caps) == 1
+    caps.clear()
+    verify_lambda_ring(ring, 3, 3, 2, random.Random(0))
+    # per trial: x, y and xy to k_cap, x to k_cap * l_cap, one inner per l
+    assert caps == [3, 3, 3, 9, 3, 3] * 2
+
+
 def test_series_shape_validation():
     ring = ring_of("C2")
     with pytest.raises(ValueError):
