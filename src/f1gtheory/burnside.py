@@ -30,11 +30,7 @@ class BurnsideRing:
         self.group = group
         self.classification: SubgroupClassification = classify_subgroups(group)
         self.rank = self.classification.rank
-        reps = self.classification.representatives
-        self.labels = tuple(
-            f"order{len(rep.elements)}_rep{'-'.join(str(x) for x in rep.elements)}"
-            for rep in reps
-        )
+        self.labels = self.classification.labels
         self.marks = self._build_marks()
 
     def _build_marks(self) -> Tuple[Tuple[int, ...], ...]:

@@ -554,6 +554,12 @@ class SubgroupClassification:
         return tuple(cls[0] for cls in self.classes)
 
     @cached_property
+    def labels(self) -> Tuple[str, ...]:
+        """One label per class: the order and the elements of its representative."""
+        return tuple(f"order{rep.order}_rep{'-'.join(str(x) for x in rep.elements)}"
+                     for rep in self.representatives)
+
+    @cached_property
     def class_of(self) -> Dict[Tuple[int, ...], int]:
         out: Dict[Tuple[int, ...], int] = {}
         for i, cls in enumerate(self.classes):
@@ -621,6 +627,24 @@ def subgroup_as_group(group: FiniteGroup, elements: Sequence[int]) -> Tuple[Fini
     return sub_group, elems
 
 
+def _right_cosets(group: FiniteGroup, elements: Iterable[int]) -> Tuple[List[int], List[int]]:
+    """Right cosets Hx by ascending least element.
+
+    Returns the least element of each coset and, per group element, the
+    index of its coset.  The first element no earlier coset covers is the
+    least of its own.
+    """
+    h = tuple(elements)
+    coset_of = [-1] * group.order
+    reps: List[int] = []
+    for x in range(group.order):
+        if coset_of[x] < 0:
+            for a in h:
+                coset_of[group.cayley[a][x]] = len(reps)
+            reps.append(x)
+    return reps, coset_of
+
+
 def quotient_group(group: FiniteGroup, normal_elements: Sequence[int]) -> FiniteGroup:
     """Quotient by a normal subgroup; cosets are labeled by their least element."""
     n_set = tuple(sorted(normal_elements))
@@ -628,16 +652,7 @@ def quotient_group(group: FiniteGroup, normal_elements: Sequence[int]) -> Finite
     for g in range(group.order):
         if tuple(sorted(group.conj(g, x) for x in n_set)) != n_set:
             raise ValueError("subgroup is not normal")
-    coset_of: Dict[int, int] = {}
-    reps: List[int] = []
-    for x in range(group.order):
-        if x in coset_of:
-            continue
-        coset = sorted(group.mul(h, x) for h in sub.elements)
-        idx = len(reps)
-        reps.append(coset[0])
-        for y in coset:
-            coset_of[y] = idx
+    reps, coset_of = _right_cosets(group, sub.elements)
     table = tuple(
         tuple(coset_of[group.mul(reps[i], reps[j])] for j in range(len(reps)))
         for i in range(len(reps))

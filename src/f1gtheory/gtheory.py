@@ -99,10 +99,6 @@ class GrothendieckPresentation:
         }
 
 
-def _class_label(elements: Sequence[int]) -> str:
-    return f"order{len(elements)}_rep{'-'.join(str(x) for x in elements)}"
-
-
 # --- G_0 for group monoids ----------------------------------------------
 
 def _count_by_total(sizes: Sequence[int], budget: int) -> List[int]:
@@ -195,8 +191,7 @@ def _group_g0(ring: BurnsideRing, size_bound: int) -> GrothendieckPresentation:
     terms have fewer orbits.  So the single orbits that fit generate the
     cokernel and map to independent unit vectors: it is free on them.
     """
-    sizes = tuple(ring.group.order // rep.order
-                  for rep in ring.classification.representatives)
+    sizes = tuple(rep.index for rep in ring.classification.representatives)
     budget = size_bound - 1
     # G/G has size 1, so there are at least size_bound count vectors.
     count = (sum(_count_by_total(sizes, budget))
@@ -259,8 +254,8 @@ def _audit_group_relation(ring: BurnsideRing, counts: Tuple[int, ...], cls: int)
     # realize lays out class blocks in order; drop the last copy of `cls`
     keep = []
     offset = 1
-    for j, c in enumerate(counts):
-        block = ring.cosets[j].size - 1
+    for j, (c, rep) in enumerate(zip(counts, ring.classification.representatives)):
+        block = rep.index
         for copy in range(c):
             if not (j == cls and copy == c - 1):
                 keep.extend(range(offset, offset + block))
@@ -411,13 +406,13 @@ def g1_via_splitting(group: FiniteGroup) -> AbelianGroupReport:
     classification = classify_subgroups(group)
     parts: List[int] = []
     interpretation: List[str] = []
-    for rep in classification.representatives:
+    for rep, label in zip(classification.representatives, classification.labels):
         w = weyl_group(group, rep)
         ab = abelianization(w)
         parts.append(2)
         parts.extend(ab)
         desc = " + ".join(["Z/2"] + [f"Z/{d}" for d in ab])
-        interpretation.append(f"{_class_label(rep.elements)}: {desc}")
+        interpretation.append(f"{label}: {desc}")
     torsion = tuple(merge_cyclic_factors(parts))
     return AbelianGroupReport(0, torsion, "via splitting formula",
                               tuple(interpretation))

@@ -15,9 +15,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .burnside import BurnsideElement, BurnsideRing
 from .groups import _derived
-from .modules import FiniteModule, ModuleHom, submodule_inclusion, zero_module
+from .modules import (FiniteModule, ModuleHom, is_cofibration,
+                      submodule_inclusion, zero_module)
 from .polynomials import universal_polynomial
 from .reports import CheckReport
+from .sampling import random_effective, random_element
 
 __all__ = [
     "diamond", "diamond_filtered", "subset_module", "lambda_k",
@@ -73,7 +75,6 @@ def diamond_filtered(chain: Sequence[ModuleHom]) -> FiniteModule:
     tuple coordinate is constrained to the composite image of the i-th
     module in the last one.
     """
-    from .modules import is_cofibration
     if not chain:
         raise ValueError("diamond_filtered needs at least one chain map")
     k = len(chain) + 1
@@ -189,7 +190,8 @@ def _carrier_cap(ring: BurnsideRing, x: BurnsideElement, cap: int) -> int:
     """Operations above the carrier size of an effective class vanish."""
     if not x.is_effective:
         return cap
-    size = sum(c * (ring.cosets[i].size - 1) for i, c in enumerate(x.coeffs))
+    size = sum(c * rep.index
+               for c, rep in zip(x.coeffs, ring.classification.representatives))
     return min(cap, size)
 
 
@@ -233,7 +235,6 @@ def verify_pre_lambda(ring: BurnsideRing, cap: int, trials: int,
     realization of x + y, so the check is independent of the ghost-ring
     engine behind `lambda_k` and `lambda_series`.
     """
-    from .sampling import random_effective
     rng = rng or random.Random(0)
     report = CheckReport("pre-lambda axioms")
     for _ in range(trials):
@@ -262,7 +263,6 @@ def verify_lambda_ring(ring: BurnsideRing, k_cap: int, l_cap: int, trials: int,
     Families: vanishing on the unit, the product rule against P_k, and the
     composition rule against P_{k,l}.
     """
-    from .sampling import random_element
     rng = rng or random.Random(0)
     unit_report = CheckReport("lambda of the unit vanishes")
     product_report = CheckReport("product rule")

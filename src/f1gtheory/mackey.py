@@ -14,6 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 from .burnside import BurnsideElement, BurnsideRing, build_burnside
 from .errors import InternalCheckError
 from .groups import FiniteGroup, _memo_on_group, subgroup_as_group
+from .reports import CheckReport
 
 __all__ = [
     "SubgroupContext", "subgroup_context", "restrict", "induce", "conjugate",
@@ -229,10 +230,8 @@ def check_frobenius(group: FiniteGroup, h_elements: Sequence[int],
 def linear_dimension(x: BurnsideElement) -> int:
     """Total coset count of an element: the rank of its linearization."""
     ring = x.ring
-    return sum(
-        c * (ring.group.order // rep.order)
-        for c, rep in zip(x.coeffs, ring.classification.representatives)
-    )
+    return sum(c * rep.index
+               for c, rep in zip(x.coeffs, ring.classification.representatives))
 
 
 def green_morphism_check(group: FiniteGroup):
@@ -241,7 +240,6 @@ def green_morphism_check(group: FiniteGroup):
     Checks every basis element of the ambient ring against every subgroup
     class context.
     """
-    from .reports import CheckReport
     report = CheckReport("linearization dimension commutes with restriction")
     ring = build_burnside(group)
     for rep in ring.classification.representatives:

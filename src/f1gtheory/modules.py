@@ -10,10 +10,12 @@ trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
-from .groups import FiniteGroup, _derived, _memo_on_group, classify_subgroups
+from .groups import (FiniteGroup, _derived, _memo_on_group, _right_cosets,
+                     classify_subgroups)
 
 __all__ = [
     "PointedMonoid", "MonoidHom", "FiniteModule", "ModuleHom", "Bimodule",
@@ -189,6 +191,11 @@ class FiniteModule:
                 for n in range(self.monoid.size):
                     if self.action[xm][n] != self.action[x][mul[m][n]]:
                         raise ValueError(f"action compatibility fails at ({x}, {m}, {n})")
+
+    @cached_property
+    def profile(self) -> Tuple[Tuple[int, int], ...]:
+        """Per carrier element: how many monoid elements fix it and kill it."""
+        return tuple((row.count(x), row.count(0)) for x, row in enumerate(self.action))
 
     def act(self, x: int, m: int) -> int:
         return self.action[x][m]
@@ -393,23 +400,10 @@ def coset_module(group: FiniteGroup, elements: Tuple[int, ...]) -> FiniteModule:
     Cosets are listed by ascending least element.
     """
     monoid = group_monoid(group)
-    h = tuple(sorted(elements))
-    coset_index: Dict[int, int] = {}
-    reps: List[int] = []
-    for x in range(group.order):
-        if x in coset_index:
-            continue
-        coset = sorted(group.mul(a, x) for a in h)
-        idx = len(reps)
-        reps.append(coset[0])
-        for y in coset:
-            coset_index[y] = idx
+    reps, coset_of = _right_cosets(group, elements)
     action = [[0] * monoid.size]
     for rep in reps:
-        row = [0]
-        for g in range(group.order):
-            row.append(1 + coset_index[group.mul(rep, g)])
-        action.append(row)
+        action.append([0] + [1 + coset_of[group.mul(rep, g)] for g in range(group.order)])
     return _derived(FiniteModule, monoid, 1 + len(reps), tuple(tuple(r) for r in action))
 
 
@@ -494,51 +488,55 @@ def generating_set(s: FiniteModule) -> Tuple[int, ...]:
 
 # --- cofibrations, quotients, pushouts -----------------------------------
 
-def _search_retraction(f: ModuleHom) -> Optional[Tuple[int, ...]]:
-    s, t = f.source, f.target
-    msize = s.monoid.size
-    sigma: List[Optional[int]] = [None] * t.size
-    for x, img in enumerate(f.map):
-        sigma[img] = x
+def _extend_equivariant(src: FiniteModule, dst: FiniteModule,
+                        sigma: List[Optional[int]],
+                        candidates: Callable[[int], Iterable[int]],
+                        order: Sequence[int],
+                        accept: Optional[Callable[[List[int]], bool]] = None,
+                        ) -> Optional[Tuple[int, ...]]:
+    """The first equivariant extension of the partial map `sigma`: src -> dst.
 
-    def propagate(start: int, trail: List[int]) -> bool:
-        queue = [start]
+    Every assigned point is propagated along the action.  The search then
+    branches on the first unassigned point u of `order`, trying each of
+    `candidates(u)` in turn and undoing the trail on failure.  A map with
+    every point of `order` assigned is complete; it is returned when
+    `accept`, if given, takes it.  So the map returned is the least one in
+    the order of the points and of their candidates.
+    """
+    msize = src.monoid.size
+
+    def propagate(queue: List[int], trail: List[int]) -> bool:
         while queue:
-            t0 = queue.pop()
-            v = sigma[t0]
-            assert v is not None
+            x = queue.pop()
+            v = sigma[x]
             for m in range(msize):
-                t1 = t.action[t0][m]
-                v1 = s.action[v][m]
-                if sigma[t1] is None:
-                    sigma[t1] = v1
-                    trail.append(t1)
-                    queue.append(t1)
-                elif sigma[t1] != v1:
+                y = src.action[x][m]
+                w = dst.action[v][m]
+                if sigma[y] is None:
+                    sigma[y] = w
+                    trail.append(y)
+                    queue.append(y)
+                elif sigma[y] != w:
                     return False
         return True
 
-    base_trail: List[int] = []
-    for t0 in range(t.size):
-        if sigma[t0] is not None and not propagate(t0, base_trail):
-            return None
-
     def backtrack() -> bool:
-        t0 = next((u for u in range(t.size) if sigma[u] is None), None)
-        if t0 is None:
-            return True
-        for v in range(s.size):  # the basepoint first: collapse is the common case
-            sigma[t0] = v
-            trail = [t0]
-            if propagate(t0, trail) and backtrack():
+        u = next((x for x in order if sigma[x] is None), None)
+        if u is None:
+            return accept is None or accept(sigma)
+        for v in candidates(u):
+            sigma[u] = v
+            trail = [u]
+            if propagate([u], trail) and backtrack():
                 return True
-            for u in trail:
-                sigma[u] = None
+            for x in trail:
+                sigma[x] = None
         return False
 
-    if not backtrack():
+    seeds = [x for x, v in enumerate(sigma) if v is not None]
+    if not (propagate(seeds, []) and backtrack()):
         return None
-    return tuple(v for v in sigma)  # fully assigned
+    return tuple(sigma)
 
 
 def is_cofibration(f: ModuleHom) -> Tuple[bool, Optional[ModuleHom]]:
@@ -549,10 +547,15 @@ def is_cofibration(f: ModuleHom) -> Tuple[bool, Optional[ModuleHom]]:
     """
     if not f.is_injective:
         return False, None
-    sigma = _search_retraction(f)
+    s, t = f.source, f.target
+    seed: List[Optional[int]] = [None] * t.size
+    for x, img in enumerate(f.map):
+        seed[img] = x
+    # the basepoint first: collapse is the common case
+    sigma = _extend_equivariant(t, s, seed, lambda u: range(s.size), range(t.size))
     if sigma is None:
         return False, None
-    return True, ModuleHom(f.target, f.source, sigma)
+    return True, ModuleHom(t, s, sigma)
 
 
 def quotient(f: ModuleHom) -> FiniteModule:
@@ -597,16 +600,32 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def _classes_from_unionfind(uf: _UnionFind, n: int) -> Tuple[List[List[int]], List[int]]:
+def _quotient_module(uf: _UnionFind, total: int, monoid: PointedMonoid,
+                     act_node: Callable[[int, int], int],
+                     what: str) -> Tuple[FiniteModule, List[int]]:
+    """The module on the union-find classes of nodes 0..total-1.
+
+    Classes are listed by least node.  Returns the module and the class
+    index of each node; `act_node(node, m)` must respect the classes.
+    """
     members: Dict[int, List[int]] = {}
-    for x in range(n):
+    for x in range(total):
         members.setdefault(uf.find(x), []).append(x)
-    classes = [sorted(v) for v in sorted(members.values(), key=min)]
-    index = [0] * n
+    classes = sorted(members.values(), key=min)
+    index = [0] * total
     for i, cls in enumerate(classes):
         for x in cls:
             index[x] = i
-    return classes, index
+    action = []
+    for cls in classes:
+        row = []
+        for m in range(monoid.size):
+            images = {index[act_node(node, m)] for node in cls}
+            if len(images) != 1:
+                raise InternalCheckError(f"{what} action is not well defined")
+            row.append(images.pop())
+        action.append(tuple(row))
+    return _derived(FiniteModule, monoid, len(classes), tuple(action)), index
 
 
 def pushout(f: ModuleHom, g: ModuleHom) -> Tuple[FiniteModule, ModuleHom, ModuleHom]:
@@ -620,7 +639,6 @@ def pushout(f: ModuleHom, g: ModuleHom) -> Tuple[FiniteModule, ModuleHom, Module
     if not ok:
         raise ValueError("pushout requires the first map to be a cofibration")
     t1, t2 = f.target, g.target
-    monoid = t1.monoid
     n1, n2 = t1.size, t2.size
 
     def node1(x: int) -> int:
@@ -629,12 +647,6 @@ def pushout(f: ModuleHom, g: ModuleHom) -> Tuple[FiniteModule, ModuleHom, Module
     def node2(y: int) -> int:
         return 0 if y == 0 else n1 - 1 + y
 
-    total = n1 + n2 - 1
-    uf = _UnionFind(total)
-    for x in range(f.source.size):
-        uf.union(node1(f.map[x]), node2(g.map[x]))
-    classes, index = _classes_from_unionfind(uf, total)
-
     def act_node(node: int, m: int) -> int:
         if node == 0:
             return 0
@@ -642,16 +654,11 @@ def pushout(f: ModuleHom, g: ModuleHom) -> Tuple[FiniteModule, ModuleHom, Module
             return node1(t1.action[node][m])
         return node2(t2.action[node - n1 + 1][m])
 
-    action = []
-    for cls in classes:
-        row = []
-        for m in range(monoid.size):
-            images = {index[act_node(node, m)] for node in cls}
-            if len(images) != 1:
-                raise InternalCheckError("pushout action is not well defined")
-            row.append(images.pop())
-        action.append(row)
-    p = _derived(FiniteModule, monoid, len(classes), tuple(tuple(r) for r in action))
+    total = n1 + n2 - 1
+    uf = _UnionFind(total)
+    for x in range(f.source.size):
+        uf.union(node1(f.map[x]), node2(g.map[x]))
+    p, index = _quotient_module(uf, total, t1.monoid, act_node, "pushout")
     leg1 = _derived(ModuleHom, t1, p, tuple(index[node1(x)] for x in range(n1)))
     leg2 = _derived(ModuleHom, t2, p, tuple(index[node2(y)] for y in range(n2)))
     ok2, _ = is_cofibration(leg2)
@@ -661,6 +668,16 @@ def pushout(f: ModuleHom, g: ModuleHom) -> Tuple[FiniteModule, ModuleHom, Module
 
 
 # --- monoidal structure --------------------------------------------------
+
+def _pair_node(a: int, b: int, block: int) -> int:
+    """Smash carrier index of the pair (a, b); 0 if either is the basepoint.
+
+    `block` is the number of nonzero points of the right factor.
+    """
+    if a == 0 or b == 0:
+        return 0
+    return 1 + (a - 1) * block + (b - 1)
+
 
 def _smash_tables(s: FiniteModule, t: Bimodule) -> Tuple[FiniteModule, List[int], int]:
     """Smash module plus the map from (a, b) pair nodes to carrier classes.
@@ -673,37 +690,21 @@ def _smash_tables(s: FiniteModule, t: Bimodule) -> Tuple[FiniteModule, List[int]
     ns, nt = s.size, t.size
     block = nt - 1
 
-    def node(a: int, b: int) -> int:
-        if a == 0 or b == 0:
+    def act_node(n0: int, q: int) -> int:
+        if n0 == 0:
             return 0
-        return 1 + (a - 1) * block + (b - 1)
+        a = (n0 - 1) // block + 1
+        b = (n0 - 1) % block + 1
+        return _pair_node(a, t.right[b][q], block)
 
     total = 1 + (ns - 1) * block
     uf = _UnionFind(total)
     for a in range(1, ns):
         for b in range(1, nt):
             for m in range(s.monoid.size):
-                uf.union(node(s.action[a][m], b), node(a, t.left[b][m]))
-    classes, index = _classes_from_unionfind(uf, total)
-
-    def act_node(n0: int, q: int) -> int:
-        if n0 == 0:
-            return 0
-        a = (n0 - 1) // block + 1
-        b = (n0 - 1) % block + 1
-        return node(a, t.right[b][q])
-
-    action = []
-    for cls in classes:
-        row = []
-        for q in range(t.right_monoid.size):
-            images = {index[act_node(n0, q)] for n0 in cls}
-            if len(images) != 1:
-                raise InternalCheckError("smash action is not well defined")
-            row.append(images.pop())
-        action.append(row)
-    module = _derived(FiniteModule, t.right_monoid, len(classes),
-                      tuple(tuple(r) for r in action))
+                uf.union(_pair_node(s.action[a][m], b, block),
+                         _pair_node(a, t.left[b][m], block))
+    module, index = _quotient_module(uf, total, t.right_monoid, act_node, "smash")
     return module, index, block
 
 
@@ -726,19 +727,12 @@ def diagonal_smash(s: FiniteModule, t: FiniteModule) -> FiniteModule:
     if s.monoid != t.monoid:
         raise ValueError("diagonal smash needs a common monoid")
     block = t.size - 1
-
-    def node(a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return 1 + (a - 1) * block + (b - 1)
-
     total = 1 + (s.size - 1) * block
     action = [[0] * s.monoid.size]
     for a in range(1, s.size):
         for b in range(1, t.size):
-            action.append([
-                node(s.action[a][m], t.action[b][m]) for m in range(s.monoid.size)
-            ])
+            action.append([_pair_node(s.action[a][m], t.action[b][m], block)
+                           for m in range(s.monoid.size)])
     return _derived(FiniteModule, s.monoid, total, tuple(tuple(r) for r in action))
 
 
@@ -754,18 +748,12 @@ def base_change_hom(alpha: MonoidHom, f: ModuleHom) -> ModuleHom:
     bimod = bimodule_from_monoid_hom(alpha)
     src, src_index, src_block = _smash_tables(f.source, bimod)
     dst, dst_index, dst_block = _smash_tables(f.target, bimod)
-
-    def node(a: int, b: int, block: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return 1 + (a - 1) * block + (b - 1)
-
     mapping: List[Optional[int]] = [None] * src.size
     mapping[0] = 0
     for a in range(1, f.source.size):
         for b in range(1, bimod.size):
-            c_src = src_index[node(a, b, src_block)]
-            c_dst = dst_index[node(f.map[a], b, dst_block)]
+            c_src = src_index[_pair_node(a, b, src_block)]
+            c_dst = dst_index[_pair_node(f.map[a], b, dst_block)]
             if mapping[c_src] is None:
                 mapping[c_src] = c_dst
             elif mapping[c_src] != c_dst:
@@ -816,67 +804,22 @@ def _iso_group_case(s: FiniteModule, t: FiniteModule) -> Optional[Tuple[int, ...
 
 
 def _iso_generic_case(s: FiniteModule, t: FiniteModule) -> Optional[Tuple[int, ...]]:
-    def profile(mod: FiniteModule) -> List[Tuple[int, int]]:
-        out = []
-        for x in range(mod.size):
-            fixers = sum(1 for v in mod.action[x] if v == x)
-            killers = sum(1 for v in mod.action[x] if v == 0)
-            out.append((fixers, killers))
-        return out
-
-    prof_s, prof_t = profile(s), profile(t)
+    prof_s, prof_t = s.profile, t.profile
     if sorted(prof_s) != sorted(prof_t):
         return None
-    gens = generating_set(s)
-    msize = s.monoid.size
-
-    def extend(images: Sequence[int]) -> Optional[Tuple[int, ...]]:
-        phi: List[Optional[int]] = [None] * s.size
-        phi[0] = 0
-        queue: List[int] = [0]
-        for g, img in zip(gens, images):
-            if phi[g] is None:
-                phi[g] = img
-                queue.append(g)
-            elif phi[g] != img:
-                return None
-        while queue:
-            x = queue.pop()
-            for m in range(msize):
-                y = s.action[x][m]
-                v = t.action[phi[x]][m]
-                if phi[y] is None:
-                    phi[y] = v
-                    queue.append(y)
-                elif phi[y] != v:
-                    return None
-        if any(v is None for v in phi):
-            return None
-        if len(set(phi)) != s.size:
-            return None
-        return tuple(phi)  # equivariance holds by propagation from generators
-
-    def backtrack(i: int, chosen: List[int]) -> Optional[Tuple[int, ...]]:
-        if i == len(gens):
-            return extend(chosen)
-        for cand in range(1, t.size):
-            if prof_t[cand] != prof_s[gens[i]]:
-                continue
-            chosen.append(cand)
-            result = backtrack(i + 1, chosen)
-            if result is not None:
-                return result
-            chosen.pop()
-        return None
-
-    return backtrack(0, [])
+    seed: List[Optional[int]] = [0] + [None] * (s.size - 1)
+    return _extend_equivariant(
+        s, t, seed,
+        lambda x: [y for y in range(1, t.size) if prof_t[y] == prof_s[x]],
+        generating_set(s),
+        lambda phi: len(set(phi)) == s.size)
 
 
 def are_isomorphic(s: FiniteModule, t: FiniteModule) -> Tuple[bool, Optional[Tuple[int, ...]]]:
     """Equivariant pointed bijection search; returns the witness image tuple.
 
-    Group monoids go through orbit/stabilizer matching; everything else uses
-    backtracking on generator images.
+    Group monoids go through orbit/stabilizer matching; everything else
+    searches generator images with matching profiles.
     """
     if s.monoid != t.monoid:
         raise ValueError("isomorphism needs a common monoid")
@@ -916,48 +859,12 @@ def find_section(p: ModuleHom) -> Optional[ModuleHom]:
     fibers: Dict[int, List[int]] = {}
     for x, v in enumerate(p.map):
         fibers.setdefault(v, []).append(x)
-    msize = t.monoid.size
-    sigma: List[Optional[int]] = [None] * q.size
-    sigma[0] = 0
-
-    def propagate(start: int, trail: List[int]) -> bool:
-        queue = [start]
-        while queue:
-            q0 = queue.pop()
-            v = sigma[q0]
-            assert v is not None
-            if p.map[v] != q0:
-                return False
-            for m in range(msize):
-                q1 = q.action[q0][m]
-                v1 = t.action[v][m]
-                if sigma[q1] is None:
-                    sigma[q1] = v1
-                    trail.append(q1)
-                    queue.append(q1)
-                elif sigma[q1] != v1:
-                    return False
-        return True
-
-    if not propagate(0, []):
+    # p is equivariant, so propagation from fibre values stays in the fibres
+    seed: List[Optional[int]] = [0] + [None] * (q.size - 1)
+    sigma = _extend_equivariant(q, t, seed, fibers.__getitem__, range(q.size))
+    if sigma is None:
         return None
-
-    def backtrack() -> bool:
-        q0 = next((u for u in range(q.size) if sigma[u] is None), None)
-        if q0 is None:
-            return True
-        for v in fibers[q0]:
-            sigma[q0] = v
-            trail = [q0]
-            if propagate(q0, trail) and backtrack():
-                return True
-            for u in trail:
-                sigma[u] = None
-        return False
-
-    if not backtrack():
-        return None
-    return ModuleHom(q, t, tuple(v for v in sigma))
+    return ModuleHom(q, t, sigma)
 
 
 def induced_quotient_map(f1: ModuleHom, f2: ModuleHom, i: ModuleHom) -> ModuleHom:

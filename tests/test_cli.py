@@ -121,6 +121,23 @@ def test_g0_text_golden(capsys, group, text):
     assert out == text
 
 
+@pytest.mark.parametrize("mul,bound,text", [
+    ([[0, 0, 0], [0, 1, 2], [0, 2, 0]], 6,
+     "degree-0 group of monoid at size bound 6: Z^2 (bounded approximation)\n"
+     "  generators: 19, relations: 181\n"),
+    ([[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 0], [0, 3, 0, 0]], 4,
+     "degree-0 group of monoid at size bound 4: Z^3 (bounded approximation)\n"
+     "  generators: 8, relations: 27\n"),
+], ids=("nilpotent", "truncated-power"))
+def test_g0_monoid_text_golden(capsys, tmp_path, mul, bound, text):
+    path = tmp_path / "monoid.json"
+    path.write_text(json.dumps({"size": len(mul), "mul": mul}))
+    code, out, _ = run_cli(capsys, "g0", "--monoid-json", str(path),
+                           "--bound", str(bound))
+    assert code == 0
+    assert out == text
+
+
 def test_g0_bound_above_generator_cap_exits_2(capsys):
     code, out, err = run_cli(capsys, "g0", "--group", "S3", "--bound", "200")
     assert code == 2

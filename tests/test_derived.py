@@ -9,6 +9,7 @@ Each run is a fresh process, so no cache carries objects across runs.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -44,6 +45,9 @@ sys.exit(status)
 """
 
 
+NILPOTENT_JSON = "<nilpotent monoid JSON>"
+
+
 def _run(argv, validating):
     env = dict(os.environ, PYTHONPATH=SRC)
     prefix = ["-c", VALIDATING_RUN] if validating else ["-m", "f1gtheory.cli"]
@@ -58,9 +62,14 @@ def _run(argv, validating):
     ["marks", "--generators", "(1 2 3 4);(1 2);(5 6)", "--degree", "6"],
     ["mackey-check", "--group", "D6"],
     ["g0", "--monoid-json", "perfbench/monoid3.json", "--bound", "6"],
+    ["g0", "--monoid-json", NILPOTENT_JSON, "--bound", "6"],
 ], ids=["suite-S3", "suite-Q8", "suite-D4", "marks-S4xC2", "mackey-D6",
-        "g0-monoid3"])
-def test_validating_derived_objects_keeps_stdout(argv):
+        "g0-monoid3", "g0-nilpotent"])
+def test_validating_derived_objects_keeps_stdout(argv, tmp_path):
+    # the nilpotent monoid has non-split inclusions, so the search backtracks
+    path = tmp_path / "nilpotent.json"
+    path.write_text(json.dumps({"size": 3, "mul": [[0, 0, 0], [0, 1, 2], [0, 2, 0]]}))
+    argv = [str(path) if a == NILPOTENT_JSON else a for a in argv]
     trusting = _run(argv, validating=False)
     checked = _run(argv, validating=True)
     assert trusting.returncode == 0, trusting.stderr

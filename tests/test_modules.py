@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -19,6 +20,8 @@ from f1gtheory.modules import (F1, FiniteModule, ModuleHom, MonoidHom,
                                quotient_with_projection, restrict_scalars,
                                smash, submodule_inclusion, wedge,
                                wedge_with_inclusions, zero_module)
+
+from oracles import _small_modules, monoid_pool
 
 
 def nilpotent_monoid():
@@ -224,6 +227,85 @@ def test_non_isomorphic_modules():
     two_fixed = wedge([fixed, fixed])
     ok, _ = are_isomorphic(free, two_fixed)
     assert not ok
+
+
+# --- the searches against exhaustive enumeration ---------------------------
+
+def _relabelings(s):
+    """s under every basepoint-fixing permutation of its carrier."""
+    return [permute_module(s, (0,) + rest)[0]
+            for rest in itertools.permutations(range(1, s.size))]
+
+
+def _all_homs(src, dst):
+    """Every equivariant basepoint-fixing map src -> dst, in lex order."""
+    homs = []
+    for rest in itertools.product(range(dst.size), repeat=src.size - 1):
+        phi = (0,) + rest
+        if all(phi[src.action[x][m]] == dst.action[phi[x]][m]
+               for x in range(src.size) for m in range(src.monoid.size)):
+            homs.append(phi)
+    return homs
+
+
+def _closed_subsets(s):
+    """Every action-closed set of nonzero points, the empty one included."""
+    for r in range(s.size):
+        for members in itertools.combinations(range(1, s.size), r):
+            keep = set(members) | {0}
+            if all(s.action[x][m] in keep
+                   for x in keep for m in range(s.monoid.size)):
+                yield members
+
+
+SMALL_MODULES = [(m, _small_modules(m, 4)) for m in monoid_pool(4)]
+
+
+def test_isomorphism_search_matches_exhaustive():
+    pairs = non_isomorphic = 0
+    for m, mods in SMALL_MODULES:
+        relabeled = [t for s in mods for t in _relabelings(s)]
+        for s in mods:
+            gens = generating_set(s)
+            for t in relabeled:
+                if t.size != s.size:
+                    continue
+                isos = [phi for phi in _all_homs(s, t) if len(set(phi)) == s.size]
+                ok, phi = are_isomorphic(s, t)
+                assert ok == bool(isos)
+                pairs += 1
+                non_isomorphic += not ok
+                if ok:
+                    assert phi in isos
+                    if not m.is_group_monoid:
+                        # the first witness in the order of generator images
+                        assert phi == min(isos, key=lambda f: [f[g] for g in gens])
+    assert (pairs, non_isomorphic) == (573, 422)
+
+
+def test_retraction_and_section_searches_match_exhaustive():
+    cases = not_split = no_section = 0
+    for _, mods in SMALL_MODULES:
+        for s in (t for mod in mods for t in _relabelings(mod)):
+            for members in _closed_subsets(s):
+                incl = submodule_inclusion(s, members)
+                retractions = [r for r in _all_homs(s, incl.source)
+                               if all(r[y] == x for x, y in enumerate(incl.map))]
+                ok, retraction = is_cofibration(incl)
+                assert ok == bool(retractions)
+                if ok:
+                    assert retraction.map == retractions[0]
+                q, proj = quotient_with_projection(incl)
+                sections = [sg for sg in _all_homs(q, s)
+                            if all(proj.map[y] == x for x, y in enumerate(sg))]
+                section = find_section(proj)
+                assert (section is not None) == bool(sections)
+                if section is not None:
+                    assert section.map == sections[0]
+                cases += 1
+                not_split += not ok
+                no_section += section is None
+    assert (cases, not_split, no_section) == (832, 52, 120)
 
 
 def test_module_json_roundtrip():
