@@ -285,45 +285,76 @@ def _count_candidates(msize: int, size_bound: int, cap: int) -> int:
     return total
 
 
+def _action_tables(m: PointedMonoid, s: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+    """Action tables on a carrier of size s, in lex order of their free entries.
+
+    Rows are filled top-down and a partial table is dropped as soon as
+    action[action[x][a]][b] == action[x][mul[a][b]] fails among filled rows;
+    the order is that of a product over all free entries.  Columns 0 and 1
+    hold the law in every table, so only a, b >= 2 are checked.
+    """
+    mul = m.mul
+    cols = range(2, m.size)
+    action = [[0] * m.size] + [[0, x] + [0] * len(cols) for x in range(1, s)]
+
+    def fill(x: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+        if x == s:
+            yield tuple(map(tuple, action))
+            return
+        for values in iter_product(range(s), repeat=len(cols)):
+            action[x][2:] = values
+            # the law at (y, a) is decidable once rows y and action[y][a] are
+            # filled; test the pairs that row x made decidable
+            if all(action[action[y][a]][b] == action[y][mul[a][b]]
+                   for y in range(1, x + 1) for a in cols
+                   if max(y, action[y][a]) == x for b in cols):
+                yield from fill(x + 1)
+
+    return fill(1)
+
+
+class _ClassIndex:
+    """Isomorphism-class representatives of modules over one monoid.
+
+    Representatives are bucketed by (size, sorted profile), an isomorphism
+    invariant, so `are_isomorphic` only runs within a bucket; every action
+    table placed is memoized to its class.
+    """
+
+    def __init__(self) -> None:
+        self.reps: List[FiniteModule] = []
+        self._buckets: Dict[Tuple, List[int]] = {}
+        self._known: Dict[Tuple[Tuple[int, ...], ...], int] = {}
+
+    def class_of(self, module: FiniteModule, new: bool = False) -> int:
+        """Index of module's class; with `new`, an unmatched module opens one."""
+        i = self._known.get(module.action)
+        if i is None:
+            bucket = self._buckets.setdefault(
+                (module.size, tuple(sorted(module.profile))), [])
+            i = next((j for j in bucket if are_isomorphic(module, self.reps[j])[0]), None)
+            if i is None:
+                if not new:
+                    raise InternalCheckError("module of bounded size missing from enumeration")
+                i = len(self.reps)
+                bucket.append(i)
+                self.reps.append(module)
+            self._known[module.action] = i
+        return i
+
+
 def _enumerate_modules(m: PointedMonoid, size_bound: int,
-                       candidate_cap: int) -> List[FiniteModule]:
-    """All modules with carrier size <= bound, one per isomorphism class."""
+                       candidate_cap: int) -> _ClassIndex:
+    """The classes of all modules with carrier size <= bound, in table order."""
     if _count_candidates(m.size, size_bound, candidate_cap) > candidate_cap:
         raise ResourceLimitError(
             f"more than {candidate_cap} candidate tables; "
             "lower the size bound")
-    mul = m.mul
-    found: List[FiniteModule] = []
+    index = _ClassIndex()
     for s in range(1, size_bound + 1):
-        free_cols = list(range(2, m.size))
-        nfree = (s - 1) * len(free_cols)
-        for combo in iter_product(range(s), repeat=nfree):
-            action = [[0] * m.size for _ in range(s)]
-            for x in range(1, s):
-                action[x][1] = x
-            for pos, v in enumerate(combo):
-                x = pos // len(free_cols) + 1
-                col = free_cols[pos % len(free_cols)]
-                action[x][col] = v
-            ok = True
-            for x in range(1, s):
-                if not ok:
-                    break
-                for a in range(m.size):
-                    xa = action[x][a]
-                    for b in range(m.size):
-                        if action[xa][b] != action[x][mul[a][b]]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if not ok:
-                continue
-            module = _derived(FiniteModule, m, s, tuple(tuple(r) for r in action))
-            if not any(are_isomorphic(module, seen)[0] for seen in found
-                       if seen.size == s):
-                found.append(module)
-    return found
+        for table in _action_tables(m, s):
+            index.class_of(_derived(FiniteModule, m, s, table), new=True)
+    return index
 
 
 def _action_closed_subsets(module: FiniteModule) -> List[Tuple[int, ...]]:
@@ -343,13 +374,8 @@ def _action_closed_subsets(module: FiniteModule) -> List[Tuple[int, ...]]:
 
 def _general_g0(m: PointedMonoid, size_bound: int,
                 candidate_cap: int) -> GrothendieckPresentation:
-    reps = _enumerate_modules(m, size_bound, candidate_cap)
-
-    def class_of(module: FiniteModule) -> int:
-        for i, rep in enumerate(reps):
-            if rep.size == module.size and are_isomorphic(module, rep)[0]:
-                return i
-        raise InternalCheckError("module of bounded size missing from enumeration")
+    index = _enumerate_modules(m, size_bound, candidate_cap)
+    reps = index.reps
 
     rows: List[List[int]] = []
     for i, rep in enumerate(reps):
@@ -358,8 +384,8 @@ def _general_g0(m: PointedMonoid, size_bound: int,
             ok, _ = is_cofibration(incl)
             if not ok:
                 continue
-            sub_idx = class_of(incl.source)
-            q_idx = class_of(quotient(incl))
+            sub_idx = index.class_of(incl.source)
+            q_idx = index.class_of(quotient(incl))
             row = [0] * len(reps)
             row[i] += 1
             row[sub_idx] -= 1

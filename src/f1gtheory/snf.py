@@ -24,13 +24,16 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int | None = None) -
     diag: List[int] = []
     t = 0
     while t < min(m, n):
-        # locate a pivot of smallest absolute value in the trailing block
+        # locate a pivot of smallest absolute value in the trailing block; a
+        # unit is the least possible, so the scan ends with the row holding one
         best = None
         for i in range(t, m):
             for j in range(t, n):
                 v = a[i][j]
                 if v and (best is None or abs(v) < best[0]):
                     best = (abs(v), i, j)
+            if best and best[0] == 1:
+                break
         if best is None:
             break
         _, bi, bj = best
@@ -89,11 +92,12 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int | None = None) -
 def cokernel_invariants(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[int, List[int]]:
     """Free rank and invariant factors of Z^ncols modulo the row span.
 
-    The torsion list keeps only factors > 1, in divisibility order.
+    The torsion list keeps only factors > 1, in divisibility order.  Repeated
+    rows span nothing new, so only the distinct ones are reduced.
     """
     if not rows:
         return ncols, []
-    diag = smith_normal_form(rows, ncols)
+    diag = smith_normal_form(list(dict.fromkeys(map(tuple, rows))), ncols)
     nonzero = [d for d in diag if d]
     free = ncols - len(nonzero)
     torsion = [d for d in nonzero if d > 1]

@@ -11,6 +11,11 @@ it is only run where it finishes (k*l <= 9).
 `cokernel_invariants_sparse` is the sparse Smith normal form, the oracle of
 the linear certificate that computes group-monoid degree-0 groups.
 
+`product_order_tables` and `enumerate_modules_pairwise` are the unpruned
+general-monoid module enumeration: every table of the full product of free
+action entries is tested whole, and classes are found by a pairwise
+`are_isomorphic` scan over every representative of the same size.
+
 The seeded random builders at the end (monoid pool, homomorphisms, modules,
 maps and disguised split and extension instances) feed the module-category
 acceptance criteria.  They are deterministic given a `random.Random`; the
@@ -21,16 +26,16 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import combinations, product as iter_product
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from f1gtheory.burnside import build_burnside
 from f1gtheory.errors import InternalCheckError
 from f1gtheory.groups import build_group
 from f1gtheory.gtheory import _enumerate_modules
 from f1gtheory.modules import (FiniteModule, ModuleHom, MonoidHom, PointedMonoid,
-                               generating_set, group_monoid, permute_module,
-                               wedge_with_inclusions)
+                               are_isomorphic, generating_set, group_monoid,
+                               permute_module, wedge_with_inclusions)
 from f1gtheory.sampling import random_effective
 from f1gtheory.snf import cokernel_invariants
 
@@ -267,6 +272,45 @@ def cokernel_invariants_sparse(rows: Sequence, ncols: int) -> Tuple[int, List[in
     return free, torsion
 
 
+# --- unpruned module enumeration ----------------------------------------
+
+def product_order_tables(m: PointedMonoid, s: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+    """Every action table on a carrier of size s, testing each full candidate."""
+    mul = m.mul
+    free_cols = list(range(2, m.size))
+    nfree = (s - 1) * len(free_cols)
+    for combo in iter_product(range(s), repeat=nfree):
+        action = [[0] * m.size for _ in range(s)]
+        for x in range(1, s):
+            action[x][1] = x
+        for pos, v in enumerate(combo):
+            action[pos // len(free_cols) + 1][free_cols[pos % len(free_cols)]] = v
+        if all(action[action[x][a]][b] == action[x][mul[a][b]]
+               for x in range(1, s) for a in range(m.size) for b in range(m.size)):
+            yield tuple(tuple(r) for r in action)
+
+
+def enumerate_modules_pairwise(m: PointedMonoid, size_bound: int) -> List[FiniteModule]:
+    """One module per isomorphism class, in order of first appearance."""
+    found: List[FiniteModule] = []
+    for s in range(1, size_bound + 1):
+        for table in product_order_tables(m, s):
+            module = FiniteModule(m, s, table)
+            if not any(are_isomorphic(module, seen)[0] for seen in found
+                       if seen.size == s):
+                found.append(module)
+    return found
+
+
+def pairwise_class(reps: Sequence[FiniteModule], module: FiniteModule) -> int:
+    """The index of the unique representative isomorphic to module."""
+    hits = [i for i, rep in enumerate(reps)
+            if rep.size == module.size and are_isomorphic(module, rep)[0]]
+    if len(hits) != 1:
+        raise InternalCheckError(f"{len(hits)} representatives match one module")
+    return hits[0]
+
+
 # --- seeded random builders ----------------------------------------------
 
 def _monoid_from_rows(rows: List[List[int]], name_labels: Tuple[str, ...]) -> PointedMonoid:
@@ -322,7 +366,7 @@ def monoid_homs(src: PointedMonoid, dst: PointedMonoid) -> Tuple[MonoidHom, ...]
 
 @lru_cache(maxsize=None)
 def _small_modules(m: PointedMonoid, max_size: int) -> Tuple[FiniteModule, ...]:
-    return tuple(_enumerate_modules(m, max_size, 200000))
+    return tuple(_enumerate_modules(m, max_size, 200000).reps)
 
 
 def random_module(m: PointedMonoid, rng: random.Random,

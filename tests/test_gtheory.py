@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import random
 import time
+from itertools import permutations
 
 import pytest
 
@@ -11,10 +13,16 @@ from f1gtheory.groups import (build_group, conjugacy_classes_of_elements,
 from f1gtheory.gtheory import (AbelianGroupReport, cartan_zero,
                                count_simple_factors, g0_presentation,
                                g1_via_splitting, mult_by_regular)
-from f1gtheory.modules import PointedMonoid, group_monoid
+from f1gtheory.modules import (FiniteModule, PointedMonoid, group_monoid,
+                               permute_module)
+from f1gtheory.snf import cokernel_invariants
 
 from conftest import ring_of
-from oracles import cokernel_invariants_sparse
+from oracles import (cokernel_invariants_sparse, enumerate_modules_pairwise,
+                     monoid_pool, pairwise_class, product_order_tables)
+
+# the idempotent monoid {0, 1, e}, e*e = e (perfbench/monoid3.json)
+IDEMPOTENT = PointedMonoid(3, ((0, 0, 0), (0, 1, 2), (0, 2, 2)))
 
 
 def test_g0_of_f1_is_z():
@@ -129,6 +137,86 @@ def test_g0_candidate_cap_refuses_large_bound_at_once():
     with pytest.raises(ResourceLimitError, match="more than 20000 candidate tables"):
         g0_presentation(idem, 10 ** 5)
     assert time.perf_counter() - started < 1.0
+
+
+def test_pruned_enumeration_matches_product_order():
+    for m in monoid_pool():
+        if m.is_group_monoid:
+            continue
+        bound = 6 if m.size == 3 else 4
+        for s in range(1, bound + 1):
+            assert list(gtheory._action_tables(m, s)) == \
+                list(product_order_tables(m, s)), (m.mul, s)
+        reps = gtheory._enumerate_modules(m, bound, 10 ** 6).reps
+        assert [r.action for r in reps] == \
+            [r.action for r in enumerate_modules_pairwise(m, bound)], m.mul
+
+
+def test_class_index_agrees_with_pairwise_scan():
+    for m in monoid_pool(max_size=4):
+        index = gtheory._enumerate_modules(m, 4, 10 ** 6)
+        reps = index.reps
+        fresh = gtheory._ClassIndex()
+        for rep in reps:
+            fresh.class_of(rep, new=True)
+        # pairwise_class certifies each table isomorphic to its representative,
+        # so two tables share a class only when they are isomorphic
+        hit = set()
+        for s in range(1, 5):
+            for table in product_order_tables(m, s):
+                module = FiniteModule(m, s, table)
+                for rest in permutations(range(1, s)):
+                    relabelled, _ = permute_module(module, (0,) + rest)
+                    expected = pairwise_class(reps, relabelled)
+                    assert index.class_of(relabelled) == expected
+                    assert fresh.class_of(relabelled) == expected
+                    hit.add(expected)
+        assert sorted(hit) == list(range(len(reps)))
+
+
+def test_class_index_refuses_an_unseen_class():
+    index = gtheory._enumerate_modules(IDEMPOTENT, 2, 10 ** 6)
+    big = gtheory._enumerate_modules(IDEMPOTENT, 3, 10 ** 6).reps[-1]
+    with pytest.raises(InternalCheckError, match="missing from enumeration"):
+        index.class_of(big)
+
+
+def test_g0_monoid3_isomorphism_calls_stay_bucketed(monkeypatch):
+    calls = []
+    real = gtheory.are_isomorphic
+
+    def counting(s, t):
+        calls.append(None)
+        return real(s, t)
+
+    monkeypatch.setattr(gtheory, "are_isomorphic", counting)
+    p = g0_presentation(IDEMPOTENT, 6)
+    assert len(calls) <= 1000  # a scan over every representative made 10,817
+    assert p.result.pretty() == "Z^2"
+    assert len(p.generators) == 45
+    assert len(p.relations) == 675
+    assert cokernel_invariants_sparse(list(p.relations), 45) == (2, [])
+
+
+def test_cokernel_ignores_repeated_and_reordered_rows():
+    p = g0_presentation(IDEMPOTENT, 5)
+    n = len(p.generators)
+    rows = [[dict(r).get(j, 0) for j in range(n)] for r in p.relations]
+    expected = cokernel_invariants_sparse(list(p.relations), n)
+    rng = random.Random(11)
+    for _ in range(5):
+        shuffled = rows + rng.sample(rows, len(rows) // 2)
+        rng.shuffle(shuffled)
+        assert cokernel_invariants(shuffled, n) == expected
+    for seed in range(20):
+        rng = random.Random(seed)
+        ncols = rng.randint(1, 6)
+        base = [[rng.randint(-4, 4) for _ in range(ncols)]
+                for _ in range(rng.randint(1, 6))]
+        noisy = base + [list(rng.choice(base)) for _ in range(4)]
+        rng.shuffle(noisy)
+        assert cokernel_invariants(noisy, ncols) == \
+            cokernel_invariants_sparse([dict(enumerate(r)) for r in base], ncols)
 
 
 def test_report_validation():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -84,6 +85,20 @@ def test_sparse_matches_dense(rows):
     sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
     assert cokernel_invariants_sparse(sparse, ncols) == \
         cokernel_invariants([list(r) for r in rows], ncols)
+
+
+def test_unit_rich_matrices_match_sparse_oracle():
+    # mostly +-1 entries, so the pivot scan usually stops at a unit
+    entries = (-1, -1, -1, 0, 0, 0, 0, 1, 1, 1, 2, -2, 3, 4, -6)
+    for seed in range(300):
+        rng = random.Random(seed)
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        rows = [[rng.choice(entries) for _ in range(ncols)] for _ in range(nrows)]
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+        assert cokernel_invariants(rows, ncols) == \
+            cokernel_invariants_sparse(sparse, ncols), seed
+        diag = smith_normal_form(rows)
+        assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
 
 
 def test_factorize():
