@@ -25,7 +25,7 @@ from .gtheory import (cartan_zero, count_simple_factors, g0_presentation,
                       g1_via_splitting)
 from .lambda_ops import (diamond, lambda_k, verify_lambda_ring,
                          verify_pre_lambda)
-from .mackey import (check_double_coset, check_frobenius, green_morphism_check,
+from .mackey import (check_frobenius, double_coset_plan, green_morphism_check,
                      subgroup_context)
 from .modules import (detect_group, diagonal_smash, group_monoid,
                       module_from_json, monoid_from_json)
@@ -282,12 +282,12 @@ def _run_mackey_checks(group: FiniteGroup, trials: int,
     reps = ring.classification.representatives
     dc = CheckReport("double coset formula")
     for h in reps:
-        h_ctx = subgroup_context(group, h.elements)
+        h_ring = subgroup_context(group, h.elements).ring
         for k in reps:
-            for i in range(h_ctx.ring.rank):
-                y = h_ctx.ring.basis_element(i)
-                report = check_double_coset(group, h.elements, k.elements, y)
-                dc.record(report.ok, report.to_json())
+            plan = double_coset_plan(group, h.elements, k.elements)
+            for i in range(h_ring.rank):
+                report = plan.check(h_ring.basis_element(i))
+                dc.record(report.ok, report.to_json)
     fr = CheckReport("Frobenius reciprocity")
     for _ in range(trials):
         h = reps[rng.randrange(len(reps))]
@@ -295,7 +295,7 @@ def _run_mackey_checks(group: FiniteGroup, trials: int,
         x = random_element(ring, rng)
         y = random_element(ctx.ring, rng)
         report = check_frobenius(group, h.elements, x, y)
-        fr.record(report.ok, report.to_json())
+        fr.record(report.ok, report.to_json)
     green = green_morphism_check(group)
     return [dc, fr, green]
 
@@ -399,7 +399,7 @@ def _suite_reports(group: FiniteGroup, seed: int) -> List[CheckReport]:
     for i in range(ring.rank):
         ok = all(ring.marks[i][j] == 0 for j in range(i + 1, ring.rank))
         structure.record(ok and ring.marks[i][i] > 0,
-                         {"row": i, "marks": list(ring.marks[i])})
+                         lambda: {"row": i, "marks": list(ring.marks[i])})
     reports.append(structure)
 
     oracle = CheckReport("product matches diagonal smash")
@@ -409,7 +409,7 @@ def _suite_reports(group: FiniteGroup, seed: int) -> List[CheckReport]:
         direct = (x * y).coeffs
         modeled = ring.decompose(
             diagonal_smash(ring.realize(x), ring.realize(y))).coeffs
-        oracle.record(direct == modeled, {
+        oracle.record(direct == modeled, lambda: {
             "x": list(x.coeffs), "y": list(y.coeffs),
             "mul": list(direct), "smash": list(modeled),
         })
@@ -427,14 +427,14 @@ def _suite_reports(group: FiniteGroup, seed: int) -> List[CheckReport]:
         presentation.stability == "stable at bound"
         and presentation.result.free_rank == ring.rank
         and not presentation.result.torsion,
-        presentation.to_json())
+        presentation.to_json)
     reports.append(g0_check)
 
     wh0_check = CheckReport("assembly cokernel is free of rank r-1")
     cartan = cartan_zero(group)
     wh0_check.record(
         cartan.wh0.free_rank == ring.rank - 1 and not cartan.wh0.torsion,
-        cartan.to_json())
+        cartan.to_json)
     reports.append(wh0_check)
 
     g1_check = CheckReport("degree-1 splitting is well formed")
@@ -442,7 +442,7 @@ def _suite_reports(group: FiniteGroup, seed: int) -> List[CheckReport]:
     chain_ok = all(
         g1.torsion[i] % g1.torsion[i - 1] == 0 for i in range(1, len(g1.torsion))
     ) and g1.free_rank == 0 and len(g1.torsion) >= ring.rank
-    g1_check.record(chain_ok, g1.to_json())
+    g1_check.record(chain_ok, g1.to_json)
     reports.append(g1_check)
 
     factors_check = CheckReport("simple factor count at coprime prime powers")
@@ -453,7 +453,7 @@ def _suite_reports(group: FiniteGroup, seed: int) -> List[CheckReport]:
         if math.gcd(q, group.order) == 1 and len(factorize(q)) == 1:
             count = count_simple_factors(group, q)
             factors_check.record(1 <= count <= class_count,
-                                 {"q": q, "count": count})
+                                 lambda: {"q": q, "count": count})
             tested += 1
         q += 1
     reports.append(factors_check)

@@ -249,7 +249,7 @@ def verify_pre_lambda(ring: BurnsideRing, cap: int, trials: int,
             gxy[k] == sum((ring.mul(gx[i], gy[k - i]) for i in range(k + 1)),
                           ring.zero())
             for k in range(cap + 1))
-        report.record(ok0 and ok1 and okadd, {
+        report.record(ok0 and ok1 and okadd, lambda: {
             "x": list(x.coeffs), "y": list(y.coeffs),
             "unit": ok0, "identity": ok1, "addition": okadd,
         })
@@ -270,7 +270,8 @@ def verify_lambda_ring(ring: BurnsideRing, k_cap: int, l_cap: int, trials: int,
 
     for k in range(2, k_cap + 1):
         value = lambda_k(ring, ring.one(), k)
-        unit_report.record(value.is_zero, {"k": k, "value": list(value.coeffs)})
+        unit_report.record(value.is_zero,
+                           lambda: {"k": k, "value": list(value.coeffs)})
 
     for _ in range(trials):
         x = random_element(ring, rng)
@@ -281,7 +282,7 @@ def verify_lambda_ring(ring: BurnsideRing, k_cap: int, l_cap: int, trials: int,
         for k in range(2, k_cap + 1):
             lhs = lam_xy[k]
             rhs = universal_polynomial("product", k).evaluate(ring, lam_x, lam_y)
-            product_report.record(lhs == rhs, {
+            product_report.record(lhs == rhs, lambda: {
                 "k": k, "x": list(x.coeffs), "y": list(y.coeffs),
                 "lhs": list(lhs.coeffs), "rhs": list(rhs.coeffs),
             })
@@ -295,7 +296,7 @@ def verify_lambda_ring(ring: BurnsideRing, k_cap: int, l_cap: int, trials: int,
             for k in range(2, k_cap + 1):
                 lhs = lam_inner[k]
                 rhs = universal_polynomial("composition", k, l).evaluate(ring, lam_deep)
-                composition_report.record(lhs == rhs, {
+                composition_report.record(lhs == rhs, lambda: {
                     "k": k, "l": l, "x": list(x.coeffs),
                     "lhs": list(lhs.coeffs), "rhs": list(rhs.coeffs),
                 })

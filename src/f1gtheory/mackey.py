@@ -3,6 +3,10 @@
 Both maps are read off the classification.  Induction sends H/L to G/L.
 Restriction keeps every mark: m(Res_H x)(K) = m(x)(K) for K <= H (tom Dieck,
 Transformation Groups and Representation Theory, LNM 766, section 1).
+
+The double coset formula Res_K Ind_H y = sum over KgH of Ind Transport Res y
+is checked through one `DoubleCosetPlan` per (H, K) pair, which holds the
+part of the right side that does not depend on y.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from .reports import CheckReport
 
 __all__ = [
     "SubgroupContext", "subgroup_context", "restrict", "induce", "conjugate",
-    "transport", "double_coset_reps", "check_double_coset", "check_frobenius",
-    "green_morphism_check", "linear_dimension", "DoubleCosetReport",
-    "FrobeniusReport",
+    "transport", "double_coset_reps", "double_coset_plan", "check_double_coset",
+    "check_frobenius", "green_morphism_check", "linear_dimension",
+    "DoubleCosetPlan", "DoubleCosetReport", "FrobeniusReport",
 ]
 
 
@@ -50,9 +54,17 @@ class SubgroupContext:
             for rep in self.ring.classification.representatives
         )
 
-    def position_of(self, ambient_element: int) -> int:
-        """Index inside the re-indexed group of an ambient subgroup element."""
-        return self.embedding.index(ambient_element)
+    @cached_property
+    def _restricted(self) -> Dict[int, BurnsideElement]:
+        return {}
+
+    def restricted_basis(self, i: int) -> BurnsideElement:
+        """Res of ambient basis element i, memoized on first use of each i."""
+        memo = self._restricted
+        if i not in memo:
+            row = self.ambient_ring.marks[i]
+            memo[i] = self.ring.from_marks([row[j] for j in self.class_map])
+        return memo[i]
 
 
 @_memo_on_group
@@ -80,21 +92,29 @@ def induce(ctx: SubgroupContext, y: BurnsideElement) -> BurnsideElement:
     return ctx.ambient_ring.element(out)
 
 
+def _class_bijection(src_ring: BurnsideRing, dst_ring: BurnsideRing,
+                    elem_map: Sequence[int]) -> Tuple[int, ...]:
+    """Entry i: the destination class of the image of source class i.
+
+    The map on elements must be a group isomorphism; a map that sends two
+    classes to one is caught here.
+    """
+    classes = tuple(
+        dst_ring.classification.class_index(elem_map[e] for e in rep.elements)
+        for rep in src_ring.classification.representatives)
+    if len(set(classes)) != len(classes):
+        raise InternalCheckError("transport map is not a class bijection")
+    return classes
+
+
 def transport(src_ring: BurnsideRing, dst_ring: BurnsideRing,
               elem_map: Sequence[int], y: BurnsideElement) -> BurnsideElement:
     """Push an element along a group isomorphism given on element indices."""
     if y.ring.group != src_ring.group:
         raise ValueError("element does not live over the source group")
     out = [0] * dst_ring.rank
-    seen_classes = set()
-    for i, rep in enumerate(src_ring.classification.representatives):
-        image = tuple(sorted(elem_map[e] for e in rep.elements))
-        j = dst_ring.classification.class_index(image)
-        if y.coeffs[i]:
-            out[j] += y.coeffs[i]
-        if j in seen_classes:
-            raise InternalCheckError("transport map is not a class bijection")
-        seen_classes.add(j)
+    for c, j in zip(y.coeffs, _class_bijection(src_ring, dst_ring, elem_map)):
+        out[j] += c
     return dst_ring.element(out)
 
 
@@ -150,6 +170,71 @@ class DoubleCosetReport:
         }
 
 
+@dataclass(frozen=True)
+class DoubleCosetPlan:
+    """The y-independent half of the double coset formula for one (H, K).
+
+    Each term stands for one double coset KgH: the context of
+    H cap g^-1 K g inside the re-indexed H, and the class map that carries
+    its classes by conjugation with g onto K cap g H g^-1 and induces them
+    into the classes of K.
+    """
+
+    group: FiniteGroup
+    h_ctx: SubgroupContext
+    k_ctx: SubgroupContext
+    reps: Tuple[int, ...]
+    terms: Tuple[Tuple[SubgroupContext, Tuple[int, ...]], ...]
+
+    def check(self, y: BurnsideElement) -> DoubleCosetReport:
+        """Compare Res_K Ind_H y with its double-coset expansion."""
+        h_ctx, k_ctx = self.h_ctx, self.k_ctx
+        if y.ring.group != h_ctx.group:
+            raise ValueError("element does not live over the context subgroup")
+        lhs = [0] * k_ctx.ring.rank
+        rhs = [0] * k_ctx.ring.rank
+        for i, c in enumerate(y.coeffs):
+            if not c:
+                continue
+            # Ind_H sends basis element i of A(H) to basis element G/L of A(G)
+            below = k_ctx.restricted_basis(h_ctx.class_map[i]).coeffs
+            for j, v in enumerate(below):
+                lhs[j] += c * v
+            for inner, to_k in self.terms:
+                for j, v in enumerate(inner.restricted_basis(i).coeffs):
+                    rhs[to_k[j]] += c * v
+        return DoubleCosetReport(self.group, h_ctx.elements, k_ctx.elements,
+                                 y.coeffs, self.reps, tuple(lhs), tuple(rhs))
+
+
+def double_coset_plan(group: FiniteGroup, h_elements: Sequence[int],
+                      k_elements: Sequence[int]) -> DoubleCosetPlan:
+    """Build the right-hand side of the double coset formula for (H, K)."""
+    h_ctx = subgroup_context(group, tuple(sorted(h_elements)))
+    k_ctx = subgroup_context(group, tuple(sorted(k_elements)))
+    reps = tuple(double_coset_reps(group, k_ctx.elements, h_ctx.elements))
+    k_set = set(k_ctx.elements)
+    h_pos = {e: i for i, e in enumerate(h_ctx.embedding)}
+    k_pos = {e: i for i, e in enumerate(k_ctx.embedding)}
+    terms = []
+    for g in reps:
+        lower_h = [e for e in h_ctx.elements if group.conj(g, e) in k_set]
+        # H cap g^-1 K g, viewed inside the re-indexed H
+        inner_h = subgroup_context(h_ctx.group,
+                                   tuple(sorted(h_pos[e] for e in lower_h)))
+        # K cap g H g^-1, viewed inside the re-indexed K
+        inner_k = subgroup_context(
+            k_ctx.group, tuple(sorted(k_pos[group.conj(g, e)] for e in lower_h)))
+        inner_k_pos = {e: i for i, e in enumerate(inner_k.embedding)}
+        elem_map = [
+            inner_k_pos[k_pos[group.conj(g, h_ctx.embedding[e])]]
+            for e in inner_h.embedding
+        ]
+        to_inner_k = _class_bijection(inner_h.ring, inner_k.ring, elem_map)
+        terms.append((inner_h, tuple(inner_k.class_map[t] for t in to_inner_k)))
+    return DoubleCosetPlan(group, h_ctx, k_ctx, reps, tuple(terms))
+
+
 def check_double_coset(group: FiniteGroup, h_elements: Sequence[int],
                        k_elements: Sequence[int],
                        y: BurnsideElement) -> DoubleCosetReport:
@@ -158,40 +243,7 @@ def check_double_coset(group: FiniteGroup, h_elements: Sequence[int],
     y lives over the re-indexed subgroup H; the left side is
     restrict_K(induce_H(y)), the right side sums over double cosets KgH.
     """
-    h_ctx = subgroup_context(group, tuple(sorted(h_elements)))
-    k_ctx = subgroup_context(group, tuple(sorted(k_elements)))
-    lhs = restrict(k_ctx, induce(h_ctx, y))
-    reps = double_coset_reps(group, k_ctx.elements, h_ctx.elements)
-    total = k_ctx.ring.zero()
-    h_set = set(h_ctx.elements)
-    k_set = set(k_ctx.elements)
-    for g in reps:
-        g_inv = group.inv(g)
-        lower_h = tuple(sorted(
-            e for e in h_ctx.elements if group.conj(g, e) in k_set
-        ))
-        # restrict y to H cap g^-1 K g, viewed inside the re-indexed H
-        inner_h = subgroup_context(
-            h_ctx.group,
-            tuple(sorted(h_ctx.position_of(e) for e in lower_h)),
-        )
-        part = restrict(inner_h, y)
-        # conjugate over to K cap g H g^-1, viewed inside the re-indexed K
-        upper = tuple(sorted(group.conj(g, e) for e in lower_h))
-        inner_k = subgroup_context(
-            k_ctx.group,
-            tuple(sorted(k_ctx.position_of(e) for e in upper)),
-        )
-        pos = {e: i for i, e in enumerate(inner_k.embedding)}
-        elem_map = []
-        for i in range(inner_h.group.order):
-            ambient_e = h_ctx.embedding[inner_h.embedding[i]]
-            conj_e = group.conj(g, ambient_e)
-            elem_map.append(pos[k_ctx.position_of(conj_e)])
-        part = transport(inner_h.ring, inner_k.ring, elem_map, part)
-        total = total + induce(inner_k, part)
-    return DoubleCosetReport(group, h_ctx.elements, k_ctx.elements, y.coeffs,
-                             tuple(reps), lhs.coeffs, total.coeffs)
+    return double_coset_plan(group, h_elements, k_elements).check(y)
 
 
 @dataclass(frozen=True)
@@ -242,16 +294,14 @@ def green_morphism_check(group: FiniteGroup):
     """
     report = CheckReport("linearization dimension commutes with restriction")
     ring = build_burnside(group)
+    dims = [linear_dimension(ring.basis_element(i)) for i in range(ring.rank)]
     for rep in ring.classification.representatives:
         ctx = subgroup_context(group, rep.elements)
-        for i in range(ring.rank):
-            x = ring.basis_element(i)
-            below = restrict(ctx, x)
+        for i, dim in enumerate(dims):
+            below = linear_dimension(ctx.restricted_basis(i))
             # restriction keeps the underlying carrier, hence the dimension
-            ok = linear_dimension(below) == linear_dimension(x)
-            report.record(ok, {
+            report.record(below == dim, lambda: {
                 "subgroup": list(rep.elements), "basis_index": i,
-                "ambient_dimension": linear_dimension(x),
-                "restricted_dimension": linear_dimension(below),
+                "ambient_dimension": dim, "restricted_dimension": below,
             })
     return report

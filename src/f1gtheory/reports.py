@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 
 @dataclass
@@ -11,7 +11,8 @@ class CheckReport:
     """Outcome of one named check over many instances.
 
     Failures carry JSON-ready dicts describing the counterexample; an empty
-    list means every instance passed.
+    list means every instance passed.  `record` takes the counterexample as
+    a callable, so passing instances never build theirs.
     """
 
     check: str
@@ -22,10 +23,10 @@ class CheckReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def record(self, ok: bool, counterexample: Dict) -> None:
+    def record(self, ok: bool, counterexample: Callable[[], Dict]) -> None:
         self.instances += 1
         if not ok:
-            self.failures.append(counterexample)
+            self.failures.append(counterexample())
 
     def to_json(self) -> Dict:
         out = {

@@ -16,6 +16,11 @@ general-monoid module enumeration: every table of the full product of free
 action entries is tested whole, and classes are found by a pairwise
 `are_isomorphic` scan over every representative of the same size.
 
+`double_coset_sum_per_y` is the right-hand side of the double coset formula
+rebuilt from scratch for one element: representatives, inner contexts and
+the transport along conjugation are all redone per y, where the library
+builds them once per (H, K) pair.
+
 The seeded random builders at the end (monoid pool, homomorphisms, modules,
 maps and disguised split and extension instances) feed the module-category
 acceptance criteria.  They are deterministic given a `random.Random`; the
@@ -29,10 +34,12 @@ from functools import lru_cache
 from itertools import combinations, product as iter_product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from f1gtheory.burnside import build_burnside
+from f1gtheory.burnside import BurnsideElement, build_burnside
 from f1gtheory.errors import InternalCheckError
-from f1gtheory.groups import build_group
+from f1gtheory.groups import FiniteGroup, build_group
 from f1gtheory.gtheory import _enumerate_modules
+from f1gtheory.mackey import (double_coset_reps, induce, restrict,
+                              subgroup_context, transport)
 from f1gtheory.modules import (FiniteModule, ModuleHom, MonoidHom, PointedMonoid,
                                are_isomorphic, generating_set, group_monoid,
                                permute_module, wedge_with_inclusions)
@@ -309,6 +316,38 @@ def pairwise_class(reps: Sequence[FiniteModule], module: FiniteModule) -> int:
     if len(hits) != 1:
         raise InternalCheckError(f"{len(hits)} representatives match one module")
     return hits[0]
+
+
+# --- double coset formula, one element at a time ------------------------
+
+def double_coset_sum_per_y(group: FiniteGroup, h_elements: Sequence[int],
+                           k_elements: Sequence[int],
+                           y: BurnsideElement) -> Tuple[int, ...]:
+    """Sum over KgH of Ind Transport Res y, in the coefficients of A(K)."""
+    h_ctx = subgroup_context(group, tuple(sorted(h_elements)))
+    k_ctx = subgroup_context(group, tuple(sorted(k_elements)))
+    total = k_ctx.ring.zero()
+    k_set = set(k_ctx.elements)
+    for g in double_coset_reps(group, k_ctx.elements, h_ctx.elements):
+        lower_h = tuple(sorted(
+            e for e in h_ctx.elements if group.conj(g, e) in k_set))
+        # restrict y to H cap g^-1 K g, viewed inside the re-indexed H
+        inner_h = subgroup_context(h_ctx.group, tuple(sorted(
+            h_ctx.embedding.index(e) for e in lower_h)))
+        part = restrict(inner_h, y)
+        # conjugate over to K cap g H g^-1, viewed inside the re-indexed K
+        upper = tuple(sorted(group.conj(g, e) for e in lower_h))
+        inner_k = subgroup_context(k_ctx.group, tuple(sorted(
+            k_ctx.embedding.index(e) for e in upper)))
+        pos = {e: i for i, e in enumerate(inner_k.embedding)}
+        elem_map = []
+        for i in range(inner_h.group.order):
+            ambient_e = h_ctx.embedding[inner_h.embedding[i]]
+            conj_e = group.conj(g, ambient_e)
+            elem_map.append(pos[k_ctx.embedding.index(conj_e)])
+        part = transport(inner_h.ring, inner_k.ring, elem_map, part)
+        total = total + induce(inner_k, part)
+    return total.coeffs
 
 
 # --- seeded random builders ----------------------------------------------

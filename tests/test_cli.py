@@ -193,13 +193,21 @@ MACKEY_CHECK_SHA256 = {
         "3b74560ec00644ac504efb8b950a2d44f23315f76dc24e7fe2dcca410cecb89c",
     ("S4", "json"):
         "0526c238b55577213c623a9e2a0dd7a01f5fd38e47ad6d59af74888af8a1819e",
+    ("D12", "text"):
+        "1eb465868bda7931332b185f75f6004bf495d77a5cd51d374a98554c332cb0e1",
+    ("S4xC2", "text"):
+        "29fd51bc367517c0a5bc49308f181571d5c48b09f8811041601f02f5919e4e74",
 }
+
+# groups outside the library, by generator source: S4xC2 is the order-48 rung
+GENERATED = {"S4xC2": ("--generators", "(1 2 3 4);(1 2);(5 6)", "--degree", "6")}
 
 
 @pytest.mark.parametrize("group,fmt", sorted(MACKEY_CHECK_SHA256),
                          ids=lambda v: v)
 def test_mackey_check_golden(capsys, group, fmt):
-    code, out, _ = run_cli(capsys, "mackey-check", "--group", group,
+    source = GENERATED.get(group, ("--group", group))
+    code, out, _ = run_cli(capsys, "mackey-check", *source,
                            "--seed", "1729", "--format", fmt)
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()

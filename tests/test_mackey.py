@@ -1,22 +1,28 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from f1gtheory.burnside import build_burnside
 from f1gtheory import mackey
+from f1gtheory.cli import main
+from f1gtheory.errors import InternalCheckError
 from f1gtheory.groups import (all_subgroups, build_group, library_names,
                               subgroup_as_group)
 from f1gtheory.mackey import (SubgroupContext, check_double_coset,
-                              check_frobenius, conjugate, double_coset_reps,
-                              green_morphism_check, induce, linear_dimension,
-                              restrict, subgroup_context, transport)
+                              check_frobenius, conjugate, double_coset_plan,
+                              double_coset_reps, green_morphism_check, induce,
+                              linear_dimension, restrict, subgroup_context,
+                              transport)
 from f1gtheory.modules import (MonoidHom, base_change, group_monoid,
                                restrict_scalars)
+from f1gtheory.reports import CheckReport
 from f1gtheory.sampling import random_element
 
 from conftest import ring_of
+from oracles import double_coset_sum_per_y
 
 
 def context_for(group, order, pick=0):
@@ -163,6 +169,123 @@ def test_transport_requires_matching_rings():
     ident = tuple(range(ctx.group.order))
     y = ctx.ring.basis_element(0)
     assert transport(ctx.ring, ctx.ring, ident, y) == y
+
+
+def test_transport_refuses_a_map_that_is_not_a_class_bijection():
+    # V4 onto the normal Klein subgroup of S4: its three order-2 subgroups
+    # land in one S4 class
+    v4, s4 = build_group(name="V4"), build_group(name="S4")
+    klein = next(s.elements for s in all_subgroups(s4) if s.order == 4
+                 and all(s4.mul(x, x) == s4.identity for x in s.elements)
+                 and all(s4.conj(g, x) in s.elements
+                         for g in range(s4.order) for x in s.elements))
+    assert v4.identity == s4.identity == 0
+    with pytest.raises(InternalCheckError, match="class bijection"):
+        transport(ring_of("V4"), ring_of("S4"), klein, ring_of("V4").one())
+
+
+def test_double_coset_plan_matches_per_element_oracle():
+    # every (H, K) class pair and basis y of every library group of order <= 24
+    for name in library_names():
+        group = build_group(name=name)
+        if group.order > 24:
+            continue
+        reps = build_burnside(group).classification.representatives
+        for h in reps:
+            h_ring = subgroup_context(group, h.elements).ring
+            for k in reps:
+                plan = double_coset_plan(group, h.elements, k.elements)
+                for i in range(h_ring.rank):
+                    y = h_ring.basis_element(i)
+                    report = plan.check(y)
+                    assert report.ok, (name, h.elements, k.elements, i)
+                    assert report.rhs == double_coset_sum_per_y(
+                        group, h.elements, k.elements, y), \
+                        (name, h.elements, k.elements, i)
+
+
+def test_double_coset_plan_takes_any_element_linearly():
+    group = build_group(name="D4")
+    subs = all_subgroups(group)
+    rng = random.Random(11)
+    for _ in range(20):
+        h = subs[rng.randrange(len(subs))]
+        k = subs[rng.randrange(len(subs))]
+        y = random_element(subgroup_context(group, h.elements).ring, rng)
+        report = check_double_coset(group, h.elements, k.elements, y)
+        assert report.ok
+        assert report.rhs == double_coset_sum_per_y(group, h.elements,
+                                                    k.elements, y)
+
+
+def test_double_coset_check_fails_with_a_coset_dropped(monkeypatch):
+    group = build_group(name="S3")
+    c2 = next(s for s in all_subgroups(group) if s.order == 2)
+    y = subgroup_context(group, c2.elements).ring.one()
+    full = check_double_coset(group, c2.elements, c2.elements, y)
+    assert full.ok and len(full.reps) == 2
+    real = mackey.double_coset_plan
+
+    def dropping(*args):
+        plan = real(*args)
+        return dataclasses.replace(plan, reps=plan.reps[:-1],
+                                   terms=plan.terms[:-1])
+
+    monkeypatch.setattr(mackey, "double_coset_plan", dropping)
+    report = check_double_coset(group, c2.elements, c2.elements, y)
+    assert not report.ok
+    assert (report.h_elements, report.k_elements, report.y_coeffs,
+            report.lhs) == (full.h_elements, full.k_elements, full.y_coeffs,
+                            full.lhs)
+    assert report.reps == full.reps[:-1] and report.rhs != full.rhs
+    blob = report.to_json()
+    assert list(blob) == list(full.to_json())
+    assert blob["status"] == "fail" and blob["coset_sum"] == list(report.rhs)
+
+
+def test_mackey_check_plans_each_class_pair_once(capsys, monkeypatch):
+    calls = []
+    real = mackey.double_coset_reps
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(mackey, "double_coset_reps", counting)
+    assert main(["mackey-check", "--group", "D12"]) == 0
+    assert len(calls) == 16 ** 2  # one call per basis element made 1,344
+    assert "double coset formula: 1344 instances, pass" in capsys.readouterr().out
+
+
+def test_restriction_memo_fills_lazily_and_matches_restrict():
+    group = build_group(name="D6")
+    ring = ring_of("D6")
+    sub = next(s for s in all_subgroups(group) if s.order == 4)
+    ctx = SubgroupContext(group, sub.elements,
+                          *subgroup_as_group(group, sub.elements))
+    restrict(ctx, ring.basis_element(3))
+    assert ctx._restricted == {}
+    first = ctx.restricted_basis(3)
+    assert ctx._restricted == {3: first} and ctx.restricted_basis(3) is first
+    for i in range(ring.rank):
+        assert ctx.restricted_basis(i) == restrict(ctx, ring.basis_element(i))
+
+
+def test_check_report_builds_counterexamples_only_for_failures():
+    built = []
+
+    def counterexample(n):
+        def build():
+            built.append(n)
+            return {"n": n}
+        return build
+
+    report = CheckReport("demo")
+    for n in range(4):
+        report.record(n != 2, counterexample(n))
+    assert built == [2]
+    assert report.to_json() == {"check": "demo", "instances": 4,
+                                "status": "fail", "failures": [{"n": 2}]}
 
 
 def test_green_morphism_check():
