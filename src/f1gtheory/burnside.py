@@ -1,50 +1,58 @@
-"""Burnside rings of finite groups via tables of marks.
+"""Burnside rings of finite groups and their subgroups via tables of marks.
 
 Basis classes are conjugacy classes of subgroups in the canonical order of
 `classify_subgroups`; the table of marks is lower triangular with the mark
 m[H][K] counting K-fixed cosets in G/H.  Multiplication runs through the
-ghost (marks) ring and back-substitutes exactly.
+ghost (marks) ring and back-substitutes exactly.  A(H) for H <= G is in G's ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
 from .groups import (FiniteGroup, SubgroupClassification, _generating_sequence,
-                     _memo_on_group, classify_subgroups)
-from .modules import FiniteModule, coset_module, group_monoid, wedge
+                     _memo_on_group, _subgroup_elements, classify_subgroups)
+from .modules import FiniteModule, coset_module, group_monoid, wedge, zero_module
 
 __all__ = [
     "BurnsideRing", "BurnsideElement", "build_burnside",
-    "decompose", "marks_of", "marks_to_csv",
+    "decompose", "marks_to_csv",
 ]
 
 
 class BurnsideRing:
-    """The Burnside ring of one finite group, with cached tables."""
+    """The Burnside ring of a subgroup H of `group` (default all of it), in its ids."""
 
-    def __init__(self, group: FiniteGroup) -> None:
+    def __init__(self, group: FiniteGroup, elements: Optional[Iterable[int]] = None) -> None:
         self.group = group
-        self.classification: SubgroupClassification = classify_subgroups(group)
+        self.classification: SubgroupClassification = classify_subgroups(group, elements)
+        self.elements = self.classification.elements
+        self.order = len(self.elements)
         self.rank = self.classification.rank
         self.labels = self.classification.labels
         self.marks = self._build_marks()
+
+    def same_ring(self, other: "BurnsideRing") -> bool:
+        """Rings of one subgroup of equal groups (names and labels aside)."""
+        return self is other or (self.elements == other.elements
+                                 and self.group == other.group)
 
     def _build_marks(self) -> Tuple[Tuple[int, ...], ...]:
         """Marks read off the classification, with no G-set built.
 
         m(G/H)(K) = |N_G(H)|/|H| * #{H' conjugate to H : K <= H'}, and
-        |N_G(H)| = |G| / |class of H|.  K <= H' needs |K| <= |H'|, and
-        equal orders force K = H', so the table is lower triangular.
+        |N_G(H)| = |G| / |class of H|, G being the ring's subgroup.  K <= H'
+        needs |K| <= |H'|, and equal orders force K = H', so the table is
+        lower triangular.
         """
         classes = self.classification.classes
         reps = [frozenset(cls[0].elements) for cls in classes]
         table = [[0] * self.rank for _ in range(self.rank)]
         for i, cls in enumerate(classes):
-            weight = self.group.order // (cls[0].order * len(cls))
+            weight = self.order // (cls[0].order * len(cls))
             for member in cls:
                 h = frozenset(member.elements)
                 for j in range(i + 1):
@@ -55,6 +63,8 @@ class BurnsideRing:
     @cached_property
     def cosets(self) -> Tuple[FiniteModule, ...]:
         """The transitive G-sets G/H, one per class; built on first use."""
+        if self.order != self.group.order:
+            raise ValueError("G-sets are built only for the ring of the whole group")
         return tuple(coset_module(self.group, rep.elements)
                      for rep in self.classification.representatives)
 
@@ -98,9 +108,7 @@ class BurnsideRing:
 
     def one(self) -> "BurnsideElement":
         """The class of the one-point G-set, i.e. G/G."""
-        coeffs = [0] * self.rank
-        coeffs[self.rank - 1] = 1
-        return self.element(coeffs)
+        return self.basis_element(self.rank - 1)
 
     def basis_element(self, i: int) -> "BurnsideElement":
         coeffs = [0] * self.rank
@@ -111,7 +119,7 @@ class BurnsideRing:
 
     def decompose(self, module: FiniteModule) -> "BurnsideElement":
         """Coefficients of a finite module over this group's monoid."""
-        if module.monoid != group_monoid(self.group):
+        if self.order != self.group.order or module.monoid != group_monoid(self.group):
             raise ValueError("module lives over a different group")
         coeffs = [0] * self.rank
         for orb in module.orbits():
@@ -150,7 +158,6 @@ class BurnsideRing:
         for i, c in enumerate(x.coeffs):
             parts.extend([self.cosets[i]] * c)
         if not parts:
-            from .modules import zero_module
             return zero_module(group_monoid(self.group))
         return wedge(parts)
 
@@ -159,15 +166,20 @@ class BurnsideRing:
     def to_json(self) -> Dict:
         return {
             "group": self.group.name or "custom",
-            "order": self.group.order,
+            "order": self.order,
             "classes": list(self.labels),
             "marks": [list(r) for r in self.marks],
         }
 
 
+def build_burnside(group: FiniteGroup, elements: Optional[Iterable[int]] = None) -> BurnsideRing:
+    """A(H) for the subgroup H with these elements (default all of `group`)."""
+    return _burnside(group, _subgroup_elements(group, elements))
+
+
 @_memo_on_group
-def build_burnside(group: FiniteGroup) -> BurnsideRing:
-    return BurnsideRing(group)
+def _burnside(group: FiniteGroup, elements: Tuple[int, ...]) -> BurnsideRing:
+    return BurnsideRing(group, elements)
 
 
 @dataclass(frozen=True)
@@ -180,7 +192,7 @@ class BurnsideElement:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BurnsideElement):
             return NotImplemented
-        return self.ring.group == other.ring.group and self.coeffs == other.coeffs
+        return self.ring.same_ring(other.ring) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash((self.ring.group, self.coeffs))
@@ -208,7 +220,7 @@ class BurnsideElement:
         return NotImplemented
 
     def _check_ring(self, other: "BurnsideElement") -> None:
-        if self.ring.group != other.ring.group:
+        if not self.ring.same_ring(other.ring):
             raise ValueError("elements live in Burnside rings of different groups")
 
     @property
@@ -257,10 +269,6 @@ def decompose(module: FiniteModule) -> BurnsideElement:
     if group is None:
         raise ValueError("decomposition needs a module over a group monoid")
     return build_burnside(group).decompose(module)
-
-
-def marks_of(x: BurnsideElement) -> Tuple[int, ...]:
-    return x.marks()
 
 
 def marks_to_csv(ring: BurnsideRing) -> str:

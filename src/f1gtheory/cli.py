@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 from .burnside import BurnsideRing, build_burnside, marks_to_csv
 from .errors import InternalCheckError, ResourceLimitError
 from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, build_group,
-                     classify_subgroups, conjugacy_classes_of_elements,
+                     conjugacy_classes_of_elements,
                      group_from_json, is_odd_cyclic)
 from .gtheory import (cartan_zero, count_simple_factors, g0_presentation,
                       g1_via_splitting)
@@ -109,10 +109,9 @@ def _compact(vec: Sequence[int]) -> str:
 def _cmd_subgroups(args) -> int:
     group = _group_from_args(args)
     ring = build_burnside(group)
-    classification = classify_subgroups(group)
     rows = []
     total = 0
-    for i, cls in enumerate(classification.classes):
+    for i, cls in enumerate(ring.classification.classes):
         rep = cls[0]
         total += len(cls)
         rows.append({

@@ -141,10 +141,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def index(self) -> int:
-        return self.parent.order // len(self.elements)
-
 
 def _derived(cls, *values):
     """An instance of a validated dataclass whose field values are trusted.
@@ -163,20 +159,18 @@ def _memo_on_group(fn):
     """Memoize `fn(group, *args)` in the instance `__dict__` of `group`.
 
     That is where `functools.cached_property` stores its value, so frozen
-    dataclasses allow it; calls with extra arguments share one dict keyed by
-    them.  The memo is freed with the group, and two groups with one table
+    dataclasses allow it; every call is keyed by its extra arguments in one
+    dict.  The memo is freed with the group, and two groups with one table
     but different names or labels never share a result.
     """
     slot = f"{fn.__module__}.{fn.__qualname__}"
 
     @wraps(fn)
     def memoized(group, *args):
-        memo, key = group.__dict__, slot
-        if args:
-            memo, key = memo.setdefault(slot, {}), args
-        if key not in memo:
-            memo[key] = fn(group, *args)
-        return memo[key]
+        memo = group.__dict__.setdefault(slot, {})
+        if args not in memo:
+            memo[args] = fn(group, *args)
+        return memo[args]
 
     return memoized
 
@@ -535,7 +529,7 @@ def all_subgroups(group: FiniteGroup) -> Tuple[Subgroup, ...]:
 
 @dataclass(frozen=True)
 class SubgroupClassification:
-    """Conjugacy classes of subgroups in a fixed canonical order.
+    """Conjugacy classes of the subgroups of H <= G, in the ids of G.
 
     Classes are sorted by (subgroup order, least member's element tuple);
     each class lists its members sorted by element tuple, the first member
@@ -543,6 +537,7 @@ class SubgroupClassification:
     """
 
     group: FiniteGroup
+    elements: Tuple[int, ...]
     classes: Tuple[Tuple[Subgroup, ...], ...]
 
     @property
@@ -575,20 +570,43 @@ class SubgroupClassification:
             raise ValueError(f"{key} is not a subgroup of the classified group") from None
 
 
+def _subgroup_elements(group: FiniteGroup,
+                       elements: Optional[Iterable[int]] = None) -> Tuple[int, ...]:
+    """The sorted elements of a subgroup (all of `group` for None), or ValueError."""
+    if elements is None:
+        return tuple(range(group.order))
+    elems = tuple(sorted(elements))
+    if elems in classify_subgroups(group).class_of:
+        return elems
+    raise ValueError(f"{elems} " + (
+        "is empty; a subgroup needs at least one element" if not elems
+        else f"has an element outside 0..{group.order - 1}"
+        if elems[0] < 0 or elems[-1] >= group.order
+        else "repeats an element" if len(set(elems)) != len(elems)
+        else "is not closed under multiplication"))
+
+
+def classify_subgroups(group: FiniteGroup,
+                       elements: Optional[Iterable[int]] = None) -> SubgroupClassification:
+    """The H-orbits of the subgroups of G inside H = elements (default G)."""
+    return _classify(group, _subgroup_elements(group, elements))
+
+
 @_memo_on_group
-def classify_subgroups(group: FiniteGroup) -> SubgroupClassification:
-    subs = all_subgroups(group)
+def _classify(group: FiniteGroup, elements: Tuple[int, ...]) -> SubgroupClassification:
+    inside = set(elements)
+    subs = [s for s in all_subgroups(group) if inside.issuperset(s.elements)]
     remaining = {s.elements: s for s in subs}
     classes: List[Tuple[Subgroup, ...]] = []
     for s in subs:  # ascending canonical order, so reps come out least-first
         if s.elements not in remaining:
             continue
         orbit = set()
-        for g in range(group.order):
+        for g in elements:
             orbit.add(tuple(sorted(group.conj(g, x) for x in s.elements)))
         classes.append(tuple(remaining.pop(m) for m in sorted(orbit)))
     classes.sort(key=lambda cls: (cls[0].order, cls[0].elements))
-    return SubgroupClassification(group, tuple(classes))
+    return SubgroupClassification(group, elements, tuple(classes))
 
 
 def normalizer(group: FiniteGroup, sub: Subgroup) -> Subgroup:
@@ -601,27 +619,15 @@ def normalizer(group: FiniteGroup, sub: Subgroup) -> Subgroup:
 
 
 def subgroup_as_group(group: FiniteGroup, elements: Sequence[int]) -> Tuple[FiniteGroup, Tuple[int, ...]]:
-    """Reindex a subgroup as a standalone group.
+    """Reindex a subgroup as a standalone group: returns (group, embedding).
 
-    Returns (group, embedding) where embedding[i] is the parent element for
-    index i.  Elements are taken in ascending parent order, which keeps the
-    parent identity (index 0) at index 0.  Raises ValueError unless the
-    elements are a subgroup: nonempty, in range, distinct and closed.
+    embedding[i] is the parent element of index i, in ascending parent
+    order, so the identity stays at index 0.  Raises ValueError unless the
+    elements are one of `all_subgroups(group)`.
     """
-    elems = tuple(sorted(elements))
-    if not elems:
-        raise ValueError("a subgroup needs at least one element")
-    if elems[0] < 0 or elems[-1] >= group.order:
-        raise ValueError(f"{elems} has an element outside 0..{group.order - 1}")
+    elems = _subgroup_elements(group, elements)
     pos = {x: i for i, x in enumerate(elems)}
-    if len(pos) != len(elems):
-        raise ValueError(f"{elems} repeats an element")
-    try:
-        table = tuple(
-            tuple(pos[group.mul(a, b)] for b in elems) for a in elems
-        )
-    except KeyError:
-        raise ValueError(f"{elems} is not closed under multiplication") from None
+    table = tuple(tuple(pos[group.mul(a, b)] for b in elems) for a in elems)
     labels = tuple(group.label(x) for x in elems)
     sub_group = _derived(FiniteGroup, len(elems), table, pos[group.identity], labels, None)
     return sub_group, elems
@@ -678,12 +684,8 @@ def commutator_subgroup(group: FiniteGroup) -> Tuple[int, ...]:
         for b in range(group.order):
             c = group.mul(group.mul(group.inv(a), group.inv(b)), group.mul(a, b))
             gens.add(c)
-    current = closure_of(group, gens)
-    while True:
-        extra = {group.conj(g, x) for g in range(group.order) for x in current}
-        if extra <= set(current):
-            return current
-        current = closure_of(group, set(current) | extra)
+    # conjugation permutes the commutators, so they generate a normal subgroup
+    return closure_of(group, gens)
 
 
 def abelianization(group: FiniteGroup) -> List[int]:
@@ -777,7 +779,6 @@ def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> Optional[Tuple[int, ..
         want = g1.element_order(gens[i])
         for cand in by_order.get(want, ()):
             chosen.append(cand)
-            # cheap partial consistency: the chosen images must generate enough
             result = backtrack(i + 1, chosen)
             if result is not None:
                 return result

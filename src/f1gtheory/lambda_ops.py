@@ -190,7 +190,7 @@ def _carrier_cap(ring: BurnsideRing, x: BurnsideElement, cap: int) -> int:
     """Operations above the carrier size of an effective class vanish."""
     if not x.is_effective:
         return cap
-    size = sum(c * rep.index
+    size = sum(c * (ring.order // rep.order)
                for c, rep in zip(x.coeffs, ring.classification.representatives))
     return min(cap, size)
 

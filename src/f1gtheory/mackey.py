@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .burnside import BurnsideElement, BurnsideRing, build_burnside
 from .errors import InternalCheckError
-from .groups import FiniteGroup, _memo_on_group, subgroup_as_group
+from .groups import FiniteGroup, _memo_on_group, _subgroup_elements
 from .reports import CheckReport
 
 __all__ = [
@@ -30,74 +30,79 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SubgroupContext:
-    """A subgroup re-indexed as a standalone group, with the embedding kept."""
+    """A subgroup H inside an outer subgroup K of G, by sorted ambient ids."""
 
     ambient: FiniteGroup
     elements: Tuple[int, ...]
-    group: FiniteGroup
-    embedding: Tuple[int, ...]
+    outer: Tuple[int, ...]
 
     @cached_property
     def ring(self) -> BurnsideRing:
-        return build_burnside(self.group)
+        return build_burnside(self.ambient, self.elements)
 
     @cached_property
-    def ambient_ring(self) -> BurnsideRing:
-        return build_burnside(self.ambient)
+    def outer_ring(self) -> BurnsideRing:
+        return build_burnside(self.ambient, self.outer)
 
     @cached_property
     def class_map(self) -> Tuple[int, ...]:
-        """Entry i: the ambient class of subgroup class i's representative."""
-        classification = self.ambient_ring.classification
-        return tuple(
-            classification.class_index(self.embedding[e] for e in rep.elements)
-            for rep in self.ring.classification.representatives
-        )
+        """Entry i: the outer class of subgroup class i's representative."""
+        class_index = self.outer_ring.classification.class_index
+        return tuple(class_index(rep.elements)
+                     for rep in self.ring.classification.representatives)
 
     @cached_property
     def _restricted(self) -> Dict[int, BurnsideElement]:
         return {}
 
     def restricted_basis(self, i: int) -> BurnsideElement:
-        """Res of ambient basis element i, memoized on first use of each i."""
+        """Res of outer basis element i, memoized on first use of each i."""
         memo = self._restricted
         if i not in memo:
-            row = self.ambient_ring.marks[i]
+            row = self.outer_ring.marks[i]
             memo[i] = self.ring.from_marks([row[j] for j in self.class_map])
         return memo[i]
 
 
+def subgroup_context(ambient: FiniteGroup, elements: Sequence[int],
+                     outer: Optional[Sequence[int]] = None) -> SubgroupContext:
+    """H = elements inside `outer` (default G); ValueError unless H <= outer."""
+    elems = _subgroup_elements(ambient, elements)
+    outer_elems = _subgroup_elements(ambient, outer)
+    if not set(elems) <= set(outer_elems):
+        raise ValueError(f"{elems} does not lie in {outer_elems}")
+    return _context(ambient, elems, outer_elems)
+
+
 @_memo_on_group
-def subgroup_context(ambient: FiniteGroup, elements: Tuple[int, ...]) -> SubgroupContext:
-    elems = tuple(sorted(elements))
-    group, embedding = subgroup_as_group(ambient, elems)
-    return SubgroupContext(ambient, elems, group, embedding)
+def _context(ambient: FiniteGroup, elements: Tuple[int, ...],
+             outer: Tuple[int, ...]) -> SubgroupContext:
+    return SubgroupContext(ambient, elements, outer)
 
 
 def restrict(ctx: SubgroupContext, x: BurnsideElement) -> BurnsideElement:
-    """Restriction A(ambient) -> A(subgroup), linear in x."""
-    if x.ring.group != ctx.ambient:
-        raise ValueError("element does not live over the ambient group")
+    """Restriction A(outer) -> A(subgroup), linear in x."""
+    if not x.ring.same_ring(ctx.outer_ring):
+        raise ValueError("element does not live over the outer subgroup")
     ghost = x.marks()
     return ctx.ring.from_marks([ghost[j] for j in ctx.class_map])
 
 
 def induce(ctx: SubgroupContext, y: BurnsideElement) -> BurnsideElement:
-    """Induction A(subgroup) -> A(ambient), additive in y."""
-    if y.ring.group != ctx.group:
+    """Induction A(subgroup) -> A(outer), additive in y."""
+    if not y.ring.same_ring(ctx.ring):
         raise ValueError("element does not live over the context subgroup")
-    out = [0] * ctx.ambient_ring.rank
+    out = [0] * ctx.outer_ring.rank
     for i, c in enumerate(y.coeffs):
         out[ctx.class_map[i]] += c
-    return ctx.ambient_ring.element(out)
+    return ctx.outer_ring.element(out)
 
 
 def _class_bijection(src_ring: BurnsideRing, dst_ring: BurnsideRing,
-                    elem_map: Sequence[int]) -> Tuple[int, ...]:
-    """Entry i: the destination class of the image of source class i.
+                     elem_map: Dict[int, int] | Sequence[int]) -> Tuple[int, ...]:
+    """Entry i: the destination class of source class i mapped by elem_map.
 
-    The map on elements must be a group isomorphism; a map that sends two
-    classes to one is caught here.
+    A map that merges two classes is not an isomorphism; it is caught here.
     """
     classes = tuple(
         dst_ring.classification.class_index(elem_map[e] for e in rep.elements)
@@ -108,9 +113,9 @@ def _class_bijection(src_ring: BurnsideRing, dst_ring: BurnsideRing,
 
 
 def transport(src_ring: BurnsideRing, dst_ring: BurnsideRing,
-              elem_map: Sequence[int], y: BurnsideElement) -> BurnsideElement:
-    """Push an element along a group isomorphism given on element indices."""
-    if y.ring.group != src_ring.group:
+              elem_map: Dict[int, int] | Sequence[int], y: BurnsideElement) -> BurnsideElement:
+    """Push an element along a group isomorphism given on element ids."""
+    if not y.ring.same_ring(src_ring):
         raise ValueError("element does not live over the source group")
     out = [0] * dst_ring.rank
     for c, j in zip(y.coeffs, _class_bijection(src_ring, dst_ring, elem_map)):
@@ -120,15 +125,12 @@ def transport(src_ring: BurnsideRing, dst_ring: BurnsideRing,
 
 def conjugate(g: int, ctx: SubgroupContext,
               y: BurnsideElement) -> Tuple[SubgroupContext, BurnsideElement]:
-    """Transport along conjugation by an ambient element g; lands over gHg^-1."""
-    ambient = ctx.ambient
-    if not 0 <= g < ambient.order:
-        raise ValueError("conjugating element is not in the ambient group")
-    new_elements = tuple(sorted(ambient.conj(g, e) for e in ctx.elements))
-    new_ctx = subgroup_context(ambient, new_elements)
-    pos = {e: i for i, e in enumerate(new_ctx.embedding)}
-    elem_map = [pos[ambient.conj(g, ctx.embedding[i])] for i in range(ctx.group.order)]
-    return new_ctx, transport(ctx.ring, new_ctx.ring, elem_map, y)
+    """Transport along conjugation by g in the outer subgroup; lands over gHg^-1."""
+    if g not in ctx.outer:
+        raise ValueError("conjugating element is not in the outer subgroup")
+    conj = {e: ctx.ambient.conj(g, e) for e in ctx.elements}
+    new_ctx = _context(ctx.ambient, tuple(sorted(conj.values())), ctx.outer)
+    return new_ctx, transport(ctx.ring, new_ctx.ring, conj, y)
 
 
 def double_coset_reps(group: FiniteGroup, k_elements: Sequence[int],
@@ -174,10 +176,9 @@ class DoubleCosetReport:
 class DoubleCosetPlan:
     """The y-independent half of the double coset formula for one (H, K).
 
-    Each term stands for one double coset KgH: the context of
-    H cap g^-1 K g inside the re-indexed H, and the class map that carries
-    its classes by conjugation with g onto K cap g H g^-1 and induces them
-    into the classes of K.
+    Each term stands for one double coset KgH: the context of H cap g^-1 K g
+    inside H, and the class map that carries its classes by conjugation with
+    g onto K cap g H g^-1 and induces them into the classes of K.
     """
 
     group: FiniteGroup
@@ -189,7 +190,7 @@ class DoubleCosetPlan:
     def check(self, y: BurnsideElement) -> DoubleCosetReport:
         """Compare Res_K Ind_H y with its double-coset expansion."""
         h_ctx, k_ctx = self.h_ctx, self.k_ctx
-        if y.ring.group != h_ctx.group:
+        if not y.ring.same_ring(h_ctx.ring):
             raise ValueError("element does not live over the context subgroup")
         lhs = [0] * k_ctx.ring.rank
         rhs = [0] * k_ctx.ring.rank
@@ -210,27 +211,19 @@ class DoubleCosetPlan:
 def double_coset_plan(group: FiniteGroup, h_elements: Sequence[int],
                       k_elements: Sequence[int]) -> DoubleCosetPlan:
     """Build the right-hand side of the double coset formula for (H, K)."""
-    h_ctx = subgroup_context(group, tuple(sorted(h_elements)))
-    k_ctx = subgroup_context(group, tuple(sorted(k_elements)))
+    h_ctx = subgroup_context(group, h_elements)
+    k_ctx = subgroup_context(group, k_elements)
     reps = tuple(double_coset_reps(group, k_ctx.elements, h_ctx.elements))
     k_set = set(k_ctx.elements)
-    h_pos = {e: i for i, e in enumerate(h_ctx.embedding)}
-    k_pos = {e: i for i, e in enumerate(k_ctx.embedding)}
     terms = []
     for g in reps:
-        lower_h = [e for e in h_ctx.elements if group.conj(g, e) in k_set]
-        # H cap g^-1 K g, viewed inside the re-indexed H
-        inner_h = subgroup_context(h_ctx.group,
-                                   tuple(sorted(h_pos[e] for e in lower_h)))
-        # K cap g H g^-1, viewed inside the re-indexed K
-        inner_k = subgroup_context(
-            k_ctx.group, tuple(sorted(k_pos[group.conj(g, e)] for e in lower_h)))
-        inner_k_pos = {e: i for i, e in enumerate(inner_k.embedding)}
-        elem_map = [
-            inner_k_pos[k_pos[group.conj(g, h_ctx.embedding[e])]]
-            for e in inner_h.embedding
-        ]
-        to_inner_k = _class_bijection(inner_h.ring, inner_k.ring, elem_map)
+        conj = {e: group.conj(g, e) for e in h_ctx.elements}
+        lower_h = tuple(e for e in h_ctx.elements if conj[e] in k_set)
+        # H cap g^-1 K g inside H, and K cap g H g^-1 inside K
+        inner_h = _context(group, lower_h, h_ctx.elements)
+        inner_k = _context(group, tuple(sorted(conj[e] for e in lower_h)),
+                           k_ctx.elements)
+        to_inner_k = _class_bijection(inner_h.ring, inner_k.ring, conj)
         terms.append((inner_h, tuple(inner_k.class_map[t] for t in to_inner_k)))
     return DoubleCosetPlan(group, h_ctx, k_ctx, reps, tuple(terms))
 
@@ -240,8 +233,8 @@ def check_double_coset(group: FiniteGroup, h_elements: Sequence[int],
                        y: BurnsideElement) -> DoubleCosetReport:
     """Compare restriction-after-induction with its double-coset expansion.
 
-    y lives over the re-indexed subgroup H; the left side is
-    restrict_K(induce_H(y)), the right side sums over double cosets KgH.
+    y lives in A(H); the left side is restrict_K(induce_H(y)), the right
+    side sums over double cosets KgH.
     """
     return double_coset_plan(group, h_elements, k_elements).check(y)
 
@@ -272,7 +265,7 @@ class FrobeniusReport:
 def check_frobenius(group: FiniteGroup, h_elements: Sequence[int],
                     x: BurnsideElement, y: BurnsideElement) -> FrobeniusReport:
     """Frobenius reciprocity: induce(restrict(x) * y) = x * induce(y)."""
-    ctx = subgroup_context(group, tuple(sorted(h_elements)))
+    ctx = subgroup_context(group, h_elements)
     lhs = induce(ctx, restrict(ctx, x) * y)
     rhs = x * induce(ctx, y)
     return FrobeniusReport(group, ctx.elements, x.coeffs, y.coeffs,
@@ -282,7 +275,7 @@ def check_frobenius(group: FiniteGroup, h_elements: Sequence[int],
 def linear_dimension(x: BurnsideElement) -> int:
     """Total coset count of an element: the rank of its linearization."""
     ring = x.ring
-    return sum(c * rep.index
+    return sum(c * (ring.order // rep.order)
                for c, rep in zip(x.coeffs, ring.classification.representatives))
 
 

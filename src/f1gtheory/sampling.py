@@ -16,7 +16,7 @@ def random_effective(ring: BurnsideRing, rng: random.Random,
                      max_support: int = 2, max_coeff: int = 2,
                      max_size: int = 12) -> BurnsideElement:
     """An effective element whose realization has at most max_size points."""
-    sizes = [rep.index for rep in ring.classification.representatives]
+    sizes = [ring.order // rep.order for rep in ring.classification.representatives]
     for _ in range(64):
         support = rng.sample(range(ring.rank), min(max_support, ring.rank))
         coeffs = [0] * ring.rank

@@ -16,10 +16,14 @@ general-monoid module enumeration: every table of the full product of free
 action entries is tested whole, and classes are found by a pairwise
 `are_isomorphic` scan over every representative of the same size.
 
-`double_coset_sum_per_y` is the right-hand side of the double coset formula
-rebuilt from scratch for one element: representatives, inner contexts and
-the transport along conjugation are all redone per y, where the library
-builds them once per (H, K) pair.
+`reindexed_context` re-indexes a subgroup as a standalone group with its
+own subgroup lattice and Burnside ring, and maps its classes into the outer
+ring through the embedding; the library describes the same context in
+ambient element ids.  `double_coset_sum_per_y` is the right-hand side of
+the double coset formula rebuilt from scratch for one element over
+re-indexed groups: representatives, inner contexts and the transport along
+conjugation are all redone per y, where the library builds them once per
+(H, K) pair.
 
 The seeded random builders at the end (monoid pool, homomorphisms, modules,
 maps and disguised split and extension instances) feed the module-category
@@ -30,16 +34,17 @@ pools are fixed and cached.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product as iter_product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from f1gtheory.burnside import BurnsideElement, build_burnside
+from f1gtheory.burnside import BurnsideElement, BurnsideRing, build_burnside
 from f1gtheory.errors import InternalCheckError
-from f1gtheory.groups import FiniteGroup, build_group
+from f1gtheory.groups import (FiniteGroup, _memo_on_group, build_group,
+                              subgroup_as_group)
 from f1gtheory.gtheory import _enumerate_modules
-from f1gtheory.mackey import (double_coset_reps, induce, restrict,
-                              subgroup_context, transport)
+from f1gtheory.mackey import double_coset_reps, transport
 from f1gtheory.modules import (FiniteModule, ModuleHom, MonoidHom, PointedMonoid,
                                are_isomorphic, generating_set, group_monoid,
                                permute_module, wedge_with_inclusions)
@@ -318,36 +323,101 @@ def pairwise_class(reps: Sequence[FiniteModule], module: FiniteModule) -> int:
     return hits[0]
 
 
+# --- re-indexed subgroup contexts ----------------------------------------
+
+@dataclass(frozen=True)
+class ReindexedContext:
+    """A subgroup re-indexed as a standalone group, with the embedding kept.
+
+    `ring` is the Burnside ring of the re-indexed group, built from its own
+    subgroup lattice, and `class_map` sends its classes into the classes of
+    `outer_ring` through the embedding.
+    """
+
+    group: FiniteGroup
+    embedding: Tuple[int, ...]
+    ring: BurnsideRing
+    outer_ring: BurnsideRing
+    class_map: Tuple[int, ...]
+
+
+def reindexed_context(outer: FiniteGroup,
+                      elements: Sequence[int]) -> ReindexedContext:
+    """The subgroup of `outer` with these elements, re-indexed; memoized on
+    `outer`, so nested contexts reuse one re-indexed group."""
+    return _reindexed(outer, tuple(sorted(elements)))
+
+
+@_memo_on_group
+def _reindexed(outer: FiniteGroup, elements: Tuple[int, ...]) -> ReindexedContext:
+    group, embedding = subgroup_as_group(outer, elements)
+    ring, outer_ring = build_burnside(group), build_burnside(outer)
+    class_map = class_correspondence(ring, embedding, outer_ring)
+    return ReindexedContext(group, embedding, ring, outer_ring, class_map)
+
+
+def class_correspondence(ring: BurnsideRing,
+                         embedding: Dict[int, int] | Sequence[int],
+                         target: BurnsideRing) -> Tuple[int, ...]:
+    """Entry i: the class of `target` holding class i of `ring` mapped
+    through `embedding`."""
+    class_index = target.classification.class_index
+    return tuple(class_index(embedding[e] for e in rep.elements)
+                 for rep in ring.classification.representatives)
+
+
+def carry(y: BurnsideElement, classes: Sequence[int],
+          target: BurnsideRing) -> BurnsideElement:
+    """Add each coefficient of y into its class of `target`."""
+    out = [0] * target.rank
+    for c, j in zip(y.coeffs, classes):
+        out[j] += c
+    return target.element(out)
+
+
+def reindexed_restrict(ctx: ReindexedContext, x: BurnsideElement) -> BurnsideElement:
+    ghost = x.marks()
+    return ctx.ring.from_marks([ghost[j] for j in ctx.class_map])
+
+
+def reindexed_induce(ctx: ReindexedContext, y: BurnsideElement) -> BurnsideElement:
+    return carry(y, ctx.class_map, ctx.outer_ring)
+
+
 # --- double coset formula, one element at a time ------------------------
 
 def double_coset_sum_per_y(group: FiniteGroup, h_elements: Sequence[int],
                            k_elements: Sequence[int],
                            y: BurnsideElement) -> Tuple[int, ...]:
-    """Sum over KgH of Ind Transport Res y, in the coefficients of A(K)."""
-    h_ctx = subgroup_context(group, tuple(sorted(h_elements)))
-    k_ctx = subgroup_context(group, tuple(sorted(k_elements)))
-    total = k_ctx.ring.zero()
-    k_set = set(k_ctx.elements)
-    for g in double_coset_reps(group, k_ctx.elements, h_ctx.elements):
-        lower_h = tuple(sorted(
-            e for e in h_ctx.elements if group.conj(g, e) in k_set))
-        # restrict y to H cap g^-1 K g, viewed inside the re-indexed H
-        inner_h = subgroup_context(h_ctx.group, tuple(sorted(
-            h_ctx.embedding.index(e) for e in lower_h)))
-        part = restrict(inner_h, y)
-        # conjugate over to K cap g H g^-1, viewed inside the re-indexed K
-        upper = tuple(sorted(group.conj(g, e) for e in lower_h))
-        inner_k = subgroup_context(k_ctx.group, tuple(sorted(
-            k_ctx.embedding.index(e) for e in upper)))
-        pos = {e: i for i, e in enumerate(inner_k.embedding)}
+    """Sum over KgH of Ind Transport Res y, in the coefficients of A(K).
+
+    y lives in the library's A(H), in ambient ids; the sum is formed over
+    re-indexed copies of H, K and their intersections and read back into
+    the library's A(K).
+    """
+    h = reindexed_context(group, h_elements)
+    k = reindexed_context(group, k_elements)
+    position = {e: i for i, e in enumerate(h.embedding)}
+    y = carry(y, class_correspondence(y.ring, position, h.ring), h.ring)
+    total = k.ring.zero()
+    k_set = set(k.embedding)
+    for g in double_coset_reps(group, k.embedding, h.embedding):
+        lower_h = [e for e in h.embedding if group.conj(g, e) in k_set]
+        # restrict y to H cap g^-1 K g, re-indexed inside the re-indexed H
+        inner_h = reindexed_context(h.group, [h.embedding.index(e) for e in lower_h])
+        part = reindexed_restrict(inner_h, y)
+        # conjugate over to K cap g H g^-1, re-indexed inside the re-indexed K
+        inner_k = reindexed_context(k.group, sorted(
+            k.embedding.index(group.conj(g, e)) for e in lower_h))
         elem_map = []
         for i in range(inner_h.group.order):
-            ambient_e = h_ctx.embedding[inner_h.embedding[i]]
-            conj_e = group.conj(g, ambient_e)
-            elem_map.append(pos[k_ctx.embedding.index(conj_e)])
+            conj_e = group.conj(g, h.embedding[inner_h.embedding[i]])
+            elem_map.append(inner_k.embedding.index(k.embedding.index(conj_e)))
         part = transport(inner_h.ring, inner_k.ring, elem_map, part)
-        total = total + induce(inner_k, part)
-    return total.coeffs
+        total = total + reindexed_induce(inner_k, part)
+    k_ring = build_burnside(group, k_elements)
+    return carry(total, class_correspondence(k.ring, k.embedding, k_ring),
+                 k_ring).coeffs
 
 
 # --- seeded random builders ----------------------------------------------

@@ -182,3 +182,20 @@ def test_ring_cache_keeps_group_names_apart():
     c2 = build_burnside(build_group(name="C2"))
     assert flip.to_json()["group"] == "flip"
     assert c2.to_json()["group"] == "C2"
+
+
+def test_ring_of_a_proper_subgroup_builds_no_g_set():
+    group = build_group(name="S3")
+    c3 = build_burnside(group, (0, 2, 5))
+    assert (c3.order, c3.rank, c3.marks) == (3, 2, ((3, 0), (1, 1)))
+    # cosets would be G/M, not H/M
+    for build in (lambda: c3.cosets, lambda: c3.orbit_lengths,
+                  lambda: c3.realize(c3.one()),
+                  lambda: c3.decompose(free_module(group_monoid(group), 1))):
+        with pytest.raises(ValueError, match="whole group|different group"):
+            build()
+    # one group, two subgroups of one rank: their elements stay apart
+    c2 = build_burnside(group, (0, 3))
+    assert c2.rank == c3.rank and c2.one() != c3.one()
+    with pytest.raises(ValueError, match="different"):
+        c2.one() + c3.one()

@@ -16,8 +16,8 @@ import weakref
 
 import f1gtheory
 from f1gtheory.burnside import build_burnside, decompose
-from f1gtheory.groups import (all_subgroups, build_group, classify_subgroups,
-                              conjugacy_classes_of_elements)
+from f1gtheory.groups import (_memo_on_group, all_subgroups, build_group,
+                              classify_subgroups, conjugacy_classes_of_elements)
 from f1gtheory.mackey import subgroup_context
 from f1gtheory.modules import free_module, group_monoid
 from f1gtheory.polynomials import universal_polynomial
@@ -87,4 +87,34 @@ def test_no_module_level_lru_cache_but_universal_polynomial():
                 if (isinstance(value, functools._lru_cache_wrapper)
                         and value is not universal_polynomial):
                     found.append(f"{module.__name__}.{name}")
+    assert found == []
+
+
+def test_memo_keys_every_call_by_its_arguments():
+    # a call without extra arguments once took the slot that the keyed dict
+    # of later calls needed
+    @_memo_on_group
+    def tagged(group, *args):
+        return (group.name,) + args
+
+    a, b = build_group(name="C2"), build_group(name="C3")
+    assert tagged(a) == ("C2",) and tagged(a, 1) == ("C2", 1)
+    assert tagged(b, 1) == ("C3", 1) and tagged(b) == ("C3",)
+    assert tagged(a) is tagged(a) and tagged(b, 1) is tagged(b, 1)
+    s3 = build_group(name="S3")
+    whole, c3 = build_burnside(s3), build_burnside(s3, (5, 2, 0))
+    assert whole is build_burnside(s3, range(6)) is build_burnside(s3)
+    assert c3 is build_burnside(s3, (0, 2, 5)) and c3 is not whole
+    assert classify_subgroups(s3, [2, 0, 5]) is c3.classification
+
+
+def test_only_groups_reindexes_a_subgroup():
+    """Subgroups are described in ambient ids; one lattice per group."""
+    modules = [f1gtheory] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(f1gtheory.__path__, "f1gtheory.")
+    ]
+    found = [module.__name__ for module in modules
+             if module.__name__ != "f1gtheory.groups"
+             and "subgroup_as_group" in inspect.getsource(module)]
     assert found == []

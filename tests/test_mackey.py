@@ -9,8 +9,8 @@ from f1gtheory.burnside import build_burnside
 from f1gtheory import mackey
 from f1gtheory.cli import main
 from f1gtheory.errors import InternalCheckError
-from f1gtheory.groups import (all_subgroups, build_group, library_names,
-                              subgroup_as_group)
+from f1gtheory import groups
+from f1gtheory.groups import all_subgroups, build_group, library_names
 from f1gtheory.mackey import (SubgroupContext, check_double_coset,
                               check_frobenius, conjugate, double_coset_plan,
                               double_coset_reps, green_morphism_check, induce,
@@ -22,7 +22,8 @@ from f1gtheory.reports import CheckReport
 from f1gtheory.sampling import random_element
 
 from conftest import ring_of
-from oracles import double_coset_sum_per_y
+from oracles import (carry, class_correspondence, double_coset_sum_per_y,
+                     reindexed_context)
 
 
 def context_for(group, order, pick=0):
@@ -75,7 +76,7 @@ def test_restriction_is_linear():
         x = random_element(ring, rng)
         y = random_element(ring, rng)
         assert restrict(ctx, x + y) == restrict(ctx, x) + restrict(ctx, y)
-        assert restrict(ctx, ctx.ambient_ring.one()) == ctx.ring.one()
+        assert restrict(ctx, ctx.outer_ring.one()) == ctx.ring.one()
 
 
 def test_restriction_is_a_ring_map():
@@ -166,7 +167,7 @@ def test_transport_requires_matching_rings():
     group = build_group(name="C4")
     sub = next(s for s in all_subgroups(group) if s.order == 2)
     ctx = subgroup_context(group, sub.elements)
-    ident = tuple(range(ctx.group.order))
+    ident = tuple(range(group.order))
     y = ctx.ring.basis_element(0)
     assert transport(ctx.ring, ctx.ring, ident, y) == y
 
@@ -261,8 +262,7 @@ def test_restriction_memo_fills_lazily_and_matches_restrict():
     group = build_group(name="D6")
     ring = ring_of("D6")
     sub = next(s for s in all_subgroups(group) if s.order == 4)
-    ctx = SubgroupContext(group, sub.elements,
-                          *subgroup_as_group(group, sub.elements))
+    ctx = SubgroupContext(group, sub.elements, tuple(range(group.order)))
     restrict(ctx, ring.basis_element(3))
     assert ctx._restricted == {}
     first = ctx.restricted_basis(3)
@@ -300,7 +300,7 @@ def test_induction_transitivity():
     ring = ring_of("C4")
     k_sub = next(s for s in all_subgroups(group) if s.order == 2)
     k_ctx = subgroup_context(group, k_sub.elements)
-    h_in_k = subgroup_context(k_ctx.group, (0,))
+    h_in_k = subgroup_context(group, (0,), k_sub.elements)
     full = subgroup_context(group, (0,))
     y = full.ring.one()
     via_k = induce(k_ctx, induce(h_in_k, h_in_k.ring.one()))
@@ -318,14 +318,17 @@ def test_restrict_and_induce_match_module_oracle():
         ring = build_burnside(group)
         for rep in ring.classification.representatives:
             ctx = subgroup_context(group, rep.elements)
-            incl = MonoidHom(group_monoid(ctx.group), group_monoid(group),
-                             (0,) + tuple(e + 1 for e in ctx.embedding))
+            sub = reindexed_context(group, rep.elements)
+            to_ctx = class_correspondence(sub.ring, sub.embedding, ctx.ring)
+            incl = MonoidHom(group_monoid(sub.group), group_monoid(group),
+                             (0,) + tuple(e + 1 for e in sub.embedding))
             for i in range(ring.rank):
-                restricted = restrict_scalars(incl, ring.cosets[i])
+                restricted = sub.ring.decompose(
+                    restrict_scalars(incl, ring.cosets[i]))
                 assert restrict(ctx, ring.basis_element(i)) == \
-                    ctx.ring.decompose(restricted), (name, rep.elements, i)
+                    carry(restricted, to_ctx, ctx.ring), (name, rep.elements, i)
             for i in range(ctx.ring.rank):
-                induced = base_change(incl, ctx.ring.cosets[i])
+                induced = base_change(incl, sub.ring.cosets[to_ctx.index(i)])
                 assert induce(ctx, ctx.ring.basis_element(i)) == \
                     ring.decompose(induced), (name, rep.elements, i)
 
@@ -335,16 +338,90 @@ def test_context_builds_each_ring_once(monkeypatch):
     calls = []
     original = mackey.build_burnside
 
-    def counting(group):
+    def counting(group, elements=None):
         calls.append(group)
-        return original(group)
+        return original(group, elements)
 
     monkeypatch.setattr(mackey, "build_burnside", counting)
     ambient = build_group(name="S3")
     sub = next(s for s in all_subgroups(ambient) if s.order == 2)
-    group, embedding = subgroup_as_group(ambient, sub.elements)
-    ctx = SubgroupContext(ambient, sub.elements, group, embedding)
+    ctx = SubgroupContext(ambient, sub.elements, tuple(range(ambient.order)))
     rings = [ctx.ring for _ in range(3)]
     assert len(calls) == 1 and rings[0] is rings[1] is rings[2]
-    ambient_rings = [ctx.ambient_ring for _ in range(3)]
-    assert len(calls) == 2 and ambient_rings[0] is ambient_rings[2]
+    outer_rings = [ctx.outer_ring for _ in range(3)]
+    assert len(calls) == 2 and outer_rings[0] is outer_rings[2]
+
+
+def _assert_context_matches(ctx, oracle, embed):
+    """ctx in ambient ids against a re-indexed oracle; embed: oracle ids ->
+    ambient ids."""
+    mapped = [tuple(tuple(sorted(embed[e] for e in member.elements))
+                    for member in cls)
+              for cls in oracle.ring.classification.classes]
+    assert mapped == [tuple(member.elements for member in cls)
+                      for cls in ctx.ring.classification.classes]
+    assert ctx.ring.marks == oracle.ring.marks
+    assert ctx.class_map == oracle.class_map
+
+
+def test_contexts_match_reindexed_construction():
+    # every representative H of every library group of order <= 24, and
+    # every class representative L of A(H) as a context inside H
+    for name in library_names():
+        group = build_group(name=name)
+        if group.order > 24:
+            continue
+        for h in build_burnside(group).classification.representatives:
+            ctx = subgroup_context(group, h.elements)
+            oracle = reindexed_context(group, h.elements)
+            _assert_context_matches(ctx, oracle, oracle.embedding)
+            for low in ctx.ring.classification.representatives:
+                inner = subgroup_context(group, low.elements, h.elements)
+                inner_oracle = reindexed_context(
+                    oracle.group, [oracle.embedding.index(e) for e in low.elements])
+                _assert_context_matches(
+                    inner, inner_oracle,
+                    [oracle.embedding[e] for e in inner_oracle.embedding])
+
+
+def test_mackey_check_enumerates_one_lattice(capsys, monkeypatch):
+    enumerated = []
+    real = groups.all_subgroups.__wrapped__
+
+    @groups._memo_on_group
+    def counting(group):
+        enumerated.append(group)
+        return real(group)
+
+    def refuse(*args):
+        raise AssertionError("subgroup_as_group called")
+
+    monkeypatch.setattr(groups, "all_subgroups", counting)
+    monkeypatch.setattr(groups, "subgroup_as_group", refuse)
+    assert main(["mackey-check", "--group", "D12"]) == 0
+    assert len(enumerated) == 1 and enumerated[0].name == "D12"
+    assert "double coset formula: 1344 instances, pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("build", [subgroup_context, build_burnside],
+                         ids=["subgroup_context", "build_burnside"])
+@pytest.mark.parametrize("elements,message", [
+    ((0, 1, 2), "not closed"),
+    ((), "at least one element"),
+    ((0, 0, 1), "repeats"),
+    ((0, 6), "outside"),
+], ids=["not-closed", "empty", "repeated", "out-of-range"])
+def test_boundaries_reject_non_subgroups(build, elements, message):
+    with pytest.raises(ValueError, match=message):
+        build(build_group(name="S3"), elements)
+
+
+def test_context_refuses_a_subgroup_outside_its_outer_one():
+    group = build_group(name="S3")
+    c2, c3 = (next(s.elements for s in all_subgroups(group) if s.order == n)
+              for n in (2, 3))
+    with pytest.raises(ValueError, match="does not lie in"):
+        subgroup_context(group, c2, c3)
+    with pytest.raises(ValueError, match="not closed"):
+        subgroup_context(group, (0,), (0, 1, 2))
+    assert subgroup_context(group, (0,), c3).outer == c3
