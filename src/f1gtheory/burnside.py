@@ -92,6 +92,11 @@ class BurnsideRing:
         return tuple(table)
 
     @cached_property
+    def coset_sizes(self) -> Tuple[int, ...]:
+        """|H : H_i| per class: the point count of each transitive H-set."""
+        return tuple(self.order // rep.order for rep in self.classification.representatives)
+
+    @cached_property
     def generators(self) -> Tuple[int, ...]:
         """A generating set of the group, chosen greedily, for orbit walks."""
         return tuple(_generating_sequence(self.group))

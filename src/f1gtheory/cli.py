@@ -50,6 +50,17 @@ def _order_cap() -> int:
     return cap
 
 
+def _count(text: str) -> int:
+    """argparse type of a count flag: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_group_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--group", help="library group name, e.g. S3 or C12")
     sub.add_argument("--group-json", help="path to a group JSON file")
@@ -530,9 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("lambda-verify", help="check lambda axioms")
     _add_group_args(sp)
     _add_common_args(sp)
-    sp.add_argument("--k-cap", type=int, default=3)
-    sp.add_argument("--l-cap", type=int, default=2)
-    sp.add_argument("--trials", type=int, default=20)
+    sp.add_argument("--k-cap", type=_count, default=3)
+    sp.add_argument("--l-cap", type=_count, default=2)
+    sp.add_argument("--trials", type=_count, default=20)
     sp.set_defaults(func=_cmd_lambda_verify)
 
     sp = subs.add_parser("diamond", help="ordered tuple module of an element")
@@ -545,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("mackey-check", help="double coset, Frobenius, Green")
     _add_group_args(sp)
     _add_common_args(sp)
-    sp.add_argument("--trials", type=int, default=50)
+    sp.add_argument("--trials", type=_count, default=50)
     sp.set_defaults(func=_cmd_mackey_check)
 
     sp = subs.add_parser("g0", help="degree-0 presentation")

@@ -191,7 +191,7 @@ def _group_g0(ring: BurnsideRing, size_bound: int) -> GrothendieckPresentation:
     terms have fewer orbits.  So the single orbits that fit generate the
     cokernel and map to independent unit vectors: it is free on them.
     """
-    sizes = tuple(ring.order // rep.order for rep in ring.classification.representatives)
+    sizes = ring.coset_sizes
     budget = size_bound - 1
     # G/G has size 1, so there are at least size_bound count vectors.
     count = (sum(_count_by_total(sizes, budget))
@@ -254,8 +254,7 @@ def _audit_group_relation(ring: BurnsideRing, counts: Tuple[int, ...], cls: int)
     # realize lays out class blocks in order; drop the last copy of `cls`
     keep = []
     offset = 1
-    for j, (c, rep) in enumerate(zip(counts, ring.classification.representatives)):
-        block = ring.order // rep.order
+    for j, (c, block) in enumerate(zip(counts, ring.coset_sizes)):
         for copy in range(c):
             if not (j == cls and copy == c - 1):
                 keep.extend(range(offset, offset + block))

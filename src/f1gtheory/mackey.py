@@ -274,9 +274,7 @@ def check_frobenius(group: FiniteGroup, h_elements: Sequence[int],
 
 def linear_dimension(x: BurnsideElement) -> int:
     """Total coset count of an element: the rank of its linearization."""
-    ring = x.ring
-    return sum(c * (ring.order // rep.order)
-               for c, rep in zip(x.coeffs, ring.classification.representatives))
+    return sum(c * s for c, s in zip(x.coeffs, x.ring.coset_sizes))
 
 
 def green_morphism_check(group: FiniteGroup):

@@ -133,69 +133,39 @@ class UniversalPolynomial:
     l: Optional[int]
     terms: Tuple[Tuple[Tuple[Tuple[int, ...], ...], int], ...]
 
-    def evaluate(self, ring, lam_x: Sequence, lam_y: Optional[Sequence] = None):
-        """Substitute ring elements; lam[i] must hold the i-th operation's value."""
-        families = [lam_x] if self.kind == "composition" else [lam_x, lam_y]
-        if self.kind == "product" and lam_y is None:
-            raise ValueError("the product rule needs lambda values for both arguments")
-        total = ring.zero()
+    def value(self, *families: Sequence[int]) -> int:
+        """The polynomial at integers; families[f][i] is the i-th operation's value."""
+        arity = 1 if self.kind == "composition" else 2
+        if len(families) != arity:
+            raise ValueError(f"the {self.kind} rule takes one family of values per "
+                             f"argument ({arity}), got {len(families)}")
+        total = 0
         for key, coeff in self.terms:
-            term = ring.one()
             for fam, degs in zip(families, key):
                 for i, d in enumerate(degs):
-                    for _ in range(d):
-                        term = term * fam[i + 1]
-            total = total + term * coeff
+                    if d:
+                        coeff *= fam[i + 1] ** d
+            total += coeff
         return total
 
-    def pretty(self) -> str:
-        names = ["x"] if self.kind == "composition" else ["x", "y"]
-        chunks = []
-        for key, coeff in self.terms:
-            factors = []
-            for name, degs in zip(names, key):
-                for i, d in enumerate(degs):
-                    if d == 0:
-                        continue
-                    f = f"L{i + 1}({name})"
-                    factors.append(f if d == 1 else f + f"^{d}")
-            body = "*".join(factors) if factors else "1"
-            if coeff == 1:
-                chunks.append(body)
-            elif coeff == -1:
-                chunks.append(f"-{body}")
-            else:
-                chunks.append(f"{coeff}*{body}")
-        out = chunks[0]
-        for ch in chunks[1:]:
-            out += f" - {ch[1:]}" if ch.startswith("-") else f" + {ch}"
-        return out
 
-
-def _verify_by_specialization(kind: str, k: int, l: Optional[int], nvars: int,
-                              blocks: Sequence[Sequence[int]],
-                              terms: Dict[Tuple[Tuple[int, ...], ...], int]) -> None:
+def _verify_by_specialization(poly: UniversalPolynomial, nvars: int,
+                              blocks: Sequence[Sequence[int]]) -> None:
     # a few fixed integer points; enough to catch any wiring slip
     samples = [
         [i + 2 for i in range(nvars)],
         [(i % 3) + 1 for i in range(nvars)],
         [((7 * i + 3) % 5) + 1 for i in range(nvars)],
     ]
+    k = poly.k
     for values in samples:
-        if kind == "product":
+        if poly.kind == "product":
             args = [values[i] * values[k + j] for i in range(k) for j in range(k)]
         else:
-            args = [prod(c) for c in combinations(values, l)]
+            args = [prod(c) for c in combinations(values, poly.l)]
         direct = _elementary_values(args, k)[k]
         evalues = [_elementary_values([values[v] for v in b], len(b)) for b in blocks]
-        total = 0
-        for key, coeff in terms.items():
-            v = coeff
-            for e_vals, degs in zip(evalues, key):
-                for i, d in enumerate(degs):
-                    v *= e_vals[i + 1] ** d
-            total += v
-        if total != direct:
+        if poly.value(*evalues) != direct:
             raise InternalCheckError("elementary-symmetric rewrite fails specialization")
 
 
@@ -234,6 +204,6 @@ def universal_polynomial(kind: str, k: int, l: Optional[int] = None) -> Universa
 
     terms = {tuple(tuple(mono[v] for v in b) for b in blocks): coeff
              for mono, coeff in _elementary_plethysm(k, power_plethysms, nvars).items()}
-    _verify_by_specialization(kind, k, l, nvars, blocks, terms)
-    ordered = tuple(sorted(terms.items()))
-    return UniversalPolynomial(kind, k, l, ordered)
+    poly = UniversalPolynomial(kind, k, l, tuple(sorted(terms.items())))
+    _verify_by_specialization(poly, nvars, blocks)
+    return poly

@@ -16,13 +16,12 @@ def random_effective(ring: BurnsideRing, rng: random.Random,
                      max_support: int = 2, max_coeff: int = 2,
                      max_size: int = 12) -> BurnsideElement:
     """An effective element whose realization has at most max_size points."""
-    sizes = [ring.order // rep.order for rep in ring.classification.representatives]
     for _ in range(64):
         support = rng.sample(range(ring.rank), min(max_support, ring.rank))
         coeffs = [0] * ring.rank
         for i in support:
             coeffs[i] = rng.randint(0, max_coeff)
-        if sum(c * s for c, s in zip(coeffs, sizes)) <= max_size:
+        if sum(c * s for c, s in zip(coeffs, ring.coset_sizes)) <= max_size:
             return ring.element(coeffs)
     return ring.zero()
 

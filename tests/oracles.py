@@ -6,7 +6,10 @@ rule) or of the l-fold products of one family (composition rule) into
 monomials, then rewrites the result in elementary symmetric polynomials by
 leading-term elimination over exact integers, and checks it by integer
 specialization.  Its cost grows with C(kl, l) monomials in k*l variables, so
-it is only run where it finishes (k*l <= 9).
+it is only run where it finishes (k*l <= 9).  `evaluate_in_ring` substitutes
+Burnside ring elements into a universal polynomial and multiplies in the
+basis; the library evaluates the same terms at integers, one ghost
+coordinate at a time.
 
 `cokernel_invariants_sparse` is the sparse Smith normal form, the oracle of
 the linear certificate that computes group-monoid degree-0 groups.
@@ -49,6 +52,7 @@ from f1gtheory.modules import (FiniteModule, ModuleHom, MonoidHom, PointedMonoid
                                are_isomorphic, generating_set, group_monoid,
                                permute_module, wedge_with_inclusions)
 from f1gtheory.sampling import random_effective
+from f1gtheory.polynomials import UniversalPolynomial
 from f1gtheory.snf import cokernel_invariants
 
 # A polynomial is a dict from exponent tuples to nonzero int coefficients.
@@ -210,6 +214,22 @@ def elimination_terms(kind: str, k: int, l: Optional[int] = None):
     terms = _express_in_elementary(target, nvars, blocks)
     _verify_by_specialization(kind, k, l, nvars, blocks, target, terms)
     return tuple(sorted(terms.items()))
+
+
+def evaluate_in_ring(poly: UniversalPolynomial, ring: BurnsideRing,
+                     lam_x: Sequence[BurnsideElement],
+                     lam_y: Optional[Sequence[BurnsideElement]] = None) -> BurnsideElement:
+    """Substitute ring elements; lam[i] must hold the i-th operation's value."""
+    families = [lam_x] if poly.kind == "composition" else [lam_x, lam_y]
+    total = ring.zero()
+    for key, coeff in poly.terms:
+        term = ring.one()
+        for fam, degs in zip(families, key):
+            for i, d in enumerate(degs):
+                for _ in range(d):
+                    term = term * fam[i + 1]
+        total = total + term * coeff
+    return total
 
 
 # --- sparse Smith normal form --------------------------------------------

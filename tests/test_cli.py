@@ -260,6 +260,53 @@ def test_lambda_verify_golden(capsys, fmt):
     assert digest == LAMBDA_VERIFY_SHA256[fmt]
 
 
+# families that fail the product and composition rules, so the goldens pin
+# the counterexamples' basis coefficients
+LAMBDA_VERIFY_FAILING_SHA256 = {
+    ("S3", "text"):
+        "01ba145dfacff57ef898484da816c6d4fe2f9fa51f7ae09409b105b1d6c19926",
+    ("S3", "json"):
+        "9502c7fe6f691004a94a647871a12e101a78994a5279673e283fd54ac177a292",
+    ("C4", "text"):
+        "40b1fa066f41c7056b6bba214f9837f2d52dc0d2d23cada34981d7a1cc2c10c6",
+    ("C4", "json"):
+        "aba0e375d91b44a0dd7df485eed39292917d4d08d8b7786e7d01cf7cd4a26048",
+}
+
+
+@pytest.mark.parametrize("group,fmt", sorted(LAMBDA_VERIFY_FAILING_SHA256),
+                         ids=lambda v: v)
+def test_lambda_verify_failing_families_golden(capsys, group, fmt):
+    code, out, _ = run_cli(capsys, "lambda-verify", "--group", group,
+                           "--k-cap", "4", "--l-cap", "3", "--seed", "1729",
+                           "--format", fmt)
+    assert code == 0
+    assert "FAIL" in out if fmt == "text" else '"status": "fail"' in out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == LAMBDA_VERIFY_FAILING_SHA256[group, fmt]
+
+
+@pytest.mark.parametrize("command,flag", [("lambda-verify", "--k-cap"),
+                                          ("lambda-verify", "--l-cap"),
+                                          ("lambda-verify", "--trials"),
+                                          ("mackey-check", "--trials")])
+def test_negative_counts_exit_2_naming_the_flag(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--group", "C3", flag, "-1"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag", [("lambda-verify", "--k-cap"),
+                                          ("lambda-verify", "--l-cap"),
+                                          ("lambda-verify", "--trials"),
+                                          ("mackey-check", "--trials")])
+def test_zero_counts_are_accepted(capsys, command, flag):
+    code, out, _ = run_cli(capsys, command, "--group", "C3", flag, "0")
+    assert code == 0
+    assert "overall: pass" in out
+
+
 @pytest.mark.parametrize("flag,value,cap", [("--k-cap", "5", "k <= 4"),
                                             ("--l-cap", "4", "l <= 3")])
 def test_lambda_verify_refuses_over_cap_before_building_ring(

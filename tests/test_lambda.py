@@ -8,16 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f1gtheory.burnside import BurnsideRing
-from f1gtheory.groups import build_group
-from f1gtheory.lambda_ops import (_geometric_values, _subset_decompose,
-                                  diamond, diamond_filtered, lambda_k,
-                                  lambda_series, subset_module,
+from f1gtheory.groups import build_group, library_names
+from f1gtheory.lambda_ops import (_geometric_values, _ghost_series,
+                                  _subset_decompose, diamond, diamond_filtered,
+                                  lambda_k, lambda_series, subset_module,
                                   verify_lambda_ring, verify_pre_lambda)
 from f1gtheory.modules import (free_module, group_monoid,
                                wedge_with_inclusions)
-from f1gtheory.sampling import random_effective
+from f1gtheory.polynomials import (MAX_COMPOSITION_K, MAX_COMPOSITION_L,
+                                   MAX_PRODUCT_K, universal_polynomial)
+from f1gtheory.sampling import random_effective, random_element
 
 from conftest import ring_of
+from oracles import evaluate_in_ring
 
 
 def test_diamond_sizes_are_falling_factorials():
@@ -195,9 +198,9 @@ def test_composition_rule_takes_one_deep_series_per_trial(monkeypatch):
 
     def recording(ring, x, cap):
         caps.append(cap)
-        return lambda_series(ring, x, cap)
+        return _ghost_series(ring, x, cap)
 
-    monkeypatch.setattr("f1gtheory.lambda_ops.lambda_series", recording)
+    monkeypatch.setattr("f1gtheory.lambda_ops._ghost_series", recording)
     ring = ring_of("S3")
     _, _, composition = verify_lambda_ring(ring, 1, 60, 2, random.Random(0))
     assert composition.instances == 0 and max(caps) == 1
@@ -205,6 +208,58 @@ def test_composition_rule_takes_one_deep_series_per_trial(monkeypatch):
     verify_lambda_ring(ring, 3, 3, 2, random.Random(0))
     # per trial: x, y and xy to k_cap, x to k_cap * l_cap, one inner per l
     assert caps == [3, 3, 3, 9, 3, 3] * 2
+
+
+def test_lambda_ring_check_works_on_mark_vectors(monkeypatch):
+    calls = {"from_marks": 0, "mul": 0}
+
+    def counting(name):
+        real = getattr(BurnsideRing, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(BurnsideRing, name, counting(name))
+    reports = verify_lambda_ring(ring_of("C5"), 3, 3, 20, random.Random(1730))
+    assert all(rep.passed for rep in reports)
+    # per trial: x * y once, and one inner lambda^l(x) for l = 2, 3; the
+    # polynomials are evaluated at integers, with no ring product
+    assert calls == {"from_marks": 60, "mul": 20}
+
+
+SMALL_GROUPS = [name for name in library_names() if build_group(name=name).order <= 12]
+
+
+@pytest.mark.parametrize("name", SMALL_GROUPS)
+def test_mark_vector_check_matches_basis_arithmetic(name):
+    # both sides of every product rule k <= 4 and composition rule k <= 4,
+    # l <= 3, as the check compares them, against the basis-arithmetic oracle
+    ring = ring_of(name)
+    rng = random.Random(1730)
+    for _ in range(3):
+        x, y = random_element(ring, rng), random_element(ring, rng)
+        cols_x, cols_y = _ghost_series(ring, x, 12), _ghost_series(ring, y, 4)
+        cols_xy = _ghost_series(ring, x * y, 4)
+        lam_x, lam_y = lambda_series(ring, x, 12), lambda_series(ring, y, 4)
+        lam_xy = lambda_series(ring, x * y, 4)
+        for k in range(1, MAX_PRODUCT_K + 1):
+            p = universal_polynomial("product", k)
+            assert ring.from_marks([col[k] for col in cols_xy]) == lam_xy[k]
+            rhs = [p.value(cx, cy) for cx, cy in zip(cols_x, cols_y)]
+            assert ring.from_marks(rhs) == evaluate_in_ring(p, ring, lam_x, lam_y)
+        for l in range(1, MAX_COMPOSITION_L + 1):
+            inner = ring.from_marks([col[l] for col in cols_x])
+            assert inner == lam_x[l]
+            cols_inner = _ghost_series(ring, inner, 4)
+            lam_inner = lambda_series(ring, inner, 4)
+            for k in range(1, MAX_COMPOSITION_K + 1):
+                p = universal_polynomial("composition", k, l)
+                assert ring.from_marks([col[k] for col in cols_inner]) == lam_inner[k]
+                rhs = [p.value(col) for col in cols_x]
+                assert ring.from_marks(rhs) == evaluate_in_ring(p, ring, lam_x)
 
 
 def test_series_shape_validation():

@@ -7,17 +7,12 @@ import pytest
 from f1gtheory.cli import main
 from f1gtheory.polynomials import universal_polynomial
 
-from conftest import ring_of
 from oracles import elimination_terms
 
 
-def int_lambda(n, k):
-    """Operations on plain integers: the coefficients of (1 + t)^n."""
-    return comb(n, k)
-
-
-def as_ring_elements(ring, values):
-    return [ring.element([v]) for v in values]
+def int_lambda(n, upto):
+    """Operations 0..upto on the plain integer n: the coefficients of (1 + t)^n."""
+    return [comb(n, i) for i in range(upto + 1)]
 
 
 def test_product_p1_is_plain_product():
@@ -54,25 +49,29 @@ def test_composition_with_k1_is_lambda_l():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_product_rule_on_integers(k):
     # over Z the rule reads comb(m*n, k) = P_k applied to binomials
-    ring = ring_of("C1")
     p = universal_polynomial("product", k)
     for m in range(0, 5):
         for n in range(0, 5):
-            lam_x = as_ring_elements(ring, [int_lambda(m, i) for i in range(k + 1)])
-            lam_y = as_ring_elements(ring, [int_lambda(n, i) for i in range(k + 1)])
-            value = p.evaluate(ring, lam_x, lam_y)
-            assert value.coeffs == (comb(m * n, k),), (k, m, n)
+            assert p.value(int_lambda(m, k), int_lambda(n, k)) == comb(m * n, k), (k, m, n)
 
 
 @pytest.mark.parametrize("k,l", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])
 def test_composition_rule_on_integers(k, l):
-    ring = ring_of("C1")
     p = universal_polynomial("composition", k, l)
     for n in range(0, 7):
-        lam = as_ring_elements(ring,
-                               [int_lambda(n, i) for i in range(k * l + 1)])
-        value = p.evaluate(ring, lam)
-        assert value.coeffs == (comb(comb(n, l), k),), (k, l, n)
+        assert p.value(int_lambda(n, k * l)) == comb(comb(n, l), k), (k, l, n)
+
+
+def test_value_needs_one_family_per_argument():
+    product = universal_polynomial("product", 2)
+    composition = universal_polynomial("composition", 2, 2)
+    values = int_lambda(3, 4)
+    with pytest.raises(ValueError, match=r"per argument \(2\), got 1"):
+        product.value(values)
+    with pytest.raises(ValueError, match=r"per argument \(1\), got 2"):
+        composition.value(values, values)
+    with pytest.raises(ValueError):
+        composition.value()
 
 
 # every in-cap case the elimination oracle finishes (k*l <= 9)
@@ -105,12 +104,6 @@ def test_caps_enforced():
         universal_polynomial("product", 2, 2)
     with pytest.raises(ValueError):
         universal_polynomial("frobenius", 2)
-
-
-def test_pretty_mentions_operations():
-    p = universal_polynomial("product", 2)
-    text = p.pretty()
-    assert "L2(x)" in text and "L2(y)" in text
 
 
 def test_polynomials_cached():
