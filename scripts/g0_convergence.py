@@ -3,38 +3,53 @@
 For a group monoid the reported free rank climbs and then stabilizes at the
 number of subgroup conjugacy classes; the bound |G| + 3 used by the
 acceptance checks sits past the stabilization point for every library group
-of order at most 12.  For a non-group monoid the presentation stays a
-bounded approximation and this script shows how it evolves instead.
+of order at most 12.  For a non-group monoid (`--monoid-json`) the
+presentation stays a bounded approximation and this script shows how it
+evolves instead; the default top bound there is |M| + 2, as for `g0`.
 
-Usage: python3 scripts/g0_convergence.py [--group NAME] [--max-bound B]
+Usage: python3 scripts/g0_convergence.py [--group NAME | --monoid-json FILE]
+                                         [--max-bound B]
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from dataclasses import dataclass
+from typing import Optional
 
 from f1gtheory.burnside import build_burnside
 from f1gtheory.groups import build_group
 from f1gtheory.gtheory import g0_presentation
-from f1gtheory.modules import group_monoid
+from f1gtheory.modules import detect_group, group_monoid, monoid_from_json
 
 
 @dataclass(frozen=True)
 class ConvergenceConfig:
     group: str = "S3"
-    max_bound: int = 0  # 0 means |G| + 3
+    max_bound: int = 0  # 0 means |G| + 3, or |M| + 2 for a monoid
+    monoid_json: Optional[str] = None
 
 
 def run(config: ConvergenceConfig) -> int:
-    group = build_group(name=config.group)
-    ring = build_burnside(group)
-    monoid = group_monoid(group)
-    top = config.max_bound or group.order + 3
-    print(f"group {config.group}, Burnside rank {ring.rank}, "
-          f"bounds 1..{top}")
+    if config.monoid_json is None:
+        group = build_group(name=config.group)
+        monoid = group_monoid(group)
+        top = config.max_bound or group.order + 3
+        print(f"group {config.group}, Burnside rank "
+              f"{build_burnside(group).rank}, bounds 1..{top}")
+    else:
+        with open(config.monoid_json, "r", encoding="utf-8") as fh:
+            monoid = monoid_from_json(json.load(fh))
+        try:
+            monoid = detect_group(monoid)
+        except ValueError:
+            pass
+        top = config.max_bound or monoid.size + 2
+        print(f"monoid {config.monoid_json} of size {monoid.size}, "
+              f"bounds 1..{top}")
     print(f"{'bound':>5} {'generators':>10} {'relations':>9} "
           f"{'free rank':>9} {'torsion':>8} {'stability':>22} {'time':>7}")
     for bound in range(1, top + 1):
@@ -49,10 +64,12 @@ def run(config: ConvergenceConfig) -> int:
 
 def parse_args(argv=None) -> ConvergenceConfig:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--group", default="S3")
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--group", default="S3")
+    source.add_argument("--monoid-json", help="pointed monoid JSON file")
     parser.add_argument("--max-bound", type=int, default=0)
     args = parser.parse_args(argv)
-    return ConvergenceConfig(args.group, args.max_bound)
+    return ConvergenceConfig(args.group, args.max_bound, args.monoid_json)
 
 
 if __name__ == "__main__":

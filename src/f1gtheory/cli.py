@@ -161,9 +161,9 @@ def _cmd_marks(args) -> int:
         print(f"table of marks for {group.name or 'custom'} "
               f"({ring.rank} classes)")
         width = max(len(lab) for lab in ring.labels)
+        text = {v: f"{v:>4}" for v in set().union(*ring.marks)}
         for label, row in zip(ring.labels, ring.marks):
-            cells = " ".join(f"{v:>4}" for v in row)
-            print(f"  {label:<{width}} {cells}")
+            print(f"  {label:<{width}} {' '.join(map(text.__getitem__, row))}")
     return 0
 
 

@@ -10,26 +10,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, product as iter_product
-from typing import (Collection, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from itertools import islice, permutations, product as iter_product
+from operator import itemgetter
+from typing import (Callable, Collection, Dict, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from .burnside import BurnsideRing, build_burnside
 from .errors import InternalCheckError, ResourceLimitError
 from .groups import (FiniteGroup, _derived, abelianization, classify_subgroups,
                      conjugacy_classes_of_elements, weyl_group)
-from .modules import (FiniteModule, PointedMonoid, are_isomorphic, free_module,
-                      group_monoid, is_cofibration, quotient,
-                      submodule_inclusion)
+from .modules import (FiniteModule, PointedMonoid, free_module, group_monoid,
+                      is_cofibration, quotient, submodule_inclusion)
 from .snf import cokernel_invariants, factorize, merge_cyclic_factors
 
 __all__ = [
     "AbelianGroupReport", "GrothendieckPresentation", "CartanReport",
     "g0_presentation", "g1_via_splitting", "cartan_zero", "mult_by_regular",
-    "count_simple_factors", "DEFAULT_CANDIDATE_CAP", "GROUP_GENERATOR_CAP",
+    "count_simple_factors", "DEFAULT_WORK_BUDGET", "GROUP_GENERATOR_CAP",
 ]
 
-DEFAULT_CANDIDATE_CAP = 20000
+# Candidate rows plus relabellings the general-monoid enumeration may spend.
+DEFAULT_WORK_BUDGET = 1000000
 # Most count vectors a group-monoid presentation may enumerate; D12 at its
 # default bound |G| + 3, the largest library case, has 132,312.
 GROUP_GENERATOR_CAP = 150000
@@ -274,23 +275,15 @@ def _audit_group_relation(ring: BurnsideRing, counts: Tuple[int, ...], cls: int)
 
 # --- G_0 for general monoids --------------------------------------------
 
-def _count_candidates(msize: int, size_bound: int, cap: int) -> int:
-    """Candidate action tables up to the bound; stops summing once past `cap`."""
-    total = 0
-    for s in range(1, size_bound + 1):
-        total += s ** ((s - 1) * (msize - 2))
-        if total > cap:
-            break
-    return total
-
-
-def _action_tables(m: PointedMonoid, s: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+def _action_tables(m: PointedMonoid, s: int, spend: Callable[[int], None] = lambda work: None
+                   ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
     """Action tables on a carrier of size s, in lex order of their free entries.
 
     Rows are filled top-down and a partial table is dropped as soon as
     action[action[x][a]][b] == action[x][mul[a][b]] fails among filled rows;
     the order is that of a product over all free entries.  Columns 0 and 1
-    hold the law in every table, so only a, b >= 2 are checked.
+    hold the law in every table, so only a, b >= 2 are checked.  Before a
+    row is filled, `spend` is charged with its number of candidates.
     """
     mul = m.mul
     cols = range(2, m.size)
@@ -300,6 +293,7 @@ def _action_tables(m: PointedMonoid, s: int) -> Iterator[Tuple[Tuple[int, ...], 
         if x == s:
             yield tuple(map(tuple, action))
             return
+        spend(s ** len(cols))
         for values in iter_product(range(s), repeat=len(cols)):
             action[x][2:] = values
             # the law at (y, a) is decidable once rows y and action[y][a] are
@@ -315,108 +309,113 @@ def _action_tables(m: PointedMonoid, s: int) -> Iterator[Tuple[Tuple[int, ...], 
 class _ClassIndex:
     """Isomorphism-class representatives of modules over one monoid.
 
-    Representatives are bucketed by (size, sorted profile), an isomorphism
-    invariant, so `are_isomorphic` only runs within a bucket; every action
-    table placed is memoized to its class.
+    The isomorphism class of a module among labelled action tables is the
+    orbit of its table under the (s-1)! relabellings that fix the basepoint,
+    so a new class memoizes its whole orbit and every later table is one
+    dict lookup.  Work (relabellings here, candidate rows in
+    `_action_tables`) is charged to `budget` before anything is stored.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, budget: float = math.inf) -> None:
         self.reps: List[FiniteModule] = []
-        self._buckets: Dict[Tuple, List[int]] = {}
         self._known: Dict[Tuple[Tuple[int, ...], ...], int] = {}
+        self.budget = budget
+        self.spent = 0
+
+    def spend(self, work: int) -> None:
+        self.spent += work
+        if self.spent > self.budget:
+            raise ResourceLimitError(f"module enumeration passed the work budget "
+                                     f"{self.budget}; lower the size bound")
 
     def class_of(self, module: FiniteModule, new: bool = False) -> int:
         """Index of module's class; with `new`, an unmatched module opens one."""
         i = self._known.get(module.action)
         if i is None:
-            bucket = self._buckets.setdefault(
-                (module.size, tuple(sorted(module.profile))), [])
-            i = next((j for j in bucket if are_isomorphic(module, self.reps[j])[0]), None)
-            if i is None:
-                if not new:
-                    raise InternalCheckError("module of bounded size missing from enumeration")
-                i = len(self.reps)
-                bucket.append(i)
-                self.reps.append(module)
-            self._known[module.action] = i
+            if not new:
+                raise InternalCheckError("module of bounded size missing from enumeration")
+            self.spend(math.factorial(module.size - 1))
+            i = len(self.reps)
+            self.reps.append(module)
+            rows = [itemgetter(*row) for row in module.action]
+            for rest in permutations(range(1, module.size)):
+                perm = (0,) + rest
+                table: List[Tuple[int, ...]] = [()] * module.size
+                for x, row in enumerate(rows):
+                    table[perm[x]] = row(perm)
+                self._known[tuple(table)] = i
         return i
 
 
 def _enumerate_modules(m: PointedMonoid, size_bound: int,
-                       candidate_cap: int) -> _ClassIndex:
-    """The classes of all modules with carrier size <= bound, in table order."""
-    if _count_candidates(m.size, size_bound, candidate_cap) > candidate_cap:
-        raise ResourceLimitError(
-            f"more than {candidate_cap} candidate tables; "
-            "lower the size bound")
-    index = _ClassIndex()
+                       work_budget: int) -> _ClassIndex:
+    """The classes of all modules with carrier size <= bound, in table order.
+
+    Every carrier size s has a class (units fix every point, non-units send
+    it to the basepoint) whose (s-1)! relabellings are charged, so a bound
+    whose sum of (s-1)! passes the budget is refused before enumerating.
+    """
+    floor = 0
     for s in range(1, size_bound + 1):
-        for table in _action_tables(m, s):
-            index.class_of(_derived(FiniteModule, m, s, table), new=True)
+        floor += math.factorial(s - 1)
+        if floor > work_budget:
+            raise ResourceLimitError(
+                f"size bound {size_bound} needs at least {floor} relabellings, "
+                f"past the work budget {work_budget}; lower the size bound")
+    index = _ClassIndex(work_budget)
+    for s in range(1, size_bound + 1):
+        for table in _action_tables(m, s, index.spend):
+            if table not in index._known:
+                index.class_of(_derived(FiniteModule, m, s, table), new=True)
     return index
 
 
 def _action_closed_subsets(module: FiniteModule) -> List[Tuple[int, ...]]:
-    out = []
-    n = module.size
-    nonzero = list(range(1, n))
-    for mask in range(1 << len(nonzero)):
-        subset = {nonzero[i] for i in range(len(nonzero)) if mask >> i & 1}
-        closed = all(
-            module.action[x][mm] in subset or module.action[x][mm] == 0
-            for x in subset for mm in range(module.monoid.size)
-        )
-        if closed:
-            out.append(tuple(sorted(subset)))
-    return out
+    """Action-closed sets of nonzero points, in the order of their bit masks."""
+    points = range(1, module.size)
+    reach = [sum({1 << y for y in row if y}) for row in module.action]
+    return [tuple(x for x in points if mask >> x & 1)
+            for mask in range(0, 1 << module.size, 2)
+            if all(reach[x] & ~mask == 0 for x in points if mask >> x & 1)]
 
 
 def _general_g0(m: PointedMonoid, size_bound: int,
-                candidate_cap: int) -> GrothendieckPresentation:
-    index = _enumerate_modules(m, size_bound, candidate_cap)
+                work_budget: int) -> GrothendieckPresentation:
+    index = _enumerate_modules(m, size_bound, work_budget)
     reps = index.reps
-
     rows: List[List[int]] = []
     for i, rep in enumerate(reps):
         for subset in _action_closed_subsets(rep):
             incl = submodule_inclusion(rep, subset)
-            ok, _ = is_cofibration(incl)
-            if not ok:
-                continue
-            sub_idx = index.class_of(incl.source)
-            q_idx = index.class_of(quotient(incl))
-            row = [0] * len(reps)
-            row[i] += 1
-            row[sub_idx] -= 1
-            row[q_idx] -= 1
-            if any(row):
-                rows.append(row)
+            if is_cofibration(incl)[0]:
+                row = [0] * len(reps)
+                row[i] += 1
+                row[index.class_of(incl.source)] -= 1
+                row[index.class_of(quotient(incl))] -= 1
+                if any(row):
+                    rows.append(row)
     free_rank, torsion = cokernel_invariants(rows, len(reps))
-    result = AbelianGroupReport(
-        free_rank, tuple(torsion),
-        provenance=f"generators-relations bound={size_bound}",
-    )
+    result = AbelianGroupReport(free_rank, tuple(torsion),
+                                f"generators-relations bound={size_bound}")
     labels = tuple(f"size{rep.size}_idx{i}" for i, rep in enumerate(reps))
-    relations = tuple(
-        tuple((j, v) for j, v in enumerate(row) if v) for row in rows
-    )
+    relations = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in rows)
     return GrothendieckPresentation(size_bound, labels, relations, result,
                                     "bounded approximation")
 
 
 def g0_presentation(m: PointedMonoid, size_bound: int,
-                    candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> GrothendieckPresentation:
+                    work_budget: int = DEFAULT_WORK_BUDGET) -> GrothendieckPresentation:
     """Degree-0 Grothendieck group of finite modules over m, presented at a bound.
 
     Group monoids run through the orbit classification and report stability
     against the Burnside rank; other monoids enumerate action tables under
-    an explicit candidate cap.
+    an explicit work budget.
     """
     if size_bound < 1:
         raise ValueError("size bound must be >= 1")
     if m.is_group_monoid:
         return _group_g0(build_burnside(m.group), size_bound)
-    return _general_g0(m, size_bound, candidate_cap)
+    return _general_g0(m, size_bound, work_budget)
 
 
 # --- G_1 and the degree-0 assembly map ----------------------------------

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -24,6 +25,14 @@ def test_marks_csv_golden(capsys):
     assert out == ("class,order1_rep0,order2_rep0-1\n"
                    "order1_rep0,2,0\n"
                    "order2_rep0-1,1,1\n")
+
+
+def test_marks_text_golden(capsys):
+    code, out, _ = run_cli(capsys, "marks", "--generators",
+                           "(1 2);(3 4);(5 6);(7 8);(9 10)", "--degree", "10")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "15667f10a0aaa299cb65d7940015b3e52b0442a239f88786234fef94c36be864"
 
 
 def test_marks_json(capsys):
@@ -145,15 +154,34 @@ def test_g0_bound_above_generator_cap_exits_2(capsys):
     assert "cap 150000" in err
 
 
-def test_g0_candidate_cap_exits_2(capsys, tmp_path):
+def test_g0_work_budget_exits_2(capsys, tmp_path):
     path = tmp_path / "monoid.json"
     path.write_text(json.dumps(
         {"size": 3, "mul": [[0, 0, 0], [0, 1, 2], [0, 2, 2]]}))
+    started = time.perf_counter()
     code, out, err = run_cli(capsys, "g0", "--monoid-json", str(path),
                              "--bound", "100000")
+    assert time.perf_counter() - started < 1.0
     assert code == 2
     assert out == ""
-    assert "more than 20000 candidate tables" in err
+    assert "past the work budget 1000000" in err
+
+
+# bounds 7 and 8 over the idempotent monoid {0, 1, e}; a classification that
+# runs `are_isomorphic` on every table prints the same bytes
+G0_MONOID3_SHA256 = {
+    7: "8df11d746f33e7f3b7b92a38899791a176b5b34112dc82216bf05acca6d92422",
+    8: "3ad86b592cb5bd8a7a55c9e4d90f2897b210e200ee20b19abaa2e317be542696",
+}
+
+
+@pytest.mark.parametrize("bound", sorted(G0_MONOID3_SHA256))
+def test_g0_monoid3_golden(capsys, bound):
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "monoid3.json")
+    code, out, _ = run_cli(capsys, "g0", "--monoid-json", path,
+                           "--bound", str(bound))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == G0_MONOID3_SHA256[bound]
 
 
 def test_suite_s4_exit_zero(capsys):

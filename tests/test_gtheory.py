@@ -3,10 +3,11 @@ from __future__ import annotations
 import random
 import time
 from itertools import permutations
+from math import factorial
 
 import pytest
 
-from f1gtheory import gtheory
+from f1gtheory import gtheory, modules
 from f1gtheory.errors import InternalCheckError, ResourceLimitError
 from f1gtheory.groups import (build_group, conjugacy_classes_of_elements,
                               library_names)
@@ -125,31 +126,57 @@ def test_g0_nongroup_monoid_runs():
     assert p.result.free_rank >= 1
 
 
-def test_g0_candidate_cap():
+def test_g0_work_budget():
     nil = PointedMonoid(3, ((0, 0, 0), (0, 1, 2), (0, 2, 0)))
-    with pytest.raises(ResourceLimitError):
-        g0_presentation(nil, 9, candidate_cap=10)
+    with pytest.raises(ResourceLimitError, match="work budget 10;"):
+        g0_presentation(nil, 9, work_budget=10)
 
 
-def test_g0_candidate_cap_refuses_large_bound_at_once():
-    idem = PointedMonoid(3, ((0, 0, 0), (0, 1, 2), (0, 2, 2)))
+def test_g0_work_budget_refuses_large_bound_at_once():
     started = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match="more than 20000 candidate tables"):
-        g0_presentation(idem, 10 ** 5)
+    with pytest.raises(ResourceLimitError, match="past the work budget 1000000"):
+        g0_presentation(IDEMPOTENT, 10 ** 5)
     assert time.perf_counter() - started < 1.0
+
+
+def test_work_budget_stores_nothing_past_it(monkeypatch):
+    made = []
+
+    class Recording(gtheory._ClassIndex):
+        def __init__(self, budget):
+            super().__init__(budget)
+            made.append(self)
+
+    monkeypatch.setattr(gtheory, "_ClassIndex", Recording)
+    full = gtheory._enumerate_modules(IDEMPOTENT, 6, 10 ** 6)
+    assert gtheory._enumerate_modules(IDEMPOTENT, 6, full.spent).reps == full.reps
+    with pytest.raises(ResourceLimitError, match="at least 154 relabellings"):
+        gtheory._enumerate_modules(IDEMPOTENT, 6, 153)  # 0! + 1! + ... + 5!
+    assert len(made) == 2
+    for budget in (full.spent - 1, full.spent // 2, 200, 154):
+        with pytest.raises(ResourceLimitError, match=f"work budget {budget};"):
+            gtheory._enumerate_modules(IDEMPOTENT, 6, budget)
+        cut = made[-1]
+        # each stored class was charged its (s-1)! relabellings within the
+        # budget, and holds exactly its orbit in the complete memo
+        assert sum(factorial(r.size - 1) for r in cut.reps) <= budget
+        assert cut.reps == full.reps[:len(cut.reps)]
+        assert cut._known == {t: i for t, i in full._known.items()
+                              if i < len(cut.reps)}
 
 
 def test_pruned_enumeration_matches_product_order():
     for m in monoid_pool():
         if m.is_group_monoid:
             continue
-        bound = 6 if m.size == 3 else 4
+        bound = 7 if m == IDEMPOTENT else 6 if m.size == 3 else 4
         for s in range(1, bound + 1):
             assert list(gtheory._action_tables(m, s)) == \
                 list(product_order_tables(m, s)), (m.mul, s)
         reps = gtheory._enumerate_modules(m, bound, 10 ** 6).reps
         assert [r.action for r in reps] == \
             [r.action for r in enumerate_modules_pairwise(m, bound)], m.mul
+
 
 
 def test_class_index_agrees_with_pairwise_scan():
@@ -181,17 +208,18 @@ def test_class_index_refuses_an_unseen_class():
         index.class_of(big)
 
 
-def test_g0_monoid3_isomorphism_calls_stay_bucketed(monkeypatch):
-    calls = []
-    real = gtheory.are_isomorphic
+def test_g0_monoid3_enumeration_makes_no_isomorphism_calls(monkeypatch):
+    def refuse(s, t):
+        raise AssertionError("are_isomorphic called")
 
-    def counting(s, t):
-        calls.append(None)
-        return real(s, t)
-
-    monkeypatch.setattr(gtheory, "are_isomorphic", counting)
+    assert not hasattr(gtheory, "are_isomorphic")
+    monkeypatch.setattr(modules, "are_isomorphic", refuse)
+    index = gtheory._enumerate_modules(IDEMPOTENT, 6, 10 ** 6)
+    # the memo holds every valid labelled table, and nothing else
+    tables = [t for s in range(1, 7) for t in gtheory._action_tables(IDEMPOTENT, s)]
+    assert len(index._known) == len(tables) == 673
+    assert set(index._known) == set(tables)
     p = g0_presentation(IDEMPOTENT, 6)
-    assert len(calls) <= 1000  # a scan over every representative made 10,817
     assert p.result.pretty() == "Z^2"
     assert len(p.generators) == 45
     assert len(p.relations) == 675
