@@ -23,7 +23,7 @@ from typing import Optional
 from f1gtheory.burnside import build_burnside
 from f1gtheory.groups import build_group
 from f1gtheory.gtheory import g0_presentation
-from f1gtheory.modules import detect_group, group_monoid, monoid_from_json
+from f1gtheory.modules import group_monoid, monoid_from_json
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,6 @@ def run(config: ConvergenceConfig) -> int:
     else:
         with open(config.monoid_json, "r", encoding="utf-8") as fh:
             monoid = monoid_from_json(json.load(fh))
-        try:
-            monoid = detect_group(monoid)
-        except ValueError:
-            pass
         top = config.max_bound or monoid.size + 2
         print(f"monoid {config.monoid_json} of size {monoid.size}, "
               f"bounds 1..{top}")

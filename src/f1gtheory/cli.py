@@ -1,8 +1,9 @@
 """Command line interface.
 
 Every subcommand takes a group source (library name, JSON file, or
-generators), emits text by default or JSON on request, and is deterministic
-for a fixed seed.  Exit status: 0 success, 1 mathematical check failure,
+generators), emits text by default or JSON on request, and is deterministic;
+the randomized checks (`lambda-verify`, `mackey-check`, `suite`) take a
+`--seed`.  Exit status: 0 success, 1 mathematical check failure,
 2 input error.
 """
 
@@ -14,21 +15,20 @@ import math
 import os
 import random
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .burnside import BurnsideRing, build_burnside, marks_to_csv
 from .errors import InternalCheckError, ResourceLimitError
 from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, build_group,
-                     conjugacy_classes_of_elements,
-                     group_from_json, is_odd_cyclic)
+                     conjugacy_classes_of_elements, is_odd_cyclic, load_group)
 from .gtheory import (cartan_zero, count_simple_factors, g0_presentation,
                       g1_via_splitting)
 from .lambda_ops import (diamond, lambda_k, verify_lambda_ring,
                          verify_pre_lambda)
 from .mackey import (check_frobenius, double_coset_plan, green_morphism_check,
                      subgroup_context)
-from .modules import (detect_group, diagonal_smash, group_monoid,
-                      module_from_json, monoid_from_json)
+from .modules import (diagonal_smash, group_monoid, module_from_json,
+                      monoid_from_json)
 from .polynomials import universal_polynomial
 from .reports import CheckReport
 from .sampling import random_effective, random_element
@@ -61,7 +61,8 @@ def _count(text: str) -> int:
     return value
 
 
-def _add_group_args(sub: argparse.ArgumentParser) -> None:
+def _add_common_args(sub: argparse.ArgumentParser, formats=("text", "json")) -> None:
+    """The group source and output format every subcommand takes."""
     sub.add_argument("--group", help="library group name, e.g. S3 or C12")
     sub.add_argument("--group-json", help="path to a group JSON file")
     sub.add_argument("--generators",
@@ -69,11 +70,7 @@ def _add_group_args(sub: argparse.ArgumentParser) -> None:
                           "semicolon separated, e.g. '(1 2);(1 2 3)'")
     sub.add_argument("--degree", type=int,
                      help="number of permuted points for --generators")
-
-
-def _add_common_args(sub: argparse.ArgumentParser, formats=("text", "json")) -> None:
     sub.add_argument("--format", choices=list(formats), default="text")
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
 
 def _group_from_args(args: argparse.Namespace) -> FiniteGroup:
@@ -85,8 +82,7 @@ def _group_from_args(args: argparse.Namespace) -> FiniteGroup:
     if args.group is not None:
         return build_group(name=args.group, order_cap=cap)
     if args.group_json is not None:
-        with open(args.group_json, "r", encoding="utf-8") as fh:
-            return group_from_json(json.load(fh), order_cap=cap)
+        return load_group(args.group_json, order_cap=cap)
     if args.degree is None:
         raise ValueError("--generators requires --degree")
     gens = [g for g in args.generators.split(";") if g.strip()]
@@ -113,6 +109,32 @@ def _emit_json(payload: Dict) -> None:
 
 def _compact(vec: Sequence[int]) -> str:
     return json.dumps(list(vec), separators=(",", ":"))
+
+
+def _asserted(reports: List[CheckReport], ring_axioms: List[CheckReport],
+              odd_cyclic: bool) -> List[Tuple[CheckReport, bool]]:
+    """Each check paired with whether its failure fails the run.
+
+    Vanishing on the unit, the first λ-ring family, is asserted for every
+    group; the product and composition rules are guaranteed only for odd
+    cyclic groups and are informational elsewhere.
+    """
+    return ([(rep, True) for rep in reports + ring_axioms[:1]]
+            + [(rep, odd_cyclic) for rep in ring_axioms[1:]])
+
+
+def _report_checks(args, header: str, checks: List[Tuple[CheckReport, bool]],
+                   payload: Dict) -> int:
+    """Emit a check run as JSON or text; exit 1 if an asserted check failed."""
+    ok = all(rep.passed for rep, asserted in checks if asserted)
+    if args.format == "json":
+        _emit_json({**payload, "status": "pass" if ok else "fail"})
+    else:
+        print(header)
+        for rep, asserted in checks:
+            print(f"  {rep.summary_line()}{'' if asserted else ' [informational]'}")
+        print(f"overall: {'pass' if ok else 'FAIL'}")
+    return 0 if ok else 1
 
 
 # --- subcommand bodies ---------------------------------------------------
@@ -240,26 +262,16 @@ def _cmd_lambda_verify(args) -> int:
     families = verify_lambda_ring(ring, args.k_cap, args.l_cap, args.trials,
                                   random.Random(args.seed + 1))
     odd_cyclic = is_odd_cyclic(group)
-    guaranteed = [pre, families[0]] + (families[1:] if odd_cyclic else [])
-    ok = all(rep.passed for rep in guaranteed)
-    if args.format == "json":
-        _emit_json({
+    return _report_checks(
+        args, f"lambda verification for {group.name or 'custom'} "
+              f"(seed {args.seed})",
+        _asserted([pre], families, odd_cyclic), {
             "group": group.name or "custom",
             "seed": args.seed,
             "odd_cyclic": odd_cyclic,
             "pre_lambda": pre.to_json(),
             "ring_axioms": [rep.to_json() for rep in families],
-            "status": "pass" if ok else "fail",
         })
-    else:
-        print(f"lambda verification for {group.name or 'custom'} "
-              f"(seed {args.seed})")
-        print(f"  {pre.summary_line()}")
-        for rep in families:
-            tag = "" if (odd_cyclic or rep is families[0]) else " [informational]"
-            print(f"  {rep.summary_line()}{tag}")
-        print(f"overall: {'pass' if ok else 'FAIL'}")
-    return 0 if ok else 1
 
 
 def _cmd_diamond(args) -> int:
@@ -313,30 +325,19 @@ def _run_mackey_checks(group: FiniteGroup, trials: int,
 def _cmd_mackey_check(args) -> int:
     group = _group_from_args(args)
     reports = _run_mackey_checks(group, args.trials, random.Random(args.seed))
-    ok = all(rep.passed for rep in reports)
-    if args.format == "json":
-        _emit_json({
+    return _report_checks(
+        args, f"Mackey checks for {group.name or 'custom'} (seed {args.seed})",
+        [(rep, True) for rep in reports], {
             "group": group.name or "custom",
             "seed": args.seed,
             "checks": [rep.to_json() for rep in reports],
-            "status": "pass" if ok else "fail",
         })
-    else:
-        print(f"Mackey checks for {group.name or 'custom'} (seed {args.seed})")
-        for rep in reports:
-            print(f"  {rep.summary_line()}")
-        print(f"overall: {'pass' if ok else 'FAIL'}")
-    return 0 if ok else 1
 
 
 def _cmd_g0(args) -> int:
     if args.monoid_json is not None:
         with open(args.monoid_json, "r", encoding="utf-8") as fh:
             monoid = monoid_from_json(json.load(fh))
-        try:
-            monoid = detect_group(monoid)
-        except ValueError:
-            pass
         label = "monoid"
         default_bound = monoid.size + 2
     else:
@@ -476,28 +477,17 @@ def _cmd_suite(args) -> int:
     ring_axioms = verify_lambda_ring(build_burnside(group), 3, 2, 5,
                                      random.Random(args.seed + 3))
     odd_cyclic = is_odd_cyclic(group)
-    asserted = reports + [ring_axioms[0]] + (ring_axioms[1:] if odd_cyclic else [])
-    ok = all(rep.passed for rep in asserted)
-    if args.format == "json":
-        _emit_json({
+    return _report_checks(
+        args, f"invariant suite for {group.name or 'custom'} "
+              f"(order {group.order}, seed {args.seed})",
+        _asserted(reports, ring_axioms, odd_cyclic), {
             "group": group.name or "custom",
             "order": group.order,
             "seed": args.seed,
             "checks": [rep.to_json() for rep in reports],
             "ring_axioms": [rep.to_json() for rep in ring_axioms],
             "odd_cyclic": odd_cyclic,
-            "status": "pass" if ok else "fail",
         })
-    else:
-        print(f"invariant suite for {group.name or 'custom'} "
-              f"(order {group.order}, seed {args.seed})")
-        for rep in reports:
-            print(f"  {rep.summary_line()}")
-        for rep in ring_axioms:
-            tag = "" if (odd_cyclic or rep is ring_axioms[0]) else " [informational]"
-            print(f"  {rep.summary_line()}{tag}")
-        print(f"overall: {'pass' if ok else 'FAIL'}")
-    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -509,82 +499,72 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("subgroups", help="conjugacy classes of subgroups")
-    _add_group_args(sp)
     _add_common_args(sp)
     sp.set_defaults(func=_cmd_subgroups)
 
     sp = subs.add_parser("marks", help="table of marks")
-    _add_group_args(sp)
     _add_common_args(sp, formats=("text", "json", "csv"))
     sp.set_defaults(func=_cmd_marks)
 
     sp = subs.add_parser("burnside-mul", help="multiply two virtual classes")
-    _add_group_args(sp)
     _add_common_args(sp)
     sp.add_argument("--x", required=True, help="JSON coefficient array")
     sp.add_argument("--y", required=True, help="JSON coefficient array")
     sp.set_defaults(func=_cmd_burnside_mul)
 
     sp = subs.add_parser("decompose", help="decompose a module JSON file")
-    _add_group_args(sp)
     _add_common_args(sp)
     sp.add_argument("--module-json", required=True)
     sp.set_defaults(func=_cmd_decompose)
 
     sp = subs.add_parser("lambda", help="apply a lambda operation")
-    _add_group_args(sp)
     _add_common_args(sp)
     sp.add_argument("--element", required=True, help="JSON coefficient array")
     sp.add_argument("--k", type=int, required=True)
     sp.set_defaults(func=_cmd_lambda)
 
     sp = subs.add_parser("lambda-verify", help="check lambda axioms")
-    _add_group_args(sp)
     _add_common_args(sp)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--k-cap", type=_count, default=3)
     sp.add_argument("--l-cap", type=_count, default=2)
     sp.add_argument("--trials", type=_count, default=20)
     sp.set_defaults(func=_cmd_lambda_verify)
 
     sp = subs.add_parser("diamond", help="ordered tuple module of an element")
-    _add_group_args(sp)
     _add_common_args(sp)
     sp.add_argument("--element", required=True, help="JSON coefficient array")
     sp.add_argument("--k", type=int, required=True)
     sp.set_defaults(func=_cmd_diamond)
 
     sp = subs.add_parser("mackey-check", help="double coset, Frobenius, Green")
-    _add_group_args(sp)
     _add_common_args(sp)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--trials", type=_count, default=50)
     sp.set_defaults(func=_cmd_mackey_check)
 
     sp = subs.add_parser("g0", help="degree-0 presentation")
-    _add_group_args(sp)
     _add_common_args(sp)
     sp.add_argument("--monoid-json", help="pointed monoid JSON instead of a group")
     sp.add_argument("--bound", type=int, help="carrier size bound")
     sp.set_defaults(func=_cmd_g0)
 
     sp = subs.add_parser("g1", help="degree-1 group via the splitting formula")
-    _add_group_args(sp)
     _add_common_args(sp)
     sp.set_defaults(func=_cmd_g1)
 
     sp = subs.add_parser("wh0", help="degree-0 assembly cokernel")
-    _add_group_args(sp)
     _add_common_args(sp)
     sp.set_defaults(func=_cmd_wh0)
 
     sp = subs.add_parser("simple-factors", help="simple factors of F_q[G]")
-    _add_group_args(sp)
     _add_common_args(sp)
     sp.add_argument("--q", type=int, required=True, help="prime power, coprime to |G|")
     sp.set_defaults(func=_cmd_simple_factors)
 
     sp = subs.add_parser("suite", help="full invariant suite for one group")
-    _add_group_args(sp)
     _add_common_args(sp)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.set_defaults(func=_cmd_suite)
 
     return parser

@@ -155,6 +155,19 @@ def _derived(cls, *values):
     return obj
 
 
+def _int_table(raw, what: str) -> Tuple[Tuple[int, ...], ...]:
+    """A table read from outside the library, as a tuple of int tuples.
+
+    Raises ValueError unless `raw` is a list of lists of integers; bools,
+    which Python counts as integers, are refused.
+    """
+    if (not isinstance(raw, (list, tuple))
+            or not all(isinstance(row, (list, tuple)) for row in raw)
+            or not all(type(v) is int for row in raw for v in row)):
+        raise ValueError(f"{what} must be a list of integer lists")
+    return tuple(map(tuple, raw))
+
+
 def _memo_on_group(fn):
     """Memoize `fn(group, *args)` in the instance `__dict__` of `group`.
 
@@ -430,29 +443,25 @@ def build_group(*, name: Optional[str] = None,
     if name is not None:
         return _build_named(name, order_cap)
     if cayley is not None:
-        table = tuple(tuple(int(v) for v in row) for row in cayley)
+        table = _int_table(cayley, "cayley table")
         order = len(table)
         if order > order_cap:
             raise ResourceLimitError(f"order {order} exceeds cap {order_cap}")
-        identity = None
-        for e in range(order):
-            if all(table[e][x] == x and table[x][e] == x for x in range(order)):
-                identity = e
-                break
-        if identity is None:
-            raise ValueError("table has no two-sided identity")
-        if identity != 0:
-            # relabel so the identity sits at index 0; downstream code relies on it
-            perm = [identity] + [x for x in range(order) if x != identity]
-            pos = {x: i for i, x in enumerate(perm)}
-            table = tuple(
-                tuple(pos[table[perm[i]][perm[j]]] for j in range(order))
-                for i in range(order)
-            )
-            if labels is not None:
-                labels = [labels[p] for p in perm]
-        return FiniteGroup(order, table, 0,
-                           tuple(labels) if labels is not None else None, None)
+        # the identity's row is the first one equal to range(order); with
+        # none, index 0 lets the validation below name the fault
+        full = tuple(range(order))
+        e = next((i for i, row in enumerate(table) if row == full), 0)
+        group = FiniteGroup(order, table, e,
+                            tuple(labels) if labels is not None else None)
+        if e == 0:
+            return group
+        # relabel so the identity sits at index 0; downstream code relies on it
+        perm = [e] + [x for x in range(order) if x != e]
+        pos = {x: i for i, x in enumerate(perm)}
+        table = tuple(tuple(pos[table[a][b]] for b in perm) for a in perm)
+        return _derived(FiniteGroup, order, table, 0,
+                        None if labels is None else tuple(labels[p] for p in perm),
+                        None)
     if degree is None:
         raise ValueError("generators require a degree")
     perms = [parse_cycles(s, degree) for s in generators]
@@ -468,8 +477,8 @@ def group_from_json(obj: Dict, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteG
     if not isinstance(obj, dict):
         raise ValueError("group JSON must be an object")
     if "cayley" in obj:
-        table = obj["cayley"]
-        if "order" in obj and int(obj["order"]) != len(table):
+        table = _int_table(obj["cayley"], "cayley table")
+        if "order" in obj and obj["order"] != len(table):
             raise ValueError("declared order disagrees with the table size")
         g = build_group(cayley=table, order_cap=order_cap)
         if obj.get("name"):
@@ -477,11 +486,14 @@ def group_from_json(obj: Dict, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteG
                          str(obj["name"]))
         return g
     if "generators" in obj:
-        return build_group(generators=obj["generators"],
-                           degree=int(obj.get("degree", 0)),
-                           order_cap=order_cap)
+        gens, degree = obj["generators"], obj.get("degree")
+        if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+            raise ValueError("generators must be a list of cycle strings")
+        if type(degree) is not int:
+            raise ValueError("generators need an integer degree")
+        return build_group(generators=gens, degree=degree, order_cap=order_cap)
     if "name" in obj:
-        return build_group(name=obj["name"], order_cap=order_cap)
+        return build_group(name=str(obj["name"]), order_cap=order_cap)
     raise ValueError("group JSON needs one of cayley, generators, name")
 
 

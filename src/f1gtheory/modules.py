@@ -14,8 +14,8 @@ from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
-from .groups import (FiniteGroup, _derived, _memo_on_group, _right_cosets,
-                     classify_subgroups)
+from .groups import (FiniteGroup, _derived, _int_table, _memo_on_group,
+                     _right_cosets, classify_subgroups)
 
 __all__ = [
     "PointedMonoid", "MonoidHom", "FiniteModule", "ModuleHom", "Bimodule",
@@ -98,14 +98,23 @@ F1 = group_monoid(FiniteGroup(1, ((0,),), 0, ("e",), "C1"))
 
 
 def monoid_from_json(obj: Dict) -> PointedMonoid:
+    """Monoid from {"size": n, "mul": [[...]], "labels": [...]}.
+
+    When the nonzero elements form a group, the group is attached.
+    """
     if not isinstance(obj, dict) or "mul" not in obj:
         raise ValueError("monoid JSON must be an object with a mul table")
-    mul = tuple(tuple(int(v) for v in row) for row in obj["mul"])
-    size = int(obj.get("size", len(mul)))
-    if size != len(mul):
+    mul = _int_table(obj["mul"], "mul table")
+    if obj.get("size", len(mul)) != len(mul):
         raise ValueError("declared size disagrees with the mul table")
-    labels = tuple(str(s) for s in obj["labels"]) if obj.get("labels") else None
-    return PointedMonoid(size, mul, labels)
+    labels = obj.get("labels")
+    if labels and not isinstance(labels, list):
+        raise ValueError("monoid labels must be a list")
+    monoid = PointedMonoid(len(mul), mul, tuple(map(str, labels)) if labels else None)
+    try:
+        return detect_group(monoid)
+    except ValueError:
+        return monoid
 
 
 def detect_group(monoid: PointedMonoid) -> PointedMonoid:
@@ -437,17 +446,12 @@ def module_from_json(obj: Dict, monoid: Optional[PointedMonoid] = None) -> Finit
         m = monoid
     elif isinstance(monoid_obj, dict):
         m = monoid_from_json(monoid_obj)
-        try:
-            m = detect_group(m)
-        except ValueError:
-            pass
     else:
         raise ValueError("module monoid must be inline or the string \"group\"")
-    action = tuple(tuple(int(v) for v in row) for row in obj["action"])
-    size = int(obj.get("size", len(action)))
-    if size != len(action):
+    action = _int_table(obj["action"], "action table")
+    if obj.get("size", len(action)) != len(action):
         raise ValueError("declared size disagrees with the action table")
-    return FiniteModule(m, size, action)
+    return FiniteModule(m, len(action), action)
 
 
 # --- structure of a single module ---------------------------------------
@@ -555,7 +559,7 @@ def is_cofibration(f: ModuleHom) -> Tuple[bool, Optional[ModuleHom]]:
     sigma = _extend_equivariant(t, s, seed, lambda u: range(s.size), range(t.size))
     if sigma is None:
         return False, None
-    return True, ModuleHom(t, s, sigma)
+    return True, _derived(ModuleHom, t, s, sigma)
 
 
 def quotient(f: ModuleHom) -> FiniteModule:
@@ -864,7 +868,7 @@ def find_section(p: ModuleHom) -> Optional[ModuleHom]:
     sigma = _extend_equivariant(q, t, seed, fibers.__getitem__, range(q.size))
     if sigma is None:
         return None
-    return ModuleHom(q, t, sigma)
+    return _derived(ModuleHom, q, t, sigma)
 
 
 def induced_quotient_map(f1: ModuleHom, f2: ModuleHom, i: ModuleHom) -> ModuleHom:

@@ -69,7 +69,10 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int | None = None) -
                         break
             if restart:
                 continue
-            # enforce divisibility of the remaining block by the pivot
+            # enforce divisibility of the remaining block by the pivot;
+            # a unit pivot divides every entry
+            if abs(a[t][t]) == 1:
+                break
             witness = None
             for i in range(t + 1, m):
                 for j in range(t + 1, n):

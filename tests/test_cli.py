@@ -10,7 +10,8 @@ import time
 import pytest
 
 import f1gtheory
-from f1gtheory.cli import main
+from f1gtheory.cli import build_parser, main
+from f1gtheory.groups import build_group
 
 
 def run_cli(capsys, *argv):
@@ -419,6 +420,91 @@ def test_jobs_flag_is_rejected(capsys):
         main(["marks", "--group", "C2", "--format", "csv", "--jobs", "4"])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,content", [
+    (["marks", "--group-json"], {"cayley": [[2, 0, 7], [0, 1, 2], [7, 2, 0]]}),
+    (["marks", "--group-json"], {"cayley": [[1, 0], [0]]}),
+    (["marks", "--group-json"], {"cayley": 5}),
+    (["marks", "--group-json"], {"generators": "(1 2)", "degree": 2}),
+    (["g0", "--monoid-json"], {"mul": 5}),
+    (["g0", "--monoid-json"], {"mul": [[0, 0], [0, 1]], "labels": 3}),
+    (["decompose", "--group", "C2", "--module-json"], {"action": 5}),
+], ids=["cayley-entry-out-of-range", "cayley-ragged", "cayley-not-a-list",
+        "generators-a-string", "mul-not-a-list", "labels-not-a-list",
+        "action-not-a-list"])
+def test_malformed_file_exits_2(capsys, tmp_path, argv, content):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+
+
+def test_malformed_file_messages_name_the_fault(capsys, tmp_path):
+    path = tmp_path / "input.json"
+    for content, message in [
+            ({"generators": "(1 2)", "degree": 2}, "list of cycle strings"),
+            ({"generators": ["(1 2)"], "degree": [2]}, "integer degree"),
+            ({"cayley": [[0, 1], [1, True]]}, "list of integer lists"),
+            ({"cayley": [[0, 1], [1, 0]], "order": [2]}, "declared order")]:
+        path.write_text(json.dumps(content))
+        code, _, err = run_cli(capsys, "marks", "--group-json", str(path))
+        assert code == 2
+        assert message in err
+
+
+SEEDED = ["lambda-verify", "mackey-check", "suite"]
+UNSEEDED = [
+    ["subgroups"],
+    ["marks"],
+    ["burnside-mul", "--x", "[1]", "--y", "[1]"],
+    ["decompose", "--module-json", "module.json"],
+    ["lambda", "--element", "[1]", "--k", "1"],
+    ["diamond", "--element", "[1]", "--k", "1"],
+    ["g0"],
+    ["g1"],
+    ["wh0"],
+    ["simple-factors", "--q", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", UNSEEDED, ids=[a[0] for a in UNSEEDED])
+def test_seed_is_rejected_by_unseeded_subcommands(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--group", "C1", "--seed", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", SEEDED)
+def test_seed_is_accepted_by_seeded_subcommands(command):
+    args = build_parser().parse_args([command, "--group", "C1", "--seed", "5"])
+    assert args.seed == 5
+
+
+def test_cayley_identity_off_zero_marks_like_its_relabelled_form(capsys, tmp_path):
+    # S3 with the identity moved to index 2; the loader relabels it to 0
+    # and keeps the other elements in order
+    s3 = build_group(name="S3").cayley
+    swap = [2, 1, 0, 3, 4, 5]
+    table = [[0] * 6 for _ in range(6)]
+    for a in range(6):
+        for b in range(6):
+            table[swap[a]][swap[b]] = swap[s3[a][b]]
+    perm = [2, 0, 1, 3, 4, 5]
+    pos = {x: i for i, x in enumerate(perm)}
+    relabelled = [[pos[table[a][b]] for b in perm] for a in perm]
+    outputs = []
+    for cayley in (table, relabelled):
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps({"cayley": cayley}))
+        code, out, _ = run_cli(capsys, "marks", "--group-json", str(path))
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("table of marks for custom (4 classes)")
 
 
 def test_suite_exit_zero(capsys):

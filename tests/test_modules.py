@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import json
+import os
 import random
 
 import pytest
@@ -22,6 +24,8 @@ from f1gtheory.modules import (F1, FiniteModule, ModuleHom, MonoidHom,
                                wedge_with_inclusions, zero_module)
 
 from oracles import _small_modules, monoid_pool
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def nilpotent_monoid():
@@ -319,6 +323,14 @@ def test_monoid_json_roundtrip():
     m = nilpotent_monoid()
     again = monoid_from_json(m.to_json())
     assert again.mul == m.mul
+
+
+def test_monoid_from_json_attaches_the_group():
+    loaded = monoid_from_json(group_monoid(build_group(name="S3")).to_json())
+    assert loaded.group is not None
+    assert loaded.group.cayley == build_group(name="S3").cayley
+    with open(os.path.join(ROOT, "perfbench", "monoid3.json")) as fh:
+        assert monoid_from_json(json.load(fh)).group is None
 
 
 def test_module_validation():

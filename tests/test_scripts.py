@@ -1,0 +1,34 @@
+"""Smoke tests of the scripts under `scripts/`, each run as a process."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import f1gtheory
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(f1gtheory.__file__)))
+
+
+@pytest.mark.parametrize("argv,rows", [
+    # (bound, generators, free rank, torsion) per row
+    (["--monoid-json", "perfbench/monoid3.json", "--max-bound", "3"],
+     [("1", "1", "0", "-"), ("2", "3", "2", "-"), ("3", "7", "2", "-")]),
+    (["--group", "S3", "--max-bound", "4"],
+     [("1", "1", "0", "-"), ("2", "2", "1", "-"), ("3", "4", "2", "-"),
+      ("4", "7", "3", "-")]),
+], ids=["monoid3", "S3"])
+def test_g0_convergence_rows(argv, rows):
+    run = subprocess.run(
+        [sys.executable, os.path.join("scripts", "g0_convergence.py"), *argv],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=SRC))
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[1].split()[:2] == ["bound", "generators"]
+    got = [tuple(line.split()[i] for i in (0, 1, 3, 4)) for line in lines[2:]]
+    assert got == rows
