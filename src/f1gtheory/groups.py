@@ -477,10 +477,9 @@ def group_from_json(obj: Dict, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteG
     if not isinstance(obj, dict):
         raise ValueError("group JSON must be an object")
     if "cayley" in obj:
-        table = _int_table(obj["cayley"], "cayley table")
-        if "order" in obj and obj["order"] != len(table):
+        g = build_group(cayley=obj["cayley"], order_cap=order_cap)
+        if "order" in obj and obj["order"] != g.order:
             raise ValueError("declared order disagrees with the table size")
-        g = build_group(cayley=table, order_cap=order_cap)
         if obj.get("name"):
             g = _derived(FiniteGroup, g.order, g.cayley, g.identity, g.labels,
                          str(obj["name"]))
