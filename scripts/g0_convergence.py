@@ -7,6 +7,10 @@ of order at most 12.  For a non-group monoid (`--monoid-json`) the
 presentation stays a bounded approximation and this script shows how it
 evolves instead; the default top bound there is |M| + 2, as for `g0`.
 
+The last column, "unchanged since", is the least bound from which the free
+rank and torsion printed so far have not changed.  It is an observation over
+the bounds run, not a proof that the group stays the same at larger bounds.
+
 Usage: python3 scripts/g0_convergence.py [--group NAME | --monoid-json FILE]
                                          [--max-bound B]
 """
@@ -47,14 +51,18 @@ def run(config: ConvergenceConfig) -> int:
         print(f"monoid {config.monoid_json} of size {monoid.size}, "
               f"bounds 1..{top}")
     print(f"{'bound':>5} {'generators':>10} {'relations':>9} "
-          f"{'free rank':>9} {'torsion':>8} {'stability':>22} {'time':>7}")
+          f"{'free rank':>9} {'torsion':>8} {'stability':>22} {'time':>7} "
+          f"{'unchanged since (observed)':>26}")
+    last, since = None, 0
     for bound in range(1, top + 1):
         t0 = time.time()
         p = g0_presentation(monoid, bound)
         torsion = "+".join(str(d) for d in p.result.torsion) or "-"
+        if (p.result.free_rank, torsion) != last:
+            last, since = (p.result.free_rank, torsion), bound
         print(f"{bound:>5} {len(p.generators):>10} {len(p.relations):>9} "
               f"{p.result.free_rank:>9} {torsion:>8} {p.stability:>22} "
-              f"{time.time() - t0:>6.2f}s")
+              f"{time.time() - t0:>6.2f}s {since:>26}")
     return 0
 
 

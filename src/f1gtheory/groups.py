@@ -19,6 +19,10 @@ from .snf import cokernel_invariants
 DEFAULT_ORDER_CAP = 1024
 EXHAUSTIVE_ASSOCIATIVITY_LIMIT = 64
 SUBGROUP_ENUMERATION_LIMIT = 64
+# Most points a permutation generator may act on.  Every group within the
+# default order cap acts faithfully on its own elements, so on at most
+# DEFAULT_ORDER_CAP points.
+MAX_PERMUTATION_DEGREE = 1024
 _ASSOCIATIVITY_SAMPLES = 4096
 
 
@@ -209,14 +213,23 @@ def closure_of(group: FiniteGroup, seed: Iterable[int]) -> Tuple[int, ...]:
 
 # --- permutation helpers -------------------------------------------------
 
+def _check_degree(degree: int) -> None:
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    if degree > MAX_PERMUTATION_DEGREE:
+        raise ResourceLimitError(
+            f"degree {degree} exceeds the permutation degree cap "
+            f"{MAX_PERMUTATION_DEGREE}")
+
+
 def parse_cycles(text: str, degree: int) -> Tuple[int, ...]:
     """Parse cycle notation like "(1 2)(3 4)" into a 0-based image tuple.
 
     Points are written 1-based.  "()" and the empty string denote the
-    identity permutation.
+    identity permutation.  A degree past MAX_PERMUTATION_DEGREE is refused
+    before anything of that size is allocated.
     """
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
+    _check_degree(degree)
     perm = list(range(degree))
     body = text.strip()
     if body in ("", "()"):
@@ -464,6 +477,7 @@ def build_group(*, name: Optional[str] = None,
                         None)
     if degree is None:
         raise ValueError("generators require a degree")
+    _check_degree(degree)
     perms = [parse_cycles(s, degree) for s in generators]
     return _group_from_perms(perms, degree, order_cap)
 

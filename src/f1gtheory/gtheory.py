@@ -25,7 +25,7 @@ from .snf import cokernel_invariants, factorize, merge_cyclic_factors
 
 __all__ = [
     "AbelianGroupReport", "GrothendieckPresentation", "CartanReport",
-    "g0_presentation", "g1_via_splitting", "cartan_zero", "mult_by_regular",
+    "g0_presentation", "g1_via_splitting", "cartan_zero",
     "count_simple_factors", "DEFAULT_WORK_BUDGET", "GROUP_GENERATOR_CAP",
 ]
 
@@ -80,12 +80,12 @@ class GrothendieckPresentation:
     """Generators-and-relations data behind a degree-0 computation.
 
     Each relation row is a tuple of sorted (generator index, coefficient)
-    pairs.  Group monoids give a lazy view that re-derives its rows on
-    iteration; general monoids give a tuple.
+    pairs.  Group monoids give sized lazy views of the generator labels and
+    of the rows, re-derived on iteration; general monoids give tuples.
     """
 
     size_bound: int
-    generators: Tuple[str, ...]
+    generators: Collection[str]
     relations: Collection[Tuple[Tuple[int, int], ...]]
     result: AbelianGroupReport
     stability: str
@@ -141,18 +141,32 @@ def _peel_rows(gens: Sequence[Tuple[int, ...]],
                gen_index: Dict[Tuple[int, ...], int]) -> Iterator[Tuple[Tuple[int, int], ...]]:
     """The relation rows as sorted (column, coefficient) pairs.
 
-    First [0], then [c] - [c - e_i] - [e_i] for every peel site (c, i).
+    First [0], then [c] - [c - e_i] - [e_i] for every peel site (c, i), with
+    coinciding columns merged: c = e_i gives -[0] and c = 2e_i gives
+    [c] - 2[e_i].  `gens` is in lex order, so c - e_i and e_i both precede
+    c, and c's column comes last in its row.
     """
     rank = len(gens[0])
-    yield ((gen_index[(0,) * rank], -1),)
-    for c, i in _peel_sites(gens):
-        row: Dict[int, int] = {}
-        smaller = c[:i] + (c[i] - 1,) + c[i + 1:]
-        single = (0,) * i + (1,) + (0,) * (rank - i - 1)
-        for key, delta in ((c, 1), (smaller, -1), (single, -1)):
-            idx = gen_index[key]
-            row[idx] = row.get(idx, 0) + delta
-        yield tuple(sorted((k, v) for k, v in row.items() if v))
+    zero = gen_index[(0,) * rank]
+    # e_i is a generator whenever some generator has c[i] > 0
+    singles = [gen_index.get((0,) * i + (1,) + (0,) * (rank - i - 1))
+               for i in range(rank)]
+    yield ((zero, -1),)
+    for top, c in enumerate(gens):
+        for i, v in enumerate(c):
+            if not v:
+                continue
+            single = singles[i]
+            if top == single:
+                yield ((zero, -1),)
+                continue
+            rest = gen_index[c[:i] + (v - 1,) + c[i + 1:]]
+            if rest == single:
+                yield ((single, -2), (top, 1))
+            elif rest < single:
+                yield ((rest, -1), (single, -1), (top, 1))
+            else:
+                yield ((single, -1), (rest, -1), (top, 1))
 
 
 @dataclass(frozen=True)
@@ -178,6 +192,26 @@ class _PeelRelations:
         return _peel_rows(gens, {c: i for i, c in enumerate(gens)})
 
 
+@dataclass(frozen=True)
+class _CountVectorLabels:
+    """Sized view of the generator labels "[c_0,...,c_r]" at one size bound.
+
+    The length is the count taken before enumerating; the labels are
+    rendered only when iterated, from a fresh enumeration.
+    """
+
+    sizes: Tuple[int, ...]
+    budget: int
+    count: int
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[str]:
+        return ("[" + ",".join(map(str, c)) + "]"
+                for c in _count_vectors(self.sizes, self.budget))
+
+
 def _group_g0(ring: BurnsideRing, size_bound: int) -> GrothendieckPresentation:
     """Presentation over a group monoid via the orbit-class classification.
 
@@ -191,6 +225,13 @@ def _group_g0(ring: BurnsideRing, size_bound: int) -> GrothendieckPresentation:
     a single orbit is the unit-coefficient top term of a row whose other
     terms have fewer orbits.  So the single orbits that fit generate the
     cokernel and map to independent unit vectors: it is free on them.
+
+    The kernel test is on integers: enc(c) = sum_j c_j B^j with B > 6 budget.
+    Entries of a count vector are at most the budget, so a row whose
+    coefficients have absolute sum at most 3 has an image with entries of
+    absolute value below B/2, and that image is zero exactly when its
+    base-B digits are, that is when sum v enc(c) = 0.  Rows of larger
+    absolute sum are refused outright; no peel row has one.
     """
     sizes = ring.coset_sizes
     budget = size_bound - 1
@@ -208,21 +249,33 @@ def _group_g0(ring: BurnsideRing, size_bound: int) -> GrothendieckPresentation:
             f"{len(gens)} generators enumerated, {count} counted")
     gen_index = {c: i for i, c in enumerate(gens)}
     orbits = [sum(c) for c in gens]
+    powers = [(6 * budget + 1) ** j for j in range(ring.rank)]
+    enc = [sum(v * p for v, p in zip(c, powers) if v) for c in gens]
     reduced = bytearray(len(gens))
     rows = 0
     for row in _peel_rows(gens, gen_index):
-        image = [0] * ring.rank
+        weight = image = 0
+        top = lead = -1
+        # whether the row fails the top-term test so far: its most-orbit
+        # term is tied or has a non-unit coefficient
+        fails = True
         for idx, v in row:
-            image = [x + v * y for x, y in zip(image, gens[idx])]
-        if any(image):
+            weight += v if v > 0 else -v
+            image += v * enc[idx]
+            depth = orbits[idx]
+            if depth > top:
+                top, lead, fails = depth, idx, v not in (1, -1)
+            elif depth == top:
+                fails = True
+        if weight > 3:
+            raise InternalCheckError(
+                f"relation {row} has coefficients of absolute sum {weight}, "
+                f"past the 3 the encoded kernel test covers")
+        if image:
             raise InternalCheckError(
                 f"relation {row} is not in the kernel of [c] -> c")
-        depth = [orbits[idx] for idx, _ in row]
-        top = max(depth)
-        if depth.count(top) == 1:
-            idx, v = row[depth.index(top)]
-            if v in (1, -1):
-                reduced[idx] = 1
+        if not fails:
+            reduced[lead] = 1
         rows += 1
     if rows != len(relations):
         raise InternalCheckError(
@@ -242,10 +295,9 @@ def _group_g0(ring: BurnsideRing, size_bound: int) -> GrothendieckPresentation:
         provenance=f"generators-relations bound={size_bound}",
         basis_interpretation=tuple(ring.labels) if stable else None,
     )
-    labels = tuple("[" + ",".join(str(v) for v in c) + "]" for c in gens)
     return GrothendieckPresentation(
-        size_bound, labels, relations, result,
-        "stable at bound" if stable else "bounded approximation",
+        size_bound, _CountVectorLabels(sizes, budget, count), relations,
+        result, "stable at bound" if stable else "bounded approximation",
     )
 
 
@@ -328,12 +380,19 @@ class _ClassIndex:
             raise ResourceLimitError(f"module enumeration passed the work budget "
                                      f"{self.budget}; lower the size bound")
 
+    def lookup(self, table: Tuple[Tuple[int, ...], ...]) -> int:
+        """Index of the class of the module with this action table."""
+        i = self._known.get(table)
+        if i is None:
+            raise InternalCheckError("module of bounded size missing from enumeration")
+        return i
+
     def class_of(self, module: FiniteModule, new: bool = False) -> int:
         """Index of module's class; with `new`, an unmatched module opens one."""
+        if not new:
+            return self.lookup(module.action)
         i = self._known.get(module.action)
         if i is None:
-            if not new:
-                raise InternalCheckError("module of bounded size missing from enumeration")
             self.spend(math.factorial(module.size - 1))
             i = len(self.reps)
             self.reps.append(module)
@@ -379,27 +438,63 @@ def _action_closed_subsets(module: FiniteModule) -> List[Tuple[int, ...]]:
             if all(reach[x] & ~mask == 0 for x in points if mask >> x & 1)]
 
 
+def _split_tables(module: FiniteModule, subset: Tuple[int, ...]
+                  ) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...], bool]:
+    """Action tables of the submodule on an action-closed `subset` and of the
+    quotient by it, laid out as `submodule_inclusion` and `quotient` lay them
+    out, and whether the complement of `subset`, with 0, is action-closed.
+    """
+    action = module.action
+    keep = (0,) + subset
+    inside = [0] * module.size
+    for i, x in enumerate(keep):
+        inside[x] = i
+    sub = tuple(tuple(inside[y] for y in action[x]) for x in keep)
+    rest = [x for x in range(1, module.size) if not inside[x]]
+    proj = [0] * module.size
+    for i, x in enumerate(rest, 1):
+        proj[x] = i
+    quot = ((0,) * module.monoid.size,) + tuple(
+        tuple(proj[y] for y in action[x]) for x in rest)
+    collapse = all(proj[y] or not y for x in rest for y in action[x])
+    return sub, quot, collapse
+
+
 def _general_g0(m: PointedMonoid, size_bound: int,
                 work_budget: int) -> GrothendieckPresentation:
+    """Presentation over a general monoid from enumerated module classes.
+
+    Each action-closed subset of a representative gives the relation
+    [M] - [sub] - [M/sub] when its inclusion is split.  Both terms are
+    looked up by action table.  When the complement of the subset, with 0,
+    is action-closed, the collapse retraction is equivariant, so the
+    inclusion splits without a search (the search would return that
+    retraction first); only the other subsets run `is_cofibration`.
+    """
     index = _enumerate_modules(m, size_bound, work_budget)
     reps = index.reps
-    rows: List[List[int]] = []
+    relations: List[Tuple[Tuple[int, int], ...]] = []
     for i, rep in enumerate(reps):
         for subset in _action_closed_subsets(rep):
-            incl = submodule_inclusion(rep, subset)
-            if is_cofibration(incl)[0]:
-                row = [0] * len(reps)
-                row[i] += 1
-                row[index.class_of(incl.source)] -= 1
-                row[index.class_of(quotient(incl))] -= 1
-                if any(row):
-                    rows.append(row)
-    free_rank, torsion = cokernel_invariants(rows, len(reps))
+            sub, quot, collapse = _split_tables(rep, subset)
+            if not (collapse or is_cofibration(submodule_inclusion(rep, subset))[0]):
+                continue
+            row = {i: 1}
+            for j in (index.lookup(sub), index.lookup(quot)):
+                row[j] = row.get(j, 0) - 1
+            # the coefficients sum to -1, so the row is never empty
+            relations.append(tuple(sorted((j, v) for j, v in row.items() if v)))
+    dense = []
+    for relation in dict.fromkeys(relations):
+        row = [0] * len(reps)
+        for j, v in relation:
+            row[j] = v
+        dense.append(row)
+    free_rank, torsion = cokernel_invariants(dense, len(reps))
     result = AbelianGroupReport(free_rank, tuple(torsion),
                                 f"generators-relations bound={size_bound}")
     labels = tuple(f"size{rep.size}_idx{i}" for i, rep in enumerate(reps))
-    relations = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in rows)
-    return GrothendieckPresentation(size_bound, labels, relations, result,
+    return GrothendieckPresentation(size_bound, labels, tuple(relations), result,
                                     "bounded approximation")
 
 
@@ -465,13 +560,6 @@ def cartan_zero(group: FiniteGroup) -> CartanReport:
     report = AbelianGroupReport(free_rank, tuple(torsion), "snf",
                                 tuple(ring.labels))
     return CartanReport(image, report)
-
-
-def mult_by_regular(group: FiniteGroup, x) -> "BurnsideElement":
-    """Multiply by the class of the regular orbit (free rank-1 module)."""
-    ring = build_burnside(group)
-    regular = ring.decompose(free_module(group_monoid(group), 1))
-    return x * regular
 
 
 def count_simple_factors(group: FiniteGroup, q: int) -> int:

@@ -14,10 +14,22 @@ coordinate at a time.
 `cokernel_invariants_sparse` is the sparse Smith normal form, the oracle of
 the linear certificate that computes group-monoid degree-0 groups.
 
+`peel_rows_by_dict` builds each group-monoid peel row as a dict over its
+three terms and sorts it, and `in_peel_kernel` maps a row to count vectors
+one rank-length list at a time; the library emits rows straight from their
+three column indices and tests the kernel on one integer encoding.
+
 `product_order_tables` and `enumerate_modules_pairwise` are the unpruned
 general-monoid module enumeration: every table of the full product of free
 action entries is tested whole, and classes are found by a pairwise
 `are_isomorphic` scan over every representative of the same size.
+`object_relation_rows` builds the general-monoid relation rows on module
+objects (`submodule_inclusion`, `is_cofibration`, `quotient`); the library
+builds the two action tables of each subset and decides the cofibration
+collapse-first.
+
+`mult_by_regular` multiplies a Burnside ring element by the class of the
+regular orbit, read off an explicit free module.
 
 `reindexed_context` re-indexes a subgroup as a standalone group with its
 own subgroup lattice and Burnside ring, and maps its classes into the outer
@@ -46,11 +58,13 @@ from f1gtheory.burnside import BurnsideElement, BurnsideRing, build_burnside
 from f1gtheory.errors import InternalCheckError
 from f1gtheory.groups import (FiniteGroup, _memo_on_group, build_group,
                               subgroup_as_group)
-from f1gtheory.gtheory import _enumerate_modules
+from f1gtheory.gtheory import _action_closed_subsets, _enumerate_modules
 from f1gtheory.mackey import double_coset_reps, transport
 from f1gtheory.modules import (FiniteModule, ModuleHom, MonoidHom, PointedMonoid,
-                               are_isomorphic, generating_set, group_monoid,
-                               permute_module, wedge_with_inclusions)
+                               are_isomorphic, free_module, generating_set,
+                               group_monoid, is_cofibration, permute_module,
+                               quotient, submodule_inclusion,
+                               wedge_with_inclusions)
 from f1gtheory.sampling import random_effective
 from f1gtheory.polynomials import UniversalPolynomial
 from f1gtheory.snf import cokernel_invariants
@@ -302,6 +316,66 @@ def cokernel_invariants_sparse(rows: Sequence, ncols: int) -> Tuple[int, List[in
     else:
         free, torsion = ncols - unit_rank, []
     return free, torsion
+
+
+# --- degree-0 relation rows ----------------------------------------------
+
+def peel_rows_by_dict(gens: Sequence[Tuple[int, ...]],
+                      gen_index: Dict[Tuple[int, ...], int]
+                      ) -> Iterator[Tuple[Tuple[int, int], ...]]:
+    """[0], then [c] - [c - e_i] - [e_i] per peel site, merged in a dict."""
+    rank = len(gens[0])
+    yield ((gen_index[(0,) * rank], -1),)
+    for c in gens:
+        for i, v in enumerate(c):
+            if not v:
+                continue
+            row: Dict[int, int] = {}
+            smaller = c[:i] + (v - 1,) + c[i + 1:]
+            single = (0,) * i + (1,) + (0,) * (rank - i - 1)
+            for key, delta in ((c, 1), (smaller, -1), (single, -1)):
+                idx = gen_index[key]
+                row[idx] = row.get(idx, 0) + delta
+            yield tuple(sorted((k, v) for k, v in row.items() if v))
+
+
+def in_peel_kernel(row: Sequence[Tuple[int, int]],
+                   gens: Sequence[Tuple[int, ...]]) -> bool:
+    """Whether sum v * c over the row's terms (idx, v), c = gens[idx], is zero."""
+    image = [0] * len(gens[0])
+    for idx, v in row:
+        image = [x + v * y for x, y in zip(image, gens[idx])]
+    return not any(image)
+
+
+def object_relation_rows(m: PointedMonoid, size_bound: int
+                         ) -> List[Tuple[Tuple[int, int], ...]]:
+    """General-monoid relation rows from module objects and the full search.
+
+    Every action-closed subset of every representative is included as a
+    module, tested with `is_cofibration`, and its submodule and quotient
+    are classified through the class memo.
+    """
+    index = _enumerate_modules(m, size_bound, 10 ** 6)
+    rows = []
+    for i, rep in enumerate(index.reps):
+        for subset in _action_closed_subsets(rep):
+            incl = submodule_inclusion(rep, subset)
+            if is_cofibration(incl)[0]:
+                row = [0] * len(index.reps)
+                row[i] += 1
+                row[index.class_of(incl.source)] -= 1
+                row[index.class_of(quotient(incl))] -= 1
+                if any(row):
+                    rows.append(tuple((j, v) for j, v in enumerate(row) if v))
+    return rows
+
+
+def mult_by_regular(group: FiniteGroup, x: BurnsideElement) -> BurnsideElement:
+    """Multiply by the class of the regular orbit (free rank-1 module)."""
+    ring = build_burnside(group)
+    regular = ring.decompose(free_module(group_monoid(group), 1))
+    return x * regular
 
 
 # --- unpruned module enumeration ----------------------------------------

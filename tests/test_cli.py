@@ -10,6 +10,7 @@ import time
 import pytest
 
 import f1gtheory
+from f1gtheory import groups
 from f1gtheory.cli import build_parser, main
 from f1gtheory.groups import build_group
 
@@ -168,9 +169,11 @@ def test_g0_work_budget_exits_2(capsys, tmp_path):
     assert "past the work budget 1000000" in err
 
 
-# bounds 7 and 8 over the idempotent monoid {0, 1, e}; a classification that
-# runs `are_isomorphic` on every table prints the same bytes
+# bounds 6 (the `g0-monoid3` bench case), 7 and 8 over the idempotent monoid
+# {0, 1, e}; a classification that runs `are_isomorphic` on every table, and
+# relation rows built on module objects, print the same bytes
 G0_MONOID3_SHA256 = {
+    6: "bf6c05dc3659663fe999b2548fb6a978f7320d6531be9cfc16ea2d2395f4a331",
     7: "8df11d746f33e7f3b7b92a38899791a176b5b34112dc82216bf05acca6d92422",
     8: "3ad86b592cb5bd8a7a55c9e4d90f2897b210e200ee20b19abaa2e317be542696",
 }
@@ -413,6 +416,30 @@ def test_order_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("F1G_ORDER_CAP", "bogus")
     code, _, err = run_cli(capsys, "marks", "--group", "C2")
     assert code == 2
+
+
+def test_degree_past_cap_exits_2_before_allocating(capsys, tmp_path, monkeypatch):
+    cap = groups.MAX_PERMUTATION_DEGREE
+
+    def sized_range(*args):
+        if max(args) > cap:
+            raise AssertionError(f"range{args} allocated past the degree cap")
+        return range(*args)
+
+    monkeypatch.setattr(groups, "range", sized_range, raising=False)
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"generators": ["(1 2)"], "degree": 300000}))
+    for argv in (["--generators", "(1 2)", "--degree", "300000"],
+                 ["--generators", ";", "--degree", str(cap + 1)],
+                 ["--group-json", str(path)]):
+        code, out, err = run_cli(capsys, "subgroups", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert f"permutation degree cap {cap}" in err
+    code, out, _ = run_cli(capsys, "subgroups", "--generators", "(1 2)",
+                           "--degree", str(cap))
+    assert code == 0
+    assert out.startswith("group custom of order 2:")
 
 
 def test_jobs_flag_is_rejected(capsys):

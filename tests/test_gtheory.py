@@ -13,17 +13,30 @@ from f1gtheory.groups import (build_group, conjugacy_classes_of_elements,
                               library_names)
 from f1gtheory.gtheory import (AbelianGroupReport, cartan_zero,
                                count_simple_factors, g0_presentation,
-                               g1_via_splitting, mult_by_regular)
+                               g1_via_splitting)
 from f1gtheory.modules import (FiniteModule, PointedMonoid, group_monoid,
-                               permute_module)
+                               is_cofibration, permute_module, quotient,
+                               submodule_inclusion)
 from f1gtheory.snf import cokernel_invariants
 
 from conftest import ring_of
 from oracles import (cokernel_invariants_sparse, enumerate_modules_pairwise,
-                     monoid_pool, pairwise_class, product_order_tables)
+                     in_peel_kernel, monoid_pool, mult_by_regular,
+                     object_relation_rows, pairwise_class, peel_rows_by_dict,
+                     product_order_tables)
 
 # the idempotent monoid {0, 1, e}, e*e = e (perfbench/monoid3.json)
 IDEMPOTENT = PointedMonoid(3, ((0, 0, 0), (0, 1, 2), (0, 2, 2)))
+# the monoids of the general-monoid CLI goldens, with their bounds
+NILPOTENT = PointedMonoid(3, ((0, 0, 0), (0, 1, 2), (0, 2, 0)))
+TRUNCATED_POWER = PointedMonoid(
+    4, ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 0), (0, 3, 0, 0)))
+GOLDEN_MONOIDS = ((NILPOTENT, 6), (TRUNCATED_POWER, 4))
+
+
+def small_library_groups(max_order=8):
+    groups = (build_group(name=name) for name in library_names())
+    return [g for g in groups if g.order <= max_order]
 
 
 def test_g0_of_f1_is_z():
@@ -98,6 +111,99 @@ def test_g0_certificate_rejects_row_outside_kernel(monkeypatch):
     monkeypatch.setattr(gtheory, "_peel_rows", with_bad_row)
     with pytest.raises(InternalCheckError, match="kernel"):
         g0_presentation(group_monoid(build_group(name="C2")), 5)
+
+
+def test_peel_rows_match_dict_oracle():
+    for group in small_library_groups():
+        sizes = ring_of(group.name).coset_sizes
+        for bound in range(1, group.order + 4):
+            gens = gtheory._count_vectors(sizes, bound - 1)
+            gen_index = {c: i for i, c in enumerate(gens)}
+            rows = list(gtheory._peel_rows(gens, gen_index))
+            assert rows == list(peel_rows_by_dict(gens, gen_index)), \
+                (group.name, bound)
+            assert all(in_peel_kernel(row, gens) for row in rows)
+
+
+def test_g0_certificate_rejects_heavy_row_the_encoding_misses(monkeypatch):
+    # over C2 at bound 5, B = 6 * 4 + 1 = 25 and enc(e_1) = 25 enc(e_0):
+    # the row 25 [e_0] - [e_1] has encoded image 0 but lies outside the
+    # kernel, so only the bound on the absolute sum refuses it
+    peel_rows = gtheory._peel_rows
+    found = []
+
+    def with_heavy_row(gens, gen_index):
+        yield from peel_rows(gens, gen_index)
+        row = tuple(sorted(((gen_index[(1, 0)], 25), (gen_index[(0, 1)], -1))))
+        found.append((row, gens))
+        yield row
+
+    monkeypatch.setattr(gtheory, "_peel_rows", with_heavy_row)
+    with pytest.raises(InternalCheckError, match="absolute sum 26"):
+        g0_presentation(group_monoid(build_group(name="C2")), 5)
+    (row, gens), = found
+    assert not in_peel_kernel(row, gens)
+
+
+def test_g0_certificate_rejects_heavy_row_in_kernel(monkeypatch):
+    peel_rows = gtheory._peel_rows
+
+    def with_doubled_row(gens, gen_index):
+        rows = list(peel_rows(gens, gen_index))
+        yield from rows
+        yield tuple((idx, 2 * v) for idx, v in rows[-1])
+
+    monkeypatch.setattr(gtheory, "_peel_rows", with_doubled_row)
+    with pytest.raises(InternalCheckError, match="absolute sum 6"):
+        g0_presentation(group_monoid(build_group(name="C2")), 5)
+
+
+def test_g0_generator_labels_are_lazy_and_match_eager_tuple(monkeypatch):
+    calls = []
+    count_vectors = gtheory._count_vectors
+
+    def counting(sizes, budget):
+        calls.append(budget)
+        return count_vectors(sizes, budget)
+
+    monkeypatch.setattr(gtheory, "_count_vectors", counting)
+    for group in small_library_groups():
+        sizes = ring_of(group.name).coset_sizes
+        for bound in range(1, group.order + 4):
+            del calls[:]
+            p = g0_presentation(group_monoid(group), bound)
+            assert len(calls) == 1  # the certificate's own enumeration
+            eager = tuple("[" + ",".join(str(v) for v in c) + "]"
+                          for c in count_vectors(sizes, bound - 1))
+            assert len(p.generators) == len(eager)
+            assert len(calls) == 1
+            assert list(p.generators) == list(eager), (group.name, bound)
+            assert list(p.generators) == list(eager)  # re-iterable
+
+
+def test_general_rows_match_object_oracle():
+    for m, bound in ((IDEMPOTENT, 6),) + GOLDEN_MONOIDS:
+        for b in range(1, bound + 1):
+            assert list(g0_presentation(m, b).relations) == \
+                object_relation_rows(m, b), (m.mul, b)
+
+
+def test_collapse_first_matches_is_cofibration():
+    for m, bound in ((IDEMPOTENT, 6),) + GOLDEN_MONOIDS:
+        for rep in gtheory._enumerate_modules(m, bound, 10 ** 6).reps:
+            for subset in gtheory._action_closed_subsets(rep):
+                sub, quot, collapse = gtheory._split_tables(rep, subset)
+                incl = submodule_inclusion(rep, subset)
+                assert sub == incl.source.action
+                assert quot == quotient(incl).action
+                ok, witness = is_cofibration(incl)
+                assert (collapse or ok) == ok
+                if collapse:
+                    # the search returns the collapse retraction first
+                    kept = {0, *subset}
+                    assert witness.map == tuple(
+                        incl.map.index(x) if x in kept else 0
+                        for x in range(rep.size))
 
 
 def test_g0_generator_cap_refuses_before_enumerating(monkeypatch):
