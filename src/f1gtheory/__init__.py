@@ -2,148 +2,71 @@
 
 The package is organized in layers: finite groups and their subgroup
 structure, pointed monoids and their finite modules, the Burnside ring with
-its table of marks, lambda operations built from tuple and subset modules,
-induction and restriction with the double coset formula, and presentations
-of the degree-0 and degree-1 invariant groups.
+its table of marks, lambda operations in the ghost ring, induction and
+restriction with the double coset formula, and presentations of the
+degree-0 and degree-1 invariant groups.  Library constructions that no
+engine layer uses (base change, smash products, pushouts, bimodules,
+isomorphism testing) live in `constructions`.
+
+The public names resolve lazily (PEP 562): `import f1gtheory` loads no
+submodule, and the first use of a name loads the submodule that defines it.
 """
 
 from __future__ import annotations
 
-from .burnside import (BurnsideElement, BurnsideRing, build_burnside,
-                       decompose, marks_to_csv)
-from .errors import InternalCheckError, ResourceLimitError
-from .groups import (FiniteGroup, Subgroup, SubgroupClassification,
-                     abelianization, all_subgroups, build_group,
-                     classify_subgroups, closure_of,
-                     commutator_subgroup, conjugacy_classes_of_elements,
-                     find_isomorphism, group_from_json, is_isomorphic,
-                     is_odd_cyclic, library_names, load_group, normalizer,
-                     parse_cycles, quotient_group, weyl_group)
-from .gtheory import (AbelianGroupReport, CartanReport,
-                      GrothendieckPresentation, cartan_zero,
-                      count_simple_factors, g0_presentation,
-                      g1_via_splitting)
-from .lambda_ops import (diamond, diamond_filtered, lambda_k, lambda_series,
-                         subset_module, verify_lambda_ring, verify_pre_lambda)
-from .mackey import (DoubleCosetPlan, DoubleCosetReport, FrobeniusReport,
-                     SubgroupContext, check_double_coset, check_frobenius,
-                     conjugate, double_coset_plan, double_coset_reps,
-                     green_morphism_check, induce, restrict,
-                     subgroup_context, transport)
-from .modules import (Bimodule, FiniteModule, ModuleHom, MonoidHom,
-                      PointedMonoid, are_isomorphic, base_change,
-                      base_change_hom, bimodule_from_module,
-                      bimodule_from_monoid_hom, coset_module, detect_group,
-                      diagonal_smash, extension_property_check, find_section,
-                      free_module, generating_set, group_monoid,
-                      identity_hom, identity_monoid_hom,
-                      induced_quotient_map, is_cofibration, module_from_json,
-                      monoid_from_json, permute_module, pushout, quotient,
-                      quotient_with_projection, restrict_scalars, smash,
-                      submodule_inclusion, wedge, wedge_with_inclusions,
-                      zero_module)
-from .polynomials import UniversalPolynomial, universal_polynomial
-from .reports import CheckReport
-from .snf import (cokernel_invariants, factorize, merge_cyclic_factors,
-                  smith_normal_form)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianGroupReport",
-    "Bimodule",
-    "BurnsideElement",
-    "BurnsideRing",
-    "CartanReport",
-    "CheckReport",
-    "DoubleCosetPlan",
-    "DoubleCosetReport",
-    "FiniteGroup",
-    "FiniteModule",
-    "FrobeniusReport",
-    "GrothendieckPresentation",
-    "InternalCheckError",
-    "ModuleHom",
-    "MonoidHom",
-    "PointedMonoid",
-    "ResourceLimitError",
-    "Subgroup",
-    "SubgroupClassification",
-    "SubgroupContext",
-    "UniversalPolynomial",
-    "abelianization",
-    "all_subgroups",
-    "are_isomorphic",
-    "base_change",
-    "base_change_hom",
-    "bimodule_from_module",
-    "bimodule_from_monoid_hom",
-    "build_burnside",
-    "build_group",
-    "cartan_zero",
-    "check_double_coset",
-    "check_frobenius",
-    "classify_subgroups",
-    "closure_of",
-    "cokernel_invariants",
-    "commutator_subgroup",
-    "conjugacy_classes_of_elements",
-    "conjugate",
-    "coset_module",
-    "count_simple_factors",
-    "decompose",
-    "detect_group",
-    "diagonal_smash",
-    "diamond",
-    "diamond_filtered",
-    "double_coset_plan",
-    "double_coset_reps",
-    "extension_property_check",
-    "factorize",
-    "find_isomorphism",
-    "find_section",
-    "free_module",
-    "g0_presentation",
-    "g1_via_splitting",
-    "generating_set",
-    "green_morphism_check",
-    "group_from_json",
-    "group_monoid",
-    "identity_hom",
-    "identity_monoid_hom",
-    "induce",
-    "induced_quotient_map",
-    "is_cofibration",
-    "is_isomorphic",
-    "is_odd_cyclic",
-    "lambda_k",
-    "lambda_series",
-    "library_names",
-    "load_group",
-    "marks_to_csv",
-    "merge_cyclic_factors",
-    "module_from_json",
-    "monoid_from_json",
-    "normalizer",
-    "parse_cycles",
-    "permute_module",
-    "pushout",
-    "quotient",
-    "quotient_group",
-    "quotient_with_projection",
-    "restrict",
-    "restrict_scalars",
-    "smash",
-    "smith_normal_form",
-    "subgroup_context",
-    "submodule_inclusion",
-    "subset_module",
-    "transport",
-    "universal_polynomial",
-    "verify_lambda_ring",
-    "verify_pre_lambda",
-    "wedge",
-    "wedge_with_inclusions",
-    "weyl_group",
-    "zero_module",
-]
+# The one export table: public name -> the submodule that defines it.
+_EXPORTS = {name: module for module, names in {
+    "burnside": ("BurnsideElement", "BurnsideRing", "build_burnside",
+                 "decompose", "marks_to_csv"),
+    "constructions": ("Bimodule", "MonoidHom", "are_isomorphic", "base_change",
+                      "base_change_hom", "bimodule_from_module",
+                      "bimodule_from_monoid_hom", "find_isomorphism",
+                      "find_section", "generating_set", "identity_monoid_hom",
+                      "is_isomorphic", "pushout", "restrict_scalars", "smash"),
+    "errors": ("InternalCheckError", "ResourceLimitError"),
+    "groups": ("FiniteGroup", "Subgroup", "SubgroupClassification",
+               "abelianization", "all_subgroups", "build_group",
+               "classify_subgroups", "closure_of", "commutator_subgroup",
+               "conjugacy_classes_of_elements", "group_from_json",
+               "is_odd_cyclic", "library_names", "load_group", "normalizer",
+               "parse_cycles", "quotient_group", "weyl_group"),
+    "gtheory": ("AbelianGroupReport", "CartanReport",
+                "GrothendieckPresentation", "cartan_zero",
+                "count_simple_factors", "g0_presentation", "g1_via_splitting"),
+    "lambda_ops": ("diamond", "lambda_k", "lambda_series",
+                   "verify_lambda_ring", "verify_pre_lambda"),
+    "mackey": ("DoubleCosetPlan", "DoubleCosetReport", "FrobeniusReport",
+               "SubgroupContext", "check_double_coset", "check_frobenius",
+               "conjugate", "double_coset_plan", "double_coset_reps",
+               "green_morphism_check", "induce", "restrict",
+               "subgroup_context", "transport"),
+    "modules": ("FiniteModule", "ModuleHom", "PointedMonoid", "coset_module",
+                "detect_group", "diagonal_smash", "free_module",
+                "group_monoid", "is_cofibration", "module_from_json",
+                "monoid_from_json", "quotient", "quotient_with_projection",
+                "submodule_inclusion", "wedge", "wedge_with_inclusions",
+                "zero_module"),
+    "polynomials": ("UniversalPolynomial", "universal_polynomial"),
+    "reports": ("CheckReport",),
+    "snf": ("cokernel_invariants", "factorize", "merge_cyclic_factors",
+            "smith_normal_form"),
+}.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -490,7 +490,13 @@ def _cmd_suite(args) -> int:
         })
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The `f1g` parser, with every subcommand registered under its help.
+
+    Given the name of one subcommand, only that one gets its arguments; the
+    others are registered with their help alone, which is all that the
+    top-level help and the "invalid choice" message read.
+    """
     parser = argparse.ArgumentParser(
         prog="f1g",
         description="Burnside rings, modules over pointed monoids, lambda "
@@ -498,81 +504,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sp = subs.add_parser("subgroups", help="conjugacy classes of subgroups")
-    _add_common_args(sp)
-    sp.set_defaults(func=_cmd_subgroups)
+    def add(name, summary, func, formats=("text", "json")):
+        sp = subs.add_parser(name, help=summary)
+        if command is not None and name != command:
+            return None
+        _add_common_args(sp, formats)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = subs.add_parser("marks", help="table of marks")
-    _add_common_args(sp, formats=("text", "json", "csv"))
-    sp.set_defaults(func=_cmd_marks)
+    add("subgroups", "conjugacy classes of subgroups", _cmd_subgroups)
 
-    sp = subs.add_parser("burnside-mul", help="multiply two virtual classes")
-    _add_common_args(sp)
-    sp.add_argument("--x", required=True, help="JSON coefficient array")
-    sp.add_argument("--y", required=True, help="JSON coefficient array")
-    sp.set_defaults(func=_cmd_burnside_mul)
+    add("marks", "table of marks", _cmd_marks, formats=("text", "json", "csv"))
 
-    sp = subs.add_parser("decompose", help="decompose a module JSON file")
-    _add_common_args(sp)
-    sp.add_argument("--module-json", required=True)
-    sp.set_defaults(func=_cmd_decompose)
+    if sp := add("burnside-mul", "multiply two virtual classes", _cmd_burnside_mul):
+        sp.add_argument("--x", required=True, help="JSON coefficient array")
+        sp.add_argument("--y", required=True, help="JSON coefficient array")
 
-    sp = subs.add_parser("lambda", help="apply a lambda operation")
-    _add_common_args(sp)
-    sp.add_argument("--element", required=True, help="JSON coefficient array")
-    sp.add_argument("--k", type=int, required=True)
-    sp.set_defaults(func=_cmd_lambda)
+    if sp := add("decompose", "decompose a module JSON file", _cmd_decompose):
+        sp.add_argument("--module-json", required=True)
 
-    sp = subs.add_parser("lambda-verify", help="check lambda axioms")
-    _add_common_args(sp)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--k-cap", type=_count, default=3)
-    sp.add_argument("--l-cap", type=_count, default=2)
-    sp.add_argument("--trials", type=_count, default=20)
-    sp.set_defaults(func=_cmd_lambda_verify)
+    if sp := add("lambda", "apply a lambda operation", _cmd_lambda):
+        sp.add_argument("--element", required=True, help="JSON coefficient array")
+        sp.add_argument("--k", type=int, required=True)
 
-    sp = subs.add_parser("diamond", help="ordered tuple module of an element")
-    _add_common_args(sp)
-    sp.add_argument("--element", required=True, help="JSON coefficient array")
-    sp.add_argument("--k", type=int, required=True)
-    sp.set_defaults(func=_cmd_diamond)
+    if sp := add("lambda-verify", "check lambda axioms", _cmd_lambda_verify):
+        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        sp.add_argument("--k-cap", type=_count, default=3)
+        sp.add_argument("--l-cap", type=_count, default=2)
+        sp.add_argument("--trials", type=_count, default=20)
 
-    sp = subs.add_parser("mackey-check", help="double coset, Frobenius, Green")
-    _add_common_args(sp)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--trials", type=_count, default=50)
-    sp.set_defaults(func=_cmd_mackey_check)
+    if sp := add("diamond", "ordered tuple module of an element", _cmd_diamond):
+        sp.add_argument("--element", required=True, help="JSON coefficient array")
+        sp.add_argument("--k", type=int, required=True)
 
-    sp = subs.add_parser("g0", help="degree-0 presentation")
-    _add_common_args(sp)
-    sp.add_argument("--monoid-json", help="pointed monoid JSON instead of a group")
-    sp.add_argument("--bound", type=int, help="carrier size bound")
-    sp.set_defaults(func=_cmd_g0)
+    if sp := add("mackey-check", "double coset, Frobenius, Green", _cmd_mackey_check):
+        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        sp.add_argument("--trials", type=_count, default=50)
 
-    sp = subs.add_parser("g1", help="degree-1 group via the splitting formula")
-    _add_common_args(sp)
-    sp.set_defaults(func=_cmd_g1)
+    if sp := add("g0", "degree-0 presentation", _cmd_g0):
+        sp.add_argument("--monoid-json", help="pointed monoid JSON instead of a group")
+        sp.add_argument("--bound", type=int, help="carrier size bound")
 
-    sp = subs.add_parser("wh0", help="degree-0 assembly cokernel")
-    _add_common_args(sp)
-    sp.set_defaults(func=_cmd_wh0)
+    add("g1", "degree-1 group via the splitting formula", _cmd_g1)
 
-    sp = subs.add_parser("simple-factors", help="simple factors of F_q[G]")
-    _add_common_args(sp)
-    sp.add_argument("--q", type=int, required=True, help="prime power, coprime to |G|")
-    sp.set_defaults(func=_cmd_simple_factors)
+    add("wh0", "degree-0 assembly cokernel", _cmd_wh0)
 
-    sp = subs.add_parser("suite", help="full invariant suite for one group")
-    _add_common_args(sp)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.set_defaults(func=_cmd_suite)
+    if sp := add("simple-factors", "simple factors of F_q[G]", _cmd_simple_factors):
+        sp.add_argument("--q", type=int, required=True, help="prime power, coprime to |G|")
+
+    if sp := add("suite", "full invariant suite for one group", _cmd_suite):
+        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a leading non-option names the subcommand: only its parser is filled
+    command = argv[0] if argv and not argv[0].startswith("-") else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except InternalCheckError as exc:

@@ -701,7 +701,7 @@ def weyl_group(group: FiniteGroup, sub: Subgroup) -> FiniteGroup:
     return quotient_group(n_group, inner)
 
 
-# --- abelian invariants and isomorphism ----------------------------------
+# --- abelian invariants -------------------------------------------------
 
 def commutator_subgroup(group: FiniteGroup) -> Tuple[int, ...]:
     gens = set()
@@ -741,80 +741,6 @@ def _generating_sequence(group: FiniteGroup) -> List[int]:
                 current = closure_of(group, gens)
                 break
     return gens
-
-
-def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> Optional[Tuple[int, ...]]:
-    """An isomorphism g1 -> g2 as an image tuple, or None.
-
-    Backtracking on generator images, pruned by element orders.
-    """
-    if g1.order != g2.order:
-        return None
-    orders1 = sorted(g1.element_order(x) for x in range(g1.order))
-    orders2 = sorted(g2.element_order(x) for x in range(g2.order))
-    if orders1 != orders2:
-        return None
-    gens = _generating_sequence(g1)
-    by_order: Dict[int, List[int]] = {}
-    for y in range(g2.order):
-        by_order.setdefault(g2.element_order(y), []).append(y)
-
-    def words_map(images: Sequence[int]) -> Optional[Tuple[int, ...]]:
-        # grow the partial map as the closure of identity and the generators
-        phi: Dict[int, int] = {g1.identity: g2.identity}
-        frontier = [g1.identity]
-        for g, img in zip(gens, images):
-            if phi.get(g, img) != img:
-                return None
-            if g not in phi:
-                phi[g] = img
-                frontier.append(g)
-        pending = list(phi)
-        while pending:
-            nxt: List[int] = []
-            for x in pending:
-                for g, img in zip(gens, images):
-                    y = g1.mul(x, g)
-                    v = g2.mul(phi[x], img)
-                    if y in phi:
-                        if phi[y] != v:
-                            return None
-                    else:
-                        phi[y] = v
-                        nxt.append(y)
-            pending = nxt
-        if len(phi) != g1.order:
-            return None
-        image = [0] * g1.order
-        seen = set()
-        for x, y in phi.items():
-            image[x] = y
-            seen.add(y)
-        if len(seen) != g1.order:
-            return None
-        for a in range(g1.order):
-            for b in range(g1.order):
-                if image[g1.mul(a, b)] != g2.mul(image[a], image[b]):
-                    return None
-        return tuple(image)
-
-    def backtrack(i: int, chosen: List[int]) -> Optional[Tuple[int, ...]]:
-        if i == len(gens):
-            return words_map(chosen)
-        want = g1.element_order(gens[i])
-        for cand in by_order.get(want, ()):
-            chosen.append(cand)
-            result = backtrack(i + 1, chosen)
-            if result is not None:
-                return result
-            chosen.pop()
-        return None
-
-    return backtrack(0, [])
-
-
-def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
-    return find_isomorphism(g1, g2) is not None
 
 
 def is_odd_cyclic(group: FiniteGroup) -> bool:

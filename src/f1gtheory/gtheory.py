@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, permutations, product as iter_product
+from itertools import permutations, product as iter_product
 from operator import itemgetter
-from typing import (Callable, Collection, Dict, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Collection, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 from .burnside import BurnsideRing, build_burnside
 from .errors import InternalCheckError, ResourceLimitError
@@ -129,12 +129,54 @@ def _count_vectors(sizes: Sequence[int], budget: int) -> List[Tuple[int, ...]]:
     return gens
 
 
-def _peel_sites(gens: Sequence[Tuple[int, ...]]) -> Iterator[Tuple[Tuple[int, ...], int]]:
-    """(c, i) for every generator c and every class i with c[i] > 0, in row order."""
-    for c in gens:
-        for i, v in enumerate(c):
-            if v:
-                yield c, i
+def _peel_sites_at(sizes: Sequence[int], budget: int,
+                   ranks: Iterable[int]) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    """The peel sites (c, i) at the given ranks, without enumerating the others.
+
+    The sites are every generator c with every class i where c[i] > 0, in
+    row order: count vectors in lex order, classes ascending within one.  A
+    site is unranked one class at a time from two tables over each suffix
+    of `sizes` and budget b: vectors[j][b] counts the count vectors over
+    sizes[j:] of total size <= b, and nonzero[j][b] their nonzero entries.
+    """
+    r = len(sizes)
+    vectors = [[1] * (budget + 1) for _ in range(r + 1)]
+    nonzero = [[0] * (budget + 1) for _ in range(r + 1)]
+    for j in range(r - 1, -1, -1):
+        step, a, z, a_next, z_next = (sizes[j], vectors[j], nonzero[j],
+                                      vectors[j + 1], nonzero[j + 1])
+        for b in range(budget + 1):
+            a[b], z[b] = a_next[b], z_next[b]
+            if b >= step:
+                # c[j] >= 1: c - e_j has total <= b - step, and c[j] is nonzero
+                a[b] += a[b - step]
+                z[b] += z[b - step] + a_next[b - step]
+
+    def tail(j: int, k: int, rem: int, v: int) -> int:
+        """Sites in vectors with c[j] >= v under a prefix of k nonzero entries."""
+        if v == 0:
+            return k * vectors[j][rem] + nonzero[j][rem]
+        b = rem - v * sizes[j]
+        return k * vectors[j][b] + nonzero[j][b] + vectors[j + 1][b]
+
+    for t in ranks:
+        c: List[int] = []
+        k, rem = 0, budget
+        for j, step in enumerate(sizes):
+            total = tail(j, k, rem, 0)
+            # the largest v whose block starts at or before t
+            lo, hi = 0, rem // step
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if total - tail(j, k, rem, mid) <= t:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            t -= total - tail(j, k, rem, lo)
+            c.append(lo)
+            k += lo > 0
+            rem -= lo * step
+        yield tuple(c), [i for i, v in enumerate(c) if v][t]
 
 
 def _peel_rows(gens: Sequence[Tuple[int, ...]],
@@ -285,7 +327,7 @@ def _group_g0(ring: BurnsideRing, size_bound: int) -> GrothendieckPresentation:
             "a generator with other than one orbit is not rewritten by a row")
 
     stride = max(1, (rows - 1) // RELATION_AUDIT_SAMPLE)
-    for c, i in islice(_peel_sites(gens), 0, None, stride):
+    for c, i in _peel_sites_at(sizes, budget, range(0, rows - 1, stride)):
         _audit_group_relation(ring, c, i)
 
     free_rank = orbits.count(1)

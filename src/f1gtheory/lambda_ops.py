@@ -3,27 +3,25 @@
 The k-th operation sends an effective class to the decomposition of the
 module of k-element subsets of any realization.  The operations are
 evaluated in the ghost ring from orbit lengths, for effective and virtual
-classes alike; explicit subset modules and the diamond module of ordered
-distinct tuples stay as the independent construction the checks use.
+classes alike.  The diamond module of ordered distinct tuples is built
+explicitly; explicit subset modules are test oracles (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .burnside import BurnsideElement, BurnsideRing
 from .groups import _derived
-from .modules import (FiniteModule, ModuleHom, is_cofibration,
-                      submodule_inclusion, zero_module)
+from .modules import FiniteModule, zero_module
 from .polynomials import universal_polynomial
 from .reports import CheckReport
 from .sampling import random_effective, random_element
 
 __all__ = [
-    "diamond", "diamond_filtered", "subset_module", "lambda_k",
-    "lambda_series", "verify_pre_lambda",
+    "diamond", "lambda_k", "lambda_series", "verify_pre_lambda",
     "verify_lambda_ring",
 ]
 
@@ -66,63 +64,6 @@ def diamond(s: FiniteModule, k: int) -> FiniteModule:
                 row.append(index[image])
         action.append(row)
     return _derived(FiniteModule, s.monoid, 1 + len(tuples), tuple(tuple(r) for r in action))
-
-
-def diamond_filtered(chain: Sequence[ModuleHom]) -> FiniteModule:
-    """The submodule of diamond(S_k, k) of tuples compatible with a chain.
-
-    `chain` holds the k-1 cofibrations of a string of k modules; the i-th
-    tuple coordinate is constrained to the composite image of the i-th
-    module in the last one.
-    """
-    if not chain:
-        raise ValueError("diamond_filtered needs at least one chain map")
-    k = len(chain) + 1
-    for i, f in enumerate(chain):
-        ok, _ = is_cofibration(f)
-        if not ok:
-            raise ValueError(f"chain step {i} is not a cofibration")
-        if i + 1 < len(chain) and f.target != chain[i + 1].source:
-            raise ValueError(f"chain steps {i} and {i + 1} do not compose")
-    top = chain[-1].target
-    images: List[set] = []
-    for i in range(k - 1):
-        img = set(range(chain[i].source.size))
-        for f in chain[i:]:
-            img = {f.map[x] for x in img}
-        images.append(img - {0})
-    images.append(set(range(1, top.size)))
-    full = diamond(top, k)
-    if full.size == 1:
-        return full
-    tuples = _distinct_tuples(top.size, k)
-    members = [
-        1 + i for i, t in enumerate(tuples)
-        if all(x in images[j] for j, x in enumerate(t))
-    ]
-    if not members:
-        return zero_module(top.monoid)
-    incl = submodule_inclusion(full, members)
-    return incl.source
-
-
-def subset_module(s: FiniteModule, k: int) -> FiniteModule:
-    """Unordered k-subsets of nonzero elements; subsets that collapse die."""
-    if k <= 0:
-        raise ValueError("subset module needs k >= 1")
-    subsets = [tuple(c) for c in combinations(range(1, s.size), k)]
-    index = {c: 1 + i for i, c in enumerate(subsets)}
-    action = [[0] * s.monoid.size]
-    for c in subsets:
-        row = [0]
-        for m in range(1, s.monoid.size):
-            image = {s.action[x][m] for x in c}
-            if 0 in image or len(image) < k:
-                row.append(0)
-            else:
-                row.append(index[tuple(sorted(image))])
-        action.append(row)
-    return _derived(FiniteModule, s.monoid, 1 + len(subsets), tuple(tuple(r) for r in action))
 
 
 def _subset_decompose(ring: BurnsideRing, s: FiniteModule, k: int) -> BurnsideElement:

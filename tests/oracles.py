@@ -14,10 +14,12 @@ coordinate at a time.
 `cokernel_invariants_sparse` is the sparse Smith normal form, the oracle of
 the linear certificate that computes group-monoid degree-0 groups.
 
-`peel_rows_by_dict` builds each group-monoid peel row as a dict over its
-three terms and sorts it, and `in_peel_kernel` maps a row to count vectors
-one rank-length list at a time; the library emits rows straight from their
-three column indices and tests the kernel on one integer encoding.
+`peel_sites` walks every group-monoid peel site in row order; the library
+unranks the few sites it audits from counting tables.  `peel_rows_by_dict`
+builds each group-monoid peel row as a dict over its three terms and sorts
+it, and `in_peel_kernel` maps a row to count vectors one rank-length list
+at a time; the library emits rows straight from their three column indices
+and tests the kernel on one integer encoding.
 
 `product_order_tables` and `enumerate_modules_pairwise` are the unpruned
 general-monoid module enumeration: every table of the full product of free
@@ -40,6 +42,13 @@ re-indexed groups: representatives, inner contexts and the transport along
 conjugation are all redone per y, where the library builds them once per
 (H, K) pair.
 
+`identity_hom`, `permute_module`, `induced_quotient_map` and
+`extension_property_check` are module maps, and a check of the extension
+property, that only the tests use.  `subset_module` builds the module of
+k-subsets explicitly and `diamond_filtered` the diamond module of tuples
+compatible with a chain of cofibrations; the library reads lambda
+operations off orbit lengths in the ghost ring.
+
 The seeded random builders at the end (monoid pool, homomorphisms, modules,
 maps and disguised split and extension instances) feed the module-category
 acceptance criteria.  They are deterministic given a `random.Random`; the
@@ -55,16 +64,18 @@ from itertools import combinations, product as iter_product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from f1gtheory.burnside import BurnsideElement, BurnsideRing, build_burnside
+from f1gtheory.constructions import MonoidHom, are_isomorphic, generating_set
 from f1gtheory.errors import InternalCheckError
-from f1gtheory.groups import (FiniteGroup, _memo_on_group, build_group,
-                              subgroup_as_group)
+from f1gtheory.groups import (FiniteGroup, _derived, _memo_on_group,
+                              build_group, subgroup_as_group)
 from f1gtheory.gtheory import _action_closed_subsets, _enumerate_modules
+from f1gtheory.lambda_ops import _distinct_tuples, diamond
 from f1gtheory.mackey import double_coset_reps, transport
-from f1gtheory.modules import (FiniteModule, ModuleHom, MonoidHom, PointedMonoid,
-                               are_isomorphic, free_module, generating_set,
-                               group_monoid, is_cofibration, permute_module,
-                               quotient, submodule_inclusion,
-                               wedge_with_inclusions)
+from f1gtheory.modules import (FiniteModule, ModuleHom, PointedMonoid,
+                               free_module, group_monoid, is_cofibration,
+                               quotient, quotient_with_projection,
+                               submodule_inclusion, wedge_with_inclusions,
+                               zero_module)
 from f1gtheory.sampling import random_effective
 from f1gtheory.polynomials import UniversalPolynomial
 from f1gtheory.snf import cokernel_invariants
@@ -320,6 +331,14 @@ def cokernel_invariants_sparse(rows: Sequence, ncols: int) -> Tuple[int, List[in
 
 # --- degree-0 relation rows ----------------------------------------------
 
+def peel_sites(gens: Sequence[Tuple[int, ...]]) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    """(c, i) for every generator c and every class i with c[i] > 0, in row order."""
+    for c in gens:
+        for i, v in enumerate(c):
+            if v:
+                yield c, i
+
+
 def peel_rows_by_dict(gens: Sequence[Tuple[int, ...]],
                       gen_index: Dict[Tuple[int, ...], int]
                       ) -> Iterator[Tuple[Tuple[int, int], ...]]:
@@ -512,6 +531,136 @@ def double_coset_sum_per_y(group: FiniteGroup, h_elements: Sequence[int],
     k_ring = build_burnside(group, k_elements)
     return carry(total, class_correspondence(k.ring, k.embedding, k_ring),
                  k_ring).coeffs
+
+
+# --- module maps only the tests use --------------------------------------
+
+def identity_hom(s: FiniteModule) -> ModuleHom:
+    return _derived(ModuleHom, s, s, tuple(range(s.size)))
+
+
+def permute_module(s: FiniteModule, perm: Sequence[int]) -> Tuple[FiniteModule, ModuleHom]:
+    """Relabel the carrier along a permutation with perm[0] == 0."""
+    if sorted(perm) != list(range(s.size)) or perm[0] != 0:
+        raise ValueError("perm must be a basepoint-fixing permutation of the carrier")
+    action = [[0] * s.monoid.size for _ in range(s.size)]
+    for x in range(s.size):
+        for m in range(s.monoid.size):
+            action[perm[x]][m] = perm[s.action[x][m]]
+    out = _derived(FiniteModule, s.monoid, s.size, tuple(tuple(r) for r in action))
+    return out, _derived(ModuleHom, s, out, tuple(perm))
+
+
+def induced_quotient_map(f1: ModuleHom, f2: ModuleHom, i: ModuleHom) -> ModuleHom:
+    """The map of cofiber quotients induced by a commuting middle map."""
+    q1, proj1 = quotient_with_projection(f1)
+    q2, proj2 = quotient_with_projection(f2)
+    qmap: List[Optional[int]] = [None] * q1.size
+    for x in range(f1.target.size):
+        src = proj1.map[x]
+        dst = proj2.map[i.map[x]]
+        if qmap[src] is None:
+            qmap[src] = dst
+        elif qmap[src] != dst:
+            raise ValueError("middle map does not descend to the quotients")
+    return ModuleHom(q1, q2, tuple(v if v is not None else 0 for v in qmap))
+
+
+def extension_property_check(f1: ModuleHom, f2: ModuleHom, p: ModuleHom,
+                             i: ModuleHom, q: ModuleHom) -> bool:
+    """Middle maps of cofibration-sequence morphisms are cofibrations.
+
+    Inputs: cofibrations f1: A -> B and f2: A2 -> B2, verticals p: A -> A2,
+    i: B -> B2, and q between the canonical quotients, all commuting, with p
+    and q cofibrations.  Only group monoids are supported; a false outcome on
+    a valid diagram would be an internal error, not a result.
+    """
+    monoid = f1.source.monoid
+    if not monoid.is_group_monoid:
+        raise ValueError("the extension property check supports group monoids only")
+    for name, hom in (("f1", f1), ("f2", f2), ("p", p), ("q", q)):
+        ok, _ = is_cofibration(hom)
+        if not ok:
+            raise ValueError(f"{name} must be a cofibration")
+    if p.source != f1.source or p.target != f2.source:
+        raise ValueError("p must run between the sequence sources")
+    if i.source != f1.target or i.target != f2.target:
+        raise ValueError("i must run between the sequence middles")
+    left1 = tuple(i.map[f1.map[x]] for x in range(f1.source.size))
+    left2 = tuple(f2.map[p.map[x]] for x in range(f1.source.size))
+    if left1 != left2:
+        raise ValueError("the left square does not commute")
+    q1, proj1 = quotient_with_projection(f1)
+    q2, proj2 = quotient_with_projection(f2)
+    if q.source != q1 or q.target != q2:
+        raise ValueError("q must run between the canonical quotients")
+    right1 = tuple(q.map[proj1.map[x]] for x in range(f1.target.size))
+    right2 = tuple(proj2.map[i.map[x]] for x in range(f1.target.size))
+    if right1 != right2:
+        raise ValueError("the right square does not commute")
+    ok, _ = is_cofibration(i)
+    if not ok:
+        raise InternalCheckError("valid cofibration-sequence morphism with a non-cofibration middle")
+    return True
+
+
+# --- explicit subset and filtered diamond modules ------------------------
+
+def diamond_filtered(chain: Sequence[ModuleHom]) -> FiniteModule:
+    """The submodule of diamond(S_k, k) of tuples compatible with a chain.
+
+    `chain` holds the k-1 cofibrations of a string of k modules; the i-th
+    tuple coordinate is constrained to the composite image of the i-th
+    module in the last one.
+    """
+    if not chain:
+        raise ValueError("diamond_filtered needs at least one chain map")
+    k = len(chain) + 1
+    for i, f in enumerate(chain):
+        ok, _ = is_cofibration(f)
+        if not ok:
+            raise ValueError(f"chain step {i} is not a cofibration")
+        if i + 1 < len(chain) and f.target != chain[i + 1].source:
+            raise ValueError(f"chain steps {i} and {i + 1} do not compose")
+    top = chain[-1].target
+    images: List[set] = []
+    for i in range(k - 1):
+        img = set(range(chain[i].source.size))
+        for f in chain[i:]:
+            img = {f.map[x] for x in img}
+        images.append(img - {0})
+    images.append(set(range(1, top.size)))
+    full = diamond(top, k)
+    if full.size == 1:
+        return full
+    tuples = _distinct_tuples(top.size, k)
+    members = [
+        1 + i for i, t in enumerate(tuples)
+        if all(x in images[j] for j, x in enumerate(t))
+    ]
+    if not members:
+        return zero_module(top.monoid)
+    incl = submodule_inclusion(full, members)
+    return incl.source
+
+
+def subset_module(s: FiniteModule, k: int) -> FiniteModule:
+    """Unordered k-subsets of nonzero elements; subsets that collapse die."""
+    if k <= 0:
+        raise ValueError("subset module needs k >= 1")
+    subsets = [tuple(c) for c in combinations(range(1, s.size), k)]
+    index = {c: 1 + i for i, c in enumerate(subsets)}
+    action = [[0] * s.monoid.size]
+    for c in subsets:
+        row = [0]
+        for m in range(1, s.monoid.size):
+            image = {s.action[x][m] for x in c}
+            if 0 in image or len(image) < k:
+                row.append(0)
+            else:
+                row.append(index[tuple(sorted(image))])
+        action.append(row)
+    return _derived(FiniteModule, s.monoid, 1 + len(subsets), tuple(tuple(r) for r in action))
 
 
 # --- seeded random builders ----------------------------------------------

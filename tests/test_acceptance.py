@@ -12,6 +12,8 @@ import subprocess
 import sys
 
 from f1gtheory.burnside import build_burnside
+from f1gtheory.constructions import (are_isomorphic, base_change,
+                                     base_change_hom, find_section, pushout)
 from f1gtheory.groups import (all_subgroups, build_group, classify_subgroups,
                               conjugacy_classes_of_elements, library_names,
                               weyl_group)
@@ -21,15 +23,13 @@ from f1gtheory.lambda_ops import (diamond, lambda_k, verify_lambda_ring,
                                   verify_pre_lambda)
 from f1gtheory.mackey import (check_double_coset, check_frobenius,
                               subgroup_context)
-from f1gtheory.modules import (are_isomorphic, base_change, base_change_hom,
-                               diagonal_smash, extension_property_check,
-                               find_section, free_module, group_monoid,
-                               induced_quotient_map, is_cofibration, pushout,
-                               quotient_with_projection, wedge)
+from f1gtheory.modules import (diagonal_smash, free_module, group_monoid,
+                               is_cofibration, quotient_with_projection, wedge)
 from f1gtheory.polynomials import universal_polynomial
 from f1gtheory.sampling import random_effective, random_element
 
-from oracles import (monoid_homs, monoid_pool, random_extension_instance,
+from oracles import (extension_property_check, induced_quotient_map,
+                     monoid_homs, monoid_pool, random_extension_instance,
                      random_hom, random_module, random_split_instance,
                      random_wedge_cofibration)
 

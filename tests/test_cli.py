@@ -249,13 +249,13 @@ def test_mackey_check_golden(capsys, group, fmt):
 NO_MODULE_RUN = """
 import sys
 import f1gtheory.cli
-from f1gtheory import modules
+from f1gtheory import constructions
 
 def refuse(*args, **kwargs):
     raise AssertionError("mackey-check built a module")
 
-originals = (modules.base_change, modules.restrict_scalars,
-             modules._smash_tables)
+originals = (constructions.base_change, constructions.restrict_scalars,
+             constructions._smash_tables)
 for name, module in list(sys.modules.items()):
     if name.startswith("f1gtheory"):
         for attr, value in list(vars(module).items()):

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from f1gtheory.constructions import find_isomorphism, is_isomorphic
 from f1gtheory.groups import (abelianization, all_subgroups, build_group,
                               classify_subgroups, closure_of,
-                              commutator_subgroup, find_isomorphism,
-                              group_from_json, is_isomorphic, library_names,
-                              normalizer, parse_cycles, quotient_group,
-                              subgroup_as_group, weyl_group)
+                              commutator_subgroup, group_from_json,
+                              library_names, normalizer, parse_cycles,
+                              quotient_group, subgroup_as_group, weyl_group)
 
 
 def brute_force_subgroups(group):

@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import permutations
+from itertools import islice, permutations
 from math import factorial
 
 import pytest
 
-from f1gtheory import gtheory, modules
+from f1gtheory import constructions, gtheory
 from f1gtheory.errors import InternalCheckError, ResourceLimitError
 from f1gtheory.groups import (build_group, conjugacy_classes_of_elements,
                               library_names)
@@ -15,15 +15,14 @@ from f1gtheory.gtheory import (AbelianGroupReport, cartan_zero,
                                count_simple_factors, g0_presentation,
                                g1_via_splitting)
 from f1gtheory.modules import (FiniteModule, PointedMonoid, group_monoid,
-                               is_cofibration, permute_module, quotient,
-                               submodule_inclusion)
+                               is_cofibration, quotient, submodule_inclusion)
 from f1gtheory.snf import cokernel_invariants
 
 from conftest import ring_of
 from oracles import (cokernel_invariants_sparse, enumerate_modules_pairwise,
                      in_peel_kernel, monoid_pool, mult_by_regular,
                      object_relation_rows, pairwise_class, peel_rows_by_dict,
-                     product_order_tables)
+                     peel_sites, permute_module, product_order_tables)
 
 # the idempotent monoid {0, 1, e}, e*e = e (perfbench/monoid3.json)
 IDEMPOTENT = PointedMonoid(3, ((0, 0, 0), (0, 1, 2), (0, 2, 2)))
@@ -123,6 +122,23 @@ def test_peel_rows_match_dict_oracle():
             assert rows == list(peel_rows_by_dict(gens, gen_index)), \
                 (group.name, bound)
             assert all(in_peel_kernel(row, gens) for row in rows)
+
+
+def test_unranked_peel_sites_match_the_walk():
+    # every site of the small groups, and the audited stride of D12
+    cases = [(group.name, bound, 1) for group in small_library_groups()
+             for bound in range(1, group.order + 4)]
+    d12 = build_group(name="D12")
+    cases.append(("D12", d12.order + 3, None))
+    for name, bound, stride in cases:
+        sizes = ring_of(name).coset_sizes
+        gens = gtheory._count_vectors(sizes, bound - 1)
+        sites = len(gtheory._PeelRelations(sizes, bound - 1)) - 1
+        if stride is None:
+            stride = max(1, sites // gtheory.RELATION_AUDIT_SAMPLE)
+        walked = list(islice(peel_sites(gens), 0, None, stride))
+        unranked = gtheory._peel_sites_at(sizes, bound - 1, range(0, sites, stride))
+        assert list(unranked) == walked, (name, bound)
 
 
 def test_g0_certificate_rejects_heavy_row_the_encoding_misses(monkeypatch):
@@ -319,7 +335,7 @@ def test_g0_monoid3_enumeration_makes_no_isomorphism_calls(monkeypatch):
         raise AssertionError("are_isomorphic called")
 
     assert not hasattr(gtheory, "are_isomorphic")
-    monkeypatch.setattr(modules, "are_isomorphic", refuse)
+    monkeypatch.setattr(constructions, "are_isomorphic", refuse)
     index = gtheory._enumerate_modules(IDEMPOTENT, 6, 10 ** 6)
     # the memo holds every valid labelled table, and nothing else
     tables = [t for s in range(1, 7) for t in gtheory._action_tables(IDEMPOTENT, s)]

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from f1gtheory.burnside import BurnsideRing
 from f1gtheory.groups import build_group, library_names
 from f1gtheory.lambda_ops import (_geometric_values, _ghost_series,
-                                  _subset_decompose, diamond, diamond_filtered,
-                                  lambda_k, lambda_series, subset_module,
-                                  verify_lambda_ring, verify_pre_lambda)
+                                  _subset_decompose, diamond, lambda_k,
+                                  lambda_series, verify_lambda_ring,
+                                  verify_pre_lambda)
 from f1gtheory.modules import (free_module, group_monoid,
                                wedge_with_inclusions)
 from f1gtheory.polynomials import (MAX_COMPOSITION_K, MAX_COMPOSITION_L,
@@ -20,7 +20,7 @@ from f1gtheory.polynomials import (MAX_COMPOSITION_K, MAX_COMPOSITION_L,
 from f1gtheory.sampling import random_effective, random_element
 
 from conftest import ring_of
-from oracles import evaluate_in_ring
+from oracles import diamond_filtered, evaluate_in_ring, subset_module
 
 
 def test_diamond_sizes_are_falling_factorials():
@@ -33,7 +33,7 @@ def test_diamond_sizes_are_falling_factorials():
 
 
 def test_diamond_needs_group_monoid():
-    from f1gtheory.modules import F1, PointedMonoid
+    from f1gtheory.modules import PointedMonoid
     nil = PointedMonoid(3, ((0, 0, 0), (0, 1, 2), (0, 2, 0)))
     s = free_module(nil, 1)
     with pytest.raises(ValueError):

@@ -16,8 +16,8 @@ from f1gtheory.mackey import (SubgroupContext, check_double_coset,
                               double_coset_reps, green_morphism_check, induce,
                               linear_dimension, restrict, subgroup_context,
                               transport)
-from f1gtheory.modules import (MonoidHom, base_change, group_monoid,
-                               restrict_scalars)
+from f1gtheory.constructions import MonoidHom, base_change, restrict_scalars
+from f1gtheory.modules import group_monoid
 from f1gtheory.reports import CheckReport
 from f1gtheory.sampling import random_element
 

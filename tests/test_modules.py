@@ -11,19 +11,19 @@ from hypothesis import strategies as st
 
 from f1gtheory.errors import InternalCheckError
 from f1gtheory.groups import build_group
-from f1gtheory.modules import (F1, FiniteModule, ModuleHom, MonoidHom,
-                               PointedMonoid, are_isomorphic, base_change,
-                               base_change_hom, coset_module, detect_group,
-                               diagonal_smash, find_section, free_module,
-                               generating_set, group_monoid, identity_hom,
-                               identity_monoid_hom, is_cofibration,
-                               module_from_json, monoid_from_json,
-                               permute_module, pushout, quotient,
-                               quotient_with_projection, restrict_scalars,
-                               smash, submodule_inclusion, wedge,
-                               wedge_with_inclusions, zero_module)
+from f1gtheory.constructions import (F1, MonoidHom, are_isomorphic,
+                                     base_change, base_change_hom,
+                                     find_section, generating_set,
+                                     identity_monoid_hom, pushout,
+                                     restrict_scalars, smash)
+from f1gtheory.modules import (FiniteModule, ModuleHom, PointedMonoid,
+                               coset_module, detect_group, diagonal_smash,
+                               free_module, group_monoid, is_cofibration,
+                               module_from_json, monoid_from_json, quotient,
+                               quotient_with_projection, submodule_inclusion,
+                               wedge, wedge_with_inclusions, zero_module)
 
-from oracles import _small_modules, monoid_pool
+from oracles import _small_modules, identity_hom, monoid_pool, permute_module
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

@@ -32,3 +32,18 @@ def test_g0_convergence_rows(argv, rows):
     assert lines[1].split()[:2] == ["bound", "generators"]
     got = [tuple(line.split()[i] for i in (0, 1, 3, 4)) for line in lines[2:]]
     assert got == rows
+
+
+def test_import_cost_lists_the_loaded_modules():
+    run = subprocess.run(
+        [sys.executable, os.path.join("scripts", "import_cost.py"), "--runs", "1",
+         "marks", "--group", "C1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == "command: marks --group C1  (median of 1 per row)"
+    assert [line.split()[-1] for line in lines[1:4]] == ["ms"] * 3
+    modules = {line.split()[0]: int(line.split()[1]) for line in lines[6:-1]}
+    assert {"f1gtheory", "f1gtheory.cli", "f1gtheory.groups"} <= set(modules)
+    assert "f1gtheory.constructions" not in modules
+    assert lines[-1].split()[:2] == ["total", str(sum(modules.values()))]
