@@ -6,7 +6,10 @@ compiles the package's source as a run in a fresh checkout does.  Prints
 the median wall time of `python -c pass`, of `python -c "import
 f1gtheory.cli"` and of `python -m f1gtheory.cli <command>`; then every
 `f1gtheory` module the command loads, with its source lines and its median
-self time under `-X importtime`, and the totals.
+self time under `-X importtime`, and the totals; then every other module
+that the package or the command imports itself and that `python -c pass`
+does not load, with its median cumulative time (its own import and every
+import it starts), and their total.
 
 Usage: python3 scripts/import_cost.py [--runs N] [command ...]
        (the command defaults to `marks --group C1`)
@@ -22,7 +25,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "f1gtheory")
@@ -39,19 +42,34 @@ def _wall(argv: List[str], env: Dict[str, str]) -> float:
     return time.perf_counter() - start
 
 
-def _import_self_times(argv: List[str], env: Dict[str, str]) -> Dict[str, int]:
-    """Self time in microseconds of each f1gtheory module, from -X importtime."""
+def _import_times(argv: List[str], env: Dict[str, str]) -> List[Tuple[str, int, int, str]]:
+    """(name, self us, cumulative us, importer) per import that -X importtime
+    reports, the importer being "" for an import at the top level."""
     run = subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL,
                          stderr=subprocess.PIPE, text=True)
-    times = {}
+    rows = []
     for line in run.stderr.splitlines():
         if not line.startswith("import time:"):
             continue
-        self_us, _, name = line[len("import time:"):].split("|")
-        name = name.strip()
-        if name == "f1gtheory" or name.startswith("f1gtheory."):
-            times[name] = int(self_us)
-    return times
+        self_us, cumulative_us, field = line[len("import time:"):].split("|")
+        if not self_us.strip().isdigit():
+            continue  # the header line
+        name = field.strip()
+        rows.append((name, int(self_us), int(cumulative_us),
+                     (len(field) - len(field.lstrip()) - 1) // 2))
+    # an import is reported after the imports it starts, one level deeper
+    out = []
+    pending: List[Tuple[int, str]] = []
+    for name, self_us, cumulative_us, level in reversed(rows):
+        while pending and pending[-1][0] >= level:
+            pending.pop()
+        out.append((name, self_us, cumulative_us, pending[-1][1] if pending else ""))
+        pending.append((level, name))
+    return out
+
+
+def _in_package(name: str) -> bool:
+    return name == "f1gtheory" or name.startswith("f1gtheory.")
 
 
 def _source_lines(copy: str, module: str) -> int:
@@ -68,14 +86,19 @@ def run(runs: int, command: List[str]) -> int:
         py = sys.executable
         walls: Dict[str, List[float]] = {"pass": [], "import": [], "command": []}
         selfs: Dict[str, List[int]] = {}
+        others: Dict[str, List[int]] = {}
         for _ in range(runs):
             walls["pass"].append(_wall([py, "-c", "pass"], env))
             walls["import"].append(_wall([py, "-c", "import f1gtheory.cli"], env))
             walls["command"].append(_wall([py, "-m", "f1gtheory.cli", *command], env))
-            times = _import_self_times([py, "-X", "importtime", "-c", RUN_MAIN,
-                                        *command], env)
-            for name, us in times.items():
-                selfs.setdefault(name, []).append(us)
+            startup = {row[0] for row in _import_times([py, "-X", "importtime", "-c",
+                                                        "pass"], env)}
+            for name, self_us, cumulative_us, importer in _import_times(
+                    [py, "-X", "importtime", "-c", RUN_MAIN, *command], env):
+                if _in_package(name):
+                    selfs.setdefault(name, []).append(self_us)
+                elif name not in startup and (not importer or _in_package(importer)):
+                    others.setdefault(name, []).append(cumulative_us)
         lines = {name: _source_lines(copy, name) for name in selfs}
 
     print(f"command: {' '.join(command)}  (median of {runs} per row)")
@@ -91,6 +114,14 @@ def run(runs: int, command: List[str]) -> int:
         total_ms += ms
         print(f"  {name:<28} {lines[name]:>6} {ms:9.2f}")
     print(f"  {'total':<28} {sum(lines.values()):>6} {total_ms:9.2f}")
+    print()
+    print(f"  {'other module':<28} {'cumulative ms':>16}")
+    total_ms = 0.0
+    for name in sorted(others):
+        ms = statistics.median(others[name]) / 1000
+        total_ms += ms
+        print(f"  {name:<28} {ms:16.2f}")
+    print(f"  {'total':<28} {total_ms:16.2f}")
     return 0
 
 

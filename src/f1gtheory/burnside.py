@@ -8,7 +8,6 @@ ghost (marks) ring and back-substitutes exactly.  A(H) for H <= G is in G's ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -16,6 +15,7 @@ from .errors import InternalCheckError
 from .groups import (FiniteGroup, SubgroupClassification, _generating_sequence,
                      _memo_on_group, _subgroup_elements, classify_subgroups)
 from .modules import FiniteModule, coset_module, group_monoid, wedge, zero_module
+from .records import _Record
 
 __all__ = [
     "BurnsideRing", "BurnsideElement", "build_burnside",
@@ -187,12 +187,17 @@ def _burnside(group: FiniteGroup, elements: Tuple[int, ...]) -> BurnsideRing:
     return BurnsideRing(group, elements)
 
 
-@dataclass(frozen=True)
-class BurnsideElement:
-    """A virtual sum of subgroup classes with integer coefficients."""
+class BurnsideElement(_Record):
+    """A virtual sum of subgroup classes with integer coefficients.
 
-    ring: BurnsideRing = field(compare=False)
-    coeffs: Tuple[int, ...]
+    Two elements are equal when their rings are the same ring and their
+    coefficients agree.
+    """
+
+    _fields = ("ring", "coeffs")
+
+    def __init__(self, ring: BurnsideRing, coeffs: Tuple[int, ...]) -> None:
+        self.__dict__.update(ring=ring, coeffs=coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BurnsideElement):

@@ -9,7 +9,6 @@ package loads it on first use of one of its names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
@@ -18,6 +17,7 @@ from .groups import (FiniteGroup, _derived, _generating_sequence,
 from .modules import (FiniteModule, ModuleHom, PointedMonoid,
                       _extend_equivariant, _pair_node, group_monoid,
                       is_cofibration)
+from .records import _Record
 
 __all__ = [
     "F1", "MonoidHom", "Bimodule", "identity_monoid_hom",
@@ -31,13 +31,15 @@ F1 = group_monoid(FiniteGroup(1, ((0,),), 0, ("e",), "C1"))
 
 # --- monoid homomorphisms and bimodules ----------------------------------
 
-@dataclass(frozen=True)
-class MonoidHom:
+class MonoidHom(_Record):
     """A zero- and unit-preserving multiplicative map between pointed monoids."""
 
-    source: PointedMonoid
-    target: PointedMonoid
-    map: Tuple[int, ...]
+    _fields = ("source", "target", "map")
+
+    def __init__(self, source: PointedMonoid, target: PointedMonoid,
+                 map: Tuple[int, ...]) -> None:
+        self.__dict__.update(source=source, target=target, map=map)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.map) != self.source.size:
@@ -60,18 +62,20 @@ def identity_monoid_hom(m: PointedMonoid) -> MonoidHom:
     return _derived(MonoidHom, m, m, tuple(range(m.size)))
 
 
-@dataclass(frozen=True)
-class Bimodule:
+class Bimodule(_Record):
     """A pointed set with commuting left and right monoid actions.
 
     left[s][m] is m * s, right[s][n] is s * n.
     """
 
-    left_monoid: PointedMonoid
-    right_monoid: PointedMonoid
-    size: int
-    left: Tuple[Tuple[int, ...], ...]
-    right: Tuple[Tuple[int, ...], ...]
+    _fields = ("left_monoid", "right_monoid", "size", "left", "right")
+
+    def __init__(self, left_monoid: PointedMonoid, right_monoid: PointedMonoid,
+                 size: int, left: Tuple[Tuple[int, ...], ...],
+                 right: Tuple[Tuple[int, ...], ...]) -> None:
+        self.__dict__.update(left_monoid=left_monoid, right_monoid=right_monoid,
+                             size=size, left=left, right=right)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.size < 1:

@@ -9,11 +9,11 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ResourceLimitError
+from .records import _Record
 from .snf import cokernel_invariants
 
 DEFAULT_ORDER_CAP = 1024
@@ -26,15 +26,21 @@ MAX_PERMUTATION_DEGREE = 1024
 _ASSOCIATIVITY_SAMPLES = 4096
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
-    """A finite group given by its full multiplication table."""
+class FiniteGroup(_Record):
+    """A finite group given by its full multiplication table.
 
-    order: int
-    cayley: Tuple[Tuple[int, ...], ...]
-    identity: int = 0
-    labels: Optional[Tuple[str, ...]] = field(default=None, compare=False)
-    name: Optional[str] = field(default=None, compare=False)
+    Equality and the hash ignore the labels and the name.
+    """
+
+    _fields = ("order", "cayley", "identity", "labels", "name")
+    _compared = ("order", "cayley", "identity")
+
+    def __init__(self, order: int, cayley: Tuple[Tuple[int, ...], ...],
+                 identity: int = 0, labels: Optional[Tuple[str, ...]] = None,
+                 name: Optional[str] = None) -> None:
+        self.__dict__.update(order=order, cayley=cayley, identity=identity,
+                             labels=labels, name=name)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = self.order
@@ -117,12 +123,14 @@ class FiniteGroup:
         return out
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(_Record):
     """A subgroup recorded as a sorted tuple of parent element indices."""
 
-    parent: FiniteGroup
-    elements: Tuple[int, ...]
+    _fields = ("parent", "elements")
+
+    def __init__(self, parent: FiniteGroup, elements: Tuple[int, ...]) -> None:
+        self.__dict__.update(parent=parent, elements=elements)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         g = self.parent
@@ -147,15 +155,15 @@ class Subgroup:
 
 
 def _derived(cls, *values):
-    """An instance of a validated dataclass whose field values are trusted.
+    """An instance of a validating record class whose field values are trusted.
 
     Objects the library derives from validated ones are built here and skip
-    `__post_init__`; `values` gives every field in declaration order.  Input
-    from outside the library goes through the class constructor instead.
+    `__init__` with its `__post_init__`; `values` gives every field in the
+    order of `cls._fields`.  Input from outside the library goes through the
+    class constructor instead.
     """
     obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values):
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(zip(cls._fields, values))
     return obj
 
 
@@ -176,7 +184,7 @@ def _memo_on_group(fn):
     """Memoize `fn(group, *args)` in the instance `__dict__` of `group`.
 
     That is where `functools.cached_property` stores its value, so frozen
-    dataclasses allow it; every call is keyed by its extra arguments in one
+    records allow it; every call is keyed by its extra arguments in one
     dict.  The memo is freed with the group, and two groups with one table
     but different names or labels never share a result.
     """
@@ -552,8 +560,7 @@ def all_subgroups(group: FiniteGroup) -> Tuple[Subgroup, ...]:
     return tuple(_derived(Subgroup, group, t) for t in ordered)
 
 
-@dataclass(frozen=True)
-class SubgroupClassification:
+class SubgroupClassification(_Record):
     """Conjugacy classes of the subgroups of H <= G, in the ids of G.
 
     Classes are sorted by (subgroup order, least member's element tuple);
@@ -561,9 +568,11 @@ class SubgroupClassification:
     being the canonical representative.
     """
 
-    group: FiniteGroup
-    elements: Tuple[int, ...]
-    classes: Tuple[Tuple[Subgroup, ...], ...]
+    _fields = ("group", "elements", "classes")
+
+    def __init__(self, group: FiniteGroup, elements: Tuple[int, ...],
+                 classes: Tuple[Tuple[Subgroup, ...], ...]) -> None:
+        self.__dict__.update(group=group, elements=elements, classes=classes)
 
     @property
     def rank(self) -> int:

@@ -9,7 +9,6 @@ the class of the free rank-1 module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations, product as iter_product
 from operator import itemgetter
 from typing import (Callable, Collection, Dict, Iterable, Iterator, List,
@@ -21,6 +20,7 @@ from .groups import (FiniteGroup, _derived, abelianization, classify_subgroups,
                      conjugacy_classes_of_elements, weyl_group)
 from .modules import (FiniteModule, PointedMonoid, free_module, group_monoid,
                       is_cofibration, quotient, submodule_inclusion)
+from .records import _Record
 from .snf import cokernel_invariants, factorize, merge_cyclic_factors
 
 __all__ = [
@@ -37,14 +37,17 @@ GROUP_GENERATOR_CAP = 150000
 RELATION_AUDIT_SAMPLE = 40
 
 
-@dataclass(frozen=True)
-class AbelianGroupReport:
+class AbelianGroupReport(_Record):
     """A finitely generated abelian group as free rank plus torsion chain."""
 
-    free_rank: int
-    torsion: Tuple[int, ...]
-    provenance: str
-    basis_interpretation: Optional[Tuple[str, ...]] = None
+    _fields = ("free_rank", "torsion", "provenance", "basis_interpretation")
+
+    def __init__(self, free_rank: int, torsion: Tuple[int, ...], provenance: str,
+                 basis_interpretation: Optional[Tuple[str, ...]] = None) -> None:
+        self.__dict__.update(free_rank=free_rank, torsion=torsion,
+                             provenance=provenance,
+                             basis_interpretation=basis_interpretation)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.free_rank < 0:
@@ -75,8 +78,7 @@ class AbelianGroupReport:
         return out
 
 
-@dataclass(frozen=True)
-class GrothendieckPresentation:
+class GrothendieckPresentation(_Record):
     """Generators-and-relations data behind a degree-0 computation.
 
     Each relation row is a tuple of sorted (generator index, coefficient)
@@ -84,11 +86,14 @@ class GrothendieckPresentation:
     of the rows, re-derived on iteration; general monoids give tuples.
     """
 
-    size_bound: int
-    generators: Collection[str]
-    relations: Collection[Tuple[Tuple[int, int], ...]]
-    result: AbelianGroupReport
-    stability: str
+    _fields = ("size_bound", "generators", "relations", "result", "stability")
+
+    def __init__(self, size_bound: int, generators: Collection[str],
+                 relations: Collection[Tuple[Tuple[int, int], ...]],
+                 result: AbelianGroupReport, stability: str) -> None:
+        self.__dict__.update(size_bound=size_bound, generators=generators,
+                             relations=relations, result=result,
+                             stability=stability)
 
     def to_json(self) -> Dict:
         return {
@@ -211,8 +216,7 @@ def _peel_rows(gens: Sequence[Tuple[int, ...]],
                 yield ((single, -1), (rest, -1), (top, 1))
 
 
-@dataclass(frozen=True)
-class _PeelRelations:
+class _PeelRelations(_Record):
     """Sized, re-iterable view of the peel relations at one size bound.
 
     Rows are re-derived on each iteration instead of being stored.  The
@@ -221,8 +225,10 @@ class _PeelRelations:
     size <= budget - sizes[i].
     """
 
-    sizes: Tuple[int, ...]
-    budget: int
+    _fields = ("sizes", "budget")
+
+    def __init__(self, sizes: Tuple[int, ...], budget: int) -> None:
+        self.__dict__.update(sizes=sizes, budget=budget)
 
     def __len__(self) -> int:
         ways = _count_by_total(self.sizes, self.budget)
@@ -234,17 +240,17 @@ class _PeelRelations:
         return _peel_rows(gens, {c: i for i, c in enumerate(gens)})
 
 
-@dataclass(frozen=True)
-class _CountVectorLabels:
+class _CountVectorLabels(_Record):
     """Sized view of the generator labels "[c_0,...,c_r]" at one size bound.
 
     The length is the count taken before enumerating; the labels are
     rendered only when iterated, from a fresh enumeration.
     """
 
-    sizes: Tuple[int, ...]
-    budget: int
-    count: int
+    _fields = ("sizes", "budget", "count")
+
+    def __init__(self, sizes: Tuple[int, ...], budget: int, count: int) -> None:
+        self.__dict__.update(sizes=sizes, budget=budget, count=count)
 
     def __len__(self) -> int:
         return self.count
@@ -579,12 +585,13 @@ def g1_via_splitting(group: FiniteGroup) -> AbelianGroupReport:
                               tuple(interpretation))
 
 
-@dataclass(frozen=True)
-class CartanReport:
+class CartanReport(_Record):
     """The degree-0 assembly map image and its cokernel."""
 
-    image: Tuple[int, ...]
-    wh0: AbelianGroupReport
+    _fields = ("image", "wh0")
+
+    def __init__(self, image: Tuple[int, ...], wh0: AbelianGroupReport) -> None:
+        self.__dict__.update(image=image, wh0=wh0)
 
     def to_json(self) -> Dict:
         return {"image": list(self.image), "wh0": self.wh0.to_json()}

@@ -11,13 +11,13 @@ part of the right side that does not depend on y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .burnside import BurnsideElement, BurnsideRing, build_burnside
 from .errors import InternalCheckError
 from .groups import FiniteGroup, _memo_on_group, _subgroup_elements
+from .records import _Record
 from .reports import CheckReport
 
 __all__ = [
@@ -28,13 +28,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SubgroupContext:
+class SubgroupContext(_Record):
     """A subgroup H inside an outer subgroup K of G, by sorted ambient ids."""
 
-    ambient: FiniteGroup
-    elements: Tuple[int, ...]
-    outer: Tuple[int, ...]
+    _fields = ("ambient", "elements", "outer")
+
+    def __init__(self, ambient: FiniteGroup, elements: Tuple[int, ...],
+                 outer: Tuple[int, ...]) -> None:
+        self.__dict__.update(ambient=ambient, elements=elements, outer=outer)
 
     @cached_property
     def ring(self) -> BurnsideRing:
@@ -149,15 +150,17 @@ def double_coset_reps(group: FiniteGroup, k_elements: Sequence[int],
     return reps
 
 
-@dataclass(frozen=True)
-class DoubleCosetReport:
-    group: FiniteGroup
-    h_elements: Tuple[int, ...]
-    k_elements: Tuple[int, ...]
-    y_coeffs: Tuple[int, ...]
-    reps: Tuple[int, ...]
-    lhs: Tuple[int, ...]
-    rhs: Tuple[int, ...]
+class DoubleCosetReport(_Record):
+    _fields = ("group", "h_elements", "k_elements", "y_coeffs", "reps", "lhs",
+               "rhs")
+
+    def __init__(self, group: FiniteGroup, h_elements: Tuple[int, ...],
+                 k_elements: Tuple[int, ...], y_coeffs: Tuple[int, ...],
+                 reps: Tuple[int, ...], lhs: Tuple[int, ...],
+                 rhs: Tuple[int, ...]) -> None:
+        self.__dict__.update(group=group, h_elements=h_elements,
+                             k_elements=k_elements, y_coeffs=y_coeffs,
+                             reps=reps, lhs=lhs, rhs=rhs)
 
     @property
     def ok(self) -> bool:
@@ -172,8 +175,7 @@ class DoubleCosetReport:
         }
 
 
-@dataclass(frozen=True)
-class DoubleCosetPlan:
+class DoubleCosetPlan(_Record):
     """The y-independent half of the double coset formula for one (H, K).
 
     Each term stands for one double coset KgH: the context of H cap g^-1 K g
@@ -181,11 +183,13 @@ class DoubleCosetPlan:
     g onto K cap g H g^-1 and induces them into the classes of K.
     """
 
-    group: FiniteGroup
-    h_ctx: SubgroupContext
-    k_ctx: SubgroupContext
-    reps: Tuple[int, ...]
-    terms: Tuple[Tuple[SubgroupContext, Tuple[int, ...]], ...]
+    _fields = ("group", "h_ctx", "k_ctx", "reps", "terms")
+
+    def __init__(self, group: FiniteGroup, h_ctx: SubgroupContext,
+                 k_ctx: SubgroupContext, reps: Tuple[int, ...],
+                 terms: Tuple[Tuple[SubgroupContext, Tuple[int, ...]], ...]) -> None:
+        self.__dict__.update(group=group, h_ctx=h_ctx, k_ctx=k_ctx, reps=reps,
+                             terms=terms)
 
     def check(self, y: BurnsideElement) -> DoubleCosetReport:
         """Compare Res_K Ind_H y with its double-coset expansion."""
@@ -239,14 +243,15 @@ def check_double_coset(group: FiniteGroup, h_elements: Sequence[int],
     return double_coset_plan(group, h_elements, k_elements).check(y)
 
 
-@dataclass(frozen=True)
-class FrobeniusReport:
-    group: FiniteGroup
-    h_elements: Tuple[int, ...]
-    x_coeffs: Tuple[int, ...]
-    y_coeffs: Tuple[int, ...]
-    lhs: Tuple[int, ...]
-    rhs: Tuple[int, ...]
+class FrobeniusReport(_Record):
+    _fields = ("group", "h_elements", "x_coeffs", "y_coeffs", "lhs", "rhs")
+
+    def __init__(self, group: FiniteGroup, h_elements: Tuple[int, ...],
+                 x_coeffs: Tuple[int, ...], y_coeffs: Tuple[int, ...],
+                 lhs: Tuple[int, ...], rhs: Tuple[int, ...]) -> None:
+        self.__dict__.update(group=group, h_elements=h_elements,
+                             x_coeffs=x_coeffs, y_coeffs=y_coeffs, lhs=lhs,
+                             rhs=rhs)
 
     @property
     def ok(self) -> bool:

@@ -9,13 +9,13 @@ trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
 from .groups import (FiniteGroup, _derived, _int_table, _memo_on_group,
                      _right_cosets)
+from .records import _Record
 
 __all__ = [
     "PointedMonoid", "FiniteModule", "ModuleHom", "group_monoid",
@@ -26,14 +26,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PointedMonoid:
-    """A finite monoid with absorbing zero at index 0 and unit at index 1."""
+class PointedMonoid(_Record):
+    """A finite monoid with absorbing zero at index 0 and unit at index 1.
 
-    size: int
-    mul: Tuple[Tuple[int, ...], ...]
-    labels: Optional[Tuple[str, ...]] = field(default=None, compare=False)
-    group: Optional[FiniteGroup] = field(default=None, compare=False)
+    Equality and the hash ignore the labels and the attached group.
+    """
+
+    _fields = ("size", "mul", "labels", "group")
+    _compared = ("size", "mul")
+
+    def __init__(self, size: int, mul: Tuple[Tuple[int, ...], ...],
+                 labels: Optional[Tuple[str, ...]] = None,
+                 group: Optional[FiniteGroup] = None) -> None:
+        self.__dict__.update(size=size, mul=mul, labels=labels, group=group)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = self.size
@@ -130,13 +136,15 @@ def detect_group(monoid: PointedMonoid) -> PointedMonoid:
     return _derived(PointedMonoid, monoid.size, monoid.mul, monoid.labels, group)
 
 
-@dataclass(frozen=True)
-class FiniteModule:
+class FiniteModule(_Record):
     """A finite pointed right module: carrier with action table carrier x monoid."""
 
-    monoid: PointedMonoid
-    size: int
-    action: Tuple[Tuple[int, ...], ...]
+    _fields = ("monoid", "size", "action")
+
+    def __init__(self, monoid: PointedMonoid, size: int,
+                 action: Tuple[Tuple[int, ...], ...]) -> None:
+        self.__dict__.update(monoid=monoid, size=size, action=action)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.size < 1:
@@ -205,13 +213,15 @@ class FiniteModule:
         }
 
 
-@dataclass(frozen=True)
-class ModuleHom:
+class ModuleHom(_Record):
     """A basepoint-preserving equivariant map between modules over one monoid."""
 
-    source: FiniteModule
-    target: FiniteModule
-    map: Tuple[int, ...]
+    _fields = ("source", "target", "map")
+
+    def __init__(self, source: FiniteModule, target: FiniteModule,
+                 map: Tuple[int, ...]) -> None:
+        self.__dict__.update(source=source, target=target, map=map)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.source.monoid != self.target.monoid:
@@ -268,30 +278,30 @@ def free_module(m: PointedMonoid, rank: int) -> FiniteModule:
 
 
 def wedge(mods: Sequence[FiniteModule]) -> FiniteModule:
-    return wedge_with_inclusions(mods)[0]
-
-
-def wedge_with_inclusions(mods: Sequence[FiniteModule]) -> Tuple[FiniteModule, List[ModuleHom]]:
-    """One-point union of modules over a common monoid, with the block inclusions."""
+    """One-point union of modules over a common monoid, blocks in order."""
     if not mods:
         raise ValueError("wedge needs at least one module")
     monoid = mods[0].monoid
     for s in mods:
         if s.monoid != monoid:
             raise ValueError("wedge requires a common monoid")
-    offsets = []
-    total = 1
+    action = [(0,) * monoid.size]
     for s in mods:
-        offsets.append(total - 1)
-        total += s.size - 1
-    action = [[0] * monoid.size]
-    for s, off in zip(mods, offsets):
+        off = len(action) - 1
         for x in range(1, s.size):
-            action.append([0 if v == 0 else v + off for v in s.action[x]])
-    out = _derived(FiniteModule, monoid, total, tuple(tuple(r) for r in action))
-    incls = [_derived(ModuleHom, s, out,
-                      tuple(0 if x == 0 else x + off for x in range(s.size)))
-             for s, off in zip(mods, offsets)]
+            action.append(tuple([0 if v == 0 else v + off for v in s.action[x]]))
+    return _derived(FiniteModule, monoid, len(action), tuple(action))
+
+
+def wedge_with_inclusions(mods: Sequence[FiniteModule]) -> Tuple[FiniteModule, List[ModuleHom]]:
+    """The wedge of `mods` with the inclusion of each block."""
+    out = wedge(mods)
+    incls = []
+    off = 0
+    for s in mods:
+        incls.append(_derived(ModuleHom, s, out,
+                              tuple(0 if x == 0 else x + off for x in range(s.size))))
+        off += s.size - 1
     return out, incls
 
 

@@ -13,13 +13,13 @@ integral, and the result is verified by integer specialization.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import factorial, prod
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
+from .records import _Record
 
 __all__ = ["UniversalPolynomial", "universal_polynomial", "MAX_PRODUCT_K",
            "MAX_COMPOSITION_K", "MAX_COMPOSITION_L"]
@@ -118,8 +118,7 @@ def _elementary_values(values: Sequence[int], upto: int) -> List[int]:
     return e
 
 
-@dataclass(frozen=True)
-class UniversalPolynomial:
+class UniversalPolynomial(_Record):
     """An integer polynomial in formal lambda values.
 
     Product kind: terms are keyed by a pair of exponent tuples, one for the
@@ -128,10 +127,11 @@ class UniversalPolynomial:
     operation.
     """
 
-    kind: str
-    k: int
-    l: Optional[int]
-    terms: Tuple[Tuple[Tuple[Tuple[int, ...], ...], int], ...]
+    _fields = ("kind", "k", "l", "terms")
+
+    def __init__(self, kind: str, k: int, l: Optional[int],
+                 terms: Tuple[Tuple[Tuple[Tuple[int, ...], ...], int], ...]) -> None:
+        self.__dict__.update(kind=kind, k=k, l=l, terms=terms)
 
     def value(self, *families: Sequence[int]) -> int:
         """The polynomial at integers; families[f][i] is the i-th operation's value."""

@@ -2,22 +2,30 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
+
+from .records import _Record
 
 
-@dataclass
-class CheckReport:
+class CheckReport(_Record):
     """Outcome of one named check over many instances.
 
     Failures carry JSON-ready dicts describing the counterexample; an empty
     list means every instance passed.  `record` takes the counterexample as
-    a callable, so passing instances never build theirs.
+    a callable, so passing instances never build theirs.  Unlike the other
+    records a report is mutable, and therefore unhashable.
     """
 
-    check: str
-    instances: int = 0
-    failures: List[Dict] = field(default_factory=list)
+    _fields = ("check", "instances", "failures")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, check: str, instances: int = 0,
+                 failures: Optional[List[Dict]] = None) -> None:
+        self.check = check
+        self.instances = instances
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:

@@ -52,6 +52,9 @@ def test_imports_of_a_cli_process():
     cli = seen["cli"]
     assert {f"f1gtheory.{layer}" for layer in TRACED_LAYERS} <= set(cli)
     assert "f1gtheory.constructions" not in cli
+    # no class is generated at import: neither dataclasses nor the
+    # inspect module it pulls in is loaded
+    assert "dataclasses" not in cli and "inspect" not in cli
     tests_dir = os.path.join(ROOT, "tests") + os.sep
     assert [name for name, path in cli.items()
             if path and os.path.abspath(path).startswith(tests_dir)] == []
@@ -75,6 +78,9 @@ WITHOUT_CALLER = {
                  "next to restrict and induce",
     "lambda_series": "the operations 0..cap at once, the series form of "
                      "lambda_k",
+    "wedge_with_inclusions": "the wedge with its block inclusions, the "
+                             "coproduct's structure maps; the engine needs "
+                             "only the module that `wedge` builds",
 }
 
 

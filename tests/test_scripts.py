@@ -40,10 +40,25 @@ def test_import_cost_lists_the_loaded_modules():
          "marks", "--group", "C1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    lines = run.stdout.splitlines()
+    walls, package, others = run.stdout.split("\n\n")
+    lines = walls.splitlines()
     assert lines[0] == "command: marks --group C1  (median of 1 per row)"
     assert [line.split()[-1] for line in lines[1:4]] == ["ms"] * 3
-    modules = {line.split()[0]: int(line.split()[1]) for line in lines[6:-1]}
+    # the package's modules: name, source lines, self ms
+    lines = package.splitlines()
+    assert lines[0].split() == ["module", "lines", "self", "ms"]
+    modules = {line.split()[0]: int(line.split()[1]) for line in lines[1:-1]}
     assert {"f1gtheory", "f1gtheory.cli", "f1gtheory.groups"} <= set(modules)
     assert "f1gtheory.constructions" not in modules
     assert lines[-1].split()[:2] == ["total", str(sum(modules.values()))]
+    # the other modules the package loads beyond `python -c pass`: name,
+    # cumulative ms
+    lines = others.splitlines()
+    assert lines[0].split() == ["other", "module", "cumulative", "ms"]
+    cumulative = {line.split()[0]: float(line.split()[1]) for line in lines[1:-1]}
+    assert "argparse" in cumulative
+    assert not {"dataclasses", "inspect"} & set(cumulative)
+    assert not [name for name in cumulative if name.startswith("f1gtheory")]
+    assert lines[-1].split()[0] == "total"
+    assert float(lines[-1].split()[1]) == pytest.approx(sum(cumulative.values()),
+                                                        abs=0.01 * len(cumulative))
