@@ -200,23 +200,36 @@ def _memo_on_group(fn):
     return memoized
 
 
+def _extend(group: FiniteGroup, h: Sequence[int], gens: Sequence[int]) -> Tuple[int, ...]:
+    """The subgroup <gens>, grown from a subgroup `h` of it by cosets yH.
+
+    When s·y leaves the set for a generator s and a coset representative
+    y, the coset (sy)H joins.  The union is then closed under left
+    multiplication by `gens` (s·y·h lies in (sy)H), so it is the subgroup.
+    Cost: #cosets × #gens lookups plus |<gens>| to write the cosets down.
+    """
+    cayley = group.cayley
+    rows = [cayley[s] for s in gens]
+    members = set(h)
+    frontier = [group.identity]
+    while frontier:
+        y = frontier.pop()
+        for row in rows:
+            z = row[y]
+            if z not in members:
+                members.update(map(cayley[z].__getitem__, h))
+                frontier.append(z)
+    return tuple(sorted(members))
+
+
 def closure_of(group: FiniteGroup, seed: Iterable[int]) -> Tuple[int, ...]:
     """Smallest subgroup of `group` containing `seed`, as a sorted tuple.
 
-    Right multiplication by the seed elements alone suffices: in a finite
+    The coset extension (`_extend`) of the trivial subgroup by the seed:
+    multiplication by the seed elements alone suffices, since in a finite
     group the monoid they generate is already the subgroup.
     """
-    gens = set(seed)
-    members = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        row = group.cayley[frontier.pop()]
-        for s in gens:
-            z = row[s]
-            if z not in members:
-                members.add(z)
-                frontier.append(z)
-    return tuple(sorted(members))
+    return _extend(group, (group.identity,), tuple(set(seed)))
 
 
 # --- permutation helpers -------------------------------------------------
@@ -529,18 +542,19 @@ def load_group(path: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 def all_subgroups(group: FiniteGroup) -> Tuple[Subgroup, ...]:
     """All subgroups, sorted by (order, element tuple).
 
-    Enumeration is by cyclic extension: grow each known subgroup by one
-    extra generator until nothing new appears.  Each subgroup keeps the
-    generators it was found with, so a closure runs over a short seed, and
-    one x per coset Hx is tried, since <H, hx> = <H, x>.  Exhaustive only
-    up to order 64; larger groups are refused rather than silently
-    truncated.
+    Enumeration is by cyclic extension: grow each known subgroup H by one
+    extra element x until nothing new appears.  One x per coset xH is
+    tried, since <H, xh> = <H, x>.  Each subgroup keeps the generators it
+    was found with, and <H, x> is grown from H by cosets (`_extend`).
+    Exhaustive only up to order 64; larger groups are refused rather than
+    silently truncated.
     """
     if group.order > SUBGROUP_ENUMERATION_LIMIT:
         raise ResourceLimitError(
             f"subgroup enumeration supports order <= {SUBGROUP_ENUMERATION_LIMIT}, "
             f"got {group.order}"
         )
+    primes = {p for p in range(2, group.order + 1) if all(p % d for d in range(2, p))}
     trivial = (group.identity,)
     found: Dict[Tuple[int, ...], Tuple[int, ...]] = {trivial: ()}
     frontier = [trivial]
@@ -550,9 +564,13 @@ def all_subgroups(group: FiniteGroup) -> Tuple[Subgroup, ...]:
         for x in range(group.order):
             if x in tried:
                 continue
-            tried.update(group.cayley[a][x] for a in h)
+            tried.update(map(group.cayley[x].__getitem__, h))
             gens = found[h] + (x,)
-            k = closure_of(group, gens)
+            k = _extend(group, h, gens)
+            if len(k) // len(h) in primes:
+                # by Lagrange no group lies strictly between H and K, so
+                # every x in K outside H generates K with H
+                tried.update(k)
             if k not in found:
                 found[k] = gens
                 frontier.append(k)
@@ -628,19 +646,37 @@ def classify_subgroups(group: FiniteGroup,
 
 @_memo_on_group
 def _classify(group: FiniteGroup, elements: Tuple[int, ...]) -> SubgroupClassification:
+    """The H-conjugacy classes of the subgroups inside H = `elements`.
+
+    Each class is the orbit of its least member, walked breadth-first
+    under one conjugation map per generator of H.
+    """
     inside = set(elements)
     subs = [s for s in all_subgroups(group) if inside.issuperset(s.elements)]
     remaining = {s.elements: s for s in subs}
+    maps = _conjugation_maps(group, _generating_sequence(group, elements))
     classes: List[Tuple[Subgroup, ...]] = []
     for s in subs:  # ascending canonical order, so reps come out least-first
         if s.elements not in remaining:
             continue
-        orbit = set()
-        for g in elements:
-            orbit.add(tuple(sorted(group.conj(g, x) for x in s.elements)))
+        orbit = [s.elements]
+        seen = {s.elements}
+        for t in orbit:
+            for c in maps:
+                u = tuple(sorted([c[x] for x in t]))
+                if u not in seen:
+                    seen.add(u)
+                    orbit.append(u)
         classes.append(tuple(remaining.pop(m) for m in sorted(orbit)))
     classes.sort(key=lambda cls: (cls[0].order, cls[0].elements))
     return SubgroupClassification(group, elements, tuple(classes))
+
+
+def _conjugation_maps(group: FiniteGroup, gens: Sequence[int]) -> List[Tuple[int, ...]]:
+    """One tuple x -> g·x·g^-1 per generator g."""
+    cayley, inverse = group.cayley, group.inverse
+    return [tuple([cayley[cayley[g][x]][inverse[g]] for x in range(group.order)])
+            for g in gens]
 
 
 def normalizer(group: FiniteGroup, sub: Subgroup) -> Subgroup:
@@ -740,16 +776,26 @@ def abelianization(group: FiniteGroup) -> List[int]:
     return torsion
 
 
-def _generating_sequence(group: FiniteGroup) -> List[int]:
+@_memo_on_group
+def _generating_sequence(group: FiniteGroup,
+                         elements: Optional[Tuple[int, ...]] = None) -> Tuple[int, ...]:
+    """Greedy generators of the subgroup `elements` (default the whole group).
+
+    The least element outside the span so far joins next, and the span
+    grows from the previous one by coset extension (`_extend`).
+    """
+    pool = range(group.order) if elements is None else elements
     gens: List[int] = []
-    current = (group.identity,)
-    while len(current) < group.order:
-        for x in range(group.order):
-            if x not in current:
-                gens.append(x)
-                current = closure_of(group, gens)
-                break
-    return gens
+    current: Tuple[int, ...] = (group.identity,)
+    members = set(current)
+    for x in pool:
+        if len(current) == len(pool):
+            break
+        if x not in members:
+            gens.append(x)
+            current = _extend(group, current, gens)
+            members.update(current)
+    return tuple(gens)
 
 
 def is_odd_cyclic(group: FiniteGroup) -> bool:
@@ -762,13 +808,23 @@ def is_odd_cyclic(group: FiniteGroup) -> bool:
 
 @_memo_on_group
 def conjugacy_classes_of_elements(group: FiniteGroup) -> Tuple[Tuple[int, ...], ...]:
-    """Conjugacy classes of elements, each sorted, ordered by least member."""
+    """Conjugacy classes of elements, each sorted, ordered by least member.
+
+    Each class is an orbit walked under one conjugation map per generator.
+    """
+    maps = _conjugation_maps(group, _generating_sequence(group))
     seen = set()
     classes = []
     for x in range(group.order):
         if x in seen:
             continue
-        orbit = sorted({group.conj(g, x) for g in range(group.order)})
-        seen.update(orbit)
-        classes.append(tuple(orbit))
+        orbit = [x]
+        seen.add(x)
+        for y in orbit:
+            for c in maps:
+                z = c[y]
+                if z not in seen:
+                    seen.add(z)
+                    orbit.append(z)
+        classes.append(tuple(sorted(orbit)))
     return tuple(classes)

@@ -30,6 +30,13 @@ objects (`submodule_inclusion`, `is_cofibration`, `quotient`); the library
 builds the two action tables of each subset and decides the cofibration
 collapse-first.
 
+`all_subgroups_by_closure` enumerates subgroups by closing every candidate
+<H, x> from the identity over all of its elements, and
+`classify_by_all_conjugates` and `element_classes_by_all_conjugates`
+conjugate by every element of the ambient subgroup; the library grows
+<H, x> by cosets of H and walks each orbit under the conjugation maps of a
+generating set.
+
 `mult_by_regular` multiplies a Burnside ring element by the class of the
 regular orbit, read off an explicit free module.
 
@@ -395,6 +402,77 @@ def mult_by_regular(group: FiniteGroup, x: BurnsideElement) -> BurnsideElement:
     ring = build_burnside(group)
     regular = ring.decompose(free_module(group_monoid(group), 1))
     return x * regular
+
+
+# --- subgroup lattice by closure from the identity ------------------------
+
+def closure_from_identity(group: FiniteGroup, seed: Sequence[int]) -> Tuple[int, ...]:
+    """<seed>, closed from the identity under right multiplication by the seed."""
+    gens = set(seed)
+    members = {group.identity}
+    frontier = [group.identity]
+    while frontier:
+        row = group.cayley[frontier.pop()]
+        for s in gens:
+            if row[s] not in members:
+                members.add(row[s])
+                frontier.append(row[s])
+    return tuple(sorted(members))
+
+
+def all_subgroups_by_closure(group: FiniteGroup) -> Tuple[Tuple[int, ...], ...]:
+    """Element tuples of all subgroups, sorted by (order, elements).
+
+    Cyclic extension, one x per coset Hx, each <H, x> closed from scratch.
+    """
+    trivial = (group.identity,)
+    found: Dict[Tuple[int, ...], Tuple[int, ...]] = {trivial: ()}
+    frontier = [trivial]
+    while frontier:
+        h = frontier.pop()
+        tried = set(h)
+        for x in range(group.order):
+            if x in tried:
+                continue
+            tried.update(group.cayley[a][x] for a in h)
+            gens = found[h] + (x,)
+            k = closure_from_identity(group, gens)
+            if k not in found:
+                found[k] = gens
+                frontier.append(k)
+    return tuple(sorted(found, key=lambda t: (len(t), t)))
+
+
+def classify_by_all_conjugates(group: FiniteGroup, elements: Sequence[int],
+                               subgroups: Sequence[Tuple[int, ...]]
+                               ) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """H-classes of the subgroups inside H, in the order of `classify_subgroups`.
+
+    `subgroups` lists the element tuples of all subgroups of the group,
+    sorted by (order, elements).  Each class lists its members, sorted;
+    every orbit is formed by conjugating with all of H.
+    """
+    inside = set(elements)
+    remaining = [s for s in subgroups if inside.issuperset(s)]
+    classes = []
+    while remaining:
+        s = remaining[0]
+        orbit = {tuple(sorted(group.conj(g, x) for x in s)) for g in elements}
+        classes.append(tuple(sorted(orbit)))
+        remaining = [t for t in remaining if t not in orbit]
+    return tuple(sorted(classes, key=lambda cls: (len(cls[0]), cls[0])))
+
+
+def element_classes_by_all_conjugates(group: FiniteGroup) -> Tuple[Tuple[int, ...], ...]:
+    """Conjugacy classes of elements, each formed by conjugating with all of G."""
+    seen: set = set()
+    classes = []
+    for x in range(group.order):
+        if x not in seen:
+            orbit = sorted({group.conj(g, x) for g in range(group.order)})
+            seen.update(orbit)
+            classes.append(tuple(orbit))
+    return tuple(classes)
 
 
 # --- unpruned module enumeration ----------------------------------------

@@ -37,6 +37,24 @@ def test_marks_text_golden(capsys):
         "15667f10a0aaa299cb65d7940015b3e52b0442a239f88786234fef94c36be864"
 
 
+# the bytes of the class order and representatives on the two larger rungs
+LATTICE_SHA256 = {
+    ("marks", "--generators", "(1 2 3 4);(1 2);(5 6)", "--degree", "6"):
+        "c36be998e05b3ca313cc3d74b0cb14d4c4fb66c42ccfc39fb6fd2fc443061df6",
+    ("subgroups", "--format", "json", "--generators",
+     "(1 2 3 4);(1 3);(5 6);(7 8);(9 10)", "--degree", "10"):
+        "01a499954a242d0237fd1cf5a89187a6c870148889b294fa9d9f9dc2fd7fc195",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LATTICE_SHA256),
+                         ids=["marks-S4xC2", "subgroups-json-D4xC2^3"])
+def test_lattice_golden(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LATTICE_SHA256[argv]
+
+
 def test_marks_json(capsys):
     code, out, _ = run_cli(capsys, "marks", "--group", "S3", "--format", "json")
     assert code == 0

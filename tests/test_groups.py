@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from f1gtheory.constructions import find_isomorphism, is_isomorphic
 from f1gtheory.groups import (abelianization, all_subgroups, build_group,
                               classify_subgroups, closure_of,
-                              commutator_subgroup, group_from_json,
+                              commutator_subgroup,
+                              conjugacy_classes_of_elements, group_from_json,
                               library_names, normalizer, parse_cycles,
                               quotient_group, subgroup_as_group, weyl_group)
+from oracles import (all_subgroups_by_closure, classify_by_all_conjugates,
+                     element_classes_by_all_conjugates)
 
 
 def brute_force_subgroups(group):
@@ -149,15 +152,51 @@ def test_closure_of():
                 assert closure_of(group, seed) == brute_force_closure(group, seed)
 
 
-@pytest.mark.parametrize("generators,degree,count,classes", [
-    (["(1 2 3 4)", "(1 2)", "(5 6)"], 6, 98, 33),
-    (["(1 2)", "(3 4)", "(5 6)", "(7 8)", "(9 10)"], 10, 374, 374),
-    (["(1 2 3 4)", "(1 3)", "(5 6)", "(7 8)", "(9 10)"], 10, 937, 681),
+LARGER_GROUPS = {
+    "S4xC2": (["(1 2 3 4)", "(1 2)", "(5 6)"], 6),
+    "C2^5": (["(1 2)", "(3 4)", "(5 6)", "(7 8)", "(9 10)"], 10),
+    "D4xC2^3": (["(1 2 3 4)", "(1 3)", "(5 6)", "(7 8)", "(9 10)"], 10),
+}
+
+
+@pytest.mark.parametrize("name,count,classes", [
+    ("S4xC2", 98, 33), ("C2^5", 374, 374), ("D4xC2^3", 937, 681),
 ], ids=["S4xC2", "C2^5", "D4xC2^3"])
-def test_subgroup_counts_of_larger_groups(generators, degree, count, classes):
+def test_subgroup_counts_of_larger_groups(name, count, classes):
+    generators, degree = LARGER_GROUPS[name]
     group = build_group(generators=generators, degree=degree)
     assert len(all_subgroups(group)) == count
     assert classify_subgroups(group).rank == classes
+
+
+def _class_elements(classification):
+    return tuple(tuple(sub.elements for sub in cls) for cls in classification.classes)
+
+
+@pytest.mark.parametrize("name", library_names() + sorted(LARGER_GROUPS))
+def test_lattice_matches_the_closure_oracle(name):
+    """Coset extensions and generator orbits against closures from the
+    identity and conjugation by every element.
+
+    Classifications relative to a subgroup H run for every H of a group of
+    order <= 24, and for every 13th subgroup of the larger groups.
+    """
+    if name in LARGER_GROUPS:
+        generators, degree = LARGER_GROUPS[name]
+        group = build_group(generators=generators, degree=degree)
+    else:
+        group = build_group(name=name)
+    subgroups = all_subgroups_by_closure(group)
+    assert tuple(sub.elements for sub in all_subgroups(group)) == subgroups
+    assert conjugacy_classes_of_elements(group) == \
+        element_classes_by_all_conjugates(group)
+    whole = tuple(range(group.order))
+    assert _class_elements(classify_subgroups(group)) == \
+        classify_by_all_conjugates(group, whole, subgroups)
+    stride = 1 if group.order <= 24 else 13
+    for h in subgroups[::stride]:
+        assert _class_elements(classify_subgroups(group, h)) == \
+            classify_by_all_conjugates(group, h, subgroups)
 
 
 @settings(max_examples=40, deadline=None)

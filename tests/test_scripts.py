@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
 
@@ -62,3 +63,24 @@ def test_import_cost_lists_the_loaded_modules():
     assert lines[-1].split()[0] == "total"
     assert float(lines[-1].split()[1]) == pytest.approx(sum(cumulative.values()),
                                                         abs=0.01 * len(cumulative))
+
+
+def test_bench_pairs_smoke(tmp_path):
+    ignore = shutil.ignore_patterns("__pycache__")
+    for side in ("parent", "change"):
+        for part in ("src", "perfbench"):
+            shutil.copytree(os.path.join(ROOT, part), tmp_path / side / part,
+                            ignore=ignore)
+    run = subprocess.run(
+        [sys.executable, os.path.join("scripts", "bench_pairs.py"),
+         str(tmp_path / "parent"), str(tmp_path / "change"),
+         "--workload", "structure", "--pairs", "1", "--seconds", "0.1",
+         "--smoke"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0].startswith("pair 1 (parent first): parent wall_s ")
+    assert lines[2] == "workload structure, 1 pairs: median [q1, q3] per side"
+    names = [line.split()[0] for line in lines[4:]]
+    assert names == ["wall_s", "max_job_s", "cpu_s", "peak_rss_mb", "setup_s"]
+    assert all(line.split()[-1] in ("0/1", "1/1") for line in lines[4:])
