@@ -33,32 +33,51 @@ class BurnsideRing:
         self.order = len(self.elements)
         self.rank = self.classification.rank
         self.labels = self.classification.labels
-        self.marks = self._build_marks()
+        self.rows = self._build_rows()
 
     def same_ring(self, other: "BurnsideRing") -> bool:
         """Rings of one subgroup of equal groups (names and labels aside)."""
         return self is other or (self.elements == other.elements
                                  and self.group == other.group)
 
-    def _build_marks(self) -> Tuple[Tuple[int, ...], ...]:
-        """Marks read off the classification, with no G-set built.
+    def _build_rows(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """The nonzero (column, mark) pairs of each row, read off the classification.
 
         m(G/H)(K) = |N_G(H)|/|H| * #{H' conjugate to H : K <= H'}, and
-        |N_G(H)| = |G| / |class of H|, G being the ring's subgroup.  K <= H'
-        needs |K| <= |H'|, and equal orders force K = H', so the table is
-        lower triangular.
+        |N_G(H)| = |G| / |class of H|, G being the ring's subgroup.  Bit j of
+        holds[x] says that representative j holds x, so H' contains the
+        representatives missing from holds[x] for every x outside H'.  The
+        table is lower triangular (K <= H' and |K| = |H'| force K = H'),
+        so each row ends at its diagonal.
         """
         classes = self.classification.classes
-        reps = [frozenset(cls[0].elements) for cls in classes]
-        table = [[0] * self.rank for _ in range(self.rank)]
-        for i, cls in enumerate(classes):
+        holds = [0] * self.group.order
+        for j, cls in enumerate(classes):
+            for x in cls[0].elements:
+                holds[x] |= 1 << j
+        full, everything = (1 << self.rank) - 1, set(self.elements)
+        rows = []
+        for cls in classes:
             weight = self.order // (cls[0].order * len(cls))
+            counts: Dict[int, int] = {}
             for member in cls:
-                h = frozenset(member.elements)
-                for j in range(i + 1):
-                    if reps[j] <= h:
-                        table[i][j] += weight
-        return tuple(tuple(r) for r in table)
+                excluded = 0
+                for x in everything.difference(member.elements):
+                    excluded |= holds[x]
+                contained = full ^ excluded
+                while contained:
+                    low = contained & -contained
+                    j = low.bit_length() - 1
+                    counts[j] = counts.get(j, 0) + weight
+                    contained ^= low
+            rows.append(tuple(sorted(counts.items())))
+        return tuple(rows)
+
+    @cached_property
+    def marks(self) -> Tuple[Tuple[int, ...], ...]:
+        """The dense table of marks, built on first use from the rows."""
+        return tuple(tuple(map(dict(row).get, range(self.rank), [0] * self.rank))
+                     for row in self.rows)
 
     @cached_property
     def cosets(self) -> Tuple[FiniteModule, ...]:
@@ -134,21 +153,29 @@ class BurnsideRing:
 
     def marks_of(self, x: "BurnsideElement") -> Tuple[int, ...]:
         ghost = [0] * self.rank
-        for c, row in zip(x.coeffs, self.marks):
+        for c, row in zip(x.coeffs, self.rows):
             if c:
-                for j, m in enumerate(row):
+                for j, m in row:
                     ghost[j] += c * m
         return tuple(ghost)
 
     def from_marks(self, ghost: Sequence[int]) -> "BurnsideElement":
-        """Invert the marks homomorphism; integrality is checked, not assumed."""
+        """Invert the marks homomorphism; integrality is checked, not assumed.
+
+        Back-substitution from the last class over the nonzero marks.
+        """
+        residue = list(ghost)
         coeffs = [0] * self.rank
         for i in range(self.rank - 1, -1, -1):
-            residue = ghost[i] - sum(coeffs[k] * self.marks[k][i] for k in range(i + 1, self.rank))
-            if residue % self.marks[i][i] != 0:
+            row = self.rows[i]
+            c, rem = divmod(residue[i], row[-1][1])
+            if rem:
                 raise InternalCheckError("ghost vector is not in the image of marks")
-            coeffs[i] = residue // self.marks[i][i]
-        return self.element(coeffs)
+            if c:
+                coeffs[i] = c
+                for j, m in row:
+                    residue[j] -= c * m
+        return BurnsideElement(self, tuple(coeffs))
 
     def mul(self, a: "BurnsideElement", b: "BurnsideElement") -> "BurnsideElement":
         ga = self.marks_of(a)
@@ -255,22 +282,13 @@ class BurnsideElement(_Record):
         return {"basis": list(self.ring.labels), "coeffs": list(self.coeffs)}
 
     def pretty(self) -> str:
-        terms = []
+        out = ""
         for c, label in zip(self.coeffs, self.ring.labels):
-            if c == 0:
-                continue
-            if c == 1:
-                terms.append(f"[{label}]")
-            elif c == -1:
-                terms.append(f"-[{label}]")
-            else:
-                terms.append(f"{c}*[{label}]")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+            if c:
+                term = f"[{label}]" if abs(c) == 1 else f"{abs(c)}*[{label}]"
+                sign = ("-" if c < 0 else "") if not out else (" - " if c < 0 else " + ")
+                out += sign + term
+        return out or "0"
 
 
 def decompose(module: FiniteModule) -> BurnsideElement:

@@ -183,9 +183,12 @@ def _cmd_marks(args) -> int:
         print(f"table of marks for {group.name or 'custom'} "
               f"({ring.rank} classes)")
         width = max(len(lab) for lab in ring.labels)
-        text = {v: f"{v:>4}" for v in set().union(*ring.marks)}
-        for label, row in zip(ring.labels, ring.marks):
-            print(f"  {label:<{width}} {' '.join(map(text.__getitem__, row))}")
+        blank = [f"{0:>4}"] * ring.rank
+        for label, row in zip(ring.labels, ring.rows):
+            cells = blank.copy()
+            for j, m in row:
+                cells[j] = f"{m:>4}"
+            print(f"  {label:<{width}} {' '.join(cells)}")
     return 0
 
 
@@ -307,9 +310,10 @@ def _run_mackey_checks(group: FiniteGroup, trials: int,
         h_ring = subgroup_context(group, h.elements).ring
         for k in reps:
             plan = double_coset_plan(group, h.elements, k.elements)
+            failing = plan.failures()
             for i in range(h_ring.rank):
-                report = plan.check(h_ring.basis_element(i))
-                dc.record(report.ok, report.to_json)
+                dc.record(i not in failing, lambda: plan.check(
+                    h_ring.basis_element(i)).to_json())
     fr = CheckReport("Frobenius reciprocity")
     for _ in range(trials):
         h = reps[rng.randrange(len(reps))]

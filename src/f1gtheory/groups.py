@@ -12,7 +12,7 @@ import re
 from functools import cached_property, wraps
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import ResourceLimitError
+from .errors import InternalCheckError, ResourceLimitError
 from .records import _Record
 from .snf import cokernel_invariants
 
@@ -93,6 +93,12 @@ class FiniteGroup(_Record):
         for a in range(self.order):
             inv[a] = self.cayley[a].index(self.identity)
         return tuple(inv)
+
+    @cached_property
+    def conjugations(self) -> Tuple[Tuple[int, ...], ...]:
+        """Entry g: the map x -> g·x·g^-1, built for every g on first use."""
+        t, inverse = self.cayley, self.inverse
+        return tuple(tuple([t[y][inverse[g]] for y in t[g]]) for g in range(self.order))
 
     def mul(self, a: int, b: int) -> int:
         return self.cayley[a][b]
@@ -282,20 +288,15 @@ def _perm_closure(perms: Sequence[Tuple[int, ...]], degree: int, cap: int) -> Li
     identity = tuple(range(degree))
     seen = {identity}
     order_list = [identity]
-    frontier = [identity]
     gens = sorted(set(perms))
-    while frontier:
-        x = frontier.pop(0)
+    for x in order_list:  # breadth first: the list grows as it is walked
         for g in gens:
             y = _compose(x, g)
             if y not in seen:
                 if len(seen) >= cap:
-                    raise ResourceLimitError(
-                        f"generated group exceeds order cap {cap}"
-                    )
+                    raise ResourceLimitError(f"generated group exceeds order cap {cap}")
                 seen.add(y)
                 order_list.append(y)
-                frontier.append(y)
     return order_list
 
 
@@ -330,25 +331,19 @@ def _cycle_string(perm: Tuple[int, ...]) -> str:
 
 
 # --- named library -------------------------------------------------------
+# The library's tables are trusted; a test validates each of them once.
 
 def _cyclic(n: int) -> FiniteGroup:
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     labels = tuple("e" if i == 0 else ("g" if i == 1 else f"g^{i}") for i in range(n))
-    return FiniteGroup(n, table, 0, labels, f"C{n}")
+    return _derived(FiniteGroup, n, table, 0, labels, f"C{n}")
 
 
 def _dihedral(n: int) -> FiniteGroup:
     # indices 0..n-1 are rotations r^i, n..2n-1 are reflections s r^i
     def mul(a: int, b: int) -> int:
-        ra, fa = a % n, a >= n
-        rb, fb = b % n, b >= n
-        if not fa and not fb:
-            return (ra + rb) % n
-        if not fa and fb:
-            return n + (rb - ra) % n
-        if fa and not fb:
-            return n + (ra + rb) % n
-        return (rb - ra) % n
+        (fa, ra), (fb, rb) = divmod(a, n), divmod(b, n)
+        return n * (fa ^ fb) + (rb - ra if fb else ra + rb) % n
 
     size = 2 * n
     table = tuple(tuple(mul(a, b) for b in range(size)) for a in range(size))
@@ -356,12 +351,12 @@ def _dihedral(n: int) -> FiniteGroup:
         ("e" if i == 0 else f"r^{i}") if i < n else ("s" if i == n else f"sr^{i - n}")
         for i in range(size)
     )
-    return FiniteGroup(size, table, 0, labels, f"D{n}")
+    return _derived(FiniteGroup, size, table, 0, labels, f"D{n}")
 
 
 def _symmetric(n: int, cap: int) -> FiniteGroup:
     if n == 1:
-        return FiniteGroup(1, ((0,),), 0, ("e",), "S1")
+        return _derived(FiniteGroup, 1, ((0,),), 0, ("e",), "S1")
     gens = [parse_cycles("(1 2)", n)]
     if n >= 3:
         gens.append(parse_cycles("(" + " ".join(str(i) for i in range(1, n + 1)) + ")", n))
@@ -374,42 +369,23 @@ def _alternating4(cap: int) -> FiniteGroup:
 
 
 def _klein4() -> FiniteGroup:
-    table = (
-        (0, 1, 2, 3),
-        (1, 0, 3, 2),
-        (2, 3, 0, 1),
-        (3, 2, 1, 0),
-    )
-    return FiniteGroup(4, table, 0, ("e", "a", "b", "ab"), "V4")
+    table = tuple(tuple(a ^ b for b in range(4)) for a in range(4))
+    return _derived(FiniteGroup, 4, table, 0, ("e", "a", "b", "ab"), "V4")
 
 
 def _quaternion8() -> FiniteGroup:
-    # 0:1, 1:-1, 2:i, 3:-i, 4:j, 5:-j, 6:k, 7:-k
-    base = {"1": 0, "-1": 1, "i": 2, "-i": 3, "j": 4, "-j": 5, "k": 6, "-k": 7}
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+    # index 2u + s is the unit u of 1, i, j, k with the sign (-1)^s
+    def mul(a: int, b: int) -> int:
+        (u, s), (v, t) = divmod(a, 2), divmod(b, 2)
+        if u == 0 or v == 0:
+            w, s = u + v, s + t
+        else:  # i*i = -1, i*j = k and cyclically, j*i = -k
+            w, s = (0, s + t + 1) if u == v else (6 - u - v, s + t + (v - u) % 3 - 1)
+        return 2 * w + s % 2
 
-    def q_mul(a: str, b: str) -> str:
-        sign = 1
-        if a.startswith("-"):
-            sign, a = -sign, a[1:]
-        if b.startswith("-"):
-            sign, b = -sign, b[1:]
-        pairs = {
-            ("1", "1"): "1", ("1", "i"): "i", ("1", "j"): "j", ("1", "k"): "k",
-            ("i", "1"): "i", ("j", "1"): "j", ("k", "1"): "k",
-            ("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
-            ("i", "j"): "k", ("j", "k"): "i", ("k", "i"): "j",
-            ("j", "i"): "-k", ("k", "j"): "-i", ("i", "k"): "-j",
-        }
-        prod = pairs[(a, b)]
-        if prod.startswith("-"):
-            sign, prod = -sign, prod[1:]
-        return prod if sign > 0 else "-" + prod
-
-    table = tuple(
-        tuple(base[q_mul(names[a], names[b])] for b in range(8)) for a in range(8)
-    )
-    return FiniteGroup(8, table, 0, tuple(names), "Q8")
+    table = tuple(tuple(mul(a, b) for b in range(8)) for a in range(8))
+    names = tuple(sign + unit for unit in "1ijk" for sign in ("", "-"))
+    return _derived(FiniteGroup, 8, table, 0, names, "Q8")
 
 
 _NAME_RE = re.compile(r"^([A-Za-z])_?(\d+)$")
@@ -426,14 +402,9 @@ def library_names() -> List[str]:
 
 def _build_named(name: str, cap: int) -> FiniteGroup:
     canon = name.strip()
-    upper = canon.upper()
-    group = None
-    if upper == "A4":
-        group = _alternating4(cap)
-    elif upper == "V4":
-        group = _klein4()
-    elif upper == "Q8":
-        group = _quaternion8()
+    special = {"A4": lambda: _alternating4(cap), "V4": _klein4, "Q8": _quaternion8}
+    if canon.upper() in special:
+        group = special[canon.upper()]()
     else:
         m = _NAME_RE.match(canon)
         if not m:
@@ -596,7 +567,7 @@ class SubgroupClassification(_Record):
     def rank(self) -> int:
         return len(self.classes)
 
-    @property
+    @cached_property
     def representatives(self) -> Tuple[Subgroup, ...]:
         return tuple(cls[0] for cls in self.classes)
 
@@ -608,11 +579,7 @@ class SubgroupClassification(_Record):
 
     @cached_property
     def class_of(self) -> Dict[Tuple[int, ...], int]:
-        out: Dict[Tuple[int, ...], int] = {}
-        for i, cls in enumerate(self.classes):
-            for sub in cls:
-                out[sub.elements] = i
-        return out
+        return {sub.elements: i for i, cls in enumerate(self.classes) for sub in cls}
 
     def class_index(self, elements: Iterable[int]) -> int:
         key = tuple(sorted(elements))
@@ -654,7 +621,8 @@ def _classify(group: FiniteGroup, elements: Tuple[int, ...]) -> SubgroupClassifi
     inside = set(elements)
     subs = [s for s in all_subgroups(group) if inside.issuperset(s.elements)]
     remaining = {s.elements: s for s in subs}
-    maps = _conjugation_maps(group, _generating_sequence(group, elements))
+    maps = {group.conjugations[g] for g in _generating_sequence(group, elements)}
+    maps.discard(group.conjugations[group.identity])  # central generators fix every subgroup
     classes: List[Tuple[Subgroup, ...]] = []
     for s in subs:  # ascending canonical order, so reps come out least-first
         if s.elements not in remaining:
@@ -672,20 +640,18 @@ def _classify(group: FiniteGroup, elements: Tuple[int, ...]) -> SubgroupClassifi
     return SubgroupClassification(group, elements, tuple(classes))
 
 
-def _conjugation_maps(group: FiniteGroup, gens: Sequence[int]) -> List[Tuple[int, ...]]:
-    """One tuple x -> g·x·g^-1 per generator g."""
-    cayley, inverse = group.cayley, group.inverse
-    return [tuple([cayley[cayley[g][x]][inverse[g]] for x in range(group.order)])
-            for g in gens]
-
-
 def normalizer(group: FiniteGroup, sub: Subgroup) -> Subgroup:
-    target = set(sub.elements)
-    members = [
-        g for g in range(group.order)
-        if {group.conj(g, x) for x in sub.elements} == target
-    ]
-    return _derived(Subgroup, group, tuple(members))
+    """N_G(H): the g that conjugate the generators of H into H, checked
+    against the orbit-stabilizer count |N_G(H)| = |G| / |class of H|."""
+    gens = _generating_sequence(group, sub.elements)
+    inside = set(sub.elements)
+    members = tuple(g for g, c in enumerate(group.conjugations)
+                    if all(c[x] in inside for x in gens))
+    classification = classify_subgroups(group)
+    orbit = classification.classes[classification.class_index(sub.elements)]
+    if len(members) * len(orbit) != group.order:
+        raise InternalCheckError("normalizer order disagrees with the class size")
+    return _derived(Subgroup, group, members)
 
 
 def subgroup_as_group(group: FiniteGroup, elements: Sequence[int]) -> Tuple[FiniteGroup, Tuple[int, ...]]:
@@ -697,7 +663,7 @@ def subgroup_as_group(group: FiniteGroup, elements: Sequence[int]) -> Tuple[Fini
     """
     elems = _subgroup_elements(group, elements)
     pos = {x: i for i, x in enumerate(elems)}
-    table = tuple(tuple(pos[group.mul(a, b)] for b in elems) for a in elems)
+    table = tuple(tuple([pos[group.cayley[a][b]] for b in elems]) for a in elems)
     labels = tuple(group.label(x) for x in elems)
     sub_group = _derived(FiniteGroup, len(elems), table, pos[group.identity], labels, None)
     return sub_group, elems
@@ -749,11 +715,9 @@ def weyl_group(group: FiniteGroup, sub: Subgroup) -> FiniteGroup:
 # --- abelian invariants -------------------------------------------------
 
 def commutator_subgroup(group: FiniteGroup) -> Tuple[int, ...]:
-    gens = set()
-    for a in range(group.order):
-        for b in range(group.order):
-            c = group.mul(group.mul(group.inv(a), group.inv(b)), group.mul(a, b))
-            gens.add(c)
+    t, inv = group.cayley, group.inverse
+    gens = {t[t[inv[a]][inv[b]]][t[a][b]]
+            for a in range(group.order) for b in range(group.order)}
     # conjugation permutes the commutators, so they generate a normal subgroup
     return closure_of(group, gens)
 
@@ -812,7 +776,7 @@ def conjugacy_classes_of_elements(group: FiniteGroup) -> Tuple[Tuple[int, ...], 
 
     Each class is an orbit walked under one conjugation map per generator.
     """
-    maps = _conjugation_maps(group, _generating_sequence(group))
+    maps = [group.conjugations[g] for g in _generating_sequence(group)]
     seen = set()
     classes = []
     for x in range(group.order):

@@ -16,7 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .burnside import BurnsideElement, BurnsideRing, build_burnside
 from .errors import InternalCheckError
-from .groups import FiniteGroup, _memo_on_group, _subgroup_elements
+from .groups import (FiniteGroup, SubgroupClassification, _classify,
+                     _memo_on_group, _subgroup_elements)
 from .records import _Record
 from .reports import CheckReport
 
@@ -60,8 +61,8 @@ class SubgroupContext(_Record):
         """Res of outer basis element i, memoized on first use of each i."""
         memo = self._restricted
         if i not in memo:
-            row = self.outer_ring.marks[i]
-            memo[i] = self.ring.from_marks([row[j] for j in self.class_map])
+            row = dict(self.outer_ring.rows[i])
+            memo[i] = self.ring.from_marks([row.get(j, 0) for j in self.class_map])
         return memo[i]
 
 
@@ -99,15 +100,20 @@ def induce(ctx: SubgroupContext, y: BurnsideElement) -> BurnsideElement:
     return ctx.outer_ring.element(out)
 
 
-def _class_bijection(src_ring: BurnsideRing, dst_ring: BurnsideRing,
-                     elem_map: Dict[int, int] | Sequence[int]) -> Tuple[int, ...]:
-    """Entry i: the destination class of source class i mapped by elem_map.
+def _images(src_ring: BurnsideRing,
+            elem_map: Dict[int, int] | Sequence[int]) -> List[Tuple[int, ...]]:
+    """The sorted image under elem_map of each class representative."""
+    return [tuple(sorted([elem_map[e] for e in rep.elements]))
+            for rep in src_ring.classification.representatives]
+
+
+def _class_bijection(images: Sequence[Tuple[int, ...]],
+                     dst: SubgroupClassification) -> Tuple[int, ...]:
+    """Entry i: the class of `dst` holding images[i].
 
     A map that merges two classes is not an isomorphism; it is caught here.
     """
-    classes = tuple(
-        dst_ring.classification.class_index(elem_map[e] for e in rep.elements)
-        for rep in src_ring.classification.representatives)
+    classes = tuple(map(dst.class_index, images))
     if len(set(classes)) != len(classes):
         raise InternalCheckError("transport map is not a class bijection")
     return classes
@@ -119,7 +125,8 @@ def transport(src_ring: BurnsideRing, dst_ring: BurnsideRing,
     if not y.ring.same_ring(src_ring):
         raise ValueError("element does not live over the source group")
     out = [0] * dst_ring.rank
-    for c, j in zip(y.coeffs, _class_bijection(src_ring, dst_ring, elem_map)):
+    for c, j in zip(y.coeffs, _class_bijection(_images(src_ring, elem_map),
+                                               dst_ring.classification)):
         out[j] += c
     return dst_ring.element(out)
 
@@ -129,24 +136,23 @@ def conjugate(g: int, ctx: SubgroupContext,
     """Transport along conjugation by g in the outer subgroup; lands over gHg^-1."""
     if g not in ctx.outer:
         raise ValueError("conjugating element is not in the outer subgroup")
-    conj = {e: ctx.ambient.conj(g, e) for e in ctx.elements}
-    new_ctx = _context(ctx.ambient, tuple(sorted(conj.values())), ctx.outer)
+    conj = ctx.ambient.conjugations[g]
+    new_ctx = _context(ctx.ambient, tuple(sorted([conj[e] for e in ctx.elements])),
+                       ctx.outer)
     return new_ctx, transport(ctx.ring, new_ctx.ring, conj, y)
 
 
 def double_coset_reps(group: FiniteGroup, k_elements: Sequence[int],
                       h_elements: Sequence[int]) -> List[int]:
     """Least-element representatives of the double cosets KgH, ascending."""
-    covered = [False] * group.order
+    covered: set = set()
     reps = []
     for g in range(group.order):
-        if covered[g]:
-            continue
-        reps.append(g)
-        for a in k_elements:
-            ag = group.mul(a, g)
-            for b in h_elements:
-                covered[group.mul(ag, b)] = True
+        if g not in covered:
+            reps.append(g)
+            coset = [group.cayley[g][b] for b in h_elements]
+            for a in k_elements:
+                covered.update(map(group.cayley[a].__getitem__, coset))
     return reps
 
 
@@ -191,25 +197,36 @@ class DoubleCosetPlan(_Record):
         self.__dict__.update(group=group, h_ctx=h_ctx, k_ctx=k_ctx, reps=reps,
                              terms=terms)
 
+    def _sides(self, i: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Both sides of the formula on basis element i of A(H)."""
+        rhs = [0] * self.k_ctx.ring.rank
+        for inner, to_k in self.terms:
+            for j, v in enumerate(inner.restricted_basis(i).coeffs):
+                if v:
+                    rhs[to_k[j]] += v
+        # Ind_H sends basis element i of A(H) to basis element G/L of A(G)
+        lhs = self.k_ctx.restricted_basis(self.h_ctx.class_map[i]).coeffs
+        return lhs, tuple(rhs)
+
+    def failures(self) -> List[int]:
+        """The indices of the basis elements of A(H) that fail, in one pass."""
+        sides = map(self._sides, range(self.h_ctx.ring.rank))
+        return [i for i, (lhs, rhs) in enumerate(sides) if lhs != rhs]
+
     def check(self, y: BurnsideElement) -> DoubleCosetReport:
         """Compare Res_K Ind_H y with its double-coset expansion."""
-        h_ctx, k_ctx = self.h_ctx, self.k_ctx
-        if not y.ring.same_ring(h_ctx.ring):
+        if not y.ring.same_ring(self.h_ctx.ring):
             raise ValueError("element does not live over the context subgroup")
-        lhs = [0] * k_ctx.ring.rank
-        rhs = [0] * k_ctx.ring.rank
+        lhs = [0] * self.k_ctx.ring.rank
+        rhs = [0] * self.k_ctx.ring.rank
         for i, c in enumerate(y.coeffs):
-            if not c:
-                continue
-            # Ind_H sends basis element i of A(H) to basis element G/L of A(G)
-            below = k_ctx.restricted_basis(h_ctx.class_map[i]).coeffs
-            for j, v in enumerate(below):
-                lhs[j] += c * v
-            for inner, to_k in self.terms:
-                for j, v in enumerate(inner.restricted_basis(i).coeffs):
-                    rhs[to_k[j]] += c * v
-        return DoubleCosetReport(self.group, h_ctx.elements, k_ctx.elements,
-                                 y.coeffs, self.reps, tuple(lhs), tuple(rhs))
+            if c:
+                for side, part in zip((lhs, rhs), self._sides(i)):
+                    for j, v in enumerate(part):
+                        side[j] += c * v
+        return DoubleCosetReport(self.group, self.h_ctx.elements,
+                                 self.k_ctx.elements, y.coeffs, self.reps,
+                                 tuple(lhs), tuple(rhs))
 
 
 def double_coset_plan(group: FiniteGroup, h_elements: Sequence[int],
@@ -219,16 +236,16 @@ def double_coset_plan(group: FiniteGroup, h_elements: Sequence[int],
     k_ctx = subgroup_context(group, k_elements)
     reps = tuple(double_coset_reps(group, k_ctx.elements, h_ctx.elements))
     k_set = set(k_ctx.elements)
+    class_of = k_ctx.ring.classification.class_of
     terms = []
     for g in reps:
-        conj = {e: group.conj(g, e) for e in h_ctx.elements}
+        conj = group.conjugations[g]
         lower_h = tuple(e for e in h_ctx.elements if conj[e] in k_set)
-        # H cap g^-1 K g inside H, and K cap g H g^-1 inside K
+        # H cap g^-1 K g inside H, carried by g onto K cap g H g^-1
         inner_h = _context(group, lower_h, h_ctx.elements)
-        inner_k = _context(group, tuple(sorted(conj[e] for e in lower_h)),
-                           k_ctx.elements)
-        to_inner_k = _class_bijection(inner_h.ring, inner_k.ring, conj)
-        terms.append((inner_h, tuple(inner_k.class_map[t] for t in to_inner_k)))
+        images = _images(inner_h.ring, conj)
+        _class_bijection(images, _classify(group, tuple(sorted([conj[e] for e in lower_h]))))
+        terms.append((inner_h, tuple(map(class_of.__getitem__, images))))
     return DoubleCosetPlan(group, h_ctx, k_ctx, reps, tuple(terms))
 
 

@@ -87,12 +87,9 @@ def group_monoid(group: FiniteGroup) -> PointedMonoid:
     if group.identity != 0:
         raise InternalCheckError("group_monoid expects the identity at index 0")
     n = group.order + 1
-    mul = [[0] * n for _ in range(n)]
-    for a in range(group.order):
-        for b in range(group.order):
-            mul[a + 1][b + 1] = group.cayley[a][b] + 1
+    mul = ((0,) * n,) + tuple((0,) + tuple(v + 1 for v in row) for row in group.cayley)
     labels = ("0",) + tuple(group.label(x) for x in range(group.order))
-    return _derived(PointedMonoid, n, tuple(tuple(r) for r in mul), labels, group)
+    return _derived(PointedMonoid, n, mul, labels, group)
 
 
 def monoid_from_json(obj: Dict) -> PointedMonoid:

@@ -37,8 +37,23 @@ conjugate by every element of the ambient subgroup; the library grows
 <H, x> by cosets of H and walks each orbit under the conjugation maps of a
 generating set.
 
+`dense_marks` builds the table of marks by testing every representative
+against every member of every class as frozensets, and `dense_marks_of`
+and `dense_from_marks` walk full rows and the full lower triangle; the
+library keeps only the nonzero marks of each row, found through one
+bitset of representatives per element.
+
+`normalizer_by_all_conjugates` conjugates the whole subgroup by every
+element; the library tests the generators of H under one memoized
+conjugation map per element.
+
 `mult_by_regular` multiplies a Burnside ring element by the class of the
 regular orbit, read off an explicit free module.
+
+`double_coset_reps_by_products` covers each double coset KgH by every
+product a·g·b, and `double_coset_plan_by_contexts` is the plan builder
+that builds a context of K cap gHg^-1 inside K for each double coset and
+maps classes through it; the library reads the classes of K directly.
 
 `reindexed_context` re-indexes a subgroup as a standalone group with its
 own subgroup lattice and Burnside ring, and maps its classes into the outer
@@ -73,11 +88,12 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from f1gtheory.burnside import BurnsideElement, BurnsideRing, build_burnside
 from f1gtheory.constructions import MonoidHom, are_isomorphic, generating_set
 from f1gtheory.errors import InternalCheckError
-from f1gtheory.groups import (FiniteGroup, _derived, _memo_on_group,
+from f1gtheory.groups import (FiniteGroup, Subgroup, _derived, _memo_on_group,
                               build_group, subgroup_as_group)
 from f1gtheory.gtheory import _action_closed_subsets, _enumerate_modules
 from f1gtheory.lambda_ops import _distinct_tuples, diamond
-from f1gtheory.mackey import double_coset_reps, transport
+from f1gtheory.mackey import (_context, double_coset_reps, subgroup_context,
+                              transport)
 from f1gtheory.modules import (FiniteModule, ModuleHom, PointedMonoid,
                                free_module, group_monoid, is_cofibration,
                                quotient, quotient_with_projection,
@@ -609,6 +625,92 @@ def double_coset_sum_per_y(group: FiniteGroup, h_elements: Sequence[int],
     k_ring = build_burnside(group, k_elements)
     return carry(total, class_correspondence(k.ring, k.embedding, k_ring),
                  k_ring).coeffs
+
+
+# --- dense table of marks ----------------------------------------------
+
+def dense_marks(ring: BurnsideRing) -> Tuple[Tuple[int, ...], ...]:
+    """m[i][j] = |N(H_i)|/|H_i| * #{members of class i holding rep j}, by
+    testing every pair as frozensets."""
+    classes = ring.classification.classes
+    reps = [frozenset(cls[0].elements) for cls in classes]
+    table = [[0] * ring.rank for _ in range(ring.rank)]
+    for i, cls in enumerate(classes):
+        weight = ring.order // (cls[0].order * len(cls))
+        for member in cls:
+            h = frozenset(member.elements)
+            for j in range(i + 1):
+                if reps[j] <= h:
+                    table[i][j] += weight
+    return tuple(tuple(r) for r in table)
+
+
+def dense_marks_of(marks: Sequence[Sequence[int]],
+                   coeffs: Sequence[int]) -> Tuple[int, ...]:
+    """The ghost vector of a coefficient vector, over full rows."""
+    ghost = [0] * len(marks)
+    for c, row in zip(coeffs, marks):
+        for j, m in enumerate(row):
+            ghost[j] += c * m
+    return tuple(ghost)
+
+
+def dense_from_marks(marks: Sequence[Sequence[int]],
+                     ghost: Sequence[int]) -> Tuple[int, ...]:
+    """Back-substitution over the full lower triangle; InternalCheckError
+    for a vector outside the image."""
+    rank = len(marks)
+    coeffs = [0] * rank
+    for i in range(rank - 1, -1, -1):
+        residue = ghost[i] - sum(coeffs[k] * marks[k][i] for k in range(i + 1, rank))
+        if residue % marks[i][i] != 0:
+            raise InternalCheckError("ghost vector is not in the image of marks")
+        coeffs[i] = residue // marks[i][i]
+    return tuple(coeffs)
+
+
+def normalizer_by_all_conjugates(group: FiniteGroup, sub: Subgroup) -> Tuple[int, ...]:
+    """The elements g with gHg^-1 = H, each found by conjugating all of H."""
+    target = set(sub.elements)
+    return tuple(g for g in range(group.order)
+                 if {group.conj(g, x) for x in sub.elements} == target)
+
+
+# --- double coset plans through contexts of K cap gHg^-1 -------------------
+
+def double_coset_reps_by_products(group: FiniteGroup, k_elements: Sequence[int],
+                                  h_elements: Sequence[int]) -> List[int]:
+    """Least-element representatives of the double cosets KgH, ascending."""
+    covered = [False] * group.order
+    reps = []
+    for g in range(group.order):
+        if not covered[g]:
+            reps.append(g)
+            for a in k_elements:
+                for b in h_elements:
+                    covered[group.mul(group.mul(a, g), b)] = True
+    return reps
+
+
+def double_coset_plan_by_contexts(group: FiniteGroup, h_elements: Sequence[int],
+                                  k_elements: Sequence[int]):
+    """(reps, terms) of the plan for (H, K): per double coset KgH, the context
+    of H cap g^-1 K g inside H, and its classes carried by conjugation with
+    g into the context of K cap gHg^-1 inside K and on into K."""
+    h_ctx = subgroup_context(group, h_elements)
+    k_ctx = subgroup_context(group, k_elements)
+    reps = tuple(double_coset_reps_by_products(group, k_ctx.elements, h_ctx.elements))
+    terms = []
+    for g in reps:
+        conj = {e: group.conj(g, e) for e in h_ctx.elements}
+        lower_h = tuple(e for e in h_ctx.elements if conj[e] in k_ctx.elements)
+        inner_h = _context(group, lower_h, h_ctx.elements)
+        inner_k = _context(group, tuple(sorted(conj[e] for e in lower_h)),
+                           k_ctx.elements)
+        to_inner_k = class_correspondence(inner_h.ring, conj, inner_k.ring)
+        assert sorted(to_inner_k) == list(range(inner_k.ring.rank))
+        terms.append((inner_h, tuple(inner_k.class_map[t] for t in to_inner_k)))
+    return reps, tuple(terms)
 
 
 # --- module maps only the tests use --------------------------------------

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from f1gtheory.burnside import (BurnsideRing, build_burnside, decompose,
                                 marks_to_csv)
+from f1gtheory.cli import main
+from f1gtheory.errors import InternalCheckError
 from f1gtheory.groups import FiniteGroup, build_group, library_names, weyl_group
 from f1gtheory.modules import coset_module, diagonal_smash, free_module, \
     group_monoid, wedge
 from f1gtheory.sampling import random_effective, random_element
 
-from conftest import ring_of
+from conftest import RUNGS, group_of, ring_of
+from oracles import dense_from_marks, dense_marks, dense_marks_of
 
 
 def test_c2_marks():
@@ -199,3 +202,45 @@ def test_ring_of_a_proper_subgroup_builds_no_g_set():
     assert c2.rank == c3.rank and c2.one() != c3.one()
     with pytest.raises(ValueError, match="different"):
         c2.one() + c3.one()
+
+
+@pytest.mark.parametrize("name", library_names() + sorted(RUNGS))
+def test_sparse_rows_match_the_dense_table(name):
+    ring = build_burnside(group_of(name))
+    dense = dense_marks(ring)
+    assert ring.rows == tuple(tuple((j, m) for j, m in enumerate(row) if m)
+                              for row in dense)
+    assert all(row[-1][0] == i for i, row in enumerate(ring.rows))
+    assert ring.marks == dense
+
+
+@pytest.mark.parametrize("name", library_names() + sorted(RUNGS))
+def test_marks_of_and_from_marks_match_the_dense_oracle(name):
+    ring = build_burnside(group_of(name))
+    dense = dense_marks(ring)
+    rng = random.Random(f"ghost:{name}")
+    for _ in range(6):
+        coeffs = [0] * ring.rank
+        for i in rng.sample(range(ring.rank), min(4, ring.rank)):
+            coeffs[i] = rng.randint(-3, 3)
+        x = ring.element(coeffs)
+        ghost = ring.marks_of(x)
+        assert ghost == dense_marks_of(dense, coeffs)
+        assert ring.from_marks(ghost).coeffs == dense_from_marks(dense, ghost) \
+            == x.coeffs
+        if ring.order > 1:
+            # G/1 is the only class with a nonzero mark at the trivial
+            # subgroup, and that mark is |G|
+            off = (ghost[0] + 1,) + ghost[1:]
+            for solve in (ring.from_marks, lambda v: dense_from_marks(dense, v)):
+                with pytest.raises(InternalCheckError, match="not in the image"):
+                    solve(off)
+
+
+def test_text_marks_build_no_dense_table(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the dense table was built")
+
+    monkeypatch.setattr(BurnsideRing, "marks", property(refuse))
+    assert main(["marks", "--group", "D6"]) == 0
+    assert "table of marks for D6" in capsys.readouterr().out

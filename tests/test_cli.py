@@ -37,6 +37,23 @@ def test_marks_text_golden(capsys):
         "15667f10a0aaa299cb65d7940015b3e52b0442a239f88786234fef94c36be864"
 
 
+# the other two formats of the C2^5 table, recorded before the table was
+# made sparse
+C2X5_MARKS_SHA256 = {
+    "csv": "217ec038640cec253cfc278d0c96fdedad21691d803def5f14d9cac5c4724764",
+    "json": "70665cbc1a5dbc0c86fa356c198fda57968351a12957b7eb3f001ace160ebb8c",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(C2X5_MARKS_SHA256))
+def test_marks_c2x5_golden(capsys, fmt):
+    code, out, _ = run_cli(capsys, "marks", "--generators",
+                           "(1 2);(3 4);(5 6);(7 8);(9 10)", "--degree", "10",
+                           "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == C2X5_MARKS_SHA256[fmt]
+
+
 # the bytes of the class order and representatives on the two larger rungs
 LATTICE_SHA256 = {
     ("marks", "--generators", "(1 2 3 4);(1 2);(5 6)", "--degree", "6"):
@@ -281,6 +298,18 @@ for name, module in list(sys.modules.items()):
                 setattr(module, attr, refuse)
 sys.exit(f1gtheory.cli.main(sys.argv[1:]))
 """
+
+
+def test_mackey_check_json_on_the_order_48_rung_as_a_process():
+    # a smoke test of the order-48 rung through a fresh interpreter
+    src = os.path.dirname(os.path.dirname(f1gtheory.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "f1gtheory.cli", "mackey-check",
+         *GENERATED["S4xC2"], "--seed", "1729", "--format", "json"],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert hashlib.sha256(run.stdout).hexdigest() == \
+        "9131f0c774abb2800fb845f23ea0d37a0b2eb0ceb023dd762757e8c3217ac394"
 
 
 def test_mackey_check_builds_no_module():

@@ -7,14 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f1gtheory.constructions import find_isomorphism, is_isomorphic
-from f1gtheory.groups import (abelianization, all_subgroups, build_group,
-                              classify_subgroups, closure_of,
+from f1gtheory.groups import (FiniteGroup, abelianization, all_subgroups,
+                              build_group, classify_subgroups, closure_of,
                               commutator_subgroup,
                               conjugacy_classes_of_elements, group_from_json,
                               library_names, normalizer, parse_cycles,
                               quotient_group, subgroup_as_group, weyl_group)
+from f1gtheory.errors import InternalCheckError
+
+from conftest import RUNGS, group_of
 from oracles import (all_subgroups_by_closure, classify_by_all_conjugates,
-                     element_classes_by_all_conjugates)
+                     element_classes_by_all_conjugates,
+                     normalizer_by_all_conjugates)
 
 
 def brute_force_subgroups(group):
@@ -251,9 +255,36 @@ def test_library_names_build():
         group = build_group(name=name)
         assert group.order >= 1
         assert group.name == name
+        # the library builds its tables trusted; the constructor validates
+        assert FiniteGroup(group.order, group.cayley, group.identity,
+                           group.labels, group.name) == group
 
 
 def test_classification_deterministic():
     a = classify_subgroups(build_group(name="D4"))
     b = classify_subgroups(build_group(name="D4"))
     assert [c[0].elements for c in a.classes] == [c[0].elements for c in b.classes]
+
+
+@pytest.mark.parametrize("name", library_names() + sorted(RUNGS))
+def test_normalizer_matches_conjugation_by_every_element(name):
+    # every subgroup of a library group, every class representative of a rung
+    group = group_of(name)
+    assert all(group.conjugations[g][x] == group.conj(g, x)
+               for g in range(group.order) for x in range(group.order))
+    subgroups = (classify_subgroups(group).representatives if name in RUNGS
+                 else all_subgroups(group))
+    for sub in subgroups:
+        assert normalizer(group, sub).elements == \
+            normalizer_by_all_conjugates(group, sub), sub.elements
+
+
+def test_normalizer_checks_the_orbit_count():
+    group = build_group(name="S3")
+    c2 = next(s for s in all_subgroups(group) if s.order == 2)
+    assert len(classify_subgroups(group).classes[1]) == 3
+    # identity maps in place of the conjugations: every g seems to fix C2,
+    # against its class of three
+    group.__dict__["conjugations"] = (tuple(range(6)),) * 6
+    with pytest.raises(InternalCheckError, match="class size"):
+        normalizer(group, c2)

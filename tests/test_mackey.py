@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
 from f1gtheory.burnside import build_burnside
-from f1gtheory import mackey
+from f1gtheory import cli, mackey
 from f1gtheory.cli import main
 from f1gtheory.errors import InternalCheckError
 from f1gtheory import groups
@@ -20,8 +21,9 @@ from f1gtheory.modules import group_monoid
 from f1gtheory.reports import CheckReport
 from f1gtheory.sampling import random_element
 
-from conftest import ring_of
-from oracles import (carry, class_correspondence, double_coset_sum_per_y,
+from conftest import group_of, ring_of
+from oracles import (carry, class_correspondence, double_coset_plan_by_contexts,
+                     double_coset_reps_by_products, double_coset_sum_per_y,
                      reindexed_context)
 
 
@@ -241,6 +243,87 @@ def test_double_coset_check_fails_with_a_coset_dropped(monkeypatch):
     blob = report.to_json()
     assert list(blob) == list(full.to_json())
     assert blob["status"] == "fail" and blob["coset_sum"] == list(report.rhs)
+
+
+def _dropping_last_coset(monkeypatch, module):
+    """Make `module.double_coset_plan` drop the last double coset of a plan."""
+    real = mackey.double_coset_plan
+
+    def dropping(*args):
+        plan = real(*args)
+        return DoubleCosetPlan(plan.group, plan.h_ctx, plan.k_ctx,
+                               plan.reps[:-1], plan.terms[:-1])
+
+    monkeypatch.setattr(module, "double_coset_plan", dropping)
+    return dropping
+
+
+def test_failures_name_the_basis_elements_that_fail(monkeypatch):
+    group = build_group(name="D4")
+    dropping = _dropping_last_coset(monkeypatch, mackey)
+    reps = build_burnside(group).classification.representatives
+    seen_failure = False
+    for h in reps:
+        h_ring = subgroup_context(group, h.elements).ring
+        for k in reps:
+            full = double_coset_plan(group, h.elements, k.elements)
+            plan = dropping(group, h.elements, k.elements)
+            basis = [h_ring.basis_element(i) for i in range(h_ring.rank)]
+            assert full.failures() == []
+            assert plan.failures() == [i for i, y in enumerate(basis)
+                                       if not plan.check(y).ok]
+            seen_failure |= bool(plan.failures())
+    assert seen_failure
+
+
+def test_mackey_check_reports_each_failing_basis_element(capsys, monkeypatch):
+    group = build_group(name="S3")
+    dropping = _dropping_last_coset(monkeypatch, cli)
+    expected = []
+    reps = build_burnside(group).classification.representatives
+    for h in reps:
+        h_ring = subgroup_context(group, h.elements).ring
+        for k in reps:
+            plan = dropping(group, h.elements, k.elements)
+            for i in range(h_ring.rank):
+                report = plan.check(h_ring.basis_element(i))
+                if not report.ok:
+                    expected.append(report.to_json())
+    assert main(["mackey-check", "--group", "S3", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks[0]["check"] == "double coset formula"
+    assert checks[0]["instances"] == 4 * (1 + 2 + 2 + 4)
+    assert expected and checks[0]["failures"] == expected
+
+
+@pytest.mark.parametrize("name", library_names() + ["S4xC2"])
+def test_plans_match_the_context_plan_builder(name):
+    # every (H, K) class pair of every library group (all of order <= 24)
+    # and of the order-48 rung
+    group = group_of(name)
+    reps = build_burnside(group).classification.representatives
+    for h in reps:
+        for k in reps:
+            plan = double_coset_plan(group, h.elements, k.elements)
+            assert list(plan.reps) == double_coset_reps_by_products(
+                group, k.elements, h.elements)
+            assert (plan.reps, plan.terms) == double_coset_plan_by_contexts(
+                group, h.elements, k.elements), (h.elements, k.elements)
+
+
+def test_plan_refuses_a_conjugation_that_merges_classes(monkeypatch):
+    # H = K = the normal Klein subgroup of S4; classes of K cap gHg^-1 read
+    # in all of S4 merge its three order-2 subgroups
+    s4 = build_group(name="S4")
+    klein = next(s.elements for s in all_subgroups(s4) if s.order == 4
+                 and all(s4.mul(x, x) == s4.identity for x in s.elements)
+                 and all(s4.conj(g, x) in s.elements
+                         for g in range(s4.order) for x in s.elements))
+    assert double_coset_plan(s4, klein, klein).reps
+    monkeypatch.setattr(mackey, "_classify",
+                        lambda group, elements: groups.classify_subgroups(group))
+    with pytest.raises(InternalCheckError, match="class bijection"):
+        double_coset_plan(s4, klein, klein)
 
 
 def test_mackey_check_plans_each_class_pair_once(capsys, monkeypatch):
