@@ -1,9 +1,10 @@
 """Survey the lambda-ring axiom families across the group library.
 
 The addition identity holds for every finite group; the product and
-composition identities against the universal polynomials are only guaranteed
-for cyclic groups of odd order.  This script measures where they actually
-hold and prints a pass/fail table, which makes the boundary visible.
+composition identities lambda^k(xy) = P_k and lambda^k(lambda^l x) = P_{k,l},
+evaluated by Newton's identities at each ghost coordinate, are only
+guaranteed for cyclic groups of odd order.  This script measures where they
+actually hold and prints a pass/fail table, which makes the boundary visible.
 
 Usage: python3 scripts/lambda_report.py [--max-order N] [--trials T] [--seed S]
 """

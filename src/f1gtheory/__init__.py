@@ -50,7 +50,7 @@ _EXPORTS = {name: module for module, names in {
                 "monoid_from_json", "quotient", "quotient_with_projection",
                 "submodule_inclusion", "wedge", "wedge_with_inclusions",
                 "zero_module"),
-    "polynomials": ("UniversalPolynomial", "universal_polynomial"),
+    "polynomials": ("composition_rule", "product_rule"),
     "reports": ("CheckReport",),
     "snf": ("cokernel_invariants", "factorize", "merge_cyclic_factors",
             "smith_normal_form"),

@@ -88,25 +88,34 @@ class BurnsideRing:
                      for rep in self.classification.representatives)
 
     @cached_property
-    def orbit_lengths(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-        """Entry [i][j]: the K_j-orbit lengths on the nonzero points of G/H_i.
+    def orbit_counts(self) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], ...]:
+        """Entry [i][j]: the pairs (L, e) of the e > 0 K_j-orbits of length L on G/H_i.
 
-        Sorted ascending; the ones count the marks.  Built on first use by
-        the lambda engine, not with the ring.
+        The point gH has stabilizer K cap gHg^-1 in K, and each conjugate H'
+        of H stabilizes |N_G(H)|/|H| points (the weight of `_build_rows`),
+        so |N_G(H)|/|H| * #{H' : |K cap H'| = |K|/L} points lie in orbits of
+        length L; L = 1 counts the mark.  G is the ring's subgroup, so no
+        G-set is built.  Ascending in L; built on first use by the lambda
+        engine, not with the ring.
         """
-        reps = self.classification.representatives
+        def bits(sub) -> int:
+            return sum(1 << x for x in sub.elements)
+
+        reps = [(bits(rep), rep.order) for rep in self.classification.representatives]
+        shared: Dict[tuple, tuple] = {}  # one object per distinct entry
         table = []
-        for coset in self.cosets:
+        for cls in self.classification.classes:
+            weight = self.order // (cls[0].order * len(cls))
+            members = [bits(member) for member in cls]
             row = []
-            for k_rep in reps:
-                seen: set = set()
-                lengths = []
-                for x in range(1, coset.size):
-                    if x not in seen:
-                        orbit = {coset.action[x][g + 1] for g in k_rep.elements}
-                        seen |= orbit
-                        lengths.append(len(orbit))
-                row.append(tuple(sorted(lengths)))
+            for k, size in reps:
+                points: Dict[int, int] = {}
+                for h in members:
+                    meet = (k & h).bit_count()
+                    points[meet] = points.get(meet, 0) + weight
+                entry = tuple((size // meet, n * meet // size)
+                              for meet, n in sorted(points.items(), reverse=True))
+                row.append(shared.setdefault(entry, entry))
             table.append(tuple(row))
         return tuple(table)
 

@@ -29,7 +29,7 @@ from .mackey import (check_frobenius, double_coset_plan, green_morphism_check,
                      subgroup_context)
 from .modules import (diagonal_smash, group_monoid, module_from_json,
                       monoid_from_json)
-from .polynomials import universal_polynomial
+from .polynomials import MAX_COMPOSITION_K, MAX_COMPOSITION_L, MAX_PRODUCT_K
 from .reports import CheckReport
 from .sampling import random_effective, random_element
 from .snf import factorize
@@ -253,12 +253,13 @@ def _cmd_lambda(args) -> int:
 
 def _cmd_lambda_verify(args) -> int:
     group = _group_from_args(args)
-    # fetch every polynomial the run uses, so an over-cap degree is refused
-    # before any ring work
-    for k in range(2, args.k_cap + 1):
-        universal_polynomial("product", k)
-        for l in range(2, args.l_cap + 1):
-            universal_polynomial("composition", k, l)
+    # the degree caps are the command's input contract, checked before any
+    # ring work; l is read only when a composition rule runs (k >= 2)
+    if args.k_cap >= 2 and args.l_cap > MAX_COMPOSITION_L:
+        raise ValueError(f"composition rule supports k <= {MAX_COMPOSITION_K}, "
+                         f"l <= {MAX_COMPOSITION_L}")
+    if args.k_cap > MAX_PRODUCT_K:
+        raise ValueError(f"product rule supports 1 <= k <= {MAX_PRODUCT_K}")
     ring = build_burnside(group)
     rng = random.Random(args.seed)
     pre = verify_pre_lambda(ring, args.k_cap, args.trials, rng)

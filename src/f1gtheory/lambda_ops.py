@@ -2,8 +2,10 @@
 
 The k-th operation sends an effective class to the decomposition of the
 module of k-element subsets of any realization.  The operations are
-evaluated in the ghost ring from orbit lengths, for effective and virtual
-classes alike.  The diamond module of ordered distinct tuples is built
+evaluated in the ghost ring from the orbit counts that the subgroup lattice
+gives (`BurnsideRing.orbit_counts`), for effective and virtual classes
+alike, and the ring axioms are checked against Newton's identities at each
+ghost coordinate.  The diamond module of ordered distinct tuples is built
 explicitly; explicit subset modules are test oracles (`tests/oracles.py`).
 """
 
@@ -16,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 from .burnside import BurnsideElement, BurnsideRing
 from .groups import _derived
 from .modules import FiniteModule, zero_module
-from .polynomials import universal_polynomial
+from .polynomials import composition_rule, product_rule
 from .reports import CheckReport
 from .sampling import random_effective, random_element
 
@@ -103,27 +105,30 @@ def _ghost_series(ring: BurnsideRing, x: BurnsideElement, cap: int) -> List[List
     the series is the product of (1 + t^L)^e over orbit lengths L, where e
     counts the K-orbits of length L with the signs of x's coefficients.
     Negative e gives the exact inverse series; binomial coefficients stay
-    integral.
+    integral.  The counts are summed class by class over the nonzero
+    coefficients of x.
     """
-    lengths = ring.orbit_lengths
-    columns = []
-    for j in range(ring.rank):
-        exponents: Dict[int, int] = {}
-        for i, c in enumerate(x.coeffs):
-            if c:
-                for length in lengths[i][j]:
+    exponents: List[Dict[int, int]] = [{} for _ in range(ring.rank)]
+    for c, row in zip(x.coeffs, ring.orbit_counts):
+        if c:
+            for acc, pairs in zip(exponents, row):
+                for length, e in pairs:
                     if length <= cap:
-                        exponents[length] = exponents.get(length, 0) + c
+                        acc[length] = acc.get(length, 0) + c * e
+    columns = []
+    for acc in exponents:
         poly = [1] + [0] * cap
-        for length, e in sorted(exponents.items()):
+        for length, e in sorted(acc.items()):
             # binomial series of (1 + t^length)^e, truncated at the cap
             factor = [1]
             while len(factor) * length <= cap and factor[-1]:
                 m = len(factor)
                 factor.append(factor[-1] * (e - m + 1) // m)
-            poly = [sum(b * poly[d - m * length]
-                        for m, b in enumerate(factor) if m * length <= d)
-                    for d in range(cap + 1)]
+            product = poly[:]
+            for m in range(1, len(factor)):
+                b, shift = factor[m], m * length
+                product[shift:] = [a + b * c for a, c in zip(product[shift:], poly)]
+            poly = product
         columns.append(poly)
     return columns
 
@@ -204,7 +209,10 @@ def verify_lambda_ring(ring: BurnsideRing, k_cap: int, l_cap: int, trials: int,
     Families: vanishing on the unit, the product rule against P_k, and the
     composition rule against P_{k,l}.  The marks map is an injective ring
     homomorphism, so both sides of each identity are compared at every
-    ghost coordinate as integers; only a failure is written in the basis.
+    ghost coordinate as integers: the right sides come from Newton's
+    identities on the ghost columns of x and y (`polynomials`), every degree
+    of one rule in one call per column.  Only a failure is written in the
+    basis.
     """
     rng = rng or random.Random(0)
     unit_report = CheckReport("lambda of the unit vanishes")
@@ -225,10 +233,10 @@ def verify_lambda_ring(ring: BurnsideRing, k_cap: int, l_cap: int, trials: int,
         cols_x = _ghost_series(ring, x, k_cap)
         cols_y = _ghost_series(ring, y, k_cap)
         cols_xy = _ghost_series(ring, x * y, k_cap)
+        rules = [product_rule(cx, cy, k_cap) for cx, cy in zip(cols_x, cols_y)]
         for k in range(2, k_cap + 1):
-            p = universal_polynomial("product", k)
             lhs = [col[k] for col in cols_xy]
-            rhs = [p.value(cx, cy) for cx, cy in zip(cols_x, cols_y)]
+            rhs = [rule[k] for rule in rules]
             product_report.record(lhs == rhs, lambda: {
                 "k": k, "x": list(x.coeffs), "y": list(y.coeffs),
                 "lhs": in_basis(lhs), "rhs": in_basis(rhs),
@@ -240,10 +248,10 @@ def verify_lambda_ring(ring: BurnsideRing, k_cap: int, l_cap: int, trials: int,
         for l in range(2, l_cap + 1):
             inner = ring.from_marks([col[l] for col in cols_deep])
             cols_inner = _ghost_series(ring, inner, k_cap)
+            rules = [composition_rule(col, k_cap, l) for col in cols_deep]
             for k in range(2, k_cap + 1):
-                p = universal_polynomial("composition", k, l)
                 lhs = [col[k] for col in cols_inner]
-                rhs = [p.value(col) for col in cols_deep]
+                rhs = [rule[k] for rule in rules]
                 composition_report.record(lhs == rhs, lambda: {
                     "k": k, "l": l, "x": list(x.coeffs),
                     "lhs": in_basis(lhs), "rhs": in_basis(rhs),

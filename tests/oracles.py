@@ -6,10 +6,13 @@ rule) or of the l-fold products of one family (composition rule) into
 monomials, then rewrites the result in elementary symmetric polynomials by
 leading-term elimination over exact integers, and checks it by integer
 specialization.  Its cost grows with C(kl, l) monomials in k*l variables, so
-it is only run where it finishes (k*l <= 9).  `evaluate_in_ring` substitutes
-Burnside ring elements into a universal polynomial and multiplies in the
-basis; the library evaluates the same terms at integers, one ghost
-coordinate at a time.
+it is only run where it finishes (k*l <= 9).  `universal_polynomial` is the
+plethysm engine for the same polynomials: e_k[f] summed over the partitions
+of k in the power-sum basis and written back in elementary symmetric
+functions, cached by degree.  `evaluate_in_ring` substitutes Burnside ring
+elements into a universal polynomial and multiplies in the basis.  The
+library writes no polynomial: it runs Newton's identities on the integers
+of one ghost coordinate at a time.
 
 `cokernel_invariants_sparse` is the sparse Smith normal form, the oracle of
 the linear certificate that computes group-monoid degree-0 groups.
@@ -42,6 +45,9 @@ against every member of every class as frozensets, and `dense_marks_of`
 and `dense_from_marks` walk full rows and the full lower triangle; the
 library keeps only the nonzero marks of each row, found through one
 bitset of representatives per element.
+
+`orbit_lengths_by_cosets` walks the K-orbits on every coset module G/H;
+the library counts them from |K cap H'| over the conjugates H' of H.
 
 `normalizer_by_all_conjugates` conjugates the whole subgroup by every
 element; the library tests the generators of H under one memoized
@@ -80,10 +86,12 @@ pools are fixed and cached.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product as iter_product
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from math import factorial, prod
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from f1gtheory.burnside import BurnsideElement, BurnsideRing, build_burnside
 from f1gtheory.constructions import MonoidHom, are_isomorphic, generating_set
@@ -99,8 +107,8 @@ from f1gtheory.modules import (FiniteModule, ModuleHom, PointedMonoid,
                                quotient, quotient_with_projection,
                                submodule_inclusion, wedge_with_inclusions,
                                zero_module)
+from f1gtheory.records import _Record
 from f1gtheory.sampling import random_effective
-from f1gtheory.polynomials import UniversalPolynomial
 from f1gtheory.snf import cokernel_invariants
 
 # A polynomial is a dict from exponent tuples to nonzero int coefficients.
@@ -211,9 +219,25 @@ def _elementary_values(values: Sequence[int]) -> List[int]:
     return e
 
 
-def _verify_by_specialization(kind: str, k: int, l: Optional[int], nvars: int,
-                              blocks: Sequence[Sequence[int]], target: Poly,
-                              terms: Dict[Tuple[Tuple[int, ...], ...], int]) -> None:
+Terms = Sequence[Tuple[Tuple[Tuple[int, ...], ...], int]]
+
+
+def _terms_value(terms: Terms, families: Sequence[Sequence[int]]) -> int:
+    """Elementary-basis terms at integers; families[f][i] is e_i of block f."""
+    total = 0
+    for key, coeff in terms:
+        for fam, degs in zip(families, key):
+            for i, d in enumerate(degs):
+                if d:
+                    coeff *= fam[i + 1] ** d
+        total += coeff
+    return total
+
+
+def _verify_by_specialization(terms: Terms, nvars: int,
+                              blocks: Sequence[Sequence[int]],
+                              direct: Callable[[List[int]], int]) -> None:
+    """Check terms against `direct`, the polynomial evaluated on plain variables."""
     # a few fixed integer points; enough to catch any wiring slip
     samples = [
         [i + 2 for i in range(nvars)],
@@ -221,16 +245,8 @@ def _verify_by_specialization(kind: str, k: int, l: Optional[int], nvars: int,
         [((7 * i + 3) % 5) + 1 for i in range(nvars)],
     ]
     for values in samples:
-        direct = _eval_poly_at_ints(target, values)
         evalues = [_elementary_values([values[v] for v in b]) for b in blocks]
-        total = 0
-        for key, coeff in terms.items():
-            v = coeff
-            for e_vals, degs in zip(evalues, key):
-                for i, d in enumerate(degs):
-                    v *= e_vals[i + 1] ** d
-            total += v
-        if total != direct:
+        if _terms_value(terms, evalues) != direct(values):
             raise InternalCheckError("elementary-symmetric rewrite fails specialization")
 
 
@@ -260,8 +276,139 @@ def elimination_terms(kind: str, k: int, l: Optional[int] = None):
 
     target = _elementary_of(items, k, nvars)
     terms = _express_in_elementary(target, nvars, blocks)
-    _verify_by_specialization(kind, k, l, nvars, blocks, target, terms)
+    _verify_by_specialization(terms.items(), nvars, blocks,
+                              lambda values: _eval_poly_at_ints(target, values))
     return tuple(sorted(terms.items()))
+
+
+# --- the plethysm engine --------------------------------------------------
+
+def _partitions(n: int, largest: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
+    """Partitions of n as nonincreasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _z(lam: Sequence[int]) -> int:
+    """z_lam = prod over parts i of i^(m_i) m_i!, m_i the multiplicity of i."""
+    return prod(i ** m * factorial(m) for i, m in Counter(lam).items())
+
+
+def _power_sums_in_elementary(n: int) -> List[Poly]:
+    """p_1..p_n in e_1..e_n (index 0 unused), by Newton's identity.
+
+    p_m = sum_{i<m} (-1)^(i-1) e_i p_{m-i} + (-1)^(m-1) m e_m.
+    """
+    def e(i: int) -> Tuple[int, ...]:
+        return tuple(int(v == i - 1) for v in range(n))
+
+    p: List[Poly] = [{}]
+    for m in range(1, n + 1):
+        p_m: Poly = {e(m): (-1) ** (m - 1) * m}
+        for i in range(1, m):
+            _p_add_into(p_m, _p_mul({e(i): 1}, p[m - i]), (-1) ** (i - 1))
+        p.append(p_m)
+    return p
+
+
+def _elementary_plethysm(k: int, power_plethysms: Dict[int, Poly],
+                         nvars: int) -> Poly:
+    """e_k[f] = sum_{lam |- k} eps_lam / z_lam prod_i p_{lam_i}[f].
+
+    power_plethysms[n] holds p_n[f] for n = 1..k.  k!/z_lam is the size of
+    the class of cycle type lam, so the sum is taken times k! in integers
+    and divided exactly; e_k[f] of an integral f is integral.
+    """
+    k_fact = factorial(k)
+    total: Poly = {}
+    for lam in _partitions(k):
+        term: Poly = _p_const(nvars, 1)
+        for part in lam:
+            term = _p_mul(term, power_plethysms[part])
+        _p_add_into(total, term, (-1) ** (k - len(lam)) * (k_fact // _z(lam)))
+    out: Poly = {}
+    for mono, c in total.items():
+        q, r = divmod(c, k_fact)
+        if r:
+            raise InternalCheckError("plethysm gave a non-integral coefficient")
+        out[mono] = q
+    return out
+
+
+class UniversalPolynomial(_Record):
+    """An integer polynomial in formal lambda values.
+
+    Product kind: terms are keyed by a pair of exponent tuples, one for the
+    operations applied to x and one for y.  Composition kind: a single tuple
+    for x.  Position i of a tuple holds the exponent of the (i+1)-st
+    operation.
+    """
+
+    _fields = ("kind", "k", "l", "terms")
+
+    def __init__(self, kind: str, k: int, l: Optional[int], terms: Terms) -> None:
+        self.__dict__.update(kind=kind, k=k, l=l, terms=terms)
+
+    def value(self, *families: Sequence[int]) -> int:
+        """The polynomial at integers; families[f][i] is the i-th operation's value."""
+        arity = 1 if self.kind == "composition" else 2
+        if len(families) != arity:
+            raise ValueError(f"the {self.kind} rule takes one family of values per "
+                             f"argument ({arity}), got {len(families)}")
+        return _terms_value(self.terms, families)
+
+
+@lru_cache(maxsize=None)
+def universal_polynomial(kind: str, k: int, l: Optional[int] = None) -> UniversalPolynomial:
+    """The product rule P_k or the composition rule P_{k,l}, as plethysms.
+
+    e_k[f] in the power-sum basis, written back in elementary symmetric
+    functions by Newton's identity, with p_n[XY] = p_n(x) p_n(y) and p_n[e_l]
+    equal to e_l with every p_m replaced by p_{nm}.  Every coefficient must
+    come out integral, and the result is checked at integer points.
+    """
+    if kind == "product":
+        if l is not None:
+            raise ValueError("the product rule takes no second index")
+        if k < 1:
+            raise ValueError("the product rule needs k >= 1")
+        # x and y own the first and last k variables
+        nvars = 2 * k
+        blocks = [range(k), range(k, nvars)]
+        p = _power_sums_in_elementary(k)
+        power_plethysms = {
+            n: {mx + my: cx * cy for mx, cx in p[n].items() for my, cy in p[n].items()}
+            for n in range(1, k + 1)
+        }
+
+        def roots(values):
+            return [values[i] * values[k + j] for i in range(k) for j in range(k)]
+    elif kind == "composition":
+        if l is None or k < 1 or l < 1:
+            raise ValueError("the composition rule needs both indices, each >= 1")
+        nvars = k * l
+        blocks = [range(nvars)]
+        p = _power_sums_in_elementary(nvars)
+        power_plethysms = {
+            n: _elementary_plethysm(l, {m: p[n * m] for m in range(1, l + 1)}, nvars)
+            for n in range(1, k + 1)
+        }
+
+        def roots(values):
+            return [prod(c) for c in combinations(values, l)]
+    else:
+        raise ValueError(f"unknown polynomial kind {kind!r}")
+
+    terms = {tuple(tuple(mono[v] for v in b) for b in blocks): coeff
+             for mono, coeff in _elementary_plethysm(k, power_plethysms, nvars).items()}
+    poly = UniversalPolynomial(kind, k, l, tuple(sorted(terms.items())))
+    _verify_by_specialization(poly.terms, nvars, blocks,
+                              lambda values: _elementary_values(roots(values))[k])
+    return poly
 
 
 def evaluate_in_ring(poly: UniversalPolynomial, ring: BurnsideRing,
@@ -667,6 +814,26 @@ def dense_from_marks(marks: Sequence[Sequence[int]],
             raise InternalCheckError("ghost vector is not in the image of marks")
         coeffs[i] = residue // marks[i][i]
     return tuple(coeffs)
+
+
+def orbit_lengths_by_cosets(ring: BurnsideRing) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """Entry [i][j]: the K_j-orbit lengths on the nonzero points of G/H_i,
+    sorted ascending, walked on the coset module of each class."""
+    reps = ring.classification.representatives
+    table = []
+    for coset in ring.cosets:
+        row = []
+        for k_rep in reps:
+            seen: set = set()
+            lengths = []
+            for x in range(1, coset.size):
+                if x not in seen:
+                    orbit = {coset.action[x][g + 1] for g in k_rep.elements}
+                    seen |= orbit
+                    lengths.append(len(orbit))
+            row.append(tuple(sorted(lengths)))
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def normalizer_by_all_conjugates(group: FiniteGroup, sub: Subgroup) -> Tuple[int, ...]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +11,17 @@ from f1gtheory.burnside import (BurnsideRing, build_burnside, decompose,
                                 marks_to_csv)
 from f1gtheory.cli import main
 from f1gtheory.errors import InternalCheckError
-from f1gtheory.groups import FiniteGroup, build_group, library_names, weyl_group
+from f1gtheory.groups import (FiniteGroup, build_group, classify_subgroups,
+                              library_names, weyl_group)
+from f1gtheory.lambda_ops import lambda_k
 from f1gtheory.modules import coset_module, diagonal_smash, free_module, \
     group_monoid, wedge
 from f1gtheory.sampling import random_effective, random_element
 
 from conftest import RUNGS, group_of, ring_of
-from oracles import dense_from_marks, dense_marks, dense_marks_of
+from oracles import (carry, class_correspondence, dense_from_marks,
+                     dense_marks, dense_marks_of, orbit_lengths_by_cosets,
+                     reindexed_context)
 
 
 def test_c2_marks():
@@ -192,8 +197,7 @@ def test_ring_of_a_proper_subgroup_builds_no_g_set():
     c3 = build_burnside(group, (0, 2, 5))
     assert (c3.order, c3.rank, c3.marks) == (3, 2, ((3, 0), (1, 1)))
     # cosets would be G/M, not H/M
-    for build in (lambda: c3.cosets, lambda: c3.orbit_lengths,
-                  lambda: c3.realize(c3.one()),
+    for build in (lambda: c3.cosets, lambda: c3.realize(c3.one()),
                   lambda: c3.decompose(free_module(group_monoid(group), 1))):
         with pytest.raises(ValueError, match="whole group|different group"):
             build()
@@ -202,6 +206,42 @@ def test_ring_of_a_proper_subgroup_builds_no_g_set():
     assert c2.rank == c3.rank and c2.one() != c3.one()
     with pytest.raises(ValueError, match="different"):
         c2.one() + c3.one()
+
+
+@pytest.mark.parametrize("name", library_names() + sorted(RUNGS))
+def test_orbit_counts_match_the_coset_walk(name):
+    ring = build_burnside(group_of(name))
+    walked = orbit_lengths_by_cosets(ring)
+    assert ring.orbit_counts == tuple(
+        tuple(tuple(sorted(Counter(lengths).items())) for lengths in row)
+        for row in walked)
+
+
+# (group, subgroup order): C3 <= S3, D4 <= S4 and S3 <= S4
+PROPER_SUBGROUPS = [("S3", 3), ("S4", 8), ("S4", 6)]
+
+
+@pytest.mark.parametrize("name,order", PROPER_SUBGROUPS)
+def test_lambda_on_the_ring_of_a_proper_subgroup(name, order):
+    # A(H) in ambient ids against H re-indexed as a group of its own
+    group = build_group(name=name)
+    [elements] = [rep.elements for rep in classify_subgroups(group).representatives
+                  if rep.order == order]
+    ring = build_burnside(group, elements)
+    ctx = reindexed_context(group, elements)
+    to_ring = class_correspondence(ctx.ring, ctx.embedding, ring)
+    assert sorted(to_ring) == list(range(ring.rank))
+    for a, row in enumerate(ctx.ring.orbit_counts):
+        for b, pairs in enumerate(row):
+            assert ring.orbit_counts[to_ring[a]][to_ring[b]] == pairs
+    rng = random.Random(order)
+    xs = [ctx.ring.basis_element(i) for i in range(ctx.ring.rank)]
+    xs += [random_element(ctx.ring, rng) for _ in range(4)]
+    for x in xs:
+        for k in range(5):
+            assert lambda_k(ring, carry(x, to_ring, ring), k) == \
+                carry(lambda_k(ctx.ring, x, k), to_ring, ring), (x.coeffs, k)
+    assert "cosets" not in vars(ring)
 
 
 @pytest.mark.parametrize("name", library_names() + sorted(RUNGS))

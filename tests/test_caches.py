@@ -20,7 +20,6 @@ from f1gtheory.groups import (_memo_on_group, all_subgroups, build_group,
                               classify_subgroups, conjugacy_classes_of_elements)
 from f1gtheory.mackey import subgroup_context
 from f1gtheory.modules import free_module, group_monoid
-from f1gtheory.polynomials import universal_polynomial
 
 
 def _twins():
@@ -71,8 +70,8 @@ def test_used_group_is_collected():
     assert ref() is None
 
 
-def test_no_module_level_lru_cache_but_universal_polynomial():
-    """Caches keyed by value belong only where the key is small and bounded."""
+def test_no_module_level_lru_cache():
+    """No cache keyed by value: the package holds no `lru_cache` at all."""
     modules = [f1gtheory] + [
         importlib.import_module(info.name)
         for info in pkgutil.walk_packages(f1gtheory.__path__, "f1gtheory.")
@@ -84,8 +83,7 @@ def test_no_module_level_lru_cache_but_universal_polynomial():
             if inspect.isclass(obj) and obj.__module__.startswith("f1gtheory"):
                 candidates += [(f"{attr}.{k}", v) for k, v in vars(obj).items()]
             for name, value in candidates:
-                if (isinstance(value, functools._lru_cache_wrapper)
-                        and value is not universal_polynomial):
+                if isinstance(value, functools._lru_cache_wrapper):
                     found.append(f"{module.__name__}.{name}")
     assert found == []
 

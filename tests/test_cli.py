@@ -365,6 +365,24 @@ def test_lambda_verify_failing_families_golden(capsys, group, fmt):
     assert digest == LAMBDA_VERIFY_FAILING_SHA256[group, fmt]
 
 
+# the order-48 rung at the top caps, recorded before the ghost-coordinate
+# Newton engine replaced the universal polynomials
+LAMBDA_VERIFY_S4XC2_SHA256 = {
+    "text": "5198eaf28e95717468fa1ee4db03f1477cbdc5ac6e939020efdede001d9e35de",
+    "json": "d09a67accb73bef01c0c178ffc89daabbf10b934982433ea870ae27d91dd495e",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(LAMBDA_VERIFY_S4XC2_SHA256))
+def test_lambda_verify_golden_on_the_order_48_rung(capsys, fmt):
+    code, out, _ = run_cli(capsys, "lambda-verify", *GENERATED["S4xC2"],
+                           "--k-cap", "4", "--l-cap", "3", "--seed", "1729",
+                           "--format", fmt)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == LAMBDA_VERIFY_S4XC2_SHA256[fmt]
+
+
 @pytest.mark.parametrize("command,flag", [("lambda-verify", "--k-cap"),
                                           ("lambda-verify", "--l-cap"),
                                           ("lambda-verify", "--trials"),

@@ -16,11 +16,13 @@ from f1gtheory.lambda_ops import (_geometric_values, _ghost_series,
 from f1gtheory.modules import (free_module, group_monoid,
                                wedge_with_inclusions)
 from f1gtheory.polynomials import (MAX_COMPOSITION_K, MAX_COMPOSITION_L,
-                                   MAX_PRODUCT_K, universal_polynomial)
+                                   MAX_PRODUCT_K, composition_rule,
+                                   product_rule)
 from f1gtheory.sampling import random_effective, random_element
 
 from conftest import ring_of
-from oracles import diamond_filtered, evaluate_in_ring, subset_module
+from oracles import (diamond_filtered, evaluate_in_ring, subset_module,
+                     universal_polynomial)
 
 
 def test_diamond_sizes_are_falling_factorials():
@@ -81,15 +83,18 @@ def test_subset_module_matches_fast_decomposition():
                 assert direct == fast == value, (name, x.coeffs, k)
 
 
-def test_orbit_lengths_are_lazy_and_count_marks():
+def test_orbit_counts_are_lazy_and_count_marks():
     ring = BurnsideRing(build_group(name="D4"))
-    assert "orbit_lengths" not in vars(ring)
+    assert "orbit_counts" not in vars(ring)
     lambda_k(ring, ring.basis_element(0), 2)
-    assert "orbit_lengths" in vars(ring)
-    for i, row in enumerate(ring.orbit_lengths):
-        for j, lengths in enumerate(row):
-            assert sum(lengths) == ring.cosets[i].size - 1
-            assert lengths.count(1) == ring.marks[i][j]
+    assert "orbit_counts" in vars(ring)
+    for i, row in enumerate(ring.orbit_counts):
+        for j, pairs in enumerate(row):
+            lengths = [length for length, _ in pairs]
+            assert lengths == sorted(set(lengths))
+            assert all(e > 0 for _, e in pairs)
+            assert sum(length * e for length, e in pairs) == ring.coset_sizes[i]
+            assert dict(pairs).get(1, 0) == ring.marks[i][j]
 
 
 def test_lambda_of_regular_s4_at_degree_six():
@@ -245,20 +250,22 @@ def test_mark_vector_check_matches_basis_arithmetic(name):
         cols_xy = _ghost_series(ring, x * y, 4)
         lam_x, lam_y = lambda_series(ring, x, 12), lambda_series(ring, y, 4)
         lam_xy = lambda_series(ring, x * y, 4)
+        rules = [product_rule(cx, cy, MAX_PRODUCT_K) for cx, cy in zip(cols_x, cols_y)]
         for k in range(1, MAX_PRODUCT_K + 1):
             p = universal_polynomial("product", k)
             assert ring.from_marks([col[k] for col in cols_xy]) == lam_xy[k]
-            rhs = [p.value(cx, cy) for cx, cy in zip(cols_x, cols_y)]
+            rhs = [rule[k] for rule in rules]
             assert ring.from_marks(rhs) == evaluate_in_ring(p, ring, lam_x, lam_y)
         for l in range(1, MAX_COMPOSITION_L + 1):
             inner = ring.from_marks([col[l] for col in cols_x])
             assert inner == lam_x[l]
             cols_inner = _ghost_series(ring, inner, 4)
             lam_inner = lambda_series(ring, inner, 4)
+            rules = [composition_rule(col, MAX_COMPOSITION_K, l) for col in cols_x]
             for k in range(1, MAX_COMPOSITION_K + 1):
                 p = universal_polynomial("composition", k, l)
                 assert ring.from_marks([col[k] for col in cols_inner]) == lam_inner[k]
-                rhs = [p.value(col) for col in cols_x]
+                rhs = [rule[k] for rule in rules]
                 assert ring.from_marks(rhs) == evaluate_in_ring(p, ring, lam_x)
 
 

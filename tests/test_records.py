@@ -1,5 +1,9 @@
 """The value-class contract of the package's records.
 
+`UniversalPolynomial`, the record of the plethysm oracle in
+`tests/oracles.py`, is built on the package's `_Record` base and held to
+the same contract.
+
 Every record takes its fields positionally in a fixed order or by keyword,
 with the defaults below; compares and hashes by the fields it compares
 (the hash is that of their tuple); refuses assignment unless it is the
@@ -24,8 +28,9 @@ from f1gtheory.mackey import (DoubleCosetPlan, DoubleCosetReport,
                               subgroup_context)
 from f1gtheory.modules import (FiniteModule, ModuleHom, PointedMonoid,
                                free_module, group_monoid)
-from f1gtheory.polynomials import UniversalPolynomial, universal_polynomial
 from f1gtheory.reports import CheckReport
+
+from oracles import UniversalPolynomial, universal_polynomial
 
 
 class Case(NamedTuple):
