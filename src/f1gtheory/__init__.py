@@ -30,10 +30,10 @@ _EXPORTS = {name: module for module, names in {
     "errors": ("InternalCheckError", "ResourceLimitError"),
     "groups": ("FiniteGroup", "Subgroup", "SubgroupClassification",
                "abelianization", "all_subgroups", "build_group",
-               "classify_subgroups", "closure_of", "commutator_subgroup",
+               "classify_subgroups", "closure_of",
                "conjugacy_classes_of_elements", "group_from_json",
                "is_odd_cyclic", "library_names", "load_group", "normalizer",
-               "parse_cycles", "quotient_group", "weyl_group"),
+               "parse_cycles"),
     "gtheory": ("AbelianGroupReport", "CartanReport",
                 "GrothendieckPresentation", "cartan_zero",
                 "count_simple_factors", "g0_presentation", "g1_via_splitting"),

@@ -9,7 +9,7 @@ ghost (marks) ring and back-substitutes exactly.  A(H) for H <= G is in G's ids.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
 from .groups import (FiniteGroup, SubgroupClassification, _generating_sequence,
@@ -34,6 +34,7 @@ class BurnsideRing:
         self.rank = self.classification.rank
         self.labels = self.classification.labels
         self.rows = self._build_rows()
+        self._cosets: Dict[int, FiniteModule] = {}
 
     def same_ring(self, other: "BurnsideRing") -> bool:
         """Rings of one subgroup of equal groups (names and labels aside)."""
@@ -82,10 +83,19 @@ class BurnsideRing:
     @cached_property
     def cosets(self) -> Tuple[FiniteModule, ...]:
         """The transitive G-sets G/H, one per class; built on first use."""
+        self._check_whole_group()
+        return tuple(map(self._coset, range(self.rank)))
+
+    def _check_whole_group(self) -> None:
         if self.order != self.group.order:
             raise ValueError("G-sets are built only for the ring of the whole group")
-        return tuple(coset_module(self.group, rep.elements)
-                     for rep in self.classification.representatives)
+
+    def _coset(self, i: int) -> FiniteModule:
+        """G/H for class i of the whole group's ring, built on first use."""
+        if i not in self._cosets:
+            self._cosets[i] = coset_module(
+                self.group, self.classification.representatives[i].elements)
+        return self._cosets[i]
 
     @cached_property
     def orbit_counts(self) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], ...]:
@@ -195,9 +205,8 @@ class BurnsideRing:
         """An explicit module with the classes of an effective element."""
         if any(c < 0 for c in x.coeffs):
             raise ValueError("only effective elements can be realized")
-        parts: List[FiniteModule] = []
-        for i, c in enumerate(x.coeffs):
-            parts.extend([self.cosets[i]] * c)
+        self._check_whole_group()
+        parts = [self._coset(i) for i, c in enumerate(x.coeffs) for _ in range(c)]
         if not parts:
             return zero_module(group_monoid(self.group))
         return wedge(parts)

@@ -1,4 +1,4 @@
-"""Finite groups as dense Cayley tables: construction, subgroups, quotients.
+"""Finite groups as dense Cayley tables: construction, subgroups, abelian invariants.
 
 Elements are 0-based indices into the table.  Every group produced by the
 constructors in this module has its identity at index 0.
@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError, ResourceLimitError
 from .records import _Record
-from .snf import cokernel_invariants
+from .snf import factorize, merge_cyclic_factors
 
 DEFAULT_ORDER_CAP = 1024
 EXHAUSTIVE_ASSOCIATIVITY_LIMIT = 64
@@ -654,21 +654,6 @@ def normalizer(group: FiniteGroup, sub: Subgroup) -> Subgroup:
     return _derived(Subgroup, group, members)
 
 
-def subgroup_as_group(group: FiniteGroup, elements: Sequence[int]) -> Tuple[FiniteGroup, Tuple[int, ...]]:
-    """Reindex a subgroup as a standalone group: returns (group, embedding).
-
-    embedding[i] is the parent element of index i, in ascending parent
-    order, so the identity stays at index 0.  Raises ValueError unless the
-    elements are one of `all_subgroups(group)`.
-    """
-    elems = _subgroup_elements(group, elements)
-    pos = {x: i for i, x in enumerate(elems)}
-    table = tuple(tuple([pos[group.cayley[a][b]] for b in elems]) for a in elems)
-    labels = tuple(group.label(x) for x in elems)
-    sub_group = _derived(FiniteGroup, len(elems), table, pos[group.identity], labels, None)
-    return sub_group, elems
-
-
 def _right_cosets(group: FiniteGroup, elements: Iterable[int]) -> Tuple[List[int], List[int]]:
     """Right cosets Hx by ascending least element.
 
@@ -687,57 +672,72 @@ def _right_cosets(group: FiniteGroup, elements: Iterable[int]) -> Tuple[List[int
     return reps, coset_of
 
 
-def quotient_group(group: FiniteGroup, normal_elements: Sequence[int]) -> FiniteGroup:
-    """Quotient by a normal subgroup; cosets are labeled by their least element."""
-    n_set = tuple(sorted(normal_elements))
-    sub = Subgroup(group, n_set)
-    for g in range(group.order):
-        if tuple(sorted(group.conj(g, x) for x in n_set)) != n_set:
-            raise ValueError("subgroup is not normal")
-    reps, coset_of = _right_cosets(group, sub.elements)
-    table = tuple(
-        tuple(coset_of[group.mul(reps[i], reps[j])] for j in range(len(reps)))
-        for i in range(len(reps))
-    )
-    labels = tuple(f"[{r}]" for r in reps)
-    return _derived(FiniteGroup, len(reps), table, 0, labels, None)
-
-
-def weyl_group(group: FiniteGroup, sub: Subgroup) -> FiniteGroup:
-    """N_G(H)/H for a subgroup H, as a standalone group."""
-    norm = normalizer(group, sub)
-    n_group, embedding = subgroup_as_group(group, norm.elements)
-    pos = {x: i for i, x in enumerate(embedding)}
-    inner = tuple(sorted(pos[x] for x in sub.elements))
-    return quotient_group(n_group, inner)
-
-
 # --- abelian invariants -------------------------------------------------
 
-def commutator_subgroup(group: FiniteGroup) -> Tuple[int, ...]:
-    t, inv = group.cayley, group.inverse
-    gens = {t[t[inv[a]][inv[b]]][t[a][b]]
-            for a in range(group.order) for b in range(group.order)}
-    # conjugation permutes the commutators, so they generate a normal subgroup
-    return closure_of(group, gens)
+def _power(group: FiniteGroup, x: int, e: int) -> int:
+    """x^e for e >= 0, by square-and-multiply."""
+    t, out = group.cayley, group.identity
+    while e:
+        if e & 1:
+            out = t[out][x]
+        x = t[x][x]
+        e >>= 1
+    return out
 
 
-def abelianization(group: FiniteGroup) -> List[int]:
-    """Invariant factors of G made abelian, smallest first; [] for perfect or trivial."""
-    comm = commutator_subgroup(group)
-    q = quotient_group(group, comm)
-    rows = []
-    for a in range(q.order):
-        for b in range(q.order):
-            row = [0] * q.order
-            row[a] += 1
-            row[b] += 1
-            row[q.mul(a, b)] -= 1
-            rows.append(row)
-    free, torsion = cokernel_invariants(rows, q.order)
-    if free:
-        raise RuntimeError("finite group produced a free abelian quotient")
-    return torsion
+def abelianization(group: FiniteGroup, sub: Optional[Subgroup] = None) -> List[int]:
+    """Invariant factors of W^ab for W = N_G(H)/H, smallest first; [] if trivial.
+
+    H is `sub`, by default the trivial subgroup, which gives G^ab.  W^ab is
+    N/K for N = N_G(H) and K = H·[N, N], and both are read off in the ids
+    of `group`: no quotient group is built.  K is normal in N, since H is
+    (N normalizes it), [N, N] is (it is characteristic), and a product of
+    normal subgroups is normal.  [N, N] is the normal closure of the
+    commutators of a generating set of N, so K is grown from H by those
+    commutators (`_extend`; <S>·H is a subgroup for every S inside N, H
+    being normal) and then by their images under the conjugation maps of
+    the generators until it is closed under them.
+
+    A = N/K is finite abelian; its p-primary part is a sum of cyclic groups
+    Z/p^e_i, so the p^j-torsion A[p^j] has p^(sum_i min(e_i, j)) elements.
+    xK lies in A[p^j] exactly when x^(p^j) lies in K, so
+    |A[p^j]| = #{x in N : x^(p^j) in K} / |K|, and p^r_j = |A[p^j]| / |A[p^(j-1)]|
+    counts the r_j summands with e_i >= j.  The primary orders p^e_i merge
+    into invariant factors (`merge_cyclic_factors`).
+    """
+    if sub is None:
+        h, n = (group.identity,), tuple(range(group.order))
+    else:
+        h, n = sub.elements, normalizer(group, sub).elements
+    gens = _generating_sequence(group, n)
+    t, inverse = group.cayley, group.inverse
+    kgens = list({t[t[inverse[a]][inverse[b]]][t[a][b]] for a in gens for b in gens}
+                 - {group.identity})
+    k = _extend(group, h, kgens)
+    members = set(k)
+    maps = [group.conjugations[g] for g in gens]
+    queue = list(kgens)
+    while queue:
+        x = queue.pop()
+        for c in maps:
+            y = c[x]
+            if y not in members:
+                kgens.append(y)
+                queue.append(y)
+                k = _extend(group, k, kgens)
+                members = set(k)
+    primary: List[int] = []
+    for p, e in factorize(len(n) // len(k)).items():
+        # count = |K|·|A[p^j]|, from j = 0 until A[p^j] is the whole p-part
+        powers, count, ranks = n, len(k), []
+        while count < len(k) * p ** e:
+            powers = [_power(group, x, p) for x in powers]
+            grown = sum(x in members for x in powers)
+            ranks.append(factorize(grown // count)[p])
+            count = grown
+        # summand i has exponent e_i = #{j : r_j > i}
+        primary += [p ** sum(r > i for r in ranks) for i in range(ranks[0])]
+    return merge_cyclic_factors(primary)
 
 
 @_memo_on_group

@@ -16,8 +16,8 @@ from typing import (Callable, Collection, Dict, Iterable, Iterator, List,
 
 from .burnside import BurnsideRing, build_burnside
 from .errors import InternalCheckError, ResourceLimitError
-from .groups import (FiniteGroup, _derived, abelianization, classify_subgroups,
-                     conjugacy_classes_of_elements, weyl_group)
+from .groups import (FiniteGroup, _derived, _power, abelianization,
+                     classify_subgroups, conjugacy_classes_of_elements)
 from .modules import (FiniteModule, PointedMonoid, free_module, group_monoid,
                       is_cofibration, quotient, submodule_inclusion)
 from .records import _Record
@@ -574,8 +574,7 @@ def g1_via_splitting(group: FiniteGroup) -> AbelianGroupReport:
     parts: List[int] = []
     interpretation: List[str] = []
     for rep, label in zip(classification.representatives, classification.labels):
-        w = weyl_group(group, rep)
-        ab = abelianization(w)
+        ab = abelianization(group, rep)
         parts.append(2)
         parts.extend(ab)
         desc = " + ".join(["Z/2"] + [f"Z/{d}" for d in ab])
@@ -626,18 +625,7 @@ def count_simple_factors(group: FiniteGroup, q: int) -> int:
     for i, cls in enumerate(classes):
         for x in cls:
             class_of[x] = i
-
-    def power(x: int, e: int) -> int:
-        out = group.identity
-        base = x
-        while e:
-            if e & 1:
-                out = group.mul(out, base)
-            base = group.mul(base, base)
-            e >>= 1
-        return out
-
-    step = [class_of[power(cls[0], q)] for cls in classes]
+    step = [class_of[_power(group, cls[0], q)] for cls in classes]
     seen = [False] * len(classes)
     orbits = 0
     for i in range(len(classes)):

@@ -61,6 +61,14 @@ product a·g·b, and `double_coset_plan_by_contexts` is the plan builder
 that builds a context of K cap gHg^-1 inside K for each double coset and
 maps classes through it; the library reads the classes of K directly.
 
+`subgroup_as_group` re-indexes a subgroup as a standalone group,
+`quotient_group` builds G/N on least coset representatives, checking
+normality by conjugating N by every element, and `weyl_group` is N_G(H)/H
+built from those two.  `abelianization_by_relations` reads G/[G, G] off
+the Smith normal form of the |Q|^2 relations [a] + [b] - [ab] of
+Q = G/[G, G].  Together they are the oracle of `groups.abelianization`,
+which reads each W_G(H)^ab off the ambient group.
+
 `reindexed_context` re-indexes a subgroup as a standalone group with its
 own subgroup lattice and Burnside ring, and maps its classes into the outer
 ring through the embedding; the library describes the same context in
@@ -97,7 +105,8 @@ from f1gtheory.burnside import BurnsideElement, BurnsideRing, build_burnside
 from f1gtheory.constructions import MonoidHom, are_isomorphic, generating_set
 from f1gtheory.errors import InternalCheckError
 from f1gtheory.groups import (FiniteGroup, Subgroup, _derived, _memo_on_group,
-                              build_group, subgroup_as_group)
+                              _right_cosets, _subgroup_elements, build_group,
+                              closure_of, normalizer)
 from f1gtheory.gtheory import _action_closed_subsets, _enumerate_modules
 from f1gtheory.lambda_ops import _distinct_tuples, diamond
 from f1gtheory.mackey import (_context, double_coset_reps, subgroup_context,
@@ -675,6 +684,77 @@ def pairwise_class(reps: Sequence[FiniteModule], module: FiniteModule) -> int:
     if len(hits) != 1:
         raise InternalCheckError(f"{len(hits)} representatives match one module")
     return hits[0]
+
+
+# --- re-indexed subgroups, quotients and Weyl groups ---------------------
+
+def subgroup_as_group(group: FiniteGroup, elements: Sequence[int]) -> Tuple[FiniteGroup, Tuple[int, ...]]:
+    """Reindex a subgroup as a standalone group: returns (group, embedding).
+
+    embedding[i] is the parent element of index i, in ascending parent
+    order, so the identity stays at index 0.  Raises ValueError unless the
+    elements are one of `all_subgroups(group)`.
+    """
+    elems = _subgroup_elements(group, elements)
+    pos = {x: i for i, x in enumerate(elems)}
+    table = tuple(tuple([pos[group.cayley[a][b]] for b in elems]) for a in elems)
+    labels = tuple(group.label(x) for x in elems)
+    sub_group = _derived(FiniteGroup, len(elems), table, pos[group.identity], labels, None)
+    return sub_group, elems
+
+
+def quotient_group(group: FiniteGroup, normal_elements: Sequence[int]) -> FiniteGroup:
+    """Quotient by a normal subgroup; cosets are labeled by their least element."""
+    n_set = tuple(sorted(normal_elements))
+    sub = Subgroup(group, n_set)
+    for g in range(group.order):
+        if tuple(sorted(group.conj(g, x) for x in n_set)) != n_set:
+            raise ValueError("subgroup is not normal")
+    reps, coset_of = _right_cosets(group, sub.elements)
+    table = tuple(
+        tuple(coset_of[group.mul(reps[i], reps[j])] for j in range(len(reps)))
+        for i in range(len(reps))
+    )
+    labels = tuple(f"[{r}]" for r in reps)
+    return _derived(FiniteGroup, len(reps), table, 0, labels, None)
+
+
+def weyl_group(group: FiniteGroup, sub: Subgroup) -> FiniteGroup:
+    """N_G(H)/H for a subgroup H, as a standalone group."""
+    norm = normalizer(group, sub)
+    n_group, embedding = subgroup_as_group(group, norm.elements)
+    pos = {x: i for i, x in enumerate(embedding)}
+    inner = tuple(sorted(pos[x] for x in sub.elements))
+    return quotient_group(n_group, inner)
+
+
+def commutator_subgroup(group: FiniteGroup) -> Tuple[int, ...]:
+    t, inv = group.cayley, group.inverse
+    gens = {t[t[inv[a]][inv[b]]][t[a][b]]
+            for a in range(group.order) for b in range(group.order)}
+    # conjugation permutes the commutators, so they generate a normal subgroup
+    return closure_of(group, gens)
+
+
+def abelianization_by_relations(group: FiniteGroup) -> List[int]:
+    """Invariant factors of G made abelian, smallest first; [] for perfect or trivial.
+
+    The cokernel of the relations [a] + [b] - [ab] over every pair of
+    elements of G/[G, G], one column per coset.
+    """
+    q = quotient_group(group, commutator_subgroup(group))
+    rows = []
+    for a in range(q.order):
+        for b in range(q.order):
+            row = [0] * q.order
+            row[a] += 1
+            row[b] += 1
+            row[q.mul(a, b)] -= 1
+            rows.append(row)
+    free, torsion = cokernel_invariants(rows, q.order)
+    if free:
+        raise RuntimeError("finite group produced a free abelian quotient")
+    return torsion
 
 
 # --- re-indexed subgroup contexts ----------------------------------------

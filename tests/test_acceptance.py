@@ -16,8 +16,7 @@ from f1gtheory.burnside import build_burnside
 from f1gtheory.constructions import (are_isomorphic, base_change,
                                      base_change_hom, find_section, pushout)
 from f1gtheory.groups import (all_subgroups, build_group, classify_subgroups,
-                              conjugacy_classes_of_elements, library_names,
-                              weyl_group)
+                              conjugacy_classes_of_elements, library_names)
 from f1gtheory.gtheory import (cartan_zero, count_simple_factors,
                                g0_presentation, g1_via_splitting)
 from f1gtheory.lambda_ops import (diamond, lambda_k, verify_lambda_ring,
@@ -32,7 +31,7 @@ from f1gtheory.sampling import random_effective, random_element
 from oracles import (extension_property_check, induced_quotient_map,
                      monoid_homs, monoid_pool, random_extension_instance,
                      random_hom, random_module, random_split_instance,
-                     random_wedge_cofibration)
+                     random_wedge_cofibration, weyl_group)
 
 
 def _report(number, description, ok):

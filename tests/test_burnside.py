@@ -12,7 +12,7 @@ from f1gtheory.burnside import (BurnsideRing, build_burnside, decompose,
 from f1gtheory.cli import main
 from f1gtheory.errors import InternalCheckError
 from f1gtheory.groups import (FiniteGroup, build_group, classify_subgroups,
-                              library_names, weyl_group)
+                              library_names)
 from f1gtheory.lambda_ops import lambda_k
 from f1gtheory.modules import coset_module, diagonal_smash, free_module, \
     group_monoid, wedge
@@ -21,7 +21,7 @@ from f1gtheory.sampling import random_effective, random_element
 from conftest import RUNGS, group_of, ring_of
 from oracles import (carry, class_correspondence, dense_from_marks,
                      dense_marks, dense_marks_of, orbit_lengths_by_cosets,
-                     reindexed_context)
+                     reindexed_context, weyl_group)
 
 
 def test_c2_marks():

@@ -14,6 +14,8 @@ from f1gtheory import groups
 from f1gtheory.cli import build_parser, main
 from f1gtheory.groups import build_group
 
+from conftest import RUNGS
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -137,6 +139,35 @@ def test_g1_text_mentions_provenance(capsys):
     code, out, _ = run_cli(capsys, "g1", "--group", "C2")
     assert code == 0
     assert "via splitting formula" in out
+
+
+# g1 and wh0 on the two large rungs, recorded while each Weyl group was
+# still built as a re-indexed quotient group
+SPLITTING_SHA256 = {
+    ("g1", "S4xC2", "text"):
+        "8e8b7d9060be7fc6b937fea5766062565082f559e5259618edae28989262c469",
+    ("g1", "S4xC2", "json"):
+        "e400b699c4962845c105dc046c558f819005b7204b57402a1c45cd93c26da10d",
+    ("g1", "D4xC2^3", "text"):
+        "98809b773b35fb55d05078d7ff683193aea7fec5247c5f27309470695ce4ac01",
+    ("g1", "D4xC2^3", "json"):
+        "43e314e3dc5c4df0ffffcc097af8a260813685caca7016d4f8e754f61e40d06f",
+    ("wh0", "D4xC2^3", "text"):
+        "19add445c07fa0e8b918e3bdf2286be617b185d36ddc539e9bb6855f56e8087d",
+    ("wh0", "D4xC2^3", "json"):
+        "afadce76ebe29824304f7113988f00eed7f4b170cc1da45c9359e180994ddea7",
+}
+
+
+@pytest.mark.parametrize("command,rung,fmt", sorted(SPLITTING_SHA256),
+                         ids=lambda v: v)
+def test_splitting_golden_on_the_rungs(capsys, command, rung, fmt):
+    generators, degree = RUNGS[rung]
+    code, out, _ = run_cli(capsys, command, "--generators", ";".join(generators),
+                           "--degree", str(degree), "--format", fmt)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == SPLITTING_SHA256[command, rung, fmt]
 
 
 def test_g0_text(capsys):

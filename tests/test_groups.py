@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 from f1gtheory.constructions import find_isomorphism, is_isomorphic
 from f1gtheory.groups import (FiniteGroup, abelianization, all_subgroups,
                               build_group, classify_subgroups, closure_of,
-                              commutator_subgroup,
                               conjugacy_classes_of_elements, group_from_json,
-                              library_names, normalizer, parse_cycles,
-                              quotient_group, subgroup_as_group, weyl_group)
+                              library_names, normalizer, parse_cycles)
 from f1gtheory.errors import InternalCheckError
 
 from conftest import RUNGS, group_of
-from oracles import (all_subgroups_by_closure, classify_by_all_conjugates,
+from oracles import (abelianization_by_relations, all_subgroups_by_closure,
+                     classify_by_all_conjugates, commutator_subgroup,
                      element_classes_by_all_conjugates,
-                     normalizer_by_all_conjugates)
+                     normalizer_by_all_conjugates, quotient_group,
+                     subgroup_as_group, weyl_group)
 
 
 def brute_force_subgroups(group):
@@ -66,6 +66,13 @@ def test_subgroup_classes_sorted_and_conjugate():
     assert orders == sorted(orders)
 
 
+# abelianizations with summands Z/2^e of different exponents
+MIXED_EXPONENTS = {
+    "D4xC4": (["(1 2 3 4)", "(1 3)", "(5 6 7 8)"], 8),
+    "C8xC4xC2": (["(1 2 3 4 5 6 7 8)", "(9 10 11 12)", "(13 14)"], 14),
+}
+
+
 @pytest.mark.parametrize("name,expected", [
     ("C1", []),
     ("C6", [6]),
@@ -74,9 +81,16 @@ def test_subgroup_classes_sorted_and_conjugate():
     ("Q8", [2, 2]),
     ("A4", [3]),
     ("D4", [2, 2]),
+    ("D4xC4", [2, 2, 4]),
+    ("C8xC4xC2", [2, 4, 8]),
 ])
 def test_abelianization(name, expected):
-    assert abelianization(build_group(name=name)) == expected
+    if name in MIXED_EXPONENTS:
+        generators, degree = MIXED_EXPONENTS[name]
+        group = build_group(generators=generators, degree=degree)
+    else:
+        group = build_group(name=name)
+    assert abelianization(group) == expected
 
 
 def test_commutator_subgroup_of_s3_is_a3():
@@ -201,6 +215,24 @@ def test_lattice_matches_the_closure_oracle(name):
     for h in subgroups[::stride]:
         assert _class_elements(classify_subgroups(group, h)) == \
             classify_by_all_conjugates(group, h, subgroups)
+
+
+@pytest.mark.parametrize("name", library_names() + sorted(LARGER_GROUPS)
+                         + sorted(MIXED_EXPONENTS))
+def test_weyl_abelianization_matches_the_quotient_oracle(name):
+    """W_G(H)^ab read off the ambient group against N_G(H)/H re-indexed as
+    a quotient group and the Smith normal form of its |W|^2 relations, on
+    every subgroup class."""
+    generated = {**LARGER_GROUPS, **MIXED_EXPONENTS}
+    if name in generated:
+        generators, degree = generated[name]
+        group = build_group(generators=generators, degree=degree)
+    else:
+        group = build_group(name=name)
+    for rep in classify_subgroups(group).representatives:
+        assert abelianization(group, rep) == \
+            abelianization_by_relations(weyl_group(group, rep)), rep.elements
+    assert abelianization(group) == abelianization_by_relations(group)
 
 
 @settings(max_examples=40, deadline=None)

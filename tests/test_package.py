@@ -74,6 +74,9 @@ def test_every_public_name_resolves_and_is_listed():
 WITHOUT_CALLER = {
     "check_double_coset": "the double coset formula for one (H, K, y); "
                           "mackey-check runs the same plan per class pair",
+    "closure_of": "the subgroup generated by a seed, the coset extension "
+                  "of the trivial subgroup; the engine extends known "
+                  "subgroups instead",
     "conjugate": "conjugation between subgroup rings, the Mackey map "
                  "next to restrict and induce",
     "lambda_series": "the operations 0..cap at once, the series form of "
