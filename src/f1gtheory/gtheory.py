@@ -9,6 +9,7 @@ the class of the free rank-1 module.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import permutations, product as iter_product
 from operator import itemgetter
 from typing import (Callable, Collection, Dict, Iterable, Iterator, List,
@@ -18,8 +19,8 @@ from .burnside import BurnsideRing, build_burnside
 from .errors import InternalCheckError, ResourceLimitError
 from .groups import (FiniteGroup, _derived, _power, abelianization,
                      classify_subgroups, conjugacy_classes_of_elements)
-from .modules import (FiniteModule, PointedMonoid, free_module, group_monoid,
-                      is_cofibration, quotient, submodule_inclusion)
+from .modules import (FiniteModule, ModuleHom, PointedMonoid, free_module,
+                      group_monoid, is_cofibration, quotient, submodule_inclusion)
 from .records import _Record
 from .snf import cokernel_invariants, factorize, merge_cyclic_factors
 
@@ -298,7 +299,7 @@ def _group_g0(ring: BurnsideRing, size_bound: int) -> GrothendieckPresentation:
     gen_index = {c: i for i, c in enumerate(gens)}
     orbits = [sum(c) for c in gens]
     powers = [(6 * budget + 1) ** j for j in range(ring.rank)]
-    enc = [sum(v * p for v, p in zip(c, powers) if v) for c in gens]
+    enc = [sum(map(operator.mul, c, powers)) for c in gens]
     reduced = bytearray(len(gens))
     rows = 0
     for row in _peel_rows(gens, gen_index):
@@ -380,10 +381,15 @@ def _action_tables(m: PointedMonoid, s: int, spend: Callable[[int], None] = lamb
     """Action tables on a carrier of size s, in lex order of their free entries.
 
     Rows are filled top-down and a partial table is dropped as soon as
-    action[action[x][a]][b] == action[x][mul[a][b]] fails among filled rows;
+    action[action[y][a]][b] == action[y][mul[a][b]] fails among filled rows;
     the order is that of a product over all free entries.  Columns 0 and 1
     hold the law in every table, so only a, b >= 2 are checked.  Before a
     row is filled, `spend` is charged with its number of candidates.
+
+    The law at (y, a) is decidable once rows y and action[y][a] are filled,
+    so row x decides the pairs (x, a) with action[x][a] <= x, tested on each
+    candidate, and the pairs (y, a) with y < x and action[y][a] == x, which
+    fix action[x][b] to action[y][mul[a][b]] before the candidates are drawn.
     """
     mul = m.mul
     cols = range(2, m.size)
@@ -394,13 +400,18 @@ def _action_tables(m: PointedMonoid, s: int, spend: Callable[[int], None] = lamb
             yield tuple(map(tuple, action))
             return
         spend(s ** len(cols))
-        for values in iter_product(range(s), repeat=len(cols)):
-            action[x][2:] = values
-            # the law at (y, a) is decidable once rows y and action[y][a] are
-            # filled; test the pairs that row x made decidable
-            if all(action[action[y][a]][b] == action[y][mul[a][b]]
-                   for y in range(1, x + 1) for a in cols
-                   if max(y, action[y][a]) == x for b in cols):
+        row = action[x]
+        choices: List[Sequence[int]] = [range(s)] * len(cols)
+        for y in range(1, x):
+            for a in cols:
+                if action[y][a] == x:
+                    for b in cols:
+                        v = action[y][mul[a][b]]
+                        choices[b - 2] = (v,) if v in choices[b - 2] else ()
+        for values in iter_product(*choices):
+            row[2:] = values
+            if all(action[row[a]][b] == row[mul[a][b]]
+                   for a in cols if row[a] <= x for b in cols):
                 yield from fill(x + 1)
 
     return fill(1)
@@ -517,7 +528,8 @@ def _general_g0(m: PointedMonoid, size_bound: int,
     looked up by action table.  When the complement of the subset, with 0,
     is action-closed, the collapse retraction is equivariant, so the
     inclusion splits without a search (the search would return that
-    retraction first); only the other subsets run `is_cofibration`.
+    retraction first); only the other subsets run `is_cofibration`, on an
+    inclusion built from the submodule table already written.
     """
     index = _enumerate_modules(m, size_bound, work_budget)
     reps = index.reps
@@ -525,7 +537,9 @@ def _general_g0(m: PointedMonoid, size_bound: int,
     for i, rep in enumerate(reps):
         for subset in _action_closed_subsets(rep):
             sub, quot, collapse = _split_tables(rep, subset)
-            if not (collapse or is_cofibration(submodule_inclusion(rep, subset))[0]):
+            if not (collapse or is_cofibration(_derived(
+                    ModuleHom, _derived(FiniteModule, m, len(sub), sub), rep,
+                    (0,) + subset))[0]):
                 continue
             row = {i: 1}
             for j in (index.lookup(sub), index.lookup(quot)):

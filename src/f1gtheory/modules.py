@@ -319,13 +319,10 @@ def submodule_inclusion(s: FiniteModule, members: Iterable[int]) -> ModuleHom:
     """Inclusion of the action-closed subset {0} | members as a module."""
     keep = sorted(set(members) | {0})
     pos = {x: i for i, x in enumerate(keep)}
-    for x in keep:
-        for m in range(s.monoid.size):
-            if s.action[x][m] not in pos:
-                raise ValueError(f"subset not action-closed at ({x}, {m})")
-    action = tuple(
-        tuple(pos[s.action[x][m]] for m in range(s.monoid.size)) for x in keep
-    )
+    action = tuple(tuple(map(pos.get, s.action[x])) for x in keep)
+    for x, row in zip(keep, action):
+        if None in row:
+            raise ValueError(f"subset not action-closed at ({x}, {row.index(None)})")
     sub = _derived(FiniteModule, s.monoid, len(keep), action)
     return _derived(ModuleHom, sub, s, tuple(keep))
 

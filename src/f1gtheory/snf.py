@@ -1,8 +1,93 @@
-"""Exact integer matrix reduction for finitely generated abelian groups."""
+"""Exact integer matrix reduction for finitely generated abelian groups.
+
+Sparse ±1 pivots go first (Havas, Holt and Rees, Linear Algebra Appl. 192,
+1993); the rest is reduced modulo a nonzero maximal minor (Domich, Kannan
+and Trotter, Math. Oper. Res. 12, 1987), so its entries stay below it.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+import math
+from typing import Dict, List, Sequence, Set, Tuple
+
+
+def _eliminate_units(live: Dict[int, Dict[int, int]]) -> int:
+    """Drop ±1 pivots, last column first, each with the row of fewest entries."""
+    where: Dict[int, Set[int]] = {}
+    for i, row in live.items():
+        for c in row:
+            where.setdefault(c, set()).add(i)
+    units = 0
+    for c in sorted(where, reverse=True):
+        hits = [i for i in where[c] if live[i][c] in (1, -1)]
+        if not hits:
+            continue
+        p = min(hits, key=lambda i: (len(live[i]), i))
+        pivot, units = live.pop(p), units + 1
+        for d in pivot:
+            where[d].discard(p)
+        for i in where.pop(c):
+            row, f = live[i], live[i][c] * pivot[c]
+            for d, v in pivot.items():
+                w = row.get(d, 0) - f * v
+                if w:
+                    row[d] = w
+                    where[d].add(i)
+                else:
+                    del row[d]
+                    if d != c:
+                        where[d].discard(i)
+            if not row:
+                del live[i]
+    return units
+
+
+def _remainder_factors(rows: List[Dict[int, int]]) -> List[int]:
+    """Nonzero invariant factors of the rows, densely, in divisibility order.
+
+    For rank r and a nonzero r x r minor d, appending d times the identity
+    keeps the r factors (each divides d) and adds a Z/d per other column, so
+    entries are kept modulo d.  Each step fixes a least entry by gcd row and
+    column steps (a pass that is not clean lowers it); (gcd, lcm) fixes then
+    sort the diagonal.
+    """
+    cols = sorted({c for r in rows for c in r})
+    b, rank, d = [[r.get(c, 0) for c in cols] for r in rows], 0, 1
+    for c in range(len(cols)):  # fraction-free (Bareiss) elimination: rank, a minor
+        i = next((i for i in range(rank, len(b)) if b[i][c]), None)
+        if i is not None:
+            b[rank], b[i] = b[i], b[rank]
+            p, top = b[rank][c], b[rank]
+            for k in range(rank + 1, len(b)):
+                b[k] = [(p * w - b[k][c] * u) // d for u, w in zip(top, b[k])]
+            rank, d = rank + 1, abs(p)
+    a, diag = [[r.get(c, 0) % d for c in cols] for r in rows], []
+    while any(map(any, a)):
+        _, i, j = min((v, i, j) for i, r in enumerate(a) for j, v in enumerate(r) if v)
+        a[0], a[i] = a[i], a[0]
+        for r in a:
+            r[0], r[j] = r[j], r[0]
+        while True:
+            for k in range(1, len(a)):  # gcd row steps clear column 0
+                p, q = a[0][0], a[k][0]
+                if q:  # [[x, y], [-q/g, p/g]] has determinant 1; y = 0 when p | q
+                    g = math.gcd(p, q)
+                    x = pow(p // g, -1, q // g) or 1
+                    y, top, row = (g - x * p) // q, a[0], a[k]
+                    a[k] = [(p // g * w - q // g * u) % d for u, w in zip(top, row)]
+                    if y:
+                        a[0] = [(x * u + y * w) % d for u, w in zip(top, row)]
+            if not any(v % a[0][0] for v in a[0]):
+                break  # column steps would change row 0 alone
+            a = list(map(list, zip(*a)))  # column steps, as row steps on the transpose
+        diag.append(math.gcd(a[0][0], d))
+        a = [r[1:] for r in a[1:]]
+    diag += [d] * (len(cols) - len(diag))
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return diag[:rank]
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int | None = None) -> List[int]:
@@ -12,84 +97,12 @@ def smith_normal_form(rows: Sequence[Sequence[int]], ncols: int | None = None) -
     and satisfying d[i] | d[i+1].  Only the diagonal is produced; the
     transforms are not tracked.
     """
-    a = [list(map(int, r)) for r in rows]
-    m = len(a)
-    if ncols is None:
-        n = len(a[0]) if a else 0
-    else:
-        n = ncols
-    for r in a:
-        if len(r) != n:
-            raise ValueError("ragged matrix")
-    diag: List[int] = []
-    t = 0
-    while t < min(m, n):
-        # locate a pivot of smallest absolute value in the trailing block; a
-        # unit is the least possible, so the scan ends with the row holding one
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = a[i][j]
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-            if best and best[0] == 1:
-                break
-        if best is None:
-            break
-        _, bi, bj = best
-        a[t], a[bi] = a[bi], a[t]
-        if bj != t:
-            for row in a:
-                row[t], row[bj] = row[bj], row[t]
-        while True:
-            # clear the pivot column with row operations
-            restart = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    for j in range(t, n):
-                        a[i][j] -= q * a[t][j]
-                    if a[i][t]:
-                        # remainder is smaller than the pivot: promote it
-                        a[t], a[i] = a[i], a[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            # clear the pivot row with column operations
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for i in range(t, m):
-                        a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            # enforce divisibility of the remaining block by the pivot;
-            # a unit pivot divides every entry
-            if abs(a[t][t]) == 1:
-                break
-            witness = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t]:
-                        witness = i
-                        break
-                if witness is not None:
-                    break
-            if witness is None:
-                break
-            for j in range(t, n):
-                a[t][j] += a[witness][j]
-        diag.append(abs(a[t][t]))
-        t += 1
-    while len(diag) < min(m, n):
-        diag.append(0)
-    return diag
+    n = (len(rows[0]) if rows else 0) if ncols is None else ncols
+    if any(len(r) != n for r in rows):
+        raise ValueError("ragged matrix")
+    live = {i: {j: v for j, v in enumerate(r) if v} for i, r in enumerate(rows) if any(r)}
+    diag = [1] * _eliminate_units(live) + _remainder_factors(list(live.values()))
+    return diag + [0] * (min(len(rows), n) - len(diag))
 
 
 def cokernel_invariants(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[int, List[int]]:
@@ -98,13 +111,8 @@ def cokernel_invariants(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[int,
     The torsion list keeps only factors > 1, in divisibility order.  Repeated
     rows span nothing new, so only the distinct ones are reduced.
     """
-    if not rows:
-        return ncols, []
-    diag = smith_normal_form(list(dict.fromkeys(map(tuple, rows))), ncols)
-    nonzero = [d for d in diag if d]
-    free = ncols - len(nonzero)
-    torsion = [d for d in nonzero if d > 1]
-    return free, torsion
+    diag = [d for d in smith_normal_form(list(dict.fromkeys(map(tuple, rows))), ncols) if d]
+    return ncols - len(diag), [d for d in diag if d > 1]
 
 
 def factorize(n: int) -> Dict[int, int]:
@@ -125,21 +133,17 @@ def factorize(n: int) -> Dict[int, int]:
 def merge_cyclic_factors(orders: Sequence[int]) -> List[int]:
     """Invariant factors of a direct sum of cyclic groups Z/d, d in orders.
 
-    Returns the divisibility chain d1 | d2 | ... with every entry > 1.
+    Returns the divisibility chain d1 | d2 | ... with every entry > 1; the
+    i-th largest factor is the product of the i-th largest prime powers.
     """
     primary: Dict[int, List[int]] = {}
     for d in orders:
         if d < 1:
             raise ValueError(f"cyclic order must be positive, got {d}")
         for p, e in factorize(d).items():
-            primary.setdefault(p, []).append(e)
-    depth = max((len(v) for v in primary.values()), default=0)
-    factors = []
-    for slot in range(depth):
-        f = 1
-        for p, exps in primary.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if slot < len(exps_sorted):
-                f *= p ** exps_sorted[slot]
-        factors.append(f)
+            primary.setdefault(p, []).append(p ** e)
+    factors = [1] * max(map(len, primary.values()), default=0)
+    for powers in primary.values():
+        for slot, q in enumerate(sorted(powers, reverse=True)):
+            factors[slot] *= q
     return sorted(factors)

@@ -14,8 +14,13 @@ elements into a universal polynomial and multiplies in the basis.  The
 library writes no polynomial: it runs Newton's identities on the integers
 of one ghost coordinate at a time.
 
-`cokernel_invariants_sparse` is the sparse Smith normal form, the oracle of
-the linear certificate that computes group-monoid degree-0 groups.
+`smith_normal_form_dense` is the dense Smith normal form: it rescans the
+trailing block for a least pivot at every step and restarts its clearing
+after every swap.  `cokernel_invariants_sparse` eliminates unit pivots in
+rows taken in order and hands the rest to it.  Together they are the oracle
+of the library's engine (unit pivots by fewest entries, then a remainder
+reduced modulo a maximal minor) and of the linear certificate that computes
+group-monoid degree-0 groups.
 
 `peel_sites` walks every group-monoid peel site in row order; the library
 unranks the few sites it audits from counting tables.  `peel_rows_by_dict`
@@ -436,7 +441,94 @@ def evaluate_in_ring(poly: UniversalPolynomial, ring: BurnsideRing,
     return total
 
 
-# --- sparse Smith normal form --------------------------------------------
+# --- Smith normal form ---------------------------------------------------
+
+def smith_normal_form_dense(rows: Sequence[Sequence[int]],
+                            ncols: Optional[int] = None) -> List[int]:
+    """Diagonal of the Smith normal form, by dense elimination with restarts.
+
+    Returns the full diagonal of length min(nrows, ncols), entries nonnegative
+    and satisfying d[i] | d[i+1].
+    """
+    a = [list(map(int, r)) for r in rows]
+    m = len(a)
+    if ncols is None:
+        n = len(a[0]) if a else 0
+    else:
+        n = ncols
+    for r in a:
+        if len(r) != n:
+            raise ValueError("ragged matrix")
+    diag: List[int] = []
+    t = 0
+    while t < min(m, n):
+        # locate a pivot of smallest absolute value in the trailing block; a
+        # unit is the least possible, so the scan ends with the row holding one
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = a[i][j]
+                if v and (best is None or abs(v) < best[0]):
+                    best = (abs(v), i, j)
+            if best and best[0] == 1:
+                break
+        if best is None:
+            break
+        _, bi, bj = best
+        a[t], a[bi] = a[bi], a[t]
+        if bj != t:
+            for row in a:
+                row[t], row[bj] = row[bj], row[t]
+        while True:
+            # clear the pivot column with row operations
+            restart = False
+            for i in range(t + 1, m):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    for j in range(t, n):
+                        a[i][j] -= q * a[t][j]
+                    if a[i][t]:
+                        # remainder is smaller than the pivot: promote it
+                        a[t], a[i] = a[i], a[t]
+                        restart = True
+                        break
+            if restart:
+                continue
+            # clear the pivot row with column operations
+            for j in range(t + 1, n):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    for i in range(t, m):
+                        a[i][j] -= q * a[i][t]
+                    if a[t][j]:
+                        for row in a:
+                            row[t], row[j] = row[j], row[t]
+                        restart = True
+                        break
+            if restart:
+                continue
+            # enforce divisibility of the remaining block by the pivot;
+            # a unit pivot divides every entry
+            if abs(a[t][t]) == 1:
+                break
+            witness = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if a[i][j] % a[t][t]:
+                        witness = i
+                        break
+                if witness is not None:
+                    break
+            if witness is None:
+                break
+            for j in range(t, n):
+                a[t][j] += a[witness][j]
+        diag.append(abs(a[t][t]))
+        t += 1
+    while len(diag) < min(m, n):
+        diag.append(0)
+    return diag
+
 
 def cokernel_invariants_sparse(rows: Sequence, ncols: int) -> Tuple[int, List[int]]:
     """Like cokernel_invariants for sparse rows.
@@ -445,7 +537,7 @@ def cokernel_invariants_sparse(rows: Sequence, ncols: int) -> Tuple[int, List[in
     coefficient) pairs, the form of `GrothendieckPresentation.relations`.
     Unit-pivot elimination first: a +-1 pivot lets the row and column be
     removed without changing the cokernel.  Whatever remains is handed to
-    the dense routine.  It is quadratic with fill-in on the group-monoid
+    `smith_normal_form_dense`.  It is quadratic with fill-in on the group-monoid
     presentations, whose degree-0 groups the library computes by a linear
     certificate instead.
     """
@@ -501,8 +593,12 @@ def cokernel_invariants_sparse(rows: Sequence, ncols: int) -> Tuple[int, List[in
             row = [0] * len(remaining)
             for c, v in live[rid].items():
                 row[colmap[c]] = v
-            dense.append(row)
-        free, torsion = cokernel_invariants(dense, len(remaining))
+            dense.append(tuple(row))
+        # repeated rows span nothing new
+        nonzero = [d for d in smith_normal_form_dense(list(dict.fromkeys(dense)),
+                                                      len(remaining)) if d]
+        free = len(remaining) - len(nonzero)
+        torsion = [d for d in nonzero if d > 1]
     else:
         free, torsion = ncols - unit_rank, []
     return free, torsion
