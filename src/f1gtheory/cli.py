@@ -12,42 +12,28 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .burnside import BurnsideRing, build_burnside, marks_to_csv
 from .errors import InternalCheckError, ResourceLimitError
-from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, build_group,
-                     conjugacy_classes_of_elements, is_odd_cyclic, load_group)
+from .groups import (FiniteGroup, build_group, conjugacy_classes_of_elements,
+                     is_odd_cyclic, load_group)
 from .gtheory import (cartan_zero, count_simple_factors, g0_presentation,
                       g1_via_splitting)
-from .lambda_ops import (diamond, lambda_k, verify_lambda_ring,
-                         verify_pre_lambda)
+from .lambda_ops import (check_diamond_size, diamond, lambda_k,
+                         verify_lambda_ring, verify_pre_lambda)
 from .mackey import (check_frobenius, double_coset_plan, green_morphism_check,
                      subgroup_context)
 from .modules import (diagonal_smash, group_monoid, module_from_json,
                       monoid_from_json)
-from .polynomials import MAX_COMPOSITION_K, MAX_COMPOSITION_L, MAX_PRODUCT_K
+from .polynomials import MAX_COMPOSITION_L, MAX_PRODUCT_K
 from .reports import CheckReport
 from .sampling import random_effective, random_element
 from .snf import factorize
 
 DEFAULT_SEED = 1729
-
-
-def _order_cap() -> int:
-    raw = os.environ.get("F1G_ORDER_CAP")
-    if raw is None:
-        return DEFAULT_ORDER_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"F1G_ORDER_CAP must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ValueError("F1G_ORDER_CAP must be >= 1")
-    return cap
 
 
 def _count(text: str) -> int:
@@ -74,19 +60,18 @@ def _add_common_args(sub: argparse.ArgumentParser, formats=("text", "json")) -> 
 
 
 def _group_from_args(args: argparse.Namespace) -> FiniteGroup:
-    cap = _order_cap()
     sources = [args.group is not None, args.group_json is not None,
                args.generators is not None]
     if sum(sources) != 1:
         raise ValueError("exactly one of --group, --group-json, --generators is required")
     if args.group is not None:
-        return build_group(name=args.group, order_cap=cap)
+        return build_group(name=args.group)
     if args.group_json is not None:
-        return load_group(args.group_json, order_cap=cap)
+        return load_group(args.group_json)
     if args.degree is None:
         raise ValueError("--generators requires --degree")
     gens = [g for g in args.generators.split(";") if g.strip()]
-    return build_group(generators=gens, degree=args.degree, order_cap=cap)
+    return build_group(generators=gens, degree=args.degree)
 
 
 def _parse_coeffs(text: str, ring: BurnsideRing, what: str) -> List[int]:
@@ -254,9 +239,10 @@ def _cmd_lambda(args) -> int:
 def _cmd_lambda_verify(args) -> int:
     group = _group_from_args(args)
     # the degree caps are the command's input contract, checked before any
-    # ring work; l is read only when a composition rule runs (k >= 2)
+    # ring work; l is read only when a composition rule runs (k >= 2), and
+    # the composition k is --k-cap, which MAX_PRODUCT_K bounds
     if args.k_cap >= 2 and args.l_cap > MAX_COMPOSITION_L:
-        raise ValueError(f"composition rule supports k <= {MAX_COMPOSITION_K}, "
+        raise ValueError(f"composition rule supports k <= {MAX_PRODUCT_K}, "
                          f"l <= {MAX_COMPOSITION_L}")
     if args.k_cap > MAX_PRODUCT_K:
         raise ValueError(f"product rule supports 1 <= k <= {MAX_PRODUCT_K}")
@@ -286,6 +272,7 @@ def _cmd_diamond(args) -> int:
         raise ValueError("--element must be effective for a diamond computation")
     if args.k < 1:
         raise ValueError("--k must be >= 1")
+    check_diamond_size(ring, x, args.k)
     module = diamond(ring.realize(x), args.k)
     element = ring.decompose(module)
     if args.format == "json":
@@ -499,8 +486,9 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The `f1g` parser, with every subcommand registered under its help.
 
     Given the name of one subcommand, only that one gets its arguments; the
-    others are registered with their help alone, which is all that the
-    top-level help and the "invalid choice" message read.
+    others are registered with their summary alone, without a -h action,
+    which is all that the top-level help and the "invalid choice" message
+    read.
     """
     parser = argparse.ArgumentParser(
         prog="f1g",
@@ -510,8 +498,9 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     def add(name, summary, func, formats=("text", "json")):
-        sp = subs.add_parser(name, help=summary)
-        if command is not None and name != command:
+        filled = command in (None, name)
+        sp = subs.add_parser(name, help=summary, add_help=filled)
+        if not filled:
             return None
         _add_common_args(sp, formats)
         sp.set_defaults(func=func)

@@ -2,7 +2,7 @@
 
 
 class ResourceLimitError(ValueError):
-    """An enumeration or closure exceeded its configured cap."""
+    """An enumeration or closure exceeded one of the module constants that cap it."""
 
 
 class InternalCheckError(RuntimeError):

@@ -7,23 +7,21 @@ constructors in this module has its identity at index 0.
 from __future__ import annotations
 
 import json
-import random
 import re
 from functools import cached_property, wraps
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError, ResourceLimitError
 from .records import _Record
 from .snf import factorize, merge_cyclic_factors
 
-DEFAULT_ORDER_CAP = 1024
-EXHAUSTIVE_ASSOCIATIVITY_LIMIT = 64
+# Largest group a table, a generator closure or a JSON file may give.
+ORDER_CAP = 1024
 SUBGROUP_ENUMERATION_LIMIT = 64
 # Most points a permutation generator may act on.  Every group within the
-# default order cap acts faithfully on its own elements, so on at most
-# DEFAULT_ORDER_CAP points.
+# order cap acts faithfully on its own elements, so on at most ORDER_CAP
+# points.
 MAX_PERMUTATION_DEGREE = 1024
-_ASSOCIATIVITY_SAMPLES = 4096
 
 
 class FiniteGroup(_Record):
@@ -71,21 +69,31 @@ class FiniteGroup(_Record):
         self._check_associativity()
 
     def _check_associativity(self) -> None:
-        n = self.order
-        t = self.cayley
-        if n <= EXHAUSTIVE_ASSOCIATIVITY_LIMIT:
-            triples: Iterable[Tuple[int, int, int]] = (
-                (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-            )
-        else:
-            rng = random.Random(0)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(_ASSOCIATIVITY_SAMPLES)
-            )
-        for a, b, c in triples:
-            if t[t[a][b]][c] != t[a][t[b][c]]:
-                raise ValueError(f"associativity fails at ({a}, {b}, {c})")
+        """Light's test (Clifford and Preston, The Algebraic Theory of
+        Semigroups I, 1961), exact at every order: the g with
+        (x·g)·y = x·(g·y) for all x, y contain the identity and are closed
+        under the product, as (x·ab)·y = ((x·a)·b)·y = (x·a)·(b·y) =
+        x·(a·(b·y)) = x·(ab·y).  So it suffices to check generators, picked
+        greedily until right multiplication from the identity reaches every
+        element.
+        """
+        n, t = self.order, self.cayley
+        gens: List[int] = []
+        reached = {self.identity}
+        for g in range(n):
+            if g not in reached:
+                gens.append(g)
+                fresh = reached
+                while fresh:
+                    fresh = {t[x][h] for x in fresh for h in gens} - reached
+                    reached |= fresh
+        for g in gens:
+            row_g = t[g]
+            for x in range(n):
+                row_xg, row_x = t[t[x][g]], t[x]
+                if row_xg != tuple(map(row_x.__getitem__, row_g)):
+                    y = next(y for y in range(n) if row_xg[y] != row_x[row_g[y]])
+                    raise ValueError(f"associativity fails at ({x}, {g}, {y})")
 
     @cached_property
     def inverse(self) -> Tuple[int, ...]:
@@ -284,7 +292,7 @@ def _compose(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(p[q[x]] for x in range(len(p)))
 
 
-def _perm_closure(perms: Sequence[Tuple[int, ...]], degree: int, cap: int) -> List[Tuple[int, ...]]:
+def _perm_closure(perms: Sequence[Tuple[int, ...]], degree: int) -> List[Tuple[int, ...]]:
     identity = tuple(range(degree))
     seen = {identity}
     order_list = [identity]
@@ -293,17 +301,17 @@ def _perm_closure(perms: Sequence[Tuple[int, ...]], degree: int, cap: int) -> Li
         for g in gens:
             y = _compose(x, g)
             if y not in seen:
-                if len(seen) >= cap:
-                    raise ResourceLimitError(f"generated group exceeds order cap {cap}")
+                if len(seen) >= ORDER_CAP:
+                    raise ResourceLimitError(f"generated group exceeds order cap {ORDER_CAP}")
                 seen.add(y)
                 order_list.append(y)
     return order_list
 
 
-def _group_from_perms(perms: Sequence[Tuple[int, ...]], degree: int, cap: int,
+def _group_from_perms(perms: Sequence[Tuple[int, ...]], degree: int,
                       name: Optional[str] = None,
                       labels: Optional[Sequence[str]] = None) -> FiniteGroup:
-    elems = _perm_closure(perms, degree, cap)
+    elems = _perm_closure(perms, degree)
     index = {p: i for i, p in enumerate(elems)}
     table = tuple(
         tuple(index[_compose(a, b)] for b in elems) for a in elems
@@ -354,18 +362,18 @@ def _dihedral(n: int) -> FiniteGroup:
     return _derived(FiniteGroup, size, table, 0, labels, f"D{n}")
 
 
-def _symmetric(n: int, cap: int) -> FiniteGroup:
+def _symmetric(n: int) -> FiniteGroup:
     if n == 1:
         return _derived(FiniteGroup, 1, ((0,),), 0, ("e",), "S1")
     gens = [parse_cycles("(1 2)", n)]
     if n >= 3:
         gens.append(parse_cycles("(" + " ".join(str(i) for i in range(1, n + 1)) + ")", n))
-    return _group_from_perms(gens, n, cap, name=f"S{n}")
+    return _group_from_perms(gens, n, name=f"S{n}")
 
 
-def _alternating4(cap: int) -> FiniteGroup:
+def _alternating4() -> FiniteGroup:
     gens = [parse_cycles("(1 2)(3 4)", 4), parse_cycles("(1 2 3)", 4)]
-    return _group_from_perms(gens, 4, cap, name="A4")
+    return _group_from_perms(gens, 4, name="A4")
 
 
 def _klein4() -> FiniteGroup:
@@ -389,52 +397,37 @@ def _quaternion8() -> FiniteGroup:
 
 
 _NAME_RE = re.compile(r"^([A-Za-z])_?(\d+)$")
-_LIBRARY_CAPS = {"C": 24, "D": 12, "S": 4}
+# each family's largest member and its builder; S1 builds but is not listed
+_FAMILIES = {"C": (24, _cyclic), "D": (12, _dihedral), "S": (4, _symmetric)}
+_SPECIAL = {"A4": _alternating4, "V4": _klein4, "Q8": _quaternion8}
 
 
 def library_names() -> List[str]:
-    names = [f"C{n}" for n in range(1, 25)]
-    names += [f"D{n}" for n in range(1, 13)]
-    names += [f"S{n}" for n in range(2, 5)]
-    names += ["A4", "V4", "Q8"]
-    return names
+    return [f"{family}{n}" for family, (top, _) in _FAMILIES.items()
+            for n in range(2 if family == "S" else 1, top + 1)] + list(_SPECIAL)
 
 
-def _build_named(name: str, cap: int) -> FiniteGroup:
+def _build_named(name: str) -> FiniteGroup:
     canon = name.strip()
-    special = {"A4": lambda: _alternating4(cap), "V4": _klein4, "Q8": _quaternion8}
-    if canon.upper() in special:
-        group = special[canon.upper()]()
-    else:
-        m = _NAME_RE.match(canon)
-        if not m:
-            raise ValueError(f"unknown group name {name!r}")
-        family, n_str = m.group(1).upper(), m.group(2)
-        n = int(n_str)
-        if family not in _LIBRARY_CAPS:
-            raise ValueError(f"unknown group family {family!r} in {name!r}")
-        if n < 1 or n > _LIBRARY_CAPS[family]:
-            raise ValueError(
-                f"{family}{n} outside the library range (max {family}{_LIBRARY_CAPS[family]})"
-            )
-        if family == "C":
-            group = _cyclic(n)
-        elif family == "D":
-            group = _dihedral(n)
-        else:
-            group = _symmetric(n, cap)
-    if group.order > cap:
-        raise ResourceLimitError(
-            f"order {group.order} exceeds cap {cap}")
-    return group
+    if canon.upper() in _SPECIAL:
+        return _SPECIAL[canon.upper()]()
+    m = _NAME_RE.match(canon)
+    if not m:
+        raise ValueError(f"unknown group name {name!r}")
+    family, n = m.group(1).upper(), int(m.group(2))
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown group family {family!r} in {name!r}")
+    top, build = _FAMILIES[family]
+    if n < 1 or n > top:
+        raise ValueError(f"{family}{n} outside the library range (max {family}{top})")
+    return build(n)
 
 
 def build_group(*, name: Optional[str] = None,
                 cayley: Optional[Sequence[Sequence[int]]] = None,
                 generators: Optional[Sequence[str]] = None,
                 degree: Optional[int] = None,
-                labels: Optional[Sequence[str]] = None,
-                order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+                labels: Optional[Sequence[str]] = None) -> FiniteGroup:
     """Build a group from a library name, an explicit table, or generators.
 
     Exactly one of `name`, `cayley`, `generators` must be given.  Generator
@@ -446,12 +439,12 @@ def build_group(*, name: Optional[str] = None,
     if sum(sources) != 1:
         raise ValueError("exactly one of name, cayley, generators is required")
     if name is not None:
-        return _build_named(name, order_cap)
+        return _build_named(name)
     if cayley is not None:
         table = _int_table(cayley, "cayley table")
         order = len(table)
-        if order > order_cap:
-            raise ResourceLimitError(f"order {order} exceeds cap {order_cap}")
+        if order > ORDER_CAP:
+            raise ResourceLimitError(f"order {order} exceeds cap {ORDER_CAP}")
         # the identity's row is the first one equal to range(order); with
         # none, index 0 lets the validation below name the fault
         full = tuple(range(order))
@@ -471,10 +464,10 @@ def build_group(*, name: Optional[str] = None,
         raise ValueError("generators require a degree")
     _check_degree(degree)
     perms = [parse_cycles(s, degree) for s in generators]
-    return _group_from_perms(perms, degree, order_cap)
+    return _group_from_perms(perms, degree)
 
 
-def group_from_json(obj: Dict, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def group_from_json(obj: Dict) -> FiniteGroup:
     """Build a group from its JSON object form.
 
     Accepted shapes: {"name": ...}, {"order": n, "cayley": [[...]]},
@@ -483,7 +476,7 @@ def group_from_json(obj: Dict, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteG
     if not isinstance(obj, dict):
         raise ValueError("group JSON must be an object")
     if "cayley" in obj:
-        g = build_group(cayley=obj["cayley"], order_cap=order_cap)
+        g = build_group(cayley=obj["cayley"])
         if "order" in obj and obj["order"] != g.order:
             raise ValueError("declared order disagrees with the table size")
         if obj.get("name"):
@@ -496,15 +489,15 @@ def group_from_json(obj: Dict, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteG
             raise ValueError("generators must be a list of cycle strings")
         if type(degree) is not int:
             raise ValueError("generators need an integer degree")
-        return build_group(generators=gens, degree=degree, order_cap=order_cap)
+        return build_group(generators=gens, degree=degree)
     if "name" in obj:
-        return build_group(name=str(obj["name"]), order_cap=order_cap)
+        return build_group(name=str(obj["name"]))
     raise ValueError("group JSON needs one of cayley, generators, name")
 
 
-def load_group(path: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def load_group(path: str) -> FiniteGroup:
     with open(path, "r", encoding="utf-8") as fh:
-        return group_from_json(json.load(fh), order_cap=order_cap)
+        return group_from_json(json.load(fh))
 
 
 # --- subgroup structure --------------------------------------------------

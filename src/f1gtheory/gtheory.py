@@ -27,11 +27,11 @@ from .snf import cokernel_invariants, factorize, merge_cyclic_factors
 __all__ = [
     "AbelianGroupReport", "GrothendieckPresentation", "CartanReport",
     "g0_presentation", "g1_via_splitting", "cartan_zero",
-    "count_simple_factors", "DEFAULT_WORK_BUDGET", "GROUP_GENERATOR_CAP",
+    "count_simple_factors", "WORK_BUDGET", "GROUP_GENERATOR_CAP",
 ]
 
 # Candidate rows plus relabellings the general-monoid enumeration may spend.
-DEFAULT_WORK_BUDGET = 1000000
+WORK_BUDGET = 1000000
 # Most count vectors a group-monoid presentation may enumerate; D12 at its
 # default bound |G| + 3, the largest library case, has 132,312.
 GROUP_GENERATOR_CAP = 150000
@@ -519,8 +519,7 @@ def _split_tables(module: FiniteModule, subset: Tuple[int, ...]
     return sub, quot, collapse
 
 
-def _general_g0(m: PointedMonoid, size_bound: int,
-                work_budget: int) -> GrothendieckPresentation:
+def _general_g0(m: PointedMonoid, size_bound: int) -> GrothendieckPresentation:
     """Presentation over a general monoid from enumerated module classes.
 
     Each action-closed subset of a representative gives the relation
@@ -531,7 +530,7 @@ def _general_g0(m: PointedMonoid, size_bound: int,
     retraction first); only the other subsets run `is_cofibration`, on an
     inclusion built from the submodule table already written.
     """
-    index = _enumerate_modules(m, size_bound, work_budget)
+    index = _enumerate_modules(m, size_bound, WORK_BUDGET)
     reps = index.reps
     relations: List[Tuple[Tuple[int, int], ...]] = []
     for i, rep in enumerate(reps):
@@ -560,19 +559,18 @@ def _general_g0(m: PointedMonoid, size_bound: int,
                                     "bounded approximation")
 
 
-def g0_presentation(m: PointedMonoid, size_bound: int,
-                    work_budget: int = DEFAULT_WORK_BUDGET) -> GrothendieckPresentation:
+def g0_presentation(m: PointedMonoid, size_bound: int) -> GrothendieckPresentation:
     """Degree-0 Grothendieck group of finite modules over m, presented at a bound.
 
     Group monoids run through the orbit classification and report stability
     against the Burnside rank; other monoids enumerate action tables under
-    an explicit work budget.
+    WORK_BUDGET.
     """
     if size_bound < 1:
         raise ValueError("size bound must be >= 1")
     if m.is_group_monoid:
         return _group_g0(build_burnside(m.group), size_bound)
-    return _general_g0(m, size_bound, work_budget)
+    return _general_g0(m, size_bound)
 
 
 # --- G_1 and the degree-0 assembly map ----------------------------------

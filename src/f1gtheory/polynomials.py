@@ -10,8 +10,7 @@ p_n, p_{2n}, ..., p_{ln}.  Every division is exact on integer columns; a
 remainder raises `InternalCheckError`.
 
 The caps are `lambda-verify`'s input contract, not a limit of the rules.
-The composition k is bounded by `--k-cap` <= MAX_PRODUCT_K, so
-MAX_COMPOSITION_K only names that bound in the refusal message.
+The composition k is bounded by `--k-cap` <= MAX_PRODUCT_K.
 """
 
 from __future__ import annotations
@@ -20,11 +19,10 @@ from typing import List, Sequence
 
 from .errors import InternalCheckError
 
-__all__ = ["MAX_PRODUCT_K", "MAX_COMPOSITION_K", "MAX_COMPOSITION_L",
+__all__ = ["MAX_PRODUCT_K", "MAX_COMPOSITION_L",
            "product_rule", "composition_rule"]
 
 MAX_PRODUCT_K = 4
-MAX_COMPOSITION_K = 4
 MAX_COMPOSITION_L = 3
 
 

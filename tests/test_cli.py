@@ -10,7 +10,8 @@ import time
 import pytest
 
 import f1gtheory
-from f1gtheory import groups
+from f1gtheory import groups, lambda_ops
+from f1gtheory.burnside import BurnsideRing
 from f1gtheory.cli import build_parser, main
 from f1gtheory.groups import build_group
 
@@ -505,13 +506,39 @@ def test_bad_coefficient_vector_exits_2(capsys):
     assert code == 2
 
 
-def test_order_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("F1G_ORDER_CAP", "3")
-    code, _, err = run_cli(capsys, "marks", "--group", "C4")
-    assert code == 2
-    monkeypatch.setenv("F1G_ORDER_CAP", "bogus")
-    code, _, err = run_cli(capsys, "marks", "--group", "C2")
-    assert code == 2
+def test_group_past_order_cap_exits_2(capsys, tmp_path):
+    path = tmp_path / "c1025.json"
+    path.write_text(json.dumps(
+        {"cayley": [[(a + b) % 1025 for b in range(1025)] for a in range(1025)]}))
+    for argv, message in [
+            (["--group-json", str(path)], "order 1025 exceeds cap 1024"),
+            (["--generators", "(1 2);(1 2 3 4 5 6 7)", "--degree", "7"],
+             "generated group exceeds order cap 1024")]:
+        code, out, err = run_cli(capsys, "subgroups", *argv)
+        assert (code, out, err) == (2, "", f"resource limit: {message}\n")
+
+
+def test_subgroup_lattice_past_order_64_exits_2(capsys):
+    code, out, err = run_cli(capsys, "subgroups", "--generators",
+                             "(1 2 3 4);(1 2);(5 6 7)", "--degree", "7")
+    assert (code, out) == (2, "")
+    assert err == "resource limit: subgroup enumeration supports order <= 64, got 72\n"
+
+
+def test_diamond_past_tuple_cap_exits_2_before_realizing(capsys, monkeypatch):
+    def build_nothing(*args):
+        raise AssertionError("diamond realized or built past the tuple cap")
+
+    monkeypatch.setattr(lambda_ops, "_distinct_tuples", build_nothing)
+    monkeypatch.setattr(BurnsideRing, "realize", build_nothing)
+    cap = lambda_ops.DIAMOND_TUPLE_CAP
+    # perm(20, 10) is about 6.7e11 tuples; 10**6 points have no diamond at
+    # k = 10**6 + 1, but their realization alone passes the cap
+    for element, k in (("[10,0]", 10), ("[0,1000000]", 1000001)):
+        code, out, err = run_cli(capsys, "diamond", "--group", "C2",
+                                 "--element", element, "--k", str(k))
+        assert (code, out) == (2, "")
+        assert f"passes the cap {cap} on points and tuples" in err
 
 
 def test_degree_past_cap_exits_2_before_allocating(capsys, tmp_path, monkeypatch):

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from f1gtheory import groups
 from f1gtheory.constructions import find_isomorphism, is_isomorphic
 from f1gtheory.groups import (FiniteGroup, abelianization, all_subgroups,
                               build_group, classify_subgroups, closure_of,
                               conjugacy_classes_of_elements, group_from_json,
                               library_names, normalizer, parse_cycles)
-from f1gtheory.errors import InternalCheckError
+from f1gtheory.errors import InternalCheckError, ResourceLimitError
 
 from conftest import RUNGS, group_of
 from oracles import (abelianization_by_relations, all_subgroups_by_closure,
@@ -133,19 +134,57 @@ def test_build_group_from_generators():
 
 
 def test_group_from_json_shapes():
-    by_name = group_from_json({"name": "C4"}, order_cap=64)
+    by_name = group_from_json({"name": "C4"})
     assert by_name.order == 4
     cayley = [[0, 1], [1, 0]]
-    by_table = group_from_json({"cayley": cayley}, order_cap=64)
+    by_table = group_from_json({"cayley": cayley})
     assert by_table.order == 2
-    by_gens = group_from_json({"generators": ["(1 2 3)"], "degree": 3},
-                              order_cap=64)
+    by_gens = group_from_json({"generators": ["(1 2 3)"], "degree": 3})
     assert by_gens.order == 3
 
 
-def test_order_cap_enforced():
-    with pytest.raises(ValueError):
-        build_group(name="C24", order_cap=12)
+def test_order_cap_enforced(monkeypatch):
+    monkeypatch.setattr(groups, "ORDER_CAP", 12)
+    with pytest.raises(ResourceLimitError, match="^order 24 exceeds cap 12$"):
+        group_from_json({"cayley": [list(r) for r in build_group(name="C24").cayley]})
+    with pytest.raises(ResourceLimitError,
+                       match="^generated group exceeds order cap 12$"):
+        group_from_json({"generators": ["(1 2 3 4)", "(1 2)"], "degree": 4})
+    assert group_from_json({"generators": ["(1 2 3 4 5 6)", "(1 6)(2 5)(3 4)"],
+                            "degree": 6}).order == 12
+
+
+def _swapped_intercalate(n, i, j):
+    """C_n's table with the intercalate on rows i, i + n/2 and columns
+    j, j + n/2 swapped: still a Latin square with a two-sided identity
+    when 0 < i, j < n/2."""
+    h = n // 2
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    for a, b in ((i, j), (i + h, j + h), (i, j + h), (i + h, j)):
+        table[a][b] = (table[a][b] + h) % n
+    return table
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_associativity_is_checked_at_every_order(n):
+    # at order 256 at least 2,056 of the 256**3 triples fail, about one in 8,000
+    with pytest.raises(ValueError, match="associativity fails"):
+        group_from_json({"cayley": _swapped_intercalate(n, 1, 2)})
+
+
+def test_associativity_check_matches_every_triple():
+    for n in (4, 6, 8, 10, 12):
+        for i in range(1, n // 2):
+            for j in range(1, n // 2):
+                t = _swapped_intercalate(n, i, j)
+                associative = all(t[t[a][b]][c] == t[a][t[b][c]] for a in range(n)
+                                  for b in range(n) for c in range(n))
+                try:
+                    FiniteGroup(n, tuple(map(tuple, t)))
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == associative, (n, i, j)
 
 
 def brute_force_closure(group, seed):

@@ -248,10 +248,11 @@ def test_g0_nongroup_monoid_runs():
     assert p.result.free_rank >= 1
 
 
-def test_g0_work_budget():
+def test_g0_work_budget(monkeypatch):
+    monkeypatch.setattr(gtheory, "WORK_BUDGET", 10)
     nil = PointedMonoid(3, ((0, 0, 0), (0, 1, 2), (0, 2, 0)))
     with pytest.raises(ResourceLimitError, match="work budget 10;"):
-        g0_presentation(nil, 9, work_budget=10)
+        g0_presentation(nil, 9)
 
 
 def test_g0_work_budget_refuses_large_bound_at_once():

@@ -15,9 +15,8 @@ from f1gtheory.lambda_ops import (_geometric_values, _ghost_series,
                                   verify_pre_lambda)
 from f1gtheory.modules import (free_module, group_monoid,
                                wedge_with_inclusions)
-from f1gtheory.polynomials import (MAX_COMPOSITION_K, MAX_COMPOSITION_L,
-                                   MAX_PRODUCT_K, composition_rule,
-                                   product_rule)
+from f1gtheory.polynomials import (MAX_COMPOSITION_L, MAX_PRODUCT_K,
+                                   composition_rule, product_rule)
 from f1gtheory.sampling import random_effective, random_element
 
 from conftest import ring_of
@@ -261,8 +260,8 @@ def test_mark_vector_check_matches_basis_arithmetic(name):
             assert inner == lam_x[l]
             cols_inner = _ghost_series(ring, inner, 4)
             lam_inner = lambda_series(ring, inner, 4)
-            rules = [composition_rule(col, MAX_COMPOSITION_K, l) for col in cols_x]
-            for k in range(1, MAX_COMPOSITION_K + 1):
+            rules = [composition_rule(col, MAX_PRODUCT_K, l) for col in cols_x]
+            for k in range(1, MAX_PRODUCT_K + 1):
                 p = universal_polynomial("composition", k, l)
                 assert ring.from_marks([col[k] for col in cols_inner]) == lam_inner[k]
                 rhs = [rule[k] for rule in rules]

@@ -2,8 +2,9 @@
 
 A CLI process imports every engine layer and nothing else; `import
 f1gtheory` alone imports no submodule; every public name has a caller, is
-a library construction, or is listed below with its reason; and the parser
-that `main` builds for one subcommand prints what the full parser prints.
+a library construction, or is listed below with its reason; the parser
+that `main` builds for one subcommand prints what the full parser prints;
+and the README lists every resource limit with the value the code holds.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 
 import pytest
 
@@ -155,3 +157,27 @@ def test_main_parses_like_the_full_parser(capsys, argv):
     full = _outcome(capsys, lambda: build_parser().parse_args(argv))
     assert full[2] in (0, 2) and (full[0] or full[1])
     assert _outcome(capsys, lambda: main(argv)) == full
+
+
+# Every resource limit, by the module that reads it.
+LIMITS = {
+    "groups": ("ORDER_CAP", "MAX_PERMUTATION_DEGREE", "SUBGROUP_ENUMERATION_LIMIT"),
+    "gtheory": ("GROUP_GENERATOR_CAP", "WORK_BUDGET"),
+    "polynomials": ("MAX_PRODUCT_K", "MAX_COMPOSITION_L"),
+    "lambda_ops": ("DIAMOND_TUPLE_CAP",),
+}
+
+
+def test_readme_lists_every_limit_with_its_value():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    # the table is the paragraph after the "Resource guards" one
+    table = text[text.index("Resource guards"):].split("\n\n")[1].splitlines()
+    assert table[0] == "| limit | constant | value | when it refuses |"
+    listed = {}
+    for line in table[2:]:
+        _, constant, value, _ = (cell.strip() for cell in line.strip("|").split("|"))
+        module, name = constant.strip("`").split(".")
+        listed[module, name] = int(value)
+    assert listed == {(module, name): getattr(import_module(f"f1gtheory.{module}"), name)
+                      for module, names in LIMITS.items() for name in names}

@@ -7,9 +7,9 @@ import pytest
 
 from f1gtheory.cli import main
 from f1gtheory.errors import InternalCheckError
-from f1gtheory.polynomials import (MAX_COMPOSITION_K, MAX_COMPOSITION_L,
-                                   MAX_PRODUCT_K, _elementary,
-                                   composition_rule, product_rule)
+from f1gtheory.polynomials import (MAX_COMPOSITION_L, MAX_PRODUCT_K,
+                                   _elementary, composition_rule,
+                                   product_rule)
 
 from oracles import _terms_value, elimination_terms, universal_polynomial
 
@@ -122,11 +122,11 @@ def test_newton_product_rule_matches_the_plethysm_oracle():
 
 @pytest.mark.parametrize("l", range(1, MAX_COMPOSITION_L + 1))
 def test_newton_composition_rule_matches_the_plethysm_oracle(l):
-    columns = random_columns(2102 + l, 200, MAX_COMPOSITION_K * l + 1)
+    columns = random_columns(2102 + l, 200, MAX_PRODUCT_K * l + 1)
     polys = [universal_polynomial("composition", k, l)
-             for k in range(1, MAX_COMPOSITION_K + 1)]
+             for k in range(1, MAX_PRODUCT_K + 1)]
     for x in columns:
-        rule = composition_rule(x, MAX_COMPOSITION_K, l)
+        rule = composition_rule(x, MAX_PRODUCT_K, l)
         assert rule[0] == 1
         assert rule[1:] == [p.value(x) for p in polys], x
 
@@ -169,7 +169,7 @@ def test_lambda_verify_odd_cyclic_at_top_caps(capsys):
 
 
 PRODUCT_CAP = f"error: product rule supports 1 <= k <= {MAX_PRODUCT_K}\n"
-COMPOSITION_CAP = (f"error: composition rule supports k <= {MAX_COMPOSITION_K}, "
+COMPOSITION_CAP = (f"error: composition rule supports k <= {MAX_PRODUCT_K}, "
                    f"l <= {MAX_COMPOSITION_L}\n")
 
 
