@@ -19,7 +19,7 @@ from .records import _Record
 
 __all__ = [
     "BurnsideRing", "BurnsideElement", "build_burnside",
-    "decompose", "marks_to_csv",
+    "decompose", "linear_dimension", "marks_to_csv",
 ]
 
 
@@ -315,6 +315,12 @@ def decompose(module: FiniteModule) -> BurnsideElement:
     if group is None:
         raise ValueError("decomposition needs a module over a group monoid")
     return build_burnside(group).decompose(module)
+
+
+def linear_dimension(x: BurnsideElement) -> int:
+    """Total coset count of an element: the rank of its linearization, and
+    the number of nonzero points of a realization when x is effective."""
+    return sum(c * s for c, s in zip(x.coeffs, x.ring.coset_sizes))
 
 
 def marks_to_csv(ring: BurnsideRing) -> str:

@@ -272,7 +272,7 @@ def _cmd_diamond(args) -> int:
         raise ValueError("--element must be effective for a diamond computation")
     if args.k < 1:
         raise ValueError("--k must be >= 1")
-    check_diamond_size(ring, x, args.k)
+    check_diamond_size(x, args.k)
     module = diamond(ring.realize(x), args.k)
     element = ring.decompose(module)
     if args.format == "json":

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import re
 from functools import cached_property, wraps
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError, ResourceLimitError
 from .records import _Record
@@ -22,6 +22,38 @@ SUBGROUP_ENUMERATION_LIMIT = 64
 # order cap acts faithfully on its own elements, so on at most ORDER_CAP
 # points.
 MAX_PERMUTATION_DEGREE = 1024
+
+
+def _check_associativity(table: Tuple[Tuple[int, ...], ...], unit: int) -> None:
+    """Raise ValueError unless the product `table` with two-sided `unit` is
+    associative.
+
+    Light's test (Clifford and Preston, The Algebraic Theory of Semigroups
+    I, 1961), exact at every size: the g with (x·g)·y = x·(g·y) for all
+    x, y contain the unit and are closed under the product, as
+    (x·ab)·y = ((x·a)·b)·y = (x·a)·(b·y) = x·(a·(b·y)) = x·(ab·y).  No
+    inverse is used, so it holds for monoids.  It suffices to check
+    generators, picked greedily until right multiplication from the unit
+    reaches every element.
+    """
+    n, t = len(table), table
+    gens: List[int] = []
+    reached = {unit}
+    for g in range(n):
+        if g not in reached:
+            gens.append(g)
+            fresh = reached
+            while fresh:
+                fresh = {t[x][h] for x in fresh for h in gens} - reached
+                reached |= fresh
+    for g in gens:
+        row_g = t[g]
+        for x in range(n):
+            row_xg, row_x = t[t[x][g]], t[x]
+            # tuple() returns a tuple row itself, and makes a list row comparable
+            if tuple(row_xg) != tuple(map(row_x.__getitem__, row_g)):
+                y = next(y for y in range(n) if row_xg[y] != row_x[row_g[y]])
+                raise ValueError(f"associativity fails at ({x}, {g}, {y})")
 
 
 class FiniteGroup(_Record):
@@ -66,34 +98,7 @@ class FiniteGroup(_Record):
                 raise ValueError(f"index {e} is not a two-sided identity")
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("labels length must equal order")
-        self._check_associativity()
-
-    def _check_associativity(self) -> None:
-        """Light's test (Clifford and Preston, The Algebraic Theory of
-        Semigroups I, 1961), exact at every order: the g with
-        (x·g)·y = x·(g·y) for all x, y contain the identity and are closed
-        under the product, as (x·ab)·y = ((x·a)·b)·y = (x·a)·(b·y) =
-        x·(a·(b·y)) = x·(ab·y).  So it suffices to check generators, picked
-        greedily until right multiplication from the identity reaches every
-        element.
-        """
-        n, t = self.order, self.cayley
-        gens: List[int] = []
-        reached = {self.identity}
-        for g in range(n):
-            if g not in reached:
-                gens.append(g)
-                fresh = reached
-                while fresh:
-                    fresh = {t[x][h] for x in fresh for h in gens} - reached
-                    reached |= fresh
-        for g in gens:
-            row_g = t[g]
-            for x in range(n):
-                row_xg, row_x = t[t[x][g]], t[x]
-                if row_xg != tuple(map(row_x.__getitem__, row_g)):
-                    y = next(y for y in range(n) if row_xg[y] != row_x[row_g[y]])
-                    raise ValueError(f"associativity fails at ({x}, {g}, {y})")
+        _check_associativity(self.cayley, self.identity)
 
     @cached_property
     def inverse(self) -> Tuple[int, ...]:

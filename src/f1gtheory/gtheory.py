@@ -12,8 +12,8 @@ import math
 import operator
 from itertools import permutations, product as iter_product
 from operator import itemgetter
-from typing import (Callable, Collection, Dict, Iterable, Iterator, List,
-                    Optional, Sequence, Tuple)
+from typing import (Callable, Collection, Dict, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from .burnside import BurnsideRing, build_burnside
 from .errors import InternalCheckError, ResourceLimitError
@@ -135,56 +135,6 @@ def _count_vectors(sizes: Sequence[int], budget: int) -> List[Tuple[int, ...]]:
     return gens
 
 
-def _peel_sites_at(sizes: Sequence[int], budget: int,
-                   ranks: Iterable[int]) -> Iterator[Tuple[Tuple[int, ...], int]]:
-    """The peel sites (c, i) at the given ranks, without enumerating the others.
-
-    The sites are every generator c with every class i where c[i] > 0, in
-    row order: count vectors in lex order, classes ascending within one.  A
-    site is unranked one class at a time from two tables over each suffix
-    of `sizes` and budget b: vectors[j][b] counts the count vectors over
-    sizes[j:] of total size <= b, and nonzero[j][b] their nonzero entries.
-    """
-    r = len(sizes)
-    vectors = [[1] * (budget + 1) for _ in range(r + 1)]
-    nonzero = [[0] * (budget + 1) for _ in range(r + 1)]
-    for j in range(r - 1, -1, -1):
-        step, a, z, a_next, z_next = (sizes[j], vectors[j], nonzero[j],
-                                      vectors[j + 1], nonzero[j + 1])
-        for b in range(budget + 1):
-            a[b], z[b] = a_next[b], z_next[b]
-            if b >= step:
-                # c[j] >= 1: c - e_j has total <= b - step, and c[j] is nonzero
-                a[b] += a[b - step]
-                z[b] += z[b - step] + a_next[b - step]
-
-    def tail(j: int, k: int, rem: int, v: int) -> int:
-        """Sites in vectors with c[j] >= v under a prefix of k nonzero entries."""
-        if v == 0:
-            return k * vectors[j][rem] + nonzero[j][rem]
-        b = rem - v * sizes[j]
-        return k * vectors[j][b] + nonzero[j][b] + vectors[j + 1][b]
-
-    for t in ranks:
-        c: List[int] = []
-        k, rem = 0, budget
-        for j, step in enumerate(sizes):
-            total = tail(j, k, rem, 0)
-            # the largest v whose block starts at or before t
-            lo, hi = 0, rem // step
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if total - tail(j, k, rem, mid) <= t:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            t -= total - tail(j, k, rem, lo)
-            c.append(lo)
-            k += lo > 0
-            rem -= lo * step
-        yield tuple(c), [i for i, v in enumerate(c) if v][t]
-
-
 def _peel_rows(gens: Sequence[Tuple[int, ...]],
                gen_index: Dict[Tuple[int, ...], int]) -> Iterator[Tuple[Tuple[int, int], ...]]:
     """The relation rows as sorted (column, coefficient) pairs.
@@ -266,8 +216,9 @@ def _group_g0(ring: BurnsideRing, size_bound: int) -> GrothendieckPresentation:
 
     Modules up to iso are multisets of transitive classes, so generators are
     count vectors; relations peel one orbit at a time, which generates every
-    split relation by induction on orbit count.  A sample of rows is
-    re-verified on explicit modules through the category operations.
+    split relation by induction on orbit count.  The row peeling the first
+    nonzero class of every generator at an even stride is re-verified on
+    explicit modules through the category operations.
 
     The cokernel comes from a linear certificate, not a Smith normal form:
     every row lies in the kernel of [c] -> c, and every generator other than
@@ -333,9 +284,10 @@ def _group_g0(ring: BurnsideRing, size_bound: int) -> GrothendieckPresentation:
         raise InternalCheckError(
             "a generator with other than one orbit is not rewritten by a row")
 
-    stride = max(1, (rows - 1) // RELATION_AUDIT_SAMPLE)
-    for c, i in _peel_sites_at(sizes, budget, range(0, rows - 1, stride)):
-        _audit_group_relation(ring, c, i)
+    # gens[0] is the zero vector, which has no peel site
+    stride = max(1, math.ceil((len(gens) - 1) / RELATION_AUDIT_SAMPLE))
+    for c in gens[1::stride]:
+        _audit_group_relation(ring, c, next(i for i, v in enumerate(c) if v))
 
     free_rank = orbits.count(1)
     stable = free_rank == ring.rank
@@ -446,23 +398,18 @@ class _ClassIndex:
             raise InternalCheckError("module of bounded size missing from enumeration")
         return i
 
-    def class_of(self, module: FiniteModule, new: bool = False) -> int:
-        """Index of module's class; with `new`, an unmatched module opens one."""
-        if not new:
-            return self.lookup(module.action)
-        i = self._known.get(module.action)
-        if i is None:
-            self.spend(math.factorial(module.size - 1))
-            i = len(self.reps)
-            self.reps.append(module)
-            rows = [itemgetter(*row) for row in module.action]
-            for rest in permutations(range(1, module.size)):
-                perm = (0,) + rest
-                table: List[Tuple[int, ...]] = [()] * module.size
-                for x, row in enumerate(rows):
-                    table[perm[x]] = row(perm)
-                self._known[tuple(table)] = i
-        return i
+    def add(self, module: FiniteModule) -> None:
+        """Open a class for a module whose table is in no known class."""
+        self.spend(math.factorial(module.size - 1))
+        i = len(self.reps)
+        self.reps.append(module)
+        rows = [itemgetter(*row) for row in module.action]
+        for rest in permutations(range(1, module.size)):
+            perm = (0,) + rest
+            table: List[Tuple[int, ...]] = [()] * module.size
+            for x, row in enumerate(rows):
+                table[perm[x]] = row(perm)
+            self._known[tuple(table)] = i
 
 
 def _enumerate_modules(m: PointedMonoid, size_bound: int,
@@ -484,7 +431,7 @@ def _enumerate_modules(m: PointedMonoid, size_bound: int,
     for s in range(1, size_bound + 1):
         for table in _action_tables(m, s, index.spend):
             if table not in index._known:
-                index.class_of(_derived(FiniteModule, m, s, table), new=True)
+                index.add(_derived(FiniteModule, m, s, table))
     return index
 
 

@@ -15,7 +15,7 @@ import random
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
-from .burnside import BurnsideElement, BurnsideRing
+from .burnside import BurnsideElement, BurnsideRing, linear_dimension
 from .errors import ResourceLimitError
 from .groups import _derived
 from .modules import FiniteModule, zero_module
@@ -73,12 +73,12 @@ def diamond(s: FiniteModule, k: int) -> FiniteModule:
     return _derived(FiniteModule, s.monoid, 1 + len(tuples), tuple(tuple(r) for r in action))
 
 
-def check_diamond_size(ring: BurnsideRing, x: BurnsideElement, k: int) -> None:
+def check_diamond_size(x: BurnsideElement, k: int) -> None:
     """Refuse a diamond of the effective x past DIAMOND_TUPLE_CAP, before
     realizing x: its n points are read off the coefficients, and the count
     is perm(n, k) >= n, or n when k > n, so the cap bounds the realization.
     """
-    n = sum(c * s for c, s in zip(x.coeffs, ring.coset_sizes))
+    n = linear_dimension(x)
     count, i = n, 1
     while count <= DIAMOND_TUPLE_CAP and i < k <= n:
         count *= n - i
@@ -154,18 +154,18 @@ def _ghost_series(ring: BurnsideRing, x: BurnsideElement, cap: int) -> List[List
     return columns
 
 
-def _carrier_cap(ring: BurnsideRing, x: BurnsideElement, cap: int) -> int:
+def _carrier_cap(x: BurnsideElement, cap: int) -> int:
     """Operations above the carrier size of an effective class vanish."""
     if not x.is_effective:
         return cap
-    return min(cap, sum(c * s for c, s in zip(x.coeffs, ring.coset_sizes)))
+    return min(cap, linear_dimension(x))
 
 
 def lambda_k(ring: BurnsideRing, x: BurnsideElement, k: int) -> BurnsideElement:
     """The k-th subset operation, evaluated in the ghost ring."""
     if k < 0:
         raise ValueError("lambda needs k >= 0")
-    if k > _carrier_cap(ring, x, k):
+    if k > _carrier_cap(x, k):
         return ring.zero()
     return ring.from_marks([col[k] for col in _ghost_series(ring, x, k)])
 
@@ -175,7 +175,7 @@ def lambda_series(ring: BurnsideRing, x: BurnsideElement,
     """The operations 0..cap applied to x, evaluated in the ghost ring."""
     if cap < 0:
         raise ValueError("series cap must be >= 0")
-    top = _carrier_cap(ring, x, cap)
+    top = _carrier_cap(x, cap)
     columns = _ghost_series(ring, x, top)
     values = [ring.from_marks([col[n] for col in columns]) for n in range(top + 1)]
     return tuple(values) + (ring.zero(),) * (cap - top)

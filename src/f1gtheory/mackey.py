@@ -14,7 +14,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .burnside import BurnsideElement, BurnsideRing, build_burnside
+from .burnside import (BurnsideElement, BurnsideRing, build_burnside,
+                       linear_dimension)
 from .errors import InternalCheckError
 from .groups import (FiniteGroup, SubgroupClassification, _classify,
                      _memo_on_group, _subgroup_elements)
@@ -292,11 +293,6 @@ def check_frobenius(group: FiniteGroup, h_elements: Sequence[int],
     rhs = x * induce(ctx, y)
     return FrobeniusReport(group, ctx.elements, x.coeffs, y.coeffs,
                            lhs.coeffs, rhs.coeffs)
-
-
-def linear_dimension(x: BurnsideElement) -> int:
-    """Total coset count of an element: the rank of its linearization."""
-    return sum(c * s for c, s in zip(x.coeffs, x.ring.coset_sizes))
 
 
 def green_morphism_check(group: FiniteGroup):

@@ -13,8 +13,8 @@ from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
-from .groups import (FiniteGroup, _derived, _int_table, _memo_on_group,
-                     _right_cosets)
+from .groups import (FiniteGroup, _check_associativity, _derived, _int_table,
+                     _memo_on_group, _right_cosets)
 from .records import _Record
 
 __all__ = [
@@ -56,12 +56,7 @@ class PointedMonoid(_Record):
                 raise ValueError(f"index 0 fails to absorb at {x}")
             if self.mul[1][x] != x or self.mul[x][1] != x:
                 raise ValueError(f"index 1 is not a unit at {x}")
-        for a in range(n):
-            for b in range(n):
-                ab = self.mul[a][b]
-                for c in range(n):
-                    if self.mul[ab][c] != self.mul[a][self.mul[b][c]]:
-                        raise ValueError(f"associativity fails at ({a}, {b}, {c})")
+        _check_associativity(self.mul, 1)
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("labels length must equal size")
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 
-from .burnside import BurnsideElement, BurnsideRing
+from .burnside import BurnsideElement, BurnsideRing, linear_dimension
 
 __all__ = ["random_effective", "random_element"]
 
@@ -21,8 +21,9 @@ def random_effective(ring: BurnsideRing, rng: random.Random,
         coeffs = [0] * ring.rank
         for i in support:
             coeffs[i] = rng.randint(0, max_coeff)
-        if sum(c * s for c, s in zip(coeffs, ring.coset_sizes)) <= max_size:
-            return ring.element(coeffs)
+        x = ring.element(coeffs)
+        if linear_dimension(x) <= max_size:
+            return x
     return ring.zero()
 
 

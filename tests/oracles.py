@@ -22,12 +22,10 @@ of the library's engine (unit pivots by fewest entries, then a remainder
 reduced modulo a maximal minor) and of the linear certificate that computes
 group-monoid degree-0 groups.
 
-`peel_sites` walks every group-monoid peel site in row order; the library
-unranks the few sites it audits from counting tables.  `peel_rows_by_dict`
-builds each group-monoid peel row as a dict over its three terms and sorts
-it, and `in_peel_kernel` maps a row to count vectors one rank-length list
-at a time; the library emits rows straight from their three column indices
-and tests the kernel on one integer encoding.
+`peel_rows_by_dict` builds each group-monoid peel row as a dict over its
+three terms and sorts it, and `in_peel_kernel` maps a row to count vectors
+one rank-length list at a time; the library emits rows straight from their
+three column indices and tests the kernel on one integer encoding.
 
 `product_order_tables` and `enumerate_modules_pairwise` are the unpruned
 general-monoid module enumeration: every table of the full product of free
@@ -606,14 +604,6 @@ def cokernel_invariants_sparse(rows: Sequence, ncols: int) -> Tuple[int, List[in
 
 # --- degree-0 relation rows ----------------------------------------------
 
-def peel_sites(gens: Sequence[Tuple[int, ...]]) -> Iterator[Tuple[Tuple[int, ...], int]]:
-    """(c, i) for every generator c and every class i with c[i] > 0, in row order."""
-    for c in gens:
-        for i, v in enumerate(c):
-            if v:
-                yield c, i
-
-
 def peel_rows_by_dict(gens: Sequence[Tuple[int, ...]],
                       gen_index: Dict[Tuple[int, ...], int]
                       ) -> Iterator[Tuple[Tuple[int, int], ...]]:
@@ -658,8 +648,8 @@ def object_relation_rows(m: PointedMonoid, size_bound: int
             if is_cofibration(incl)[0]:
                 row = [0] * len(index.reps)
                 row[i] += 1
-                row[index.class_of(incl.source)] -= 1
-                row[index.class_of(quotient(incl))] -= 1
+                row[index.lookup(incl.source.action)] -= 1
+                row[index.lookup(quotient(incl).action)] -= 1
                 if any(row):
                     rows.append(tuple((j, v) for j, v in enumerate(row) if v))
     return rows

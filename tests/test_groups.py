@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-from itertools import combinations
+import random
+from itertools import chain, combinations, product as iter_product
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from f1gtheory.groups import (FiniteGroup, abelianization, all_subgroups,
                               conjugacy_classes_of_elements, group_from_json,
                               library_names, normalizer, parse_cycles)
 from f1gtheory.errors import InternalCheckError, ResourceLimitError
+from f1gtheory.modules import PointedMonoid
 
 from conftest import RUNGS, group_of
 from oracles import (abelianization_by_relations, all_subgroups_by_closure,
@@ -172,19 +174,40 @@ def test_associativity_is_checked_at_every_order(n):
         group_from_json({"cayley": _swapped_intercalate(n, 1, 2)})
 
 
+def _pointed_tables():
+    """Every table on 3 and 4 elements where 0 absorbs and 1 is a two-sided
+    unit, then 200 seeded random ones on each of 5 and 6 elements."""
+    rng = random.Random(0)
+    for n in (3, 4, 5, 6):
+        free = (n - 2) ** 2
+        fills = (iter_product(range(n), repeat=free) if n <= 4 else
+                 ([rng.randrange(n) for _ in range(free)] for _ in range(200)))
+        for fill in fills:
+            values = iter(fill)
+            yield tuple(tuple(0 if 0 in (a, b) else b if a == 1 else
+                              a if b == 1 else next(values) for b in range(n))
+                        for a in range(n))
+
+
 def test_associativity_check_matches_every_triple():
-    for n in (4, 6, 8, 10, 12):
-        for i in range(1, n // 2):
-            for j in range(1, n // 2):
-                t = _swapped_intercalate(n, i, j)
-                associative = all(t[t[a][b]][c] == t[a][t[b][c]] for a in range(n)
-                                  for b in range(n) for c in range(n))
-                try:
-                    FiniteGroup(n, tuple(map(tuple, t)))
-                    accepted = True
-                except ValueError:
-                    accepted = False
-                assert accepted == associative, (n, i, j)
+    # group tables as lists of lists, monoid tables as tuples of tuples
+    groups_ = ((FiniteGroup, n, _swapped_intercalate(n, i, j))
+               for n in (4, 6, 8, 10, 12)
+               for i in range(1, n // 2) for j in range(1, n // 2))
+    monoids = ((PointedMonoid, len(t), t) for t in _pointed_tables())
+    verdicts = set()
+    for cls, n, t in chain(groups_, monoids):
+        associative = all(t[t[a][b]][c] == t[a][t[b][c]] for a in range(n)
+                          for b in range(n) for c in range(n))
+        try:
+            cls(n, t)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == associative, (cls.__name__, t)
+        verdicts.add((cls, accepted))
+    # both classes meet tables on both sides of the check
+    assert len(verdicts) == 4
 
 
 def brute_force_closure(group, seed):

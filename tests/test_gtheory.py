@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import islice, permutations
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -22,7 +22,7 @@ from conftest import ring_of
 from oracles import (cokernel_invariants_sparse, enumerate_modules_pairwise,
                      in_peel_kernel, monoid_pool, mult_by_regular,
                      object_relation_rows, pairwise_class, peel_rows_by_dict,
-                     peel_sites, permute_module, product_order_tables)
+                     permute_module, product_order_tables)
 
 # the idempotent monoid {0, 1, e}, e*e = e (perfbench/monoid3.json)
 IDEMPOTENT = PointedMonoid(3, ((0, 0, 0), (0, 1, 2), (0, 2, 2)))
@@ -112,6 +112,28 @@ def test_g0_certificate_rejects_row_outside_kernel(monkeypatch):
         g0_presentation(group_monoid(build_group(name="C2")), 5)
 
 
+def test_g0_audit_visits_a_bounded_sample_of_peel_sites(monkeypatch):
+    audit = gtheory._audit_group_relation
+    for group in small_library_groups():
+        sites = []
+
+        def record(ring, counts, cls):
+            sites.append((counts, cls))
+            audit(ring, counts, cls)
+
+        monkeypatch.setattr(gtheory, "_audit_group_relation", record)
+        g0_presentation(group_monoid(group), group.order + 3)
+        assert 1 <= len(sites) <= gtheory.RELATION_AUDIT_SAMPLE + 1, group.name
+        assert all(c[i] > 0 for c, i in sites), group.name
+
+
+def test_g0_audit_catches_a_corrupted_quotient(monkeypatch):
+    # the peel quotient should be one orbit; the whole module is returned
+    monkeypatch.setattr(gtheory, "quotient", lambda incl: incl.target)
+    with pytest.raises(InternalCheckError, match="peel quotient"):
+        g0_presentation(group_monoid(build_group(name="S3")), 9)
+
+
 def test_peel_rows_match_dict_oracle():
     for group in small_library_groups():
         sizes = ring_of(group.name).coset_sizes
@@ -122,23 +144,6 @@ def test_peel_rows_match_dict_oracle():
             assert rows == list(peel_rows_by_dict(gens, gen_index)), \
                 (group.name, bound)
             assert all(in_peel_kernel(row, gens) for row in rows)
-
-
-def test_unranked_peel_sites_match_the_walk():
-    # every site of the small groups, and the audited stride of D12
-    cases = [(group.name, bound, 1) for group in small_library_groups()
-             for bound in range(1, group.order + 4)]
-    d12 = build_group(name="D12")
-    cases.append(("D12", d12.order + 3, None))
-    for name, bound, stride in cases:
-        sizes = ring_of(name).coset_sizes
-        gens = gtheory._count_vectors(sizes, bound - 1)
-        sites = len(gtheory._PeelRelations(sizes, bound - 1)) - 1
-        if stride is None:
-            stride = max(1, sites // gtheory.RELATION_AUDIT_SAMPLE)
-        walked = list(islice(peel_sites(gens), 0, None, stride))
-        unranked = gtheory._peel_sites_at(sizes, bound - 1, range(0, sites, stride))
-        assert list(unranked) == walked, (name, bound)
 
 
 def test_g0_certificate_rejects_heavy_row_the_encoding_misses(monkeypatch):
@@ -308,7 +313,7 @@ def test_class_index_agrees_with_pairwise_scan():
         reps = index.reps
         fresh = gtheory._ClassIndex()
         for rep in reps:
-            fresh.class_of(rep, new=True)
+            fresh.add(rep)
         # pairwise_class certifies each table isomorphic to its representative,
         # so two tables share a class only when they are isomorphic
         hit = set()
@@ -318,8 +323,8 @@ def test_class_index_agrees_with_pairwise_scan():
                 for rest in permutations(range(1, s)):
                     relabelled, _ = permute_module(module, (0,) + rest)
                     expected = pairwise_class(reps, relabelled)
-                    assert index.class_of(relabelled) == expected
-                    assert fresh.class_of(relabelled) == expected
+                    assert index.lookup(relabelled.action) == expected
+                    assert fresh.lookup(relabelled.action) == expected
                     hit.add(expected)
         assert sorted(hit) == list(range(len(reps)))
 
@@ -328,7 +333,7 @@ def test_class_index_refuses_an_unseen_class():
     index = gtheory._enumerate_modules(IDEMPOTENT, 2, 10 ** 6)
     big = gtheory._enumerate_modules(IDEMPOTENT, 3, 10 ** 6).reps[-1]
     with pytest.raises(InternalCheckError, match="missing from enumeration"):
-        index.class_of(big)
+        index.lookup(big.action)
 
 
 def test_g0_monoid3_enumeration_makes_no_isomorphism_calls(monkeypatch):

@@ -14,6 +14,8 @@ import json
 import os
 import subprocess
 import sys
+import types
+import typing
 from importlib import import_module
 
 import pytest
@@ -125,6 +127,38 @@ def test_every_public_name_has_a_caller_or_a_reason():
     stale = sorted(name for name in WITHOUT_CALLER
                    if name not in f1gtheory.__all__ or name in refs)
     assert stale == []
+
+
+def _annotated(module):
+    """The functions and classes `module` defines, and the methods of each
+    class, properties and cached properties included."""
+    for value in vars(module).values():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        if isinstance(value, types.FunctionType):
+            yield value
+        elif isinstance(value, type):
+            yield value
+            for attr in vars(value).values():
+                fn = (getattr(attr, "fget", None) or getattr(attr, "func", None)
+                      or getattr(attr, "__func__", None) or attr)
+                if isinstance(fn, types.FunctionType):
+                    yield fn
+
+
+def test_every_annotation_resolves():
+    package = os.path.join(SRC, "f1gtheory")
+    unresolved = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        module = import_module(f"f1gtheory.{name[:-3]}")
+        for obj in _annotated(module):
+            try:
+                typing.get_type_hints(obj)
+            except NameError as exc:
+                unresolved.append(f"{module.__name__}.{obj.__qualname__}: {exc}")
+    assert unresolved == []
 
 
 COMMANDS = ("subgroups", "marks", "burnside-mul", "decompose", "lambda",
