@@ -2,11 +2,12 @@
 
 The package is organized in layers: finite groups and their subgroup
 structure, pointed monoids and their finite modules, the Burnside ring with
-its table of marks, lambda operations in the ghost ring, induction and
-restriction with the double coset formula, and presentations of the
-degree-0 and degree-1 invariant groups.  Library constructions that no
-engine layer uses (base change, smash products, pushouts, bimodules,
-isomorphism testing) live in `constructions`.
+its table of marks, lambda and diamond operations in the ghost ring,
+induction and restriction with the double coset formula, and presentations
+of the degree-0 and degree-1 invariant groups.  Library constructions that
+no engine layer uses (base change, smash products, pushouts, bimodules,
+the explicit ordered-tuple module, isomorphism testing) live in
+`constructions`.
 
 The public names resolve lazily (PEP 562): `import f1gtheory` loads no
 submodule, and the first use of a name loads the submodule that defines it.
@@ -24,7 +25,7 @@ _EXPORTS = {name: module for module, names in {
                  "decompose", "marks_to_csv"),
     "constructions": ("Bimodule", "MonoidHom", "are_isomorphic", "base_change",
                       "base_change_hom", "bimodule_from_module",
-                      "bimodule_from_monoid_hom", "find_isomorphism",
+                      "bimodule_from_monoid_hom", "diamond", "find_isomorphism",
                       "find_section", "generating_set", "identity_monoid_hom",
                       "is_isomorphic", "pushout", "restrict_scalars", "smash"),
     "errors": ("InternalCheckError", "ResourceLimitError"),
@@ -37,7 +38,7 @@ _EXPORTS = {name: module for module, names in {
     "gtheory": ("AbelianGroupReport", "CartanReport",
                 "GrothendieckPresentation", "cartan_zero",
                 "count_simple_factors", "g0_presentation", "g1_via_splitting"),
-    "lambda_ops": ("diamond", "lambda_k", "lambda_series",
+    "lambda_ops": ("diamond_class", "lambda_k", "lambda_series",
                    "verify_lambda_ring", "verify_pre_lambda"),
     "mackey": ("DoubleCosetPlan", "DoubleCosetReport", "FrobeniusReport",
                "SubgroupContext", "check_double_coset", "check_frobenius",

@@ -22,8 +22,8 @@ from .groups import (FiniteGroup, build_group, conjugacy_classes_of_elements,
                      is_odd_cyclic, load_group)
 from .gtheory import (cartan_zero, count_simple_factors, g0_presentation,
                       g1_via_splitting)
-from .lambda_ops import (check_diamond_size, diamond, lambda_k,
-                         verify_lambda_ring, verify_pre_lambda)
+from .lambda_ops import (diamond_class, lambda_k, verify_lambda_ring,
+                         verify_pre_lambda)
 from .mackey import (check_frobenius, double_coset_plan, green_morphism_check,
                      subgroup_context)
 from .modules import (diagonal_smash, group_monoid, module_from_json,
@@ -221,8 +221,6 @@ def _cmd_lambda(args) -> int:
     group = _group_from_args(args)
     ring = build_burnside(group)
     x = ring.element(_parse_coeffs(args.element, ring, "--element"))
-    if args.k < 0:
-        raise ValueError("--k must be >= 0")
     value = lambda_k(ring, x, args.k)
     if args.format == "json":
         _emit_json({
@@ -268,23 +266,17 @@ def _cmd_diamond(args) -> int:
     group = _group_from_args(args)
     ring = build_burnside(group)
     x = ring.element(_parse_coeffs(args.element, ring, "--element"))
-    if not x.is_effective:
-        raise ValueError("--element must be effective for a diamond computation")
-    if args.k < 1:
-        raise ValueError("--k must be >= 1")
-    check_diamond_size(x, args.k)
-    module = diamond(ring.realize(x), args.k)
-    element = ring.decompose(module)
+    size, element = diamond_class(ring, x, args.k)
     if args.format == "json":
         _emit_json({
             "basis": list(ring.labels),
             "element": list(x.coeffs),
             "k": args.k,
-            "carrier_size": module.size,
+            "carrier_size": size,
             "decomposition": list(element.coeffs),
         })
     else:
-        print(f"ordered {args.k}-tuple module has carrier size {module.size} "
+        print(f"ordered {args.k}-tuple module has carrier size {size} "
               f"and decomposes as {element.pretty()}")
     return 0
 
@@ -519,7 +511,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
     if sp := add("lambda", "apply a lambda operation", _cmd_lambda):
         sp.add_argument("--element", required=True, help="JSON coefficient array")
-        sp.add_argument("--k", type=int, required=True)
+        sp.add_argument("--k", type=_count, required=True)
 
     if sp := add("lambda-verify", "check lambda axioms", _cmd_lambda_verify):
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -529,7 +521,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
     if sp := add("diamond", "ordered tuple module of an element", _cmd_diamond):
         sp.add_argument("--element", required=True, help="JSON coefficient array")
-        sp.add_argument("--k", type=int, required=True)
+        sp.add_argument("--k", type=_count, required=True)
 
     if sp := add("mackey-check", "double coset, Frobenius, Green", _cmd_mackey_check):
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -1,14 +1,17 @@
 """Library constructions on pointed monoids, their modules, and groups.
 
 Monoid homomorphisms and bimodules, base change and restriction of scalars,
-the balanced smash product, pushouts along cofibrations, equivariant
-sections, and isomorphism testing with witnesses, for modules and for
-groups.  The engine modules and the CLI never import this module; the
-package loads it on first use of one of its names.
+the balanced smash product, pushouts along cofibrations, the explicit
+module of ordered distinct tuples (whose class `lambda_ops.diamond_class`
+reads off the marks), equivariant sections, and isomorphism testing with
+witnesses, for modules and for groups.  The engine modules and the CLI
+never import this module; the package loads it on first use of one of its
+names.
 """
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
@@ -16,13 +19,14 @@ from .groups import (FiniteGroup, _derived, _generating_sequence,
                      classify_subgroups)
 from .modules import (FiniteModule, ModuleHom, PointedMonoid,
                       _extend_equivariant, _pair_node, group_monoid,
-                      is_cofibration)
+                      is_cofibration, zero_module)
 from .records import _Record
 
 __all__ = [
     "F1", "MonoidHom", "Bimodule", "identity_monoid_hom",
     "bimodule_from_monoid_hom", "bimodule_from_module", "pushout", "smash",
-    "base_change", "base_change_hom", "restrict_scalars", "generating_set",
+    "base_change", "base_change_hom", "restrict_scalars", "diamond",
+    "generating_set",
     "are_isomorphic", "find_section", "find_isomorphism", "is_isomorphic",
 ]
 
@@ -299,6 +303,27 @@ def restrict_scalars(alpha: MonoidHom, s: FiniteModule) -> FiniteModule:
         for x in range(s.size)
     )
     return _derived(FiniteModule, alpha.source, s.size, action)
+
+
+# --- ordered tuple modules -----------------------------------------------
+
+def diamond(s: FiniteModule, k: int) -> FiniteModule:
+    """Ordered k-tuples of distinct nonzero elements, numbered in
+    lexicographic order, with the diagonal action."""
+    if not s.monoid.is_group_monoid:
+        raise ValueError("the diamond construction needs a group monoid")
+    if k <= 0:
+        raise ValueError("diamond needs k >= 1")
+    if k > s.size - 1:
+        return zero_module(s.monoid)
+    tuples = list(permutations(range(1, s.size), k))
+    index = {t: 1 + i for i, t in enumerate(tuples)}
+    # a group permutes the nonzero elements, so every image is a tuple
+    action = [(0,) * s.monoid.size] + [
+        (0, *(index[tuple(s.action[x][m] for x in t)]
+              for m in range(1, s.monoid.size)))
+        for t in tuples]
+    return _derived(FiniteModule, s.monoid, 1 + len(tuples), tuple(action))
 
 
 # --- isomorphism of modules ----------------------------------------------

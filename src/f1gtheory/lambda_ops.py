@@ -1,92 +1,51 @@
-"""Lambda operations on Burnside rings via unordered subset modules.
+"""Lambda and diamond operations on Burnside rings, read off the marks.
 
-The k-th operation sends an effective class to the decomposition of the
-module of k-element subsets of any realization.  The operations are
-evaluated in the ghost ring from the orbit counts that the subgroup lattice
+The k-th lambda operation sends an effective class to the decomposition of
+the module of k-element subsets of any realization; the k-th diamond
+operation sends it to the module of ordered k-tuples of distinct points.
+Both are evaluated in the ghost ring, one column per subgroup class, with
+no G-set built: lambda from the orbit counts that the subgroup lattice
 gives (`BurnsideRing.orbit_counts`), for effective and virtual classes
-alike, and the ring axioms are checked against Newton's identities at each
-ghost coordinate.  The diamond module of ordered distinct tuples is built
-explicitly; explicit subset modules are test oracles (`tests/oracles.py`).
+alike, and diamond as a falling factorial of the marks.  Every column
+builder is charged against `GHOST_WORK_CAP` before it starts.  The ring
+axioms are checked against Newton's identities at each ghost coordinate.
+The explicit tuple module is `constructions.diamond`; explicit subset
+modules are test oracles (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
 from .burnside import BurnsideElement, BurnsideRing, linear_dimension
 from .errors import ResourceLimitError
-from .groups import _derived
-from .modules import FiniteModule, zero_module
+from .modules import FiniteModule
 from .polynomials import composition_rule, product_rule
 from .reports import CheckReport
 from .sampling import random_effective, random_element
 
 __all__ = [
-    "DIAMOND_TUPLE_CAP", "check_diamond_size", "diamond", "lambda_k",
-    "lambda_series", "verify_pre_lambda", "verify_lambda_ring",
+    "GHOST_WORK_CAP", "diamond_class", "lambda_k", "lambda_series",
+    "verify_pre_lambda", "verify_lambda_ring",
 ]
 
-# Most ordered tuples a diamond of an element may have; 91,080 (46 points
-# at k = 3) over an order-64 group take about 8 s and 140 MB on 2 vCPUs.
-DIAMOND_TUPLE_CAP = 100000
+# Most ghost work one column build may take, counted as rank x k^2: the
+# binomial series products of lambda to degree k take about k^2
+# big-integer steps a column, 11-50 ns a unit on 2 vCPUs, so about 1 s at
+# the cap.  Diamond's falling factorials are charged by the same rule,
+# though `math.perm` takes under 1 ns a unit.
+GHOST_WORK_CAP = 20000000
 
 
-def _distinct_tuples(size: int, k: int) -> List[Tuple[int, ...]]:
-    """Ordered k-tuples of distinct indices from 1..size-1, lexicographic."""
-    tuples: List[Tuple[int, ...]] = []
-
-    def grow(prefix: Tuple[int, ...]) -> None:
-        if len(prefix) == k:
-            tuples.append(prefix)
-            return
-        for x in range(1, size):
-            if x not in prefix:
-                grow(prefix + (x,))
-
-    grow(())
-    return tuples
-
-
-def diamond(s: FiniteModule, k: int) -> FiniteModule:
-    """Ordered k-tuples of distinct nonzero elements with the diagonal action."""
-    if not s.monoid.is_group_monoid:
-        raise ValueError("the diamond construction needs a group monoid")
-    if k <= 0:
-        raise ValueError("diamond needs k >= 1")
-    n = s.size - 1
-    if k > n:
-        return zero_module(s.monoid)
-    tuples = _distinct_tuples(s.size, k)
-    index = {t: 1 + i for i, t in enumerate(tuples)}
-    action = [[0] * s.monoid.size]
-    for t in tuples:
-        row = [0]
-        for m in range(1, s.monoid.size):
-            image = tuple(s.action[x][m] for x in t)
-            if 0 in image or len(set(image)) < k:
-                row.append(0)
-            else:
-                row.append(index[image])
-        action.append(row)
-    return _derived(FiniteModule, s.monoid, 1 + len(tuples), tuple(tuple(r) for r in action))
-
-
-def check_diamond_size(x: BurnsideElement, k: int) -> None:
-    """Refuse a diamond of the effective x past DIAMOND_TUPLE_CAP, before
-    realizing x: its n points are read off the coefficients, and the count
-    is perm(n, k) >= n, or n when k > n, so the cap bounds the realization.
-    """
-    n = linear_dimension(x)
-    count, i = n, 1
-    while count <= DIAMOND_TUPLE_CAP and i < k <= n:
-        count *= n - i
-        i += 1
-    if count > DIAMOND_TUPLE_CAP:
+def _charge_ghost_work(ring: BurnsideRing, k: int) -> None:
+    """Refuse ghost columns to degree k past GHOST_WORK_CAP, before any is built."""
+    if ring.rank * k * k > GHOST_WORK_CAP:
         raise ResourceLimitError(
-            f"diamond of {n} points at k = {k} passes the cap "
-            f"{DIAMOND_TUPLE_CAP} on points and tuples; lower k or the element")
+            f"ghost columns of rank {ring.rank} to degree {k} pass the cap "
+            f"{GHOST_WORK_CAP} on rank x k^2; lower k")
 
 
 def _subset_decompose(ring: BurnsideRing, s: FiniteModule, k: int) -> BurnsideElement:
@@ -129,6 +88,7 @@ def _ghost_series(ring: BurnsideRing, x: BurnsideElement, cap: int) -> List[List
     integral.  The counts are summed class by class over the nonzero
     coefficients of x.
     """
+    _charge_ghost_work(ring, cap)
     exponents: List[Dict[int, int]] = [{} for _ in range(ring.rank)]
     for c, row in zip(x.coeffs, ring.orbit_counts):
         if c:
@@ -179,6 +139,25 @@ def lambda_series(ring: BurnsideRing, x: BurnsideElement,
     columns = _ghost_series(ring, x, top)
     values = [ring.from_marks([col[n] for col in columns]) for n in range(top + 1)]
     return tuple(values) + (ring.zero(),) * (cap - top)
+
+
+def diamond_class(ring: BurnsideRing, x: BurnsideElement,
+                  k: int) -> Tuple[int, BurnsideElement]:
+    """Carrier size and class of the ordered k-tuple module of an effective x.
+
+    A K-fixed tuple of distinct points is a tuple of distinct K-fixed
+    points, so the mark at K is the falling factorial (m)(m - 1)...(m - k + 1)
+    of x's mark m at K; the n points of x give perm(n, k) tuples.
+    """
+    if not x.is_effective:
+        raise ValueError("diamond needs an effective element")
+    if k < 1:
+        raise ValueError("diamond needs k >= 1")
+    n = linear_dimension(x)
+    if k > n:
+        return 1, ring.zero()
+    _charge_ghost_work(ring, k)
+    return 1 + math.perm(n, k), ring.from_marks([math.perm(m, k) for m in x.marks()])
 
 
 def _geometric_values(ring: BurnsideRing, x: BurnsideElement,

@@ -100,18 +100,18 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product as iter_product
+from itertools import combinations, permutations, product as iter_product
 from math import factorial, prod
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from f1gtheory.burnside import BurnsideElement, BurnsideRing, build_burnside
-from f1gtheory.constructions import MonoidHom, are_isomorphic, generating_set
+from f1gtheory.constructions import (MonoidHom, are_isomorphic, diamond,
+                                     generating_set)
 from f1gtheory.errors import InternalCheckError
 from f1gtheory.groups import (FiniteGroup, Subgroup, _derived, _memo_on_group,
                               _right_cosets, _subgroup_elements, build_group,
                               closure_of, normalizer)
 from f1gtheory.gtheory import _action_closed_subsets, _enumerate_modules
-from f1gtheory.lambda_ops import _distinct_tuples, diamond
 from f1gtheory.mackey import (_context, double_coset_reps, subgroup_context,
                               transport)
 from f1gtheory.modules import (FiniteModule, ModuleHom, PointedMonoid,
@@ -1146,9 +1146,8 @@ def diamond_filtered(chain: Sequence[ModuleHom]) -> FiniteModule:
     full = diamond(top, k)
     if full.size == 1:
         return full
-    tuples = _distinct_tuples(top.size, k)
     members = [
-        1 + i for i, t in enumerate(tuples)
+        1 + i for i, t in enumerate(permutations(range(1, top.size), k))
         if all(x in images[j] for j, x in enumerate(t))
     ]
     if not members:

@@ -14,12 +14,13 @@ import sys
 
 from f1gtheory.burnside import build_burnside
 from f1gtheory.constructions import (are_isomorphic, base_change,
-                                     base_change_hom, find_section, pushout)
+                                     base_change_hom, diamond, find_section,
+                                     pushout)
 from f1gtheory.groups import (all_subgroups, build_group, classify_subgroups,
                               conjugacy_classes_of_elements, library_names)
 from f1gtheory.gtheory import (cartan_zero, count_simple_factors,
                                g0_presentation, g1_via_splitting)
-from f1gtheory.lambda_ops import (diamond, lambda_k, verify_lambda_ring,
+from f1gtheory.lambda_ops import (lambda_k, verify_lambda_ring,
                                   verify_pre_lambda)
 from f1gtheory.mackey import (check_double_coset, check_frobenius,
                               subgroup_context)

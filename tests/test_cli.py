@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -278,6 +279,71 @@ def test_diamond(capsys):
     assert blob["carrier_size"] == 7
 
 
+# the diamond inputs: a source and an element; the S4xC2 element is one
+# G/H each for a class of order 2, 8 and 16, and the point G/G
+DIAMOND_INPUTS = {
+    "C3": ("--group", "C3", "--element", "[1,2]"),
+    "S3": ("--group", "S3", "--element", "[0,1,1,1]"),
+    "D4": ("--group", "D4", "--element", "[0,1,0,1,1,0,1,1]"),
+    "Q8": ("--group", "Q8", "--element", "[1,0,1,1,0,1]"),
+    "S4": ("--group", "S4", "--element", "[0,0,1,0,0,1,0,1,1,0,2]"),
+    "S4xC2": ("--generators", "(1 2 3 4);(1 2);(5 6)", "--degree", "6",
+              "--element", "[0,1" + ",0" * 17 + ",1" + ",0" * 8 + ",1,0,0,0,1]"),
+    "S3-point": ("--group", "S3", "--element", "[0,0,0,1]"),
+}
+# recorded from the explicit tuple module, before diamond was read off the
+# marks: (input, k) -> SHA-256 of the text and of the JSON output
+DIAMOND_SHA256 = {
+    ("C3", 1): ("1db94c7bca50a4983894882bd3be57a34bf874723afe4c59616f8518b9eb6dcf",
+                "5f6f5f99965ed6943af65e02a73a7276279bdb3bfdde46143362da092885270d"),
+    ("C3", 2): ("47d400eb39636f0bbf8604c99d7a03a3ee0fe9a959142239e1fc8fdc8a4b8527",
+                "05371ed5f7514db2643f8a7aa6346b890c54ef8734a5de614d4c5453d9a62a16"),
+    ("C3", 3): ("2405b6f88d629722a8ed49b52024ca02ff6502cd804c7486ab75812948ed8ae6",
+                "0e65cd04c05282245ca7516b9f4640363027ee6eeeb666d6521da2becebf16f1"),
+    ("S3", 1): ("79d65f9550ffdac919c1c96f497a863a6bcb8e3e17199c449e5fe7ca5c3a1abe",
+                "6002d62e84f60c7c09e1d10ceb8f438582440acdaf211a48b1b92686dc3fdcf9"),
+    ("S3", 2): ("a312495b4a6c8e9f64171364f5cdd2b6c06d12d7e693507695b05f92f3690c0d",
+                "77cf824b1a2d8db920b3c266796096baf7656b85071216b1196d8ec842e83d88"),
+    ("S3", 3): ("eb110a220277ff1bb8fd005a5c1c2fb99b53327bb15faf67fe1fbc3b6104f7b1",
+                "89ffc1f629c30c2c628b3bea2c62cd0115134ab6fc0bcd703f8a38960a7d4fd1"),
+    ("D4", 1): ("508bee258abc76057479dc2a5035b55eaf0be2301b0fb19f441b08353cf1eec6",
+                "a1bddbcebd1f8f1d8e0dc1b9fd9a4b057baee4bc5c0f33138cad90a992b778bc"),
+    ("D4", 2): ("22272f3ec9e3ac8efd3c11bdf538c7ac78d7b9aefede40b108f5744be946a558",
+                "9cadaf6be980507d923729284cd5513c553c73c996e0f289b33c5cf063ad8e48"),
+    ("D4", 3): ("bbabd7e60072ad182766abaf09aabf5377488bb5170df123e8386a5309c5b8c6",
+                "68372ec1d309d11b1b76b9820e16d73329784fd51b60a8ccc3285e469edf068b"),
+    ("Q8", 1): ("331bbf6460d1220cac5768b7cca524934e1cef0f5e1dc512db5b8d6ef57f19bb",
+                "1d5abfdd081f5067b8ec9e9e2f68808bcb3d9e9f4310f82dae2fc425fc948e8b"),
+    ("Q8", 2): ("5edd439f680be646e9e0d32dad3d20f1e215ca837f4cc274b9878a5022d2bbc7",
+                "8a55d61602dcb1b47b2c1d5e749e908c4a28b4f27b4f8add4430a9a401e02344"),
+    ("Q8", 3): ("864a3cbe6411cdf4009f4dc294e1466af9c6e74db79f4fa8be635cefbcaaf32f",
+                "ad1254b49ee6f6f24e4ee9f204774c5cd1602e529b1260fe0df238fa5e202aac"),
+    ("S4", 1): ("f6bb657f9f6c6d54f700b92c7b67722352e9f239df89c069ffbf02bc9b0e7cba",
+                "8981b20df980adc98fa874aa57102f3b4b2e712f55a3888cd673625dd32864cf"),
+    ("S4", 2): ("693917e907f4730ed08497c8df499e51f5c802ee08746a6e3959ef86e2720c9d",
+                "d08d106ed2d614884af692f46ecdddb8490e5a4f5a73c361870f8df85ad7539b"),
+    ("S4", 3): ("afcdd67390e2302c07ccfbe6501b37b4f679b6613da878888e761a9a16be307c",
+                "791ea5b14251a78921c7aa7bbd37747057356716393664dbac16668da11a386c"),
+    ("S4xC2", 2): ("3e23c5a75aa0cb9a45f05d65437df4b739d1c0ee4a220e5fba636416bfe35c17",
+                   "a3d5dc7ebc62419b4f3f969158acf5e4ad35792d4f7e066f24f93f4861e6cab8"),
+    # one point at k = 2: no tuples, carrier size 1
+    ("S3-point", 2): ("9faf17d9b3ab7016fdef471217e53b4f471c693ab842bbf57a7c03c9e31dc586",
+                      "5d5d46ce4b1a06c88443680553b9d71684d1f44f029f3ea8414a34fd08299ce5"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", sorted(DIAMOND_SHA256),
+                         ids=[f"{name}-k{k}" for name, k in sorted(DIAMOND_SHA256)])
+def test_diamond_golden(capsys, case, fmt):
+    name, k = case
+    code, out, err = run_cli(capsys, "diamond", *DIAMOND_INPUTS[name],
+                             "--k", str(k), "--format", fmt)
+    assert (code, err) == (0, "")
+    digest = DIAMOND_SHA256[case][fmt == "json"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_mackey_check_passes(capsys):
     code, out, _ = run_cli(capsys, "mackey-check", "--group", "C4",
                            "--trials", "10")
@@ -415,7 +481,8 @@ def test_lambda_verify_golden_on_the_order_48_rung(capsys, fmt):
     assert digest == LAMBDA_VERIFY_S4XC2_SHA256[fmt]
 
 
-@pytest.mark.parametrize("command,flag", [("lambda-verify", "--k-cap"),
+@pytest.mark.parametrize("command,flag", [("lambda", "--k"), ("diamond", "--k"),
+                                          ("lambda-verify", "--k-cap"),
                                           ("lambda-verify", "--l-cap"),
                                           ("lambda-verify", "--trials"),
                                           ("mackey-check", "--trials")])
@@ -525,20 +592,42 @@ def test_subgroup_lattice_past_order_64_exits_2(capsys):
     assert err == "resource limit: subgroup enumeration supports order <= 64, got 72\n"
 
 
-def test_diamond_past_tuple_cap_exits_2_before_realizing(capsys, monkeypatch):
+def test_ghost_work_cap_refuses_before_any_column_is_built(capsys, monkeypatch):
     def build_nothing(*args):
-        raise AssertionError("diamond realized or built past the tuple cap")
+        raise AssertionError("a ghost column or a G-set was built")
 
-    monkeypatch.setattr(lambda_ops, "_distinct_tuples", build_nothing)
+    # the falling factorials read the marks, the lambda series the orbit counts
+    monkeypatch.setattr(BurnsideRing, "marks_of", build_nothing)
+    monkeypatch.setattr(BurnsideRing, "orbit_counts", property(build_nothing))
     monkeypatch.setattr(BurnsideRing, "realize", build_nothing)
-    cap = lambda_ops.DIAMOND_TUPLE_CAP
-    # perm(20, 10) is about 6.7e11 tuples; 10**6 points have no diamond at
-    # k = 10**6 + 1, but their realization alone passes the cap
-    for element, k in (("[10,0]", 10), ("[0,1000000]", 1000001)):
-        code, out, err = run_cli(capsys, "diamond", "--group", "C2",
-                                 "--element", element, "--k", str(k))
+    cap = lambda_ops.GHOST_WORK_CAP
+    # rank 2: the least k past the cap, on 10**6 points and on a virtual class
+    past = math.isqrt(cap // 2) + 1
+    for argv in (["diamond", "--element", "[0,1000000]", "--k", str(past)],
+                 ["lambda", "--element", "[1,-1]", "--k", "100000"]):
+        code, out, err = run_cli(capsys, argv[0], "--group", "C2", *argv[1:])
         assert (code, out) == (2, "")
-        assert f"passes the cap {cap} on points and tuples" in err
+        assert f"pass the cap {cap} on rank x k^2" in err
+    # an answer known without a column is not charged: k above the points
+    monkeypatch.setattr(lambda_ops, "GHOST_WORK_CAP", 0)
+    code, out, err = run_cli(capsys, "diamond", "--group", "C2",
+                             "--element", "[0,1000000]", "--k", "1000001")
+    assert (code, err) == (0, "")
+    assert out == ("ordered 1000001-tuple module has carrier size 1 "
+                   "and decomposes as 0\n")
+    code, out, err = run_cli(capsys, "lambda", "--group", "C2",
+                             "--element", "[2,1]", "--k", "6")
+    assert (code, out, err) == (0, "[0,0]\n", "")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["diamond", "--element", "[1,-1]", "--k", "1"], "effective"),
+    (["diamond", "--element", "[1,0]", "--k", "0"], "k >= 1"),
+], ids=["diamond-virtual", "diamond-k0"])
+def test_ghost_operations_refuse_their_inputs_at_the_library(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv[0], "--group", "C2", *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
 
 
 def test_degree_past_cap_exits_2_before_allocating(capsys, tmp_path, monkeypatch):

@@ -1,16 +1,17 @@
 from __future__ import annotations
 
 import random
-from math import perm
+from math import factorial, perm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f1gtheory.burnside import BurnsideRing
+from f1gtheory.burnside import BurnsideRing, build_burnside
+from f1gtheory.constructions import diamond
 from f1gtheory.groups import build_group, library_names
 from f1gtheory.lambda_ops import (_geometric_values, _ghost_series,
-                                  _subset_decompose, diamond, lambda_k,
+                                  _subset_decompose, diamond_class, lambda_k,
                                   lambda_series, verify_lambda_ring,
                                   verify_pre_lambda)
 from f1gtheory.modules import (free_module, group_monoid,
@@ -19,7 +20,7 @@ from f1gtheory.polynomials import (MAX_COMPOSITION_L, MAX_PRODUCT_K,
                                    composition_rule, product_rule)
 from f1gtheory.sampling import random_effective, random_element
 
-from conftest import ring_of
+from conftest import group_of, ring_of
 from oracles import (diamond_filtered, evaluate_in_ring, subset_module,
                      universal_polynomial)
 
@@ -52,6 +53,37 @@ def test_diamond_action_permutes_tuples():
     # 6*5 = 30 ordered pairs split into 10 free orbits
     assert d.size == 31
     assert decomposed.coeffs == (10, 0)
+
+
+@pytest.mark.parametrize("name", [*library_names(), "S4xC2"])
+def test_diamond_class_matches_the_tuple_module(name):
+    # the falling factorials of the marks against the explicit module of
+    # ordered tuples, decomposed by its orbits
+    ring = build_burnside(group_of(name))
+    rng = random.Random(26)
+    for _ in range(4):
+        x = random_effective(ring, rng)
+        for k in (1, 2, 3):
+            d = diamond(ring.realize(x), k)
+            assert diamond_class(ring, x, k) == (d.size, ring.decompose(d)), \
+                (x.coeffs, k)
+
+
+def test_diamond_class_of_the_regular_order_64_set():
+    # the 64! orderings of the 64 points form 63! free orbits
+    ring = build_burnside(group_of("D4xC2^3"))
+    size, value = diamond_class(ring, ring.basis_element(0), 64)
+    assert size == 1 + factorial(64)
+    assert value == factorial(63) * ring.basis_element(0)
+
+
+def test_diamond_class_refuses_virtual_elements_and_k_below_one():
+    ring = ring_of("C2")
+    with pytest.raises(ValueError, match="effective"):
+        diamond_class(ring, ring.element([1, -1]), 1)
+    with pytest.raises(ValueError, match="k >= 1"):
+        diamond_class(ring, ring.one(), 0)
+    assert diamond_class(ring, ring.one(), 2) == (1, ring.zero())
 
 
 def test_diamond_filtered_restricts_first_coordinates():

@@ -198,7 +198,7 @@ LIMITS = {
     "groups": ("ORDER_CAP", "MAX_PERMUTATION_DEGREE", "SUBGROUP_ENUMERATION_LIMIT"),
     "gtheory": ("GROUP_GENERATOR_CAP", "WORK_BUDGET"),
     "polynomials": ("MAX_PRODUCT_K", "MAX_COMPOSITION_L"),
-    "lambda_ops": ("DIAMOND_TUPLE_CAP",),
+    "lambda_ops": ("GHOST_WORK_CAP",),
 }
 
 
