@@ -12,8 +12,8 @@ from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
-from .groups import (FiniteGroup, SubgroupClassification, _generating_sequence,
-                     _memo_on_group, _subgroup_elements, classify_subgroups)
+from .groups import (FiniteGroup, SubgroupClassification, _memo_on_group,
+                     _subgroup_elements, classify_subgroups)
 from .modules import FiniteModule, coset_module, group_monoid, wedge, zero_module
 from .records import _Record
 
@@ -80,12 +80,6 @@ class BurnsideRing:
         return tuple(tuple(map(dict(row).get, range(self.rank), [0] * self.rank))
                      for row in self.rows)
 
-    @cached_property
-    def cosets(self) -> Tuple[FiniteModule, ...]:
-        """The transitive G-sets G/H, one per class; built on first use."""
-        self._check_whole_group()
-        return tuple(map(self._coset, range(self.rank)))
-
     def _check_whole_group(self) -> None:
         if self.order != self.group.order:
             raise ValueError("G-sets are built only for the ring of the whole group")
@@ -93,6 +87,7 @@ class BurnsideRing:
     def _coset(self, i: int) -> FiniteModule:
         """G/H for class i of the whole group's ring, built on first use."""
         if i not in self._cosets:
+            self._check_whole_group()
             self._cosets[i] = coset_module(
                 self.group, self.classification.representatives[i].elements)
         return self._cosets[i]
@@ -133,11 +128,6 @@ class BurnsideRing:
     def coset_sizes(self) -> Tuple[int, ...]:
         """|H : H_i| per class: the point count of each transitive H-set."""
         return tuple(self.order // rep.order for rep in self.classification.representatives)
-
-    @cached_property
-    def generators(self) -> Tuple[int, ...]:
-        """A generating set of the group, chosen greedily, for orbit walks."""
-        return tuple(_generating_sequence(self.group))
 
     # -- elements ---------------------------------------------------------
 

@@ -17,7 +17,7 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .burnside import BurnsideRing, build_burnside, marks_to_csv
-from .errors import InternalCheckError, ResourceLimitError
+from .errors import InternalCheckError, ResourceLimitError, charge
 from .groups import (FiniteGroup, build_group, conjugacy_classes_of_elements,
                      is_odd_cyclic, load_group)
 from .gtheory import (cartan_zero, count_simple_factors, g0_presentation,
@@ -64,6 +64,8 @@ def _group_from_args(args: argparse.Namespace) -> FiniteGroup:
                args.generators is not None]
     if sum(sources) != 1:
         raise ValueError("exactly one of --group, --group-json, --generators is required")
+    if args.degree is not None and args.generators is None:
+        raise ValueError("--degree is read only with --generators")
     if args.group is not None:
         return build_group(name=args.group)
     if args.group_json is not None:
@@ -236,14 +238,11 @@ def _cmd_lambda(args) -> int:
 
 def _cmd_lambda_verify(args) -> int:
     group = _group_from_args(args)
-    # the degree caps are the command's input contract, checked before any
-    # ring work; l is read only when a composition rule runs (k >= 2), and
-    # the composition k is --k-cap, which MAX_PRODUCT_K bounds
-    if args.k_cap >= 2 and args.l_cap > MAX_COMPOSITION_L:
-        raise ValueError(f"composition rule supports k <= {MAX_PRODUCT_K}, "
-                         f"l <= {MAX_COMPOSITION_L}")
-    if args.k_cap > MAX_PRODUCT_K:
-        raise ValueError(f"product rule supports 1 <= k <= {MAX_PRODUCT_K}")
+    # the degree caps are the command's input contract, charged before any
+    # ring work; l is read only when a composition rule runs (k >= 2)
+    if args.k_cap >= 2:
+        charge("polynomials.MAX_COMPOSITION_L", args.l_cap, MAX_COMPOSITION_L, "--l-cap")
+    charge("polynomials.MAX_PRODUCT_K", args.k_cap, MAX_PRODUCT_K, "--k-cap")
     ring = build_burnside(group)
     rng = random.Random(args.seed)
     pre = verify_pre_lambda(ring, args.k_cap, args.trials, rng)
@@ -320,6 +319,9 @@ def _cmd_mackey_check(args) -> int:
 
 def _cmd_g0(args) -> int:
     if args.monoid_json is not None:
+        for flag in ("group", "group_json", "generators", "degree"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--monoid-json takes no --{flag.replace('_', '-')}")
         with open(args.monoid_json, "r", encoding="utf-8") as fh:
             monoid = monoid_from_json(json.load(fh))
         label = "monoid"
@@ -387,6 +389,8 @@ def _cmd_simple_factors(args) -> int:
 
 def _suite_reports(group: FiniteGroup, seed: int) -> List[CheckReport]:
     ring = build_burnside(group)
+    # the presentation is charged against its cap before any other stage
+    presentation = g0_presentation(group_monoid(group), group.order + 3)
     rng = random.Random(seed)
     reports: List[CheckReport] = []
 
@@ -417,7 +421,6 @@ def _suite_reports(group: FiniteGroup, seed: int) -> List[CheckReport]:
     reports.extend(mackey_reports)
 
     g0_check = CheckReport("degree-0 presentation stabilizes at Burnside rank")
-    presentation = g0_presentation(group_monoid(group), group.order + 3)
     g0_check.record(
         presentation.stability == "stable at bound"
         and presentation.result.free_rank == ring.rank
@@ -442,15 +445,11 @@ def _suite_reports(group: FiniteGroup, seed: int) -> List[CheckReport]:
 
     factors_check = CheckReport("simple factor count at coprime prime powers")
     class_count = len(conjugacy_classes_of_elements(group))
-    tested = 0
-    q = 2
-    while tested < 2 and q < 60:
-        if math.gcd(q, group.order) == 1 and len(factorize(q)) == 1:
-            count = count_simple_factors(group, q)
-            factors_check.record(1 <= count <= class_count,
-                                 lambda: {"q": q, "count": count})
-            tested += 1
-        q += 1
+    for q in [q for q in range(2, 60)
+              if math.gcd(q, group.order) == 1 and len(factorize(q)) == 1][:2]:
+        count = count_simple_factors(group, q)
+        factors_check.record(1 <= count <= class_count,
+                             lambda: {"q": q, "count": count})
     reports.append(factors_check)
     return reports
 

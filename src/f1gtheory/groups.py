@@ -11,17 +11,15 @@ import re
 from functools import cached_property, wraps
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import InternalCheckError, ResourceLimitError
+from .errors import InternalCheckError, charge
 from .records import _Record
 from .snf import factorize, merge_cyclic_factors
 
-# Largest group a table, a generator closure or a JSON file may give.
+# Largest group a table, a generator closure or a JSON file may give, and
+# the most points a permutation generator may act on: every group within
+# the cap acts faithfully on its own elements, so on at most ORDER_CAP points.
 ORDER_CAP = 1024
 SUBGROUP_ENUMERATION_LIMIT = 64
-# Most points a permutation generator may act on.  Every group within the
-# order cap acts faithfully on its own elements, so on at most ORDER_CAP
-# points.
-MAX_PERMUTATION_DEGREE = 1024
 
 
 def _check_associativity(table: Tuple[Tuple[int, ...], ...], unit: int) -> None:
@@ -256,18 +254,15 @@ def closure_of(group: FiniteGroup, seed: Iterable[int]) -> Tuple[int, ...]:
 def _check_degree(degree: int) -> None:
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    if degree > MAX_PERMUTATION_DEGREE:
-        raise ResourceLimitError(
-            f"degree {degree} exceeds the permutation degree cap "
-            f"{MAX_PERMUTATION_DEGREE}")
+    charge("groups.ORDER_CAP", degree, ORDER_CAP, "permutation degree")
 
 
 def parse_cycles(text: str, degree: int) -> Tuple[int, ...]:
     """Parse cycle notation like "(1 2)(3 4)" into a 0-based image tuple.
 
     Points are written 1-based.  "()" and the empty string denote the
-    identity permutation.  A degree past MAX_PERMUTATION_DEGREE is refused
-    before anything of that size is allocated.
+    identity permutation.  A degree past ORDER_CAP is refused before
+    anything of that size is allocated.
     """
     _check_degree(degree)
     perm = list(range(degree))
@@ -306,8 +301,7 @@ def _perm_closure(perms: Sequence[Tuple[int, ...]], degree: int) -> List[Tuple[i
         for g in gens:
             y = _compose(x, g)
             if y not in seen:
-                if len(seen) >= ORDER_CAP:
-                    raise ResourceLimitError(f"generated group exceeds order cap {ORDER_CAP}")
+                charge("groups.ORDER_CAP", len(seen) + 1, ORDER_CAP, "generated group order")
                 seen.add(y)
                 order_list.append(y)
     return order_list
@@ -448,8 +442,7 @@ def build_group(*, name: Optional[str] = None,
     if cayley is not None:
         table = _int_table(cayley, "cayley table")
         order = len(table)
-        if order > ORDER_CAP:
-            raise ResourceLimitError(f"order {order} exceeds cap {ORDER_CAP}")
+        charge("groups.ORDER_CAP", order, ORDER_CAP, "group order")
         # the identity's row is the first one equal to range(order); with
         # none, index 0 lets the validation below name the fault
         full = tuple(range(order))
@@ -518,11 +511,8 @@ def all_subgroups(group: FiniteGroup) -> Tuple[Subgroup, ...]:
     Exhaustive only up to order 64; larger groups are refused rather than
     silently truncated.
     """
-    if group.order > SUBGROUP_ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"subgroup enumeration supports order <= {SUBGROUP_ENUMERATION_LIMIT}, "
-            f"got {group.order}"
-        )
+    charge("groups.SUBGROUP_ENUMERATION_LIMIT", group.order,
+           SUBGROUP_ENUMERATION_LIMIT, "group order for the subgroup lattice")
     primes = {p for p in range(2, group.order + 1) if all(p % d for d in range(2, p))}
     trivial = (group.identity,)
     found: Dict[Tuple[int, ...], Tuple[int, ...]] = {trivial: ()}

@@ -16,7 +16,7 @@ from typing import (Callable, Collection, Dict, Iterator, List, Optional,
                     Sequence, Tuple)
 
 from .burnside import BurnsideRing, build_burnside
-from .errors import InternalCheckError, ResourceLimitError
+from .errors import InternalCheckError, charge
 from .groups import (FiniteGroup, _derived, _power, abelianization,
                      classify_subgroups, conjugacy_classes_of_elements)
 from .modules import (FiniteModule, ModuleHom, PointedMonoid, free_module,
@@ -238,10 +238,8 @@ def _group_g0(ring: BurnsideRing, size_bound: int) -> GrothendieckPresentation:
     # G/G has size 1, so there are at least size_bound count vectors.
     count = (sum(_count_by_total(sizes, budget))
              if size_bound <= GROUP_GENERATOR_CAP else size_bound)
-    if count > GROUP_GENERATOR_CAP:
-        raise ResourceLimitError(
-            f"size bound {size_bound} gives {count} or more generators, over "
-            f"the cap {GROUP_GENERATOR_CAP}; lower the size bound")
+    charge("gtheory.GROUP_GENERATOR_CAP", count, GROUP_GENERATOR_CAP,
+           f"generator count at size bound {size_bound}")
     relations = _PeelRelations(sizes, budget)
     gens = _count_vectors(sizes, budget)
     if len(gens) != count:
@@ -375,21 +373,18 @@ class _ClassIndex:
     The isomorphism class of a module among labelled action tables is the
     orbit of its table under the (s-1)! relabellings that fix the basepoint,
     so a new class memoizes its whole orbit and every later table is one
-    dict lookup.  Work (relabellings here, candidate rows in
-    `_action_tables`) is charged to `budget` before anything is stored.
+    dict lookup.  Work (relabellings here, candidate rows in `_action_tables`)
+    is charged against WORK_BUDGET before anything is stored.
     """
 
-    def __init__(self, budget: float = math.inf) -> None:
+    def __init__(self) -> None:
         self.reps: List[FiniteModule] = []
         self._known: Dict[Tuple[Tuple[int, ...], ...], int] = {}
-        self.budget = budget
         self.spent = 0
 
     def spend(self, work: int) -> None:
         self.spent += work
-        if self.spent > self.budget:
-            raise ResourceLimitError(f"module enumeration passed the work budget "
-                                     f"{self.budget}; lower the size bound")
+        charge("gtheory.WORK_BUDGET", self.spent, WORK_BUDGET, "module enumeration work")
 
     def lookup(self, table: Tuple[Tuple[int, ...], ...]) -> int:
         """Index of the class of the module with this action table."""
@@ -412,22 +407,19 @@ class _ClassIndex:
             self._known[tuple(table)] = i
 
 
-def _enumerate_modules(m: PointedMonoid, size_bound: int,
-                       work_budget: int) -> _ClassIndex:
+def _enumerate_modules(m: PointedMonoid, size_bound: int) -> _ClassIndex:
     """The classes of all modules with carrier size <= bound, in table order.
 
     Every carrier size s has a class (units fix every point, non-units send
     it to the basepoint) whose (s-1)! relabellings are charged, so a bound
-    whose sum of (s-1)! passes the budget is refused before enumerating.
+    whose sum of (s-1)! passes WORK_BUDGET is refused before enumerating.
     """
     floor = 0
     for s in range(1, size_bound + 1):
         floor += math.factorial(s - 1)
-        if floor > work_budget:
-            raise ResourceLimitError(
-                f"size bound {size_bound} needs at least {floor} relabellings, "
-                f"past the work budget {work_budget}; lower the size bound")
-    index = _ClassIndex(work_budget)
+        charge("gtheory.WORK_BUDGET", floor, WORK_BUDGET,
+               f"relabelling count at size bound {size_bound}")
+    index = _ClassIndex()
     for s in range(1, size_bound + 1):
         for table in _action_tables(m, s, index.spend):
             if table not in index._known:
@@ -477,7 +469,7 @@ def _general_g0(m: PointedMonoid, size_bound: int) -> GrothendieckPresentation:
     retraction first); only the other subsets run `is_cofibration`, on an
     inclusion built from the submodule table already written.
     """
-    index = _enumerate_modules(m, size_bound, WORK_BUDGET)
+    index = _enumerate_modules(m, size_bound)
     reps = index.reps
     relations: List[Tuple[Tuple[int, int], ...]] = []
     for i, rep in enumerate(reps):

@@ -7,8 +7,10 @@ Both are evaluated in the ghost ring, one column per subgroup class, with
 no G-set built: lambda from the orbit counts that the subgroup lattice
 gives (`BurnsideRing.orbit_counts`), for effective and virtual classes
 alike, and diamond as a falling factorial of the marks.  Every column
-builder is charged against `GHOST_WORK_CAP` before it starts.  The ring
-axioms are checked against Newton's identities at each ghost coordinate.
+builder is charged against `GHOST_WORK_CAP` before it starts, and
+`lambda_k` of an effective class and `diamond_class` refuse an answer too
+long for Python to print.  The ring axioms are checked against Newton's
+identities at each ghost coordinate.
 The explicit tuple module is `constructions.diamond`; explicit subset
 modules are test oracles (`tests/oracles.py`).
 """
@@ -16,12 +18,15 @@ modules are test oracles (`tests/oracles.py`).
 from __future__ import annotations
 
 import math
+import operator
 import random
-from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+import sys
+from itertools import accumulate, combinations
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .burnside import BurnsideElement, BurnsideRing, linear_dimension
-from .errors import ResourceLimitError
+from .errors import charge
+from .groups import _generating_sequence
 from .modules import FiniteModule
 from .polynomials import composition_rule, product_rule
 from .reports import CheckReport
@@ -40,12 +45,22 @@ __all__ = [
 GHOST_WORK_CAP = 20000000
 
 
-def _charge_ghost_work(ring: BurnsideRing, k: int) -> None:
-    """Refuse ghost columns to degree k past GHOST_WORK_CAP, before any is built."""
-    if ring.rank * k * k > GHOST_WORK_CAP:
-        raise ResourceLimitError(
-            f"ghost columns of rank {ring.rank} to degree {k} pass the cap "
-            f"{GHOST_WORK_CAP} on rank x k^2; lower k")
+def _charge_printable(what: str, growing: Iterable[int], over: int = 1) -> None:
+    """Refuse an answer with a number too long for Python's integer-string limit.
+
+    `growing` never decreases and ends at most `over` times the answer's
+    longest number, so it is read until it reaches 10^limit * over.  The
+    digits of v = value // over are those of 2^(v.bit_length() - 1) or one more.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        stop, value = 10 ** limit * over, 0
+        for value in growing:
+            if value >= stop:
+                break
+        v = value // over
+        d = int((v.bit_length() - 1) * math.log10(2)) + 1
+        charge("sys.get_int_max_str_digits()", d + (v >= 10 ** d), limit, what)
 
 
 def _subset_decompose(ring: BurnsideRing, s: FiniteModule, k: int) -> BurnsideElement:
@@ -56,7 +71,7 @@ def _subset_decompose(ring: BurnsideRing, s: FiniteModule, k: int) -> BurnsideEl
     Orbits are walked under a generating set; stabilizers use every element.
     """
     perms = [[row[g + 1] for row in s.action] for g in range(ring.group.order)]
-    gens = [perms[g] for g in ring.generators]
+    gens = [perms[g] for g in _generating_sequence(ring.group)]
     coeffs = [0] * ring.rank
     seen: set = set()
     for c in map(frozenset, combinations(range(1, s.size), k)):
@@ -88,7 +103,8 @@ def _ghost_series(ring: BurnsideRing, x: BurnsideElement, cap: int) -> List[List
     integral.  The counts are summed class by class over the nonzero
     coefficients of x.
     """
-    _charge_ghost_work(ring, cap)
+    charge("lambda_ops.GHOST_WORK_CAP", ring.rank * cap * cap, GHOST_WORK_CAP,
+           f"ghost work rank x k^2 at k = {cap}")
     exponents: List[Dict[int, int]] = [{} for _ in range(ring.rank)]
     for c, row in zip(x.coeffs, ring.orbit_counts):
         if c:
@@ -116,9 +132,7 @@ def _ghost_series(ring: BurnsideRing, x: BurnsideElement, cap: int) -> List[List
 
 def _carrier_cap(x: BurnsideElement, cap: int) -> int:
     """Operations above the carrier size of an effective class vanish."""
-    if not x.is_effective:
-        return cap
-    return min(cap, linear_dimension(x))
+    return min(cap, linear_dimension(x)) if x.is_effective else cap
 
 
 def lambda_k(ring: BurnsideRing, x: BurnsideElement, k: int) -> BurnsideElement:
@@ -127,6 +141,14 @@ def lambda_k(ring: BurnsideRing, x: BurnsideElement, k: int) -> BurnsideElement:
         raise ValueError("lambda needs k >= 0")
     if k > _carrier_cap(x, k):
         return ring.zero()
+    if x.is_effective:
+        # the answer's c_i satisfy sum c_i |G:H_i| = C(n, k), and C(n, j)
+        # grows with j <= n / 2
+        n = linear_dimension(x)
+        _charge_printable("digit count of the largest coefficient",
+                          accumulate(range(1, min(k, n - k) + 1),
+                                     lambda c, j: c * (n - j + 1) // j, initial=1),
+                          sum(ring.coset_sizes))
     return ring.from_marks([col[k] for col in _ghost_series(ring, x, k)])
 
 
@@ -156,7 +178,10 @@ def diamond_class(ring: BurnsideRing, x: BurnsideElement,
     n = linear_dimension(x)
     if k > n:
         return 1, ring.zero()
-    _charge_ghost_work(ring, k)
+    charge("lambda_ops.GHOST_WORK_CAP", ring.rank * k * k, GHOST_WORK_CAP,
+           f"ghost work rank x k^2 at k = {k}")
+    _charge_printable("digit count of the carrier size", (
+        1 + p for p in accumulate(range(n, n - k, -1), operator.mul, initial=1)))
     return 1 + math.perm(n, k), ring.from_marks([math.perm(m, k) for m in x.marks()])
 
 
@@ -164,13 +189,8 @@ def _geometric_values(ring: BurnsideRing, x: BurnsideElement,
                       cap: int) -> List[BurnsideElement]:
     """Operations 0..cap computed directly on subsets of one realization."""
     realization = ring.realize(x)
-    values = [ring.one()]
-    for k in range(1, cap + 1):
-        if k > realization.size - 1:
-            values.append(ring.zero())
-        else:
-            values.append(_subset_decompose(ring, realization, k))
-    return values
+    return [ring.one()] + [_subset_decompose(ring, realization, k) if k < realization.size
+                           else ring.zero() for k in range(1, cap + 1)]
 
 
 def verify_pre_lambda(ring: BurnsideRing, cap: int, trials: int,

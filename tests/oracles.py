@@ -640,7 +640,7 @@ def object_relation_rows(m: PointedMonoid, size_bound: int
     module, tested with `is_cofibration`, and its submodule and quotient
     are classified through the class memo.
     """
-    index = _enumerate_modules(m, size_bound, 10 ** 6)
+    index = _enumerate_modules(m, size_bound)
     rows = []
     for i, rep in enumerate(index.reps):
         for subset in _action_closed_subsets(rep):
@@ -987,7 +987,7 @@ def orbit_lengths_by_cosets(ring: BurnsideRing) -> Tuple[Tuple[Tuple[int, ...], 
     sorted ascending, walked on the coset module of each class."""
     reps = ring.classification.representatives
     table = []
-    for coset in ring.cosets:
+    for coset in map(ring._coset, range(ring.rank)):
         row = []
         for k_rep in reps:
             seen: set = set()
@@ -1230,7 +1230,7 @@ def monoid_homs(src: PointedMonoid, dst: PointedMonoid) -> Tuple[MonoidHom, ...]
 
 @lru_cache(maxsize=None)
 def _small_modules(m: PointedMonoid, max_size: int) -> Tuple[FiniteModule, ...]:
-    return tuple(_enumerate_modules(m, max_size, 200000).reps)
+    return tuple(_enumerate_modules(m, max_size).reps)
 
 
 def random_module(m: PointedMonoid, rng: random.Random,

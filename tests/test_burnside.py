@@ -34,7 +34,7 @@ def _explicit_marks(ring):
     return [[sum(1 for x in range(1, coset.size)
                  if all(coset.action[x][g + 1] == x for g in k.elements))
              for k in ring.classification.representatives]
-            for coset in ring.cosets]
+            for coset in map(ring._coset, range(ring.rank))]
 
 
 # every library group has order <= 24
@@ -54,9 +54,9 @@ def test_marks_diagonal_is_weyl_order(name):
 
 def test_cosets_are_built_on_first_use():
     ring = BurnsideRing(build_group(name="S3"))
-    assert "cosets" not in vars(ring)
-    assert [c.size for c in ring.cosets] == [7, 4, 3, 2]
-    assert "cosets" in vars(ring)
+    assert ring._cosets == {}
+    assert [ring._coset(i).size for i in range(ring.rank)] == [7, 4, 3, 2]
+    assert ring._coset(0) is ring._cosets[0]
 
 
 def test_marks_first_column_is_index():
@@ -197,7 +197,7 @@ def test_ring_of_a_proper_subgroup_builds_no_g_set():
     c3 = build_burnside(group, (0, 2, 5))
     assert (c3.order, c3.rank, c3.marks) == (3, 2, ((3, 0), (1, 1)))
     # cosets would be G/M, not H/M
-    for build in (lambda: c3.cosets, lambda: c3.realize(c3.one()),
+    for build in (lambda: c3._coset(0), lambda: c3.realize(c3.one()),
                   lambda: c3.decompose(free_module(group_monoid(group), 1))):
         with pytest.raises(ValueError, match="whole group|different group"):
             build()

@@ -221,7 +221,7 @@ def test_g0_bound_above_generator_cap_exits_2(capsys):
     code, out, err = run_cli(capsys, "g0", "--group", "S3", "--bound", "200")
     assert code == 2
     assert out == ""
-    assert "cap 150000" in err
+    assert "past gtheory.GROUP_GENERATOR_CAP = 150000" in err
 
 
 def test_g0_work_budget_exits_2(capsys, tmp_path):
@@ -234,7 +234,8 @@ def test_g0_work_budget_exits_2(capsys, tmp_path):
     assert time.perf_counter() - started < 1.0
     assert code == 2
     assert out == ""
-    assert "past the work budget 1000000" in err
+    assert err == ("resource limit: relabelling count at size bound 100000 "
+                   "reaches 4037914, past gtheory.WORK_BUDGET = 1000000\n")
 
 
 # bounds 6 (the `g0-monoid3` bench case), 7 and 8 over the idempotent monoid
@@ -503,8 +504,10 @@ def test_zero_counts_are_accepted(capsys, command, flag):
     assert "overall: pass" in out
 
 
-@pytest.mark.parametrize("flag,value,cap", [("--k-cap", "5", "k <= 4"),
-                                            ("--l-cap", "4", "l <= 3")])
+@pytest.mark.parametrize("flag,value,cap", [
+    ("--k-cap", "5", "--k-cap reaches 5, past polynomials.MAX_PRODUCT_K = 4"),
+    ("--l-cap", "4", "--l-cap reaches 4, past polynomials.MAX_COMPOSITION_L = 3"),
+], ids=["k-cap", "l-cap"])
 def test_lambda_verify_refuses_over_cap_before_building_ring(
         capsys, monkeypatch, flag, value, cap):
     def refuse(*args, **kwargs):
@@ -514,7 +517,7 @@ def test_lambda_verify_refuses_over_cap_before_building_ring(
     code, _, err = run_cli(capsys, "lambda-verify", "--group", "C5",
                            flag, value)
     assert code == 2
-    assert cap in err
+    assert err == f"resource limit: {cap}\n"
 
 
 def test_lambda_verify_odd_cyclic(capsys):
@@ -578,18 +581,20 @@ def test_group_past_order_cap_exits_2(capsys, tmp_path):
     path.write_text(json.dumps(
         {"cayley": [[(a + b) % 1025 for b in range(1025)] for a in range(1025)]}))
     for argv, message in [
-            (["--group-json", str(path)], "order 1025 exceeds cap 1024"),
+            (["--group-json", str(path)], "group order reaches 1025"),
             (["--generators", "(1 2);(1 2 3 4 5 6 7)", "--degree", "7"],
-             "generated group exceeds order cap 1024")]:
+             "generated group order reaches 1025")]:
         code, out, err = run_cli(capsys, "subgroups", *argv)
-        assert (code, out, err) == (2, "", f"resource limit: {message}\n")
+        assert (code, out, err) == (
+            2, "", f"resource limit: {message}, past groups.ORDER_CAP = 1024\n")
 
 
 def test_subgroup_lattice_past_order_64_exits_2(capsys):
     code, out, err = run_cli(capsys, "subgroups", "--generators",
                              "(1 2 3 4);(1 2);(5 6 7)", "--degree", "7")
     assert (code, out) == (2, "")
-    assert err == "resource limit: subgroup enumeration supports order <= 64, got 72\n"
+    assert err == ("resource limit: group order for the subgroup lattice reaches "
+                   "72, past groups.SUBGROUP_ENUMERATION_LIMIT = 64\n")
 
 
 def test_ghost_work_cap_refuses_before_any_column_is_built(capsys, monkeypatch):
@@ -603,11 +608,14 @@ def test_ghost_work_cap_refuses_before_any_column_is_built(capsys, monkeypatch):
     cap = lambda_ops.GHOST_WORK_CAP
     # rank 2: the least k past the cap, on 10**6 points and on a virtual class
     past = math.isqrt(cap // 2) + 1
-    for argv in (["diamond", "--element", "[0,1000000]", "--k", str(past)],
-                 ["lambda", "--element", "[1,-1]", "--k", "100000"]):
+    for argv, work in ((["diamond", "--element", "[0,1000000]", "--k", str(past)],
+                        2 * past * past),
+                       (["lambda", "--element", "[1,-1]", "--k", "100000"],
+                        2 * 10 ** 10)):
         code, out, err = run_cli(capsys, argv[0], "--group", "C2", *argv[1:])
         assert (code, out) == (2, "")
-        assert f"pass the cap {cap} on rank x k^2" in err
+        assert err == (f"resource limit: ghost work rank x k^2 at k = {argv[-1]} "
+                       f"reaches {work}, past lambda_ops.GHOST_WORK_CAP = {cap}\n")
     # an answer known without a column is not charged: k above the points
     monkeypatch.setattr(lambda_ops, "GHOST_WORK_CAP", 0)
     code, out, err = run_cli(capsys, "diamond", "--group", "C2",
@@ -618,6 +626,85 @@ def test_ghost_work_cap_refuses_before_any_column_is_built(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "lambda", "--group", "C2",
                              "--element", "[2,1]", "--k", "6")
     assert (code, out, err) == (0, "[0,0]\n", "")
+
+
+def test_unprintable_answers_refuse_before_any_column_is_built(capsys, monkeypatch):
+    def build_nothing(*args):
+        raise AssertionError("a ghost column or a G-set was built")
+
+    monkeypatch.setattr(BurnsideRing, "marks_of", build_nothing)
+    monkeypatch.setattr(BurnsideRing, "orbit_counts", property(build_nothing))
+    monkeypatch.setattr(BurnsideRing, "realize", build_nothing)
+    limit = sys.get_int_max_str_digits()
+    # both within GHOST_WORK_CAP; 10**6 points give about 19,000 and 4,900 digits
+    for argv, what in ((["diamond", "--k", "3162"], "carrier size"),
+                       (["lambda", "--k", "1500"], "largest coefficient")):
+        code, out, err = run_cli(capsys, argv[0], "--group", "C2",
+                                 "--element", "[0,1000000]", *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"resource limit: digit count of the {what} reaches ")
+        assert err.endswith(f", past sys.get_int_max_str_digits() = {limit}\n")
+
+
+def test_integer_string_refusal_is_exact_on_the_trivial_group(capsys):
+    # on C1 the answer at k is the carrier 1 + perm(n, k) for diamond and the
+    # coefficient C(n, k) for lambda, so the last printable k runs and the
+    # next is refused
+    limit, n = sys.get_int_max_str_digits(), 10 ** 6
+    for command, value in (("diamond", lambda k: 1 + math.perm(n, k)),
+                           ("lambda", lambda k: math.comb(n, k))):
+        k = 1
+        while value(k + 1) < 10 ** limit:
+            k += 1
+        code, out, err = run_cli(capsys, command, "--group", "C1",
+                                 "--element", f"[{n}]", "--k", str(k))
+        assert (code, err) == (0, ""), command
+        assert str(value(k)) in out
+        code, out, err = run_cli(capsys, command, "--group", "C1",
+                                 "--element", f"[{n}]", "--k", str(k + 1))
+        assert (code, out) == (2, ""), command
+        # the refused value is the first one too long, so its count is exact
+        digits = len(str(value(k + 1) // 10 ** 100)) + 100
+        assert err.endswith(f"reaches {digits}, "
+                            f"past sys.get_int_max_str_digits() = {limit}\n")
+
+
+MONOID3_JSON = os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                            "monoid3.json")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["g0", "--monoid-json", MONOID3_JSON, "--group", "S3"],
+     "--monoid-json takes no --group"),
+    (["g0", "--monoid-json", MONOID3_JSON, "--generators", "(1 2)", "--degree", "2"],
+     "--monoid-json takes no --generators"),
+    (["g0", "--monoid-json", MONOID3_JSON, "--degree", "5"],
+     "--monoid-json takes no --degree"),
+    (["marks", "--group", "S3", "--degree", "5"],
+     "--degree is read only with --generators"),
+    (["g0", "--group", "S3", "--degree", "5"],
+     "--degree is read only with --generators"),
+], ids=["monoid-group", "monoid-generators", "monoid-degree", "marks-degree",
+        "g0-degree"])
+def test_flags_that_would_do_nothing_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("rung,bound,count", [
+    ("S4xC2", 51, 124577586), ("D4xC2^3", 67, 8953369348488159947676501444)])
+def test_suite_refuses_a_rung_before_any_stage(capsys, monkeypatch, rung, bound, count):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a suite stage ran before the g0 cap was charged")
+
+    monkeypatch.setattr("f1gtheory.cli.verify_pre_lambda", no_stage)
+    monkeypatch.setattr("f1gtheory.cli._run_mackey_checks", no_stage)
+    generators, degree = RUNGS[rung]
+    code, out, err = run_cli(capsys, "suite", "--generators", ";".join(generators),
+                             "--degree", str(degree))
+    assert (code, out) == (2, "")
+    assert err == (f"resource limit: generator count at size bound {bound} reaches "
+                   f"{count}, past gtheory.GROUP_GENERATOR_CAP = 150000\n")
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -631,7 +718,7 @@ def test_ghost_operations_refuse_their_inputs_at_the_library(capsys, argv, messa
 
 
 def test_degree_past_cap_exits_2_before_allocating(capsys, tmp_path, monkeypatch):
-    cap = groups.MAX_PERMUTATION_DEGREE
+    cap = groups.ORDER_CAP
 
     def sized_range(*args):
         if max(args) > cap:
@@ -641,13 +728,13 @@ def test_degree_past_cap_exits_2_before_allocating(capsys, tmp_path, monkeypatch
     monkeypatch.setattr(groups, "range", sized_range, raising=False)
     path = tmp_path / "group.json"
     path.write_text(json.dumps({"generators": ["(1 2)"], "degree": 300000}))
-    for argv in (["--generators", "(1 2)", "--degree", "300000"],
-                 ["--generators", ";", "--degree", str(cap + 1)],
-                 ["--group-json", str(path)]):
+    for argv, degree in ((["--generators", "(1 2)", "--degree", "300000"], 300000),
+                         (["--generators", ";", "--degree", str(cap + 1)], cap + 1),
+                         (["--group-json", str(path)], 300000)):
         code, out, err = run_cli(capsys, "subgroups", *argv)
-        assert code == 2, argv
-        assert out == ""
-        assert f"permutation degree cap {cap}" in err
+        assert (code, out) == (2, ""), argv
+        assert err == (f"resource limit: permutation degree reaches {degree}, "
+                       f"past groups.ORDER_CAP = {cap}\n")
     code, out, _ = run_cli(capsys, "subgroups", "--generators", "(1 2)",
                            "--degree", str(cap))
     assert code == 0

@@ -147,10 +147,12 @@ def test_group_from_json_shapes():
 
 def test_order_cap_enforced(monkeypatch):
     monkeypatch.setattr(groups, "ORDER_CAP", 12)
-    with pytest.raises(ResourceLimitError, match="^order 24 exceeds cap 12$"):
+    with pytest.raises(ResourceLimitError,
+                       match=r"^group order reaches 24, past groups\.ORDER_CAP = 12$"):
         group_from_json({"cayley": [list(r) for r in build_group(name="C24").cayley]})
     with pytest.raises(ResourceLimitError,
-                       match="^generated group exceeds order cap 12$"):
+                       match=r"^generated group order reaches 13, "
+                             r"past groups\.ORDER_CAP = 12$"):
         group_from_json({"generators": ["(1 2 3 4)", "(1 2)"], "degree": 4})
     assert group_from_json({"generators": ["(1 2 3 4 5 6)", "(1 6)(2 5)(3 4)"],
                             "degree": 6}).order == 12

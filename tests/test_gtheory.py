@@ -211,7 +211,7 @@ def test_general_rows_match_object_oracle():
 
 def test_collapse_first_matches_is_cofibration():
     for m, bound in ((IDEMPOTENT, 6),) + GOLDEN_MONOIDS:
-        for rep in gtheory._enumerate_modules(m, bound, 10 ** 6).reps:
+        for rep in gtheory._enumerate_modules(m, bound).reps:
             for subset in gtheory._action_closed_subsets(rep):
                 sub, quot, collapse = gtheory._split_tables(rep, subset)
                 incl = submodule_inclusion(rep, subset)
@@ -234,10 +234,13 @@ def test_g0_generator_cap_refuses_before_enumerating(monkeypatch):
     monkeypatch.setattr(gtheory, "GROUP_GENERATOR_CAP", 10)
     monkeypatch.setattr(gtheory, "_count_vectors", enumerate_nothing)
     m = group_monoid(build_group(name="C2"))
-    with pytest.raises(ResourceLimitError, match="cap 10"):
+    with pytest.raises(ResourceLimitError, match=r"^generator count at size bound 6 "
+                       r"reaches 12, past gtheory\.GROUP_GENERATOR_CAP = 10$"):
         g0_presentation(m, 6)  # 12 count vectors of total size <= 5
-    with pytest.raises(ResourceLimitError, match="cap 10"):
-        g0_presentation(m, 10 ** 12)  # refused without an O(bound) count
+    # refused without an O(bound) count: G/G alone gives 10^12 count vectors
+    with pytest.raises(ResourceLimitError, match=r"bound 1000000000000 reaches "
+                       r"1000000000000, past gtheory\.GROUP_GENERATOR_CAP = 10$"):
+        g0_presentation(m, 10 ** 12)
 
 
 def test_g0_generator_count_is_exact_at_the_cap(monkeypatch):
@@ -256,13 +259,15 @@ def test_g0_nongroup_monoid_runs():
 def test_g0_work_budget(monkeypatch):
     monkeypatch.setattr(gtheory, "WORK_BUDGET", 10)
     nil = PointedMonoid(3, ((0, 0, 0), (0, 1, 2), (0, 2, 0)))
-    with pytest.raises(ResourceLimitError, match="work budget 10;"):
-        g0_presentation(nil, 9)
+    with pytest.raises(ResourceLimitError, match=r"^relabelling count at size bound 9 "
+                       r"reaches 34, past gtheory\.WORK_BUDGET = 10$"):
+        g0_presentation(nil, 9)  # 0! + 1! + 2! + 3! + 4!
 
 
 def test_g0_work_budget_refuses_large_bound_at_once():
     started = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match="past the work budget 1000000"):
+    with pytest.raises(ResourceLimitError, match=r"reaches 4037914, "
+                       r"past gtheory\.WORK_BUDGET = 1000000$"):  # 0! + ... + 10!
         g0_presentation(IDEMPOTENT, 10 ** 5)
     assert time.perf_counter() - started < 1.0
 
@@ -271,19 +276,24 @@ def test_work_budget_stores_nothing_past_it(monkeypatch):
     made = []
 
     class Recording(gtheory._ClassIndex):
-        def __init__(self, budget):
-            super().__init__(budget)
+        def __init__(self):
+            super().__init__()
             made.append(self)
 
     monkeypatch.setattr(gtheory, "_ClassIndex", Recording)
-    full = gtheory._enumerate_modules(IDEMPOTENT, 6, 10 ** 6)
-    assert gtheory._enumerate_modules(IDEMPOTENT, 6, full.spent).reps == full.reps
-    with pytest.raises(ResourceLimitError, match="at least 154 relabellings"):
-        gtheory._enumerate_modules(IDEMPOTENT, 6, 153)  # 0! + 1! + ... + 5!
+    full = gtheory._enumerate_modules(IDEMPOTENT, 6)
+    monkeypatch.setattr(gtheory, "WORK_BUDGET", full.spent)
+    assert gtheory._enumerate_modules(IDEMPOTENT, 6).reps == full.reps
+    monkeypatch.setattr(gtheory, "WORK_BUDGET", 153)
+    with pytest.raises(ResourceLimitError, match=r"^relabelling count at size bound 6 "
+                       r"reaches 154, past gtheory\.WORK_BUDGET = 153$"):
+        gtheory._enumerate_modules(IDEMPOTENT, 6)  # 0! + 1! + ... + 5!
     assert len(made) == 2
     for budget in (full.spent - 1, full.spent // 2, 200, 154):
-        with pytest.raises(ResourceLimitError, match=f"work budget {budget};"):
-            gtheory._enumerate_modules(IDEMPOTENT, 6, budget)
+        monkeypatch.setattr(gtheory, "WORK_BUDGET", budget)
+        with pytest.raises(ResourceLimitError, match=r"^module enumeration work "
+                           rf"reaches \d+, past gtheory\.WORK_BUDGET = {budget}$"):
+            gtheory._enumerate_modules(IDEMPOTENT, 6)
         cut = made[-1]
         # each stored class was charged its (s-1)! relabellings within the
         # budget, and holds exactly its orbit in the complete memo
@@ -301,7 +311,7 @@ def test_pruned_enumeration_matches_product_order():
         for s in range(1, bound + 1):
             assert list(gtheory._action_tables(m, s)) == \
                 list(product_order_tables(m, s)), (m.mul, s)
-        reps = gtheory._enumerate_modules(m, bound, 10 ** 6).reps
+        reps = gtheory._enumerate_modules(m, bound).reps
         assert [r.action for r in reps] == \
             [r.action for r in enumerate_modules_pairwise(m, bound)], m.mul
 
@@ -309,7 +319,7 @@ def test_pruned_enumeration_matches_product_order():
 
 def test_class_index_agrees_with_pairwise_scan():
     for m in monoid_pool(max_size=4):
-        index = gtheory._enumerate_modules(m, 4, 10 ** 6)
+        index = gtheory._enumerate_modules(m, 4)
         reps = index.reps
         fresh = gtheory._ClassIndex()
         for rep in reps:
@@ -330,8 +340,8 @@ def test_class_index_agrees_with_pairwise_scan():
 
 
 def test_class_index_refuses_an_unseen_class():
-    index = gtheory._enumerate_modules(IDEMPOTENT, 2, 10 ** 6)
-    big = gtheory._enumerate_modules(IDEMPOTENT, 3, 10 ** 6).reps[-1]
+    index = gtheory._enumerate_modules(IDEMPOTENT, 2)
+    big = gtheory._enumerate_modules(IDEMPOTENT, 3).reps[-1]
     with pytest.raises(InternalCheckError, match="missing from enumeration"):
         index.lookup(big.action)
 
@@ -342,7 +352,7 @@ def test_g0_monoid3_enumeration_makes_no_isomorphism_calls(monkeypatch):
 
     assert not hasattr(gtheory, "are_isomorphic")
     monkeypatch.setattr(constructions, "are_isomorphic", refuse)
-    index = gtheory._enumerate_modules(IDEMPOTENT, 6, 10 ** 6)
+    index = gtheory._enumerate_modules(IDEMPOTENT, 6)
     # the memo holds every valid labelled table, and nothing else
     tables = [t for s in range(1, 7) for t in gtheory._action_tables(IDEMPOTENT, s)]
     assert len(index._known) == len(tables) == 673

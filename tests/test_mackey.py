@@ -406,11 +406,11 @@ def test_restrict_and_induce_match_module_oracle():
                              (0,) + tuple(e + 1 for e in sub.embedding))
             for i in range(ring.rank):
                 restricted = sub.ring.decompose(
-                    restrict_scalars(incl, ring.cosets[i]))
+                    restrict_scalars(incl, ring._coset(i)))
                 assert restrict(ctx, ring.basis_element(i)) == \
                     carry(restricted, to_ctx, ctx.ring), (name, rep.elements, i)
             for i in range(ctx.ring.rank):
-                induced = base_change(incl, sub.ring.cosets[to_ctx.index(i)])
+                induced = base_change(incl, sub.ring._coset(to_ctx.index(i)))
                 assert induce(ctx, ctx.ring.basis_element(i)) == \
                     ring.decompose(induced), (name, rep.elements, i)
 

@@ -4,7 +4,8 @@ A CLI process imports every engine layer and nothing else; `import
 f1gtheory` alone imports no submodule; every public name has a caller, is
 a library construction, or is listed below with its reason; the parser
 that `main` builds for one subcommand prints what the full parser prints;
-and the README lists every resource limit with the value the code holds.
+and the README lists every resource limit with the value the code holds,
+and only `errors.charge` raises `ResourceLimitError`.
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ def test_main_parses_like_the_full_parser(capsys, argv):
 
 # Every resource limit, by the module that reads it.
 LIMITS = {
-    "groups": ("ORDER_CAP", "MAX_PERMUTATION_DEGREE", "SUBGROUP_ENUMERATION_LIMIT"),
+    "groups": ("ORDER_CAP", "SUBGROUP_ENUMERATION_LIMIT"),
     "gtheory": ("GROUP_GENERATOR_CAP", "WORK_BUDGET"),
     "polynomials": ("MAX_PRODUCT_K", "MAX_COMPOSITION_L"),
     "lambda_ops": ("GHOST_WORK_CAP",),
@@ -215,3 +216,19 @@ def test_readme_lists_every_limit_with_its_value():
         listed[module, name] = int(value)
     assert listed == {(module, name): getattr(import_module(f"f1gtheory.{module}"), name)
                       for module, names in LIMITS.items() for name in names}
+
+
+def test_only_charge_raises_resource_limit_error():
+    package = os.path.join(SRC, "f1gtheory")
+    raising = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "ResourceLimitError":
+                    raising.append(name)
+    assert raising == ["errors.py"]

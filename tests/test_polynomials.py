@@ -168,9 +168,10 @@ def test_lambda_verify_odd_cyclic_at_top_caps(capsys):
     assert "overall: pass" in out
 
 
-PRODUCT_CAP = f"error: product rule supports 1 <= k <= {MAX_PRODUCT_K}\n"
-COMPOSITION_CAP = (f"error: composition rule supports k <= {MAX_PRODUCT_K}, "
-                   f"l <= {MAX_COMPOSITION_L}\n")
+PRODUCT_CAP = ("resource limit: --k-cap reaches {k}, "
+               f"past polynomials.MAX_PRODUCT_K = {MAX_PRODUCT_K}\n")
+COMPOSITION_CAP = ("resource limit: --l-cap reaches {l}, "
+                   f"past polynomials.MAX_COMPOSITION_L = {MAX_COMPOSITION_L}\n")
 
 
 def test_caps_enforced(capsys, monkeypatch):
@@ -186,7 +187,8 @@ def test_caps_enforced(capsys, monkeypatch):
         code = main(["lambda-verify", "--group", "C3", "--k-cap", str(k_cap),
                      "--l-cap", str(l_cap)])
         out, stderr = capsys.readouterr()
-        assert (code, out, stderr) == (2, "", err), (k_cap, l_cap)
+        assert (code, out, stderr) == (2, "", err.format(k=k_cap, l=l_cap)), \
+            (k_cap, l_cap)
 
 
 @pytest.mark.parametrize("k_cap,l_cap", [(1, 4), (0, 9)])
