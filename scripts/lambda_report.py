@@ -21,13 +21,16 @@ from f1gtheory.groups import build_group, is_odd_cyclic, library_names
 from f1gtheory.lambda_ops import verify_lambda_ring, verify_pre_lambda
 
 
+# the degrees surveyed: lambda^k for k <= K_CAP, lambda^l inside for l <= L_CAP
+K_CAP = 3
+L_CAP = 2
+
+
 @dataclass(frozen=True)
 class ReportConfig:
     max_order: int = 10
     trials: int = 20
     seed: int = 7
-    k_cap: int = 3
-    l_cap: int = 2
 
 
 def run(config: ReportConfig) -> int:
@@ -40,7 +43,7 @@ def run(config: ReportConfig) -> int:
         rng = random.Random(config.seed)
         pre = verify_pre_lambda(ring, 4, config.trials, rng)
         unit, product, composition = verify_lambda_ring(
-            ring, config.k_cap, config.l_cap, config.trials,
+            ring, K_CAP, L_CAP, config.trials,
             random.Random(config.seed + 1))
         rows.append((name, group.order, is_odd_cyclic(group), pre.passed,
                      unit.passed, product.passed, composition.passed))

@@ -286,19 +286,19 @@ def _run_mackey_checks(group: FiniteGroup, trials: int,
     reps = ring.classification.representatives
     dc = CheckReport("double coset formula")
     for h in reps:
-        h_ring = subgroup_context(group, h.elements).ring
+        h_ctx = subgroup_context(group, h.elements)
         for k in reps:
             plan = double_coset_plan(group, h.elements, k.elements)
             failing = plan.failures()
-            for i in range(h_ring.rank):
+            for i in range(h_ctx.ring.rank):
                 dc.record(i not in failing, lambda: plan.check(
-                    h_ring.basis_element(i)).to_json())
+                    h_ctx.ring.basis_element(i)).to_json())
+        h_ctx._inner.clear()  # the contexts inside H serve only H's pairs
     fr = CheckReport("Frobenius reciprocity")
     for _ in range(trials):
         h = reps[rng.randrange(len(reps))]
-        ctx = subgroup_context(group, h.elements)
         x = random_element(ring, rng)
-        y = random_element(ctx.ring, rng)
+        y = random_element(subgroup_context(group, h.elements).ring, rng)
         report = check_frobenius(group, h.elements, x, y)
         fr.record(report.ok, report.to_json)
     green = green_morphism_check(group)

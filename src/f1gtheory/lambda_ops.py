@@ -8,9 +8,9 @@ no G-set built: lambda from the orbit counts that the subgroup lattice
 gives (`BurnsideRing.orbit_counts`), for effective and virtual classes
 alike, and diamond as a falling factorial of the marks.  Every column
 builder is charged against `GHOST_WORK_CAP` before it starts, and
-`lambda_k` of an effective class and `diamond_class` refuse an answer too
-long for Python to print.  The ring axioms are checked against Newton's
-identities at each ghost coordinate.
+`lambda_k` and `diamond_class` refuse an answer too long for Python to
+print.  The ring axioms are checked against Newton's identities at each
+ghost coordinate.
 The explicit tuple module is `constructions.diamond`; explicit subset
 modules are test oracles (`tests/oracles.py`).
 """
@@ -49,8 +49,9 @@ def _charge_printable(what: str, growing: Iterable[int], over: int = 1) -> None:
     """Refuse an answer with a number too long for Python's integer-string limit.
 
     `growing` never decreases and ends at most `over` times the answer's
-    longest number, so it is read until it reaches 10^limit * over.  The
-    digits of v = value // over are those of 2^(v.bit_length() - 1) or one more.
+    longest number (a bound on its marks for lambda of a virtual class), so
+    it is read until it reaches 10^limit * over.  The digits of
+    v = value // over are those of 2^(v.bit_length() - 1) or one more.
     """
     limit = sys.get_int_max_str_digits()
     if limit:
@@ -149,7 +150,16 @@ def lambda_k(ring: BurnsideRing, x: BurnsideElement, k: int) -> BurnsideElement:
                           accumulate(range(1, min(k, n - k) + 1),
                                      lambda c, j: c * (n - j + 1) // j, initial=1),
                           sum(ring.coset_sizes))
-    return ring.from_marks([col[k] for col in _ghost_series(ring, x, k)])
+    else:
+        # a mark of the answer is [t^k] of a product of (1 + t^L)^e_L with
+        # sum |e_L| <= n, so at most [t^k] (1 - t)^-n = C(n + k - 1, k)
+        n = linear_dimension(ring.element([abs(c) for c in x.coeffs]))
+        _charge_printable("digit count of the mark bound C(n + k - 1, k)", accumulate(
+            range(1, k + 1), lambda c, j: c * (n + j - 1) // j, initial=1))
+    value = ring.from_marks([col[k] for col in _ghost_series(ring, x, k)])
+    # back-substitution may still grow a coefficient past its marks
+    _charge_printable("digit count of the largest coefficient", [max(map(abs, value.coeffs))])
+    return value
 
 
 def lambda_series(ring: BurnsideRing, x: BurnsideElement,

@@ -6,7 +6,7 @@ Transformation Groups and Representation Theory, LNM 766, section 1).
 
 The double coset formula Res_K Ind_H y = sum over KgH of Ind Transport Res y
 is checked through one `DoubleCosetPlan` per (H, K) pair, which holds the
-part of the right side that does not depend on y.
+y-independent part of the right side; both sides read restriction tables.
 """
 
 from __future__ import annotations
@@ -55,16 +55,15 @@ class SubgroupContext(_Record):
                      for rep in self.ring.classification.representatives)
 
     @cached_property
-    def _restricted(self) -> Dict[int, BurnsideElement]:
-        return {}
+    def restriction(self) -> Tuple[Tuple[int, ...], ...]:
+        """Row i: the coefficients of Res of outer basis element i, one from_marks each."""
+        return tuple(self.ring.from_marks([marks.get(j, 0) for j in self.class_map]).coeffs
+                     for marks in map(dict, self.outer_ring.rows))
 
-    def restricted_basis(self, i: int) -> BurnsideElement:
-        """Res of outer basis element i, memoized on first use of each i."""
-        memo = self._restricted
-        if i not in memo:
-            row = dict(self.outer_ring.rows[i])
-            memo[i] = self.ring.from_marks([row.get(j, 0) for j in self.class_map])
-        return memo[i]
+    @cached_property
+    def _inner(self) -> Dict[Tuple[int, ...], "SubgroupContext"]:
+        """The contexts inside this one that its double coset plans use."""
+        return {}
 
 
 def subgroup_context(ambient: FiniteGroup, elements: Sequence[int],
@@ -202,12 +201,11 @@ class DoubleCosetPlan(_Record):
         """Both sides of the formula on basis element i of A(H)."""
         rhs = [0] * self.k_ctx.ring.rank
         for inner, to_k in self.terms:
-            for j, v in enumerate(inner.restricted_basis(i).coeffs):
+            for j, v in enumerate(inner.restriction[i]):
                 if v:
                     rhs[to_k[j]] += v
         # Ind_H sends basis element i of A(H) to basis element G/L of A(G)
-        lhs = self.k_ctx.restricted_basis(self.h_ctx.class_map[i]).coeffs
-        return lhs, tuple(rhs)
+        return self.k_ctx.restriction[self.h_ctx.class_map[i]], tuple(rhs)
 
     def failures(self) -> List[int]:
         """The indices of the basis elements of A(H) that fail, in one pass."""
@@ -230,6 +228,15 @@ class DoubleCosetPlan(_Record):
                                  tuple(lhs), tuple(rhs))
 
 
+def _inner_context(h_ctx: SubgroupContext, elements: Tuple[int, ...]) -> SubgroupContext:
+    """A context inside H: kept on H's context, or the top-level one when H is G."""
+    if len(h_ctx.elements) == h_ctx.ambient.order:
+        return _context(h_ctx.ambient, elements, h_ctx.elements)
+    if elements not in h_ctx._inner:
+        h_ctx._inner[elements] = SubgroupContext(h_ctx.ambient, elements, h_ctx.elements)
+    return h_ctx._inner[elements]
+
+
 def double_coset_plan(group: FiniteGroup, h_elements: Sequence[int],
                       k_elements: Sequence[int]) -> DoubleCosetPlan:
     """Build the right-hand side of the double coset formula for (H, K)."""
@@ -243,7 +250,7 @@ def double_coset_plan(group: FiniteGroup, h_elements: Sequence[int],
         conj = group.conjugations[g]
         lower_h = tuple(e for e in h_ctx.elements if conj[e] in k_set)
         # H cap g^-1 K g inside H, carried by g onto K cap g H g^-1
-        inner_h = _context(group, lower_h, h_ctx.elements)
+        inner_h = _inner_context(h_ctx, lower_h)
         images = _images(inner_h.ring, conj)
         _class_bijection(images, _classify(group, tuple(sorted([conj[e] for e in lower_h]))))
         terms.append((inner_h, tuple(map(class_of.__getitem__, images))))
@@ -303,11 +310,10 @@ def green_morphism_check(group: FiniteGroup):
     """
     report = CheckReport("linearization dimension commutes with restriction")
     ring = build_burnside(group)
-    dims = [linear_dimension(ring.basis_element(i)) for i in range(ring.rank)]
     for rep in ring.classification.representatives:
         ctx = subgroup_context(group, rep.elements)
-        for i, dim in enumerate(dims):
-            below = linear_dimension(ctx.restricted_basis(i))
+        for i, (dim, row) in enumerate(zip(ring.coset_sizes, ctx.restriction)):
+            below = sum(c * s for c, s in zip(row, ctx.ring.coset_sizes))
             # restriction keeps the underlying carrier, hence the dimension
             report.record(below == dim, lambda: {
                 "subgroup": list(rep.elements), "basis_index": i,

@@ -10,6 +10,7 @@ trusted.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
@@ -256,17 +257,8 @@ def free_module(m: PointedMonoid, rank: int) -> FiniteModule:
     """Wedge of `rank` copies of the monoid acting on itself."""
     if rank < 0:
         raise ValueError("rank must be >= 0")
-    block = m.size - 1
-    size = 1 + rank * block
-    action = [[0] * m.size]
-    for j in range(rank):
-        for x in range(1, m.size):
-            row = []
-            for n in range(m.size):
-                v = m.mul[x][n]
-                row.append(0 if v == 0 else 1 + j * block + (v - 1))
-            action.append(row)
-    return _derived(FiniteModule, m, size, tuple(tuple(r) for r in action))
+    regular = _derived(FiniteModule, m, m.size, m.mul)
+    return wedge([regular] * rank) if rank else zero_module(m)
 
 
 def wedge(mods: Sequence[FiniteModule]) -> FiniteModule:
@@ -288,13 +280,9 @@ def wedge(mods: Sequence[FiniteModule]) -> FiniteModule:
 def wedge_with_inclusions(mods: Sequence[FiniteModule]) -> Tuple[FiniteModule, List[ModuleHom]]:
     """The wedge of `mods` with the inclusion of each block."""
     out = wedge(mods)
-    incls = []
-    off = 0
-    for s in mods:
-        incls.append(_derived(ModuleHom, s, out,
-                              tuple(0 if x == 0 else x + off for x in range(s.size))))
-        off += s.size - 1
-    return out, incls
+    offsets = accumulate([s.size - 1 for s in mods], initial=0)
+    return out, [_derived(ModuleHom, s, out, (0,) + tuple(range(off + 1, off + s.size)))
+                 for s, off in zip(mods, offsets)]
 
 
 def coset_module(group: FiniteGroup, elements: Tuple[int, ...]) -> FiniteModule:
@@ -304,10 +292,9 @@ def coset_module(group: FiniteGroup, elements: Tuple[int, ...]) -> FiniteModule:
     """
     monoid = group_monoid(group)
     reps, coset_of = _right_cosets(group, elements)
-    action = [[0] * monoid.size]
-    for rep in reps:
-        action.append([0] + [1 + coset_of[group.mul(rep, g)] for g in range(group.order)])
-    return _derived(FiniteModule, monoid, 1 + len(reps), tuple(tuple(r) for r in action))
+    action = ((0,) * monoid.size,) + tuple(
+        (0,) + tuple(1 + coset_of[x] for x in group.cayley[rep]) for rep in reps)
+    return _derived(FiniteModule, monoid, 1 + len(reps), action)
 
 
 def submodule_inclusion(s: FiniteModule, members: Iterable[int]) -> ModuleHom:
@@ -428,14 +415,11 @@ def quotient_with_projection(f: ModuleHom) -> Tuple[FiniteModule, ModuleHom]:
     t = f.target
     image = set(f.map)
     keep = [x for x in range(t.size) if x not in image and x != 0]
-    pos = {0: 0}
-    for i, x in enumerate(keep):
-        pos[x] = i + 1
+    pos = {x: i for i, x in enumerate(keep, 1)}
     proj = tuple(pos.get(x, 0) for x in range(t.size))
-    action = [[0] * t.monoid.size]
-    for x in keep:
-        action.append([proj[t.action[x][m]] for m in range(t.monoid.size)])
-    q = _derived(FiniteModule, t.monoid, 1 + len(keep), tuple(tuple(r) for r in action))
+    action = ((0,) * t.monoid.size,) + tuple(tuple(map(proj.__getitem__, t.action[x]))
+                                              for x in keep)
+    q = _derived(FiniteModule, t.monoid, 1 + len(keep), action)
     return q, _derived(ModuleHom, t, q, proj)
 
 

@@ -1,8 +1,11 @@
-"""Cache ownership: every memo lives on the group it describes.
+"""Cache ownership: every memo lives on the object it describes.
 
 Two groups with one Cayley table compare equal even when their names or
 labels differ, so a cache keyed by the group would hand one group's results
-to the other, and a module-level cache would keep every group alive.
+to the other, and a module-level cache would keep every group alive.  The
+memos of a group's structure live on the group.  The subgroup contexts
+inside H that the double coset plans of H use live on H's context, and the
+Mackey check drops them once it is done with H.
 """
 
 from __future__ import annotations
@@ -12,14 +15,20 @@ import gc
 import importlib
 import inspect
 import pkgutil
+import random
 import weakref
+
+import pytest
 
 import f1gtheory
 from f1gtheory.burnside import build_burnside, decompose
+from f1gtheory.cli import _run_mackey_checks
 from f1gtheory.groups import (_memo_on_group, all_subgroups, build_group,
                               classify_subgroups, conjugacy_classes_of_elements)
-from f1gtheory.mackey import subgroup_context
+from f1gtheory.mackey import SubgroupContext, subgroup_context
 from f1gtheory.modules import free_module, group_monoid
+
+from conftest import group_of
 
 
 def _twins():
@@ -61,6 +70,7 @@ def _used_group():
     conjugacy_classes_of_elements(group)
     ctx = subgroup_context(group, ring.classification.representatives[2].elements)
     assert ctx.class_map and ctx.ring.rank
+    assert all(report.passed for report in _run_mackey_checks(group, 2, random.Random(0)))
     return weakref.ref(group)
 
 
@@ -68,6 +78,38 @@ def test_used_group_is_collected():
     ref = _used_group()
     gc.collect()
     assert ref() is None
+
+
+def _reachable_contexts(group):
+    """Every subgroup context reachable from the group through the package's data."""
+    seen, stack, found = set(), [group], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, SubgroupContext):
+            found.append(obj)
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("f1gtheory."):
+            stack.append(vars(obj))
+    return found
+
+
+@pytest.mark.parametrize("name", ["D12", "S4xC2"])
+def test_mackey_check_drops_the_contexts_inside_each_subgroup(name):
+    group = group_of(name)
+    assert all(report.passed for report in _run_mackey_checks(group, 2, random.Random(0)))
+    contexts = _reachable_contexts(group)
+    # the top-level contexts of the class representatives stay on the group,
+    # with their tables; no context inside a proper subgroup is left
+    whole = tuple(range(group.order))
+    assert len(contexts) >= build_burnside(group).rank
+    assert all(ctx.outer == whole and not ctx._inner for ctx in contexts)
 
 
 def test_no_module_level_lru_cache():

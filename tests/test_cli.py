@@ -635,34 +635,52 @@ def test_unprintable_answers_refuse_before_any_column_is_built(capsys, monkeypat
     monkeypatch.setattr(BurnsideRing, "marks_of", build_nothing)
     monkeypatch.setattr(BurnsideRing, "orbit_counts", property(build_nothing))
     monkeypatch.setattr(BurnsideRing, "realize", build_nothing)
+    monkeypatch.setattr(lambda_ops, "_ghost_series", build_nothing)
     limit = sys.get_int_max_str_digits()
-    # both within GHOST_WORK_CAP; 10**6 points give about 19,000 and 4,900 digits
-    for argv, what in ((["diamond", "--k", "3162"], "carrier size"),
-                       (["lambda", "--k", "1500"], "largest coefficient")):
+    # all within GHOST_WORK_CAP; 10**6 points give about 19,000 and 4,900
+    # digits, and a virtual class on them a mark bound of about 4,900
+    for argv, what in ((["diamond", "[0,1000000]", "3162"], "carrier size"),
+                       (["lambda", "[0,1000000]", "1500"], "largest coefficient"),
+                       (["lambda", "[0,-1000000]", "2000"],
+                        "mark bound C(n + k - 1, k)")):
         code, out, err = run_cli(capsys, argv[0], "--group", "C2",
-                                 "--element", "[0,1000000]", *argv[1:])
+                                 "--element", argv[1], "--k", argv[2])
         assert (code, out) == (2, "")
         assert err.startswith(f"resource limit: digit count of the {what} reaches ")
         assert err.endswith(f", past sys.get_int_max_str_digits() = {limit}\n")
 
 
+def test_unprintable_coefficient_is_refused_before_printing(capsys, monkeypatch):
+    # the mark bound may pass while back-substitution grows a coefficient
+    # past the limit; the coefficient is charged before it is printed
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.setattr(BurnsideRing, "from_marks",
+                        lambda ring, ghost: ring.element([-10 ** limit, 1]))
+    code, out, err = run_cli(capsys, "lambda", "--group", "C2",
+                             "--element", "[1,-1]", "--k", "3")
+    assert (code, out) == (2, "")
+    assert err == (f"resource limit: digit count of the largest coefficient "
+                   f"reaches {limit + 1}, past sys.get_int_max_str_digits() = {limit}\n")
+
+
 def test_integer_string_refusal_is_exact_on_the_trivial_group(capsys):
-    # on C1 the answer at k is the carrier 1 + perm(n, k) for diamond and the
-    # coefficient C(n, k) for lambda, so the last printable k runs and the
-    # next is refused
+    # on C1 the answer at k is the carrier 1 + perm(n, k) for diamond, the
+    # coefficient C(n, k) for lambda and (-1)^k C(n + k - 1, k) for lambda
+    # of -n, so the last printable k runs and the next is refused
     limit, n = sys.get_int_max_str_digits(), 10 ** 6
-    for command, value in (("diamond", lambda k: 1 + math.perm(n, k)),
-                           ("lambda", lambda k: math.comb(n, k))):
+    for command, x, value in (("diamond", n, lambda k: 1 + math.perm(n, k)),
+                              ("lambda", n, lambda k: math.comb(n, k)),
+                              ("lambda", -n, lambda k: math.comb(n + k - 1, k))):
         k = 1
         while value(k + 1) < 10 ** limit:
             k += 1
         code, out, err = run_cli(capsys, command, "--group", "C1",
-                                 "--element", f"[{n}]", "--k", str(k))
-        assert (code, err) == (0, ""), command
+                                 "--element", f"[{x}]", "--k", str(k))
+        assert (code, err) == (0, ""), (command, x)
         assert str(value(k)) in out
         code, out, err = run_cli(capsys, command, "--group", "C1",
-                                 "--element", f"[{n}]", "--k", str(k + 1))
-        assert (code, out) == (2, ""), command
+                                 "--element", f"[{x}]", "--k", str(k + 1))
+        assert (code, out) == (2, ""), (command, x)
         # the refused value is the first one too long, so its count is exact
         digits = len(str(value(k + 1) // 10 ** 100)) + 100
         assert err.endswith(f"reaches {digits}, "

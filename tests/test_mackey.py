@@ -340,17 +340,26 @@ def test_mackey_check_plans_each_class_pair_once(capsys, monkeypatch):
     assert "double coset formula: 1344 instances, pass" in capsys.readouterr().out
 
 
-def test_restriction_memo_fills_lazily_and_matches_restrict():
-    group = build_group(name="D6")
-    ring = ring_of("D6")
-    sub = next(s for s in all_subgroups(group) if s.order == 4)
-    ctx = SubgroupContext(group, sub.elements, tuple(range(group.order)))
-    restrict(ctx, ring.basis_element(3))
-    assert ctx._restricted == {}
-    first = ctx.restricted_basis(3)
-    assert ctx._restricted == {3: first} and ctx.restricted_basis(3) is first
-    for i in range(ring.rank):
-        assert ctx.restricted_basis(i) == restrict(ctx, ring.basis_element(i))
+@pytest.mark.parametrize("name", library_names() + ["S4xC2"])
+def test_restriction_table_rows_match_restrict(name):
+    # row i of a context's table is built by one from_marks; it must equal
+    # the marks round trip of `restrict` on outer basis element i, for every
+    # representative context and every context inside H of every plan, on
+    # every library group (all of order <= 24) and on the order-48 rung
+    group = group_of(name)
+    reps = build_burnside(group).classification.representatives
+    contexts = {}
+    for h in reps:
+        for k in reps:
+            plan = double_coset_plan(group, h.elements, k.elements)
+            for ctx in [plan.h_ctx, plan.k_ctx] + [inner for inner, _ in plan.terms]:
+                contexts[ctx.elements, ctx.outer] = ctx
+    assert len(contexts) > len(reps) or len(reps) == 1
+    for ctx in contexts.values():
+        outer = ctx.outer_ring
+        assert ctx.restriction == tuple(
+            restrict(ctx, outer.basis_element(i)).coeffs
+            for i in range(outer.rank)), (ctx.elements, ctx.outer)
 
 
 def test_check_report_builds_counterexamples_only_for_failures():

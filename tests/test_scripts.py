@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import subprocess
@@ -10,6 +11,7 @@ import sys
 import pytest
 
 import f1gtheory
+from f1gtheory.groups import build_group, library_names
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(f1gtheory.__file__)))
@@ -33,6 +35,33 @@ def test_g0_convergence_rows(argv, rows):
     assert lines[1].split()[:2] == ["bound", "generators"]
     got = [tuple(line.split()[i] for i in (0, 1, 3, 4)) for line in lines[2:]]
     assert got == rows
+
+
+def test_lambda_report_smoke():
+    run = subprocess.run(
+        [sys.executable, os.path.join("scripts", "lambda_report.py"),
+         "--max-order", "4", "--trials", "2"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=SRC))
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0].split()[:2] == ["group", "order"]
+    names = [n for n in library_names() if build_group(name=n).order <= 4]
+    assert [line.split()[0] for line in lines[1:-1]] == names
+    assert lines[-1].startswith("guaranteed families all hold")
+
+
+def test_run_suite_smoke(tmp_path):
+    run = subprocess.run(
+        [sys.executable, os.path.join("scripts", "run_suite.py"),
+         "--max-order", "3", "--out", str(tmp_path)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=SRC))
+    assert run.returncode == 0, run.stderr
+    reports = sorted(tmp_path.glob("*.json"))
+    assert len(reports) == 5
+    assert all(json.loads(path.read_text())["status"] == "pass" for path in reports)
+    assert run.stdout.splitlines()[-1] == "all 5 groups pass"
 
 
 def test_import_cost_lists_the_loaded_modules():
