@@ -21,8 +21,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional
 
 from f1gtheory.burnside import build_burnside
 from f1gtheory.groups import build_group
@@ -30,25 +28,18 @@ from f1gtheory.gtheory import g0_presentation
 from f1gtheory.modules import group_monoid, monoid_from_json
 
 
-@dataclass(frozen=True)
-class ConvergenceConfig:
-    group: str = "S3"
-    max_bound: int = 0  # 0 means |G| + 3, or |M| + 2 for a monoid
-    monoid_json: Optional[str] = None
-
-
-def run(config: ConvergenceConfig) -> int:
-    if config.monoid_json is None:
-        group = build_group(name=config.group)
+def run(args: argparse.Namespace) -> int:
+    if args.monoid_json is None:
+        group = build_group(name=args.group)
         monoid = group_monoid(group)
-        top = config.max_bound or group.order + 3
-        print(f"group {config.group}, Burnside rank "
+        top = args.max_bound or group.order + 3
+        print(f"group {args.group}, Burnside rank "
               f"{build_burnside(group).rank}, bounds 1..{top}")
     else:
-        with open(config.monoid_json, "r", encoding="utf-8") as fh:
+        with open(args.monoid_json, "r", encoding="utf-8") as fh:
             monoid = monoid_from_json(json.load(fh))
-        top = config.max_bound or monoid.size + 2
-        print(f"monoid {config.monoid_json} of size {monoid.size}, "
+        top = args.max_bound or monoid.size + 2
+        print(f"monoid {args.monoid_json} of size {monoid.size}, "
               f"bounds 1..{top}")
     print(f"{'bound':>5} {'generators':>10} {'relations':>9} "
           f"{'free rank':>9} {'torsion':>8} {'stability':>22} {'time':>7} "
@@ -66,14 +57,14 @@ def run(config: ConvergenceConfig) -> int:
     return 0
 
 
-def parse_args(argv=None) -> ConvergenceConfig:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     source = parser.add_mutually_exclusive_group()
     source.add_argument("--group", default="S3")
     source.add_argument("--monoid-json", help="pointed monoid JSON file")
-    parser.add_argument("--max-bound", type=int, default=0)
-    args = parser.parse_args(argv)
-    return ConvergenceConfig(args.group, args.max_bound, args.monoid_json)
+    parser.add_argument("--max-bound", type=int, default=0,
+                        help="top size bound; 0 means |G| + 3, or |M| + 2 for a monoid")
+    return parser.parse_args(argv)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 
 from f1gtheory.burnside import build_burnside
 from f1gtheory.groups import build_group, is_odd_cyclic, library_names
@@ -26,25 +25,16 @@ K_CAP = 3
 L_CAP = 2
 
 
-@dataclass(frozen=True)
-class ReportConfig:
-    max_order: int = 10
-    trials: int = 20
-    seed: int = 7
-
-
-def run(config: ReportConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     rows = []
     for name in library_names():
         group = build_group(name=name)
-        if group.order > config.max_order:
+        if group.order > args.max_order:
             continue
         ring = build_burnside(group)
-        rng = random.Random(config.seed)
-        pre = verify_pre_lambda(ring, 4, config.trials, rng)
+        pre = verify_pre_lambda(ring, 4, args.trials, random.Random(args.seed))
         unit, product, composition = verify_lambda_ring(
-            ring, K_CAP, L_CAP, config.trials,
-            random.Random(config.seed + 1))
+            ring, K_CAP, L_CAP, args.trials, random.Random(args.seed + 1))
         rows.append((name, group.order, is_odd_cyclic(group), pre.passed,
                      unit.passed, product.passed, composition.passed))
     print(f"{'group':<6} {'order':>5} {'odd cyclic':>10} {'addition':>9} "
@@ -65,13 +55,12 @@ def run(config: ReportConfig) -> int:
     return 0
 
 
-def parse_args(argv=None) -> ReportConfig:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-order", type=int, default=10)
     parser.add_argument("--trials", type=int, default=20)
     parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args(argv)
-    return ReportConfig(args.max_order, args.trials, args.seed)
+    return parser.parse_args(argv)
 
 
 if __name__ == "__main__":

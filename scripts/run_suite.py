@@ -13,34 +13,26 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from f1gtheory.cli import main as cli_main
 from f1gtheory.groups import build_group, library_names
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    max_order: int = 12
-    seed: int = 1729
-    out_dir: Path = Path("suite_reports")
-
-
-def run(config: SuiteConfig) -> int:
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+def run(args: argparse.Namespace) -> int:
+    args.out.mkdir(parents=True, exist_ok=True)
     names = [n for n in library_names()
-             if build_group(name=n).order <= config.max_order]
+             if build_group(name=n).order <= args.max_order]
     failures = []
     for name in names:
-        target = config.out_dir / f"{name}.json"
+        target = args.out / f"{name}.json"
         t0 = time.time()
         with target.open("w", encoding="utf-8") as fh:
             stdout = sys.stdout
             sys.stdout = fh
             try:
                 code = cli_main(["suite", "--group", name,
-                                 "--seed", str(config.seed),
+                                 "--seed", str(args.seed),
                                  "--format", "json"])
             finally:
                 sys.stdout = stdout
@@ -57,13 +49,12 @@ def run(config: SuiteConfig) -> int:
     return 0
 
 
-def parse_args(argv=None) -> SuiteConfig:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-order", type=int, default=12)
     parser.add_argument("--seed", type=int, default=1729)
     parser.add_argument("--out", type=Path, default=Path("suite_reports"))
-    args = parser.parse_args(argv)
-    return SuiteConfig(args.max_order, args.seed, args.out)
+    return parser.parse_args(argv)
 
 
 if __name__ == "__main__":

@@ -42,9 +42,9 @@ _EXPORTS = {name: module for module, names in {
                    "verify_lambda_ring", "verify_pre_lambda"),
     "mackey": ("DoubleCosetPlan", "DoubleCosetReport", "FrobeniusReport",
                "SubgroupContext", "check_double_coset", "check_frobenius",
-               "conjugate", "double_coset_plan", "double_coset_reps",
-               "green_morphism_check", "induce", "restrict",
-               "subgroup_context", "transport"),
+               "conjugate", "double_coset_plan", "double_coset_plans",
+               "double_coset_reps", "green_morphism_check", "induce",
+               "restrict", "subgroup_context", "transport"),
     "modules": ("FiniteModule", "ModuleHom", "PointedMonoid", "coset_module",
                 "detect_group", "diagonal_smash", "free_module",
                 "group_monoid", "is_cofibration", "module_from_json",

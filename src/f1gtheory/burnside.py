@@ -37,7 +37,7 @@ class BurnsideRing:
         self._cosets: Dict[int, FiniteModule] = {}
 
     def same_ring(self, other: "BurnsideRing") -> bool:
-        """Rings of one subgroup of equal groups (names and labels aside)."""
+        """Rings of one subgroup of equal groups (names aside)."""
         return self is other or (self.elements == other.elements
                                  and self.group == other.group)
 

@@ -24,7 +24,7 @@ from .gtheory import (cartan_zero, count_simple_factors, g0_presentation,
                       g1_via_splitting)
 from .lambda_ops import (diamond_class, lambda_k, verify_lambda_ring,
                          verify_pre_lambda)
-from .mackey import (check_frobenius, double_coset_plan, green_morphism_check,
+from .mackey import (check_frobenius, double_coset_plans, green_morphism_check,
                      subgroup_context)
 from .modules import (diagonal_smash, group_monoid, module_from_json,
                       monoid_from_json)
@@ -286,14 +286,12 @@ def _run_mackey_checks(group: FiniteGroup, trials: int,
     reps = ring.classification.representatives
     dc = CheckReport("double coset formula")
     for h in reps:
-        h_ctx = subgroup_context(group, h.elements)
-        for k in reps:
-            plan = double_coset_plan(group, h.elements, k.elements)
+        h_ring = subgroup_context(group, h.elements).ring
+        for plan in double_coset_plans(group, h.elements):
             failing = plan.failures()
-            for i in range(h_ctx.ring.rank):
+            for i in range(h_ring.rank):
                 dc.record(i not in failing, lambda: plan.check(
-                    h_ctx.ring.basis_element(i)).to_json())
-        h_ctx._inner.clear()  # the contexts inside H serve only H's pairs
+                    h_ring.basis_element(i)).to_json())
     fr = CheckReport("Frobenius reciprocity")
     for _ in range(trials):
         h = reps[rng.randrange(len(reps))]

@@ -30,7 +30,7 @@ __all__ = [
     "are_isomorphic", "find_section", "find_isomorphism", "is_isomorphic",
 ]
 
-F1 = group_monoid(FiniteGroup(1, ((0,),), 0, ("e",), "C1"))
+F1 = group_monoid(FiniteGroup(1, ((0,),), "C1"))
 
 
 # --- monoid homomorphisms and bimodules ----------------------------------

@@ -1,7 +1,6 @@
 """Finite groups as dense Cayley tables: construction, subgroups, abelian invariants.
 
-Elements are 0-based indices into the table.  Every group produced by the
-constructors in this module has its identity at index 0.
+Elements are 0-based indices into the table; the identity is index 0.
 """
 
 from __future__ import annotations
@@ -54,49 +53,48 @@ def _check_associativity(table: Tuple[Tuple[int, ...], ...], unit: int) -> None:
                 raise ValueError(f"associativity fails at ({x}, {g}, {y})")
 
 
+def _check_group_table(n: int, table: Tuple[Tuple[int, ...], ...], unit: int) -> None:
+    """Raise ValueError unless `table` is an n x n group table whose
+    two-sided identity is `unit`."""
+    if n < 1:
+        raise ValueError(f"group order must be >= 1, got {n}")
+    if len(table) != n or any(len(row) != n for row in table):
+        raise ValueError("cayley table must be an order x order square")
+    for row in table:
+        for v in row:
+            if not 0 <= v < n:
+                raise ValueError(f"cayley entry {v} out of range 0..{n - 1}")
+    full = tuple(range(n))
+    for i, row in enumerate(table):
+        if tuple(sorted(row)) != full:
+            raise ValueError(f"row {i} is not a permutation")
+    for j in range(n):
+        col = tuple(sorted(table[i][j] for i in range(n)))
+        if col != full:
+            raise ValueError(f"column {j} is not a permutation")
+    for x in range(n):
+        if table[unit][x] != x or table[x][unit] != x:
+            raise ValueError(f"index {unit} is not a two-sided identity")
+    _check_associativity(table, unit)
+
+
 class FiniteGroup(_Record):
     """A finite group given by its full multiplication table.
 
-    Equality and the hash ignore the labels and the name.
+    The identity is index 0.  Equality and the hash ignore the name.
     """
 
-    _fields = ("order", "cayley", "identity", "labels", "name")
-    _compared = ("order", "cayley", "identity")
+    _fields = ("order", "cayley", "name")
+    _compared = ("order", "cayley")
+    identity = 0
 
     def __init__(self, order: int, cayley: Tuple[Tuple[int, ...], ...],
-                 identity: int = 0, labels: Optional[Tuple[str, ...]] = None,
                  name: Optional[str] = None) -> None:
-        self.__dict__.update(order=order, cayley=cayley, identity=identity,
-                             labels=labels, name=name)
+        self.__dict__.update(order=order, cayley=cayley, name=name)
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        n = self.order
-        if n < 1:
-            raise ValueError(f"group order must be >= 1, got {n}")
-        if len(self.cayley) != n or any(len(row) != n for row in self.cayley):
-            raise ValueError("cayley table must be an order x order square")
-        for row in self.cayley:
-            for v in row:
-                if not 0 <= v < n:
-                    raise ValueError(f"cayley entry {v} out of range 0..{n - 1}")
-        full = tuple(range(n))
-        for i, row in enumerate(self.cayley):
-            if tuple(sorted(row)) != full:
-                raise ValueError(f"row {i} is not a permutation")
-        for j in range(n):
-            col = tuple(sorted(self.cayley[i][j] for i in range(n)))
-            if col != full:
-                raise ValueError(f"column {j} is not a permutation")
-        e = self.identity
-        if not 0 <= e < n:
-            raise ValueError(f"identity index {e} out of range")
-        for x in range(n):
-            if self.cayley[e][x] != x or self.cayley[x][e] != x:
-                raise ValueError(f"index {e} is not a two-sided identity")
-        if self.labels is not None and len(self.labels) != n:
-            raise ValueError("labels length must equal order")
-        _check_associativity(self.cayley, self.identity)
+        _check_group_table(self.order, self.cayley, 0)
 
     @cached_property
     def inverse(self) -> Tuple[int, ...]:
@@ -127,11 +125,6 @@ class FiniteGroup(_Record):
             acc = self.cayley[acc][x]
             k += 1
         return k
-
-    def label(self, x: int) -> str:
-        if self.labels is not None:
-            return self.labels[x]
-        return str(x)
 
     def to_json(self) -> Dict:
         out: Dict = {"order": self.order, "cayley": [list(r) for r in self.cayley]}
@@ -203,7 +196,7 @@ def _memo_on_group(fn):
     That is where `functools.cached_property` stores its value, so frozen
     records allow it; every call is keyed by its extra arguments in one
     dict.  The memo is freed with the group, and two groups with one table
-    but different names or labels never share a result.
+    but different names never share a result.
     """
     slot = f"{fn.__module__}.{fn.__qualname__}"
 
@@ -308,33 +301,13 @@ def _perm_closure(perms: Sequence[Tuple[int, ...]], degree: int) -> List[Tuple[i
 
 
 def _group_from_perms(perms: Sequence[Tuple[int, ...]], degree: int,
-                      name: Optional[str] = None,
-                      labels: Optional[Sequence[str]] = None) -> FiniteGroup:
+                      name: Optional[str] = None) -> FiniteGroup:
     elems = _perm_closure(perms, degree)
     index = {p: i for i, p in enumerate(elems)}
     table = tuple(
         tuple(index[_compose(a, b)] for b in elems) for a in elems
     )
-    if labels is None:
-        labels = tuple(_cycle_string(p) for p in elems)
-    return _derived(FiniteGroup, len(elems), table, 0, tuple(labels), name)
-
-
-def _cycle_string(perm: Tuple[int, ...]) -> str:
-    seen = set()
-    parts = []
-    for start in range(len(perm)):
-        if start in seen or perm[start] == start:
-            continue
-        cyc = [start]
-        seen.add(start)
-        nxt = perm[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen.add(nxt)
-            nxt = perm[nxt]
-        parts.append("(" + " ".join(str(p + 1) for p in cyc) + ")")
-    return "".join(parts) if parts else "()"
+    return _derived(FiniteGroup, len(elems), table, name)
 
 
 # --- named library -------------------------------------------------------
@@ -342,8 +315,7 @@ def _cycle_string(perm: Tuple[int, ...]) -> str:
 
 def _cyclic(n: int) -> FiniteGroup:
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    labels = tuple("e" if i == 0 else ("g" if i == 1 else f"g^{i}") for i in range(n))
-    return _derived(FiniteGroup, n, table, 0, labels, f"C{n}")
+    return _derived(FiniteGroup, n, table, f"C{n}")
 
 
 def _dihedral(n: int) -> FiniteGroup:
@@ -354,16 +326,12 @@ def _dihedral(n: int) -> FiniteGroup:
 
     size = 2 * n
     table = tuple(tuple(mul(a, b) for b in range(size)) for a in range(size))
-    labels = tuple(
-        ("e" if i == 0 else f"r^{i}") if i < n else ("s" if i == n else f"sr^{i - n}")
-        for i in range(size)
-    )
-    return _derived(FiniteGroup, size, table, 0, labels, f"D{n}")
+    return _derived(FiniteGroup, size, table, f"D{n}")
 
 
 def _symmetric(n: int) -> FiniteGroup:
     if n == 1:
-        return _derived(FiniteGroup, 1, ((0,),), 0, ("e",), "S1")
+        return _derived(FiniteGroup, 1, ((0,),), "S1")
     gens = [parse_cycles("(1 2)", n)]
     if n >= 3:
         gens.append(parse_cycles("(" + " ".join(str(i) for i in range(1, n + 1)) + ")", n))
@@ -377,7 +345,7 @@ def _alternating4() -> FiniteGroup:
 
 def _klein4() -> FiniteGroup:
     table = tuple(tuple(a ^ b for b in range(4)) for a in range(4))
-    return _derived(FiniteGroup, 4, table, 0, ("e", "a", "b", "ab"), "V4")
+    return _derived(FiniteGroup, 4, table, "V4")
 
 
 def _quaternion8() -> FiniteGroup:
@@ -391,8 +359,7 @@ def _quaternion8() -> FiniteGroup:
         return 2 * w + s % 2
 
     table = tuple(tuple(mul(a, b) for b in range(8)) for a in range(8))
-    names = tuple(sign + unit for unit in "1ijk" for sign in ("", "-"))
-    return _derived(FiniteGroup, 8, table, 0, names, "Q8")
+    return _derived(FiniteGroup, 8, table, "Q8")
 
 
 _NAME_RE = re.compile(r"^([A-Za-z])_?(\d+)$")
@@ -425,8 +392,7 @@ def _build_named(name: str) -> FiniteGroup:
 def build_group(*, name: Optional[str] = None,
                 cayley: Optional[Sequence[Sequence[int]]] = None,
                 generators: Optional[Sequence[str]] = None,
-                degree: Optional[int] = None,
-                labels: Optional[Sequence[str]] = None) -> FiniteGroup:
+                degree: Optional[int] = None) -> FiniteGroup:
     """Build a group from a library name, an explicit table, or generators.
 
     Exactly one of `name`, `cayley`, `generators` must be given.  Generator
@@ -447,17 +413,12 @@ def build_group(*, name: Optional[str] = None,
         # none, index 0 lets the validation below name the fault
         full = tuple(range(order))
         e = next((i for i, row in enumerate(table) if row == full), 0)
-        group = FiniteGroup(order, table, e,
-                            tuple(labels) if labels is not None else None)
-        if e == 0:
-            return group
-        # relabel so the identity sits at index 0; downstream code relies on it
-        perm = [e] + [x for x in range(order) if x != e]
-        pos = {x: i for i, x in enumerate(perm)}
-        table = tuple(tuple(pos[table[a][b]] for b in perm) for a in perm)
-        return _derived(FiniteGroup, order, table, 0,
-                        None if labels is None else tuple(labels[p] for p in perm),
-                        None)
+        _check_group_table(order, table, e)
+        if e:  # relabel so the identity sits at index 0
+            perm = [e] + [x for x in range(order) if x != e]
+            pos = {x: i for i, x in enumerate(perm)}
+            table = tuple(tuple(pos[table[a][b]] for b in perm) for a in perm)
+        return _derived(FiniteGroup, order, table, None)
     if degree is None:
         raise ValueError("generators require a degree")
     _check_degree(degree)
@@ -478,8 +439,7 @@ def group_from_json(obj: Dict) -> FiniteGroup:
         if "order" in obj and obj["order"] != g.order:
             raise ValueError("declared order disagrees with the table size")
         if obj.get("name"):
-            g = _derived(FiniteGroup, g.order, g.cayley, g.identity, g.labels,
-                         str(obj["name"]))
+            g = _derived(FiniteGroup, g.order, g.cayley, str(obj["name"]))
         return g
     if "generators" in obj:
         gens, degree = obj["generators"], obj.get("degree")

@@ -22,7 +22,7 @@ import operator
 import random
 import sys
 from itertools import accumulate, combinations
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .burnside import BurnsideElement, BurnsideRing, linear_dimension
 from .errors import charge
@@ -204,14 +204,13 @@ def _geometric_values(ring: BurnsideRing, x: BurnsideElement,
 
 
 def verify_pre_lambda(ring: BurnsideRing, cap: int, trials: int,
-                      rng: Optional[random.Random] = None) -> CheckReport:
+                      rng: random.Random) -> CheckReport:
     """Check the unit, identity, and addition axioms on random effective pairs.
 
     The left side of the addition axiom is computed on subsets of an actual
     realization of x + y, so the check is independent of the ghost-ring
     engine behind `lambda_k` and `lambda_series`.
     """
-    rng = rng or random.Random(0)
     report = CheckReport("pre-lambda axioms")
     for _ in range(trials):
         x = random_effective(ring, rng, max_size=8)
@@ -233,7 +232,7 @@ def verify_pre_lambda(ring: BurnsideRing, cap: int, trials: int,
 
 
 def verify_lambda_ring(ring: BurnsideRing, k_cap: int, l_cap: int, trials: int,
-                       rng: Optional[random.Random] = None) -> List[CheckReport]:
+                       rng: random.Random) -> List[CheckReport]:
     """Evaluate the three ring-axiom families; failures are reported, not raised.
 
     Families: vanishing on the unit, the product rule against P_k, and the
@@ -244,7 +243,6 @@ def verify_lambda_ring(ring: BurnsideRing, k_cap: int, l_cap: int, trials: int,
     of one rule in one call per column.  Only a failure is written in the
     basis.
     """
-    rng = rng or random.Random(0)
     unit_report = CheckReport("lambda of the unit vanishes")
     product_report = CheckReport("product rule")
     composition_report = CheckReport("composition rule")

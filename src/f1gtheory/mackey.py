@@ -12,19 +12,20 @@ y-independent part of the right side; both sides read restriction tables.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .burnside import (BurnsideElement, BurnsideRing, build_burnside,
                        linear_dimension)
 from .errors import InternalCheckError
 from .groups import (FiniteGroup, SubgroupClassification, _classify,
-                     _memo_on_group, _subgroup_elements)
+                     _memo_on_group, _subgroup_elements, classify_subgroups)
 from .records import _Record
 from .reports import CheckReport
 
 __all__ = [
     "SubgroupContext", "subgroup_context", "restrict", "induce", "conjugate",
-    "transport", "double_coset_reps", "double_coset_plan", "check_double_coset",
+    "transport", "double_coset_reps", "double_coset_plan", "double_coset_plans",
+    "check_double_coset",
     "check_frobenius", "green_morphism_check", "linear_dimension",
     "DoubleCosetPlan", "DoubleCosetReport", "FrobeniusReport",
 ]
@@ -59,11 +60,6 @@ class SubgroupContext(_Record):
         """Row i: the coefficients of Res of outer basis element i, one from_marks each."""
         return tuple(self.ring.from_marks([marks.get(j, 0) for j in self.class_map]).coeffs
                      for marks in map(dict, self.outer_ring.rows))
-
-    @cached_property
-    def _inner(self) -> Dict[Tuple[int, ...], "SubgroupContext"]:
-        """The contexts inside this one that its double coset plans use."""
-        return {}
 
 
 def subgroup_context(ambient: FiniteGroup, elements: Sequence[int],
@@ -157,16 +153,13 @@ def double_coset_reps(group: FiniteGroup, k_elements: Sequence[int],
 
 
 class DoubleCosetReport(_Record):
-    _fields = ("group", "h_elements", "k_elements", "y_coeffs", "reps", "lhs",
-               "rhs")
+    _fields = ("h_elements", "k_elements", "y_coeffs", "reps", "lhs", "rhs")
 
-    def __init__(self, group: FiniteGroup, h_elements: Tuple[int, ...],
-                 k_elements: Tuple[int, ...], y_coeffs: Tuple[int, ...],
-                 reps: Tuple[int, ...], lhs: Tuple[int, ...],
-                 rhs: Tuple[int, ...]) -> None:
-        self.__dict__.update(group=group, h_elements=h_elements,
-                             k_elements=k_elements, y_coeffs=y_coeffs,
-                             reps=reps, lhs=lhs, rhs=rhs)
+    def __init__(self, h_elements: Tuple[int, ...], k_elements: Tuple[int, ...],
+                 y_coeffs: Tuple[int, ...], reps: Tuple[int, ...],
+                 lhs: Tuple[int, ...], rhs: Tuple[int, ...]) -> None:
+        self.__dict__.update(h_elements=h_elements, k_elements=k_elements,
+                             y_coeffs=y_coeffs, reps=reps, lhs=lhs, rhs=rhs)
 
     @property
     def ok(self) -> bool:
@@ -189,13 +182,12 @@ class DoubleCosetPlan(_Record):
     g onto K cap g H g^-1 and induces them into the classes of K.
     """
 
-    _fields = ("group", "h_ctx", "k_ctx", "reps", "terms")
+    _fields = ("h_ctx", "k_ctx", "reps", "terms")
 
-    def __init__(self, group: FiniteGroup, h_ctx: SubgroupContext,
-                 k_ctx: SubgroupContext, reps: Tuple[int, ...],
+    def __init__(self, h_ctx: SubgroupContext, k_ctx: SubgroupContext,
+                 reps: Tuple[int, ...],
                  terms: Tuple[Tuple[SubgroupContext, Tuple[int, ...]], ...]) -> None:
-        self.__dict__.update(group=group, h_ctx=h_ctx, k_ctx=k_ctx, reps=reps,
-                             terms=terms)
+        self.__dict__.update(h_ctx=h_ctx, k_ctx=k_ctx, reps=reps, terms=terms)
 
     def _sides(self, i: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Both sides of the formula on basis element i of A(H)."""
@@ -223,25 +215,16 @@ class DoubleCosetPlan(_Record):
                 for side, part in zip((lhs, rhs), self._sides(i)):
                     for j, v in enumerate(part):
                         side[j] += c * v
-        return DoubleCosetReport(self.group, self.h_ctx.elements,
-                                 self.k_ctx.elements, y.coeffs, self.reps,
-                                 tuple(lhs), tuple(rhs))
+        return DoubleCosetReport(self.h_ctx.elements, self.k_ctx.elements,
+                                 y.coeffs, self.reps, tuple(lhs), tuple(rhs))
 
 
-def _inner_context(h_ctx: SubgroupContext, elements: Tuple[int, ...]) -> SubgroupContext:
-    """A context inside H: kept on H's context, or the top-level one when H is G."""
-    if len(h_ctx.elements) == h_ctx.ambient.order:
-        return _context(h_ctx.ambient, elements, h_ctx.elements)
-    if elements not in h_ctx._inner:
-        h_ctx._inner[elements] = SubgroupContext(h_ctx.ambient, elements, h_ctx.elements)
-    return h_ctx._inner[elements]
-
-
-def double_coset_plan(group: FiniteGroup, h_elements: Sequence[int],
-                      k_elements: Sequence[int]) -> DoubleCosetPlan:
-    """Build the right-hand side of the double coset formula for (H, K)."""
-    h_ctx = subgroup_context(group, h_elements)
-    k_ctx = subgroup_context(group, k_elements)
+def _plan(h_ctx: SubgroupContext, k_ctx: SubgroupContext,
+          inner: Dict[Tuple[int, ...], SubgroupContext]) -> DoubleCosetPlan:
+    """The plan for (H, K), keeping the contexts inside H it uses in `inner`."""
+    group = h_ctx.ambient
+    # inside G, the top-level contexts memoized on the group serve
+    new = _context if len(h_ctx.elements) == group.order else SubgroupContext
     reps = tuple(double_coset_reps(group, k_ctx.elements, h_ctx.elements))
     k_set = set(k_ctx.elements)
     class_of = k_ctx.ring.classification.class_of
@@ -250,11 +233,33 @@ def double_coset_plan(group: FiniteGroup, h_elements: Sequence[int],
         conj = group.conjugations[g]
         lower_h = tuple(e for e in h_ctx.elements if conj[e] in k_set)
         # H cap g^-1 K g inside H, carried by g onto K cap g H g^-1
-        inner_h = _inner_context(h_ctx, lower_h)
+        if lower_h not in inner:
+            inner[lower_h] = new(group, lower_h, h_ctx.elements)
+        inner_h = inner[lower_h]
         images = _images(inner_h.ring, conj)
         _class_bijection(images, _classify(group, tuple(sorted([conj[e] for e in lower_h]))))
         terms.append((inner_h, tuple(map(class_of.__getitem__, images))))
-    return DoubleCosetPlan(group, h_ctx, k_ctx, reps, tuple(terms))
+    return DoubleCosetPlan(h_ctx, k_ctx, reps, tuple(terms))
+
+
+def double_coset_plan(group: FiniteGroup, h_elements: Sequence[int],
+                      k_elements: Sequence[int]) -> DoubleCosetPlan:
+    """Build the right-hand side of the double coset formula for (H, K)."""
+    return _plan(subgroup_context(group, h_elements),
+                 subgroup_context(group, k_elements), {})
+
+
+def double_coset_plans(group: FiniteGroup,
+                       h_elements: Sequence[int]) -> Iterator[DoubleCosetPlan]:
+    """H's plan against each subgroup class K of G, in class order.
+
+    The contexts inside H that the plans share are kept in a dict local to
+    the generator, so they are freed with it.
+    """
+    h_ctx = subgroup_context(group, h_elements)
+    inner: Dict[Tuple[int, ...], SubgroupContext] = {}
+    for k in classify_subgroups(group).representatives:
+        yield _plan(h_ctx, subgroup_context(group, k.elements), inner)
 
 
 def check_double_coset(group: FiniteGroup, h_elements: Sequence[int],
@@ -269,14 +274,13 @@ def check_double_coset(group: FiniteGroup, h_elements: Sequence[int],
 
 
 class FrobeniusReport(_Record):
-    _fields = ("group", "h_elements", "x_coeffs", "y_coeffs", "lhs", "rhs")
+    _fields = ("h_elements", "x_coeffs", "y_coeffs", "lhs", "rhs")
 
-    def __init__(self, group: FiniteGroup, h_elements: Tuple[int, ...],
-                 x_coeffs: Tuple[int, ...], y_coeffs: Tuple[int, ...],
-                 lhs: Tuple[int, ...], rhs: Tuple[int, ...]) -> None:
-        self.__dict__.update(group=group, h_elements=h_elements,
-                             x_coeffs=x_coeffs, y_coeffs=y_coeffs, lhs=lhs,
-                             rhs=rhs)
+    def __init__(self, h_elements: Tuple[int, ...], x_coeffs: Tuple[int, ...],
+                 y_coeffs: Tuple[int, ...], lhs: Tuple[int, ...],
+                 rhs: Tuple[int, ...]) -> None:
+        self.__dict__.update(h_elements=h_elements, x_coeffs=x_coeffs,
+                             y_coeffs=y_coeffs, lhs=lhs, rhs=rhs)
 
     @property
     def ok(self) -> bool:
@@ -298,8 +302,8 @@ def check_frobenius(group: FiniteGroup, h_elements: Sequence[int],
     ctx = subgroup_context(group, h_elements)
     lhs = induce(ctx, restrict(ctx, x) * y)
     rhs = x * induce(ctx, y)
-    return FrobeniusReport(group, ctx.elements, x.coeffs, y.coeffs,
-                           lhs.coeffs, rhs.coeffs)
+    return FrobeniusReport(ctx.elements, x.coeffs, y.coeffs, lhs.coeffs,
+                           rhs.coeffs)
 
 
 def green_morphism_check(group: FiniteGroup):

@@ -13,7 +13,6 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import InternalCheckError
 from .groups import (FiniteGroup, _check_associativity, _derived, _int_table,
                      _memo_on_group, _right_cosets)
 from .records import _Record
@@ -30,16 +29,15 @@ __all__ = [
 class PointedMonoid(_Record):
     """A finite monoid with absorbing zero at index 0 and unit at index 1.
 
-    Equality and the hash ignore the labels and the attached group.
+    Equality and the hash ignore the attached group.
     """
 
-    _fields = ("size", "mul", "labels", "group")
+    _fields = ("size", "mul", "group")
     _compared = ("size", "mul")
 
     def __init__(self, size: int, mul: Tuple[Tuple[int, ...], ...],
-                 labels: Optional[Tuple[str, ...]] = None,
                  group: Optional[FiniteGroup] = None) -> None:
-        self.__dict__.update(size=size, mul=mul, labels=labels, group=group)
+        self.__dict__.update(size=size, mul=mul, group=group)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -58,8 +56,6 @@ class PointedMonoid(_Record):
             if self.mul[1][x] != x or self.mul[x][1] != x:
                 raise ValueError(f"index 1 is not a unit at {x}")
         _check_associativity(self.mul, 1)
-        if self.labels is not None and len(self.labels) != n:
-            raise ValueError("labels length must equal size")
 
     @property
     def is_group_monoid(self) -> bool:
@@ -68,11 +64,6 @@ class PointedMonoid(_Record):
     def op(self, a: int, b: int) -> int:
         return self.mul[a][b]
 
-    def label(self, x: int) -> str:
-        if self.labels is not None:
-            return self.labels[x]
-        return str(x)
-
     def to_json(self) -> Dict:
         return {"size": self.size, "mul": [list(r) for r in self.mul]}
 
@@ -80,16 +71,13 @@ class PointedMonoid(_Record):
 @_memo_on_group
 def group_monoid(group: FiniteGroup) -> PointedMonoid:
     """The group with an adjoined absorbing zero; element i sits at index i+1."""
-    if group.identity != 0:
-        raise InternalCheckError("group_monoid expects the identity at index 0")
     n = group.order + 1
     mul = ((0,) * n,) + tuple((0,) + tuple(v + 1 for v in row) for row in group.cayley)
-    labels = ("0",) + tuple(group.label(x) for x in range(group.order))
-    return _derived(PointedMonoid, n, mul, labels, group)
+    return _derived(PointedMonoid, n, mul, group)
 
 
 def monoid_from_json(obj: Dict) -> PointedMonoid:
-    """Monoid from {"size": n, "mul": [[...]], "labels": [...]}.
+    """Monoid from {"size": n, "mul": [[...]]}.
 
     When the nonzero elements form a group, the group is attached.
     """
@@ -98,10 +86,7 @@ def monoid_from_json(obj: Dict) -> PointedMonoid:
     mul = _int_table(obj["mul"], "mul table")
     if obj.get("size", len(mul)) != len(mul):
         raise ValueError("declared size disagrees with the mul table")
-    labels = obj.get("labels")
-    if labels and not isinstance(labels, list):
-        raise ValueError("monoid labels must be a list")
-    monoid = PointedMonoid(len(mul), mul, tuple(map(str, labels)) if labels else None)
+    monoid = PointedMonoid(len(mul), mul)
     try:
         return detect_group(monoid)
     except ValueError:
@@ -124,9 +109,8 @@ def detect_group(monoid: PointedMonoid) -> PointedMonoid:
             raise ValueError("monoid has zero divisors; not a group monoid")
         if len(set(row)) != n:
             raise ValueError("monoid elements lack inverses; not a group monoid")
-    group = _derived(FiniteGroup, n, table, 0,
-                     tuple(monoid.label(x + 1) for x in range(n)), None)
-    return _derived(PointedMonoid, monoid.size, monoid.mul, monoid.labels, group)
+    group = _derived(FiniteGroup, n, table, None)
+    return _derived(PointedMonoid, monoid.size, monoid.mul, group)
 
 
 class FiniteModule(_Record):

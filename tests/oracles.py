@@ -784,8 +784,7 @@ def subgroup_as_group(group: FiniteGroup, elements: Sequence[int]) -> Tuple[Fini
     elems = _subgroup_elements(group, elements)
     pos = {x: i for i, x in enumerate(elems)}
     table = tuple(tuple([pos[group.cayley[a][b]] for b in elems]) for a in elems)
-    labels = tuple(group.label(x) for x in elems)
-    sub_group = _derived(FiniteGroup, len(elems), table, pos[group.identity], labels, None)
+    sub_group = _derived(FiniteGroup, len(elems), table, None)
     return sub_group, elems
 
 
@@ -801,8 +800,7 @@ def quotient_group(group: FiniteGroup, normal_elements: Sequence[int]) -> Finite
         tuple(coset_of[group.mul(reps[i], reps[j])] for j in range(len(reps)))
         for i in range(len(reps))
     )
-    labels = tuple(f"[{r}]" for r in reps)
-    return _derived(FiniteGroup, len(reps), table, 0, labels, None)
+    return _derived(FiniteGroup, len(reps), table, None)
 
 
 def weyl_group(group: FiniteGroup, sub: Subgroup) -> FiniteGroup:
@@ -1177,8 +1175,8 @@ def subset_module(s: FiniteModule, k: int) -> FiniteModule:
 
 # --- seeded random builders ----------------------------------------------
 
-def _monoid_from_rows(rows: List[List[int]], name_labels: Tuple[str, ...]) -> PointedMonoid:
-    return PointedMonoid(len(rows), tuple(tuple(r) for r in rows), name_labels)
+def _monoid_from_rows(rows: List[List[int]]) -> PointedMonoid:
+    return PointedMonoid(len(rows), tuple(tuple(r) for r in rows))
 
 
 @lru_cache(maxsize=None)
@@ -1190,14 +1188,11 @@ def monoid_pool(max_size: int = 6) -> Tuple[PointedMonoid, ...]:
         if m.size <= max_size:
             pool.append(m)
     # one nilpotent and one idempotent generator
-    pool.append(_monoid_from_rows(
-        [[0, 0, 0], [0, 1, 2], [0, 2, 0]], ("0", "1", "x")))
-    pool.append(_monoid_from_rows(
-        [[0, 0, 0], [0, 1, 2], [0, 2, 2]], ("0", "1", "e")))
+    pool.append(_monoid_from_rows([[0, 0, 0], [0, 1, 2], [0, 2, 0]]))
+    pool.append(_monoid_from_rows([[0, 0, 0], [0, 1, 2], [0, 2, 2]]))
     # truncated power monoid {0, 1, x, x^2} with x^3 = 0
     pool.append(_monoid_from_rows(
-        [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 0], [0, 3, 0, 0]],
-        ("0", "1", "x", "x2")))
+        [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 0], [0, 3, 0, 0]]))
     return tuple(m for m in pool if m.size <= max_size)
 
 

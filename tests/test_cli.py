@@ -14,7 +14,7 @@ import f1gtheory
 from f1gtheory import groups, lambda_ops
 from f1gtheory.burnside import BurnsideRing
 from f1gtheory.cli import build_parser, main
-from f1gtheory.groups import build_group
+from f1gtheory.groups import FiniteGroup, build_group
 
 from conftest import RUNGS
 
@@ -772,11 +772,9 @@ def test_jobs_flag_is_rejected(capsys):
     (["marks", "--group-json"], {"cayley": 5}),
     (["marks", "--group-json"], {"generators": "(1 2)", "degree": 2}),
     (["g0", "--monoid-json"], {"mul": 5}),
-    (["g0", "--monoid-json"], {"mul": [[0, 0], [0, 1]], "labels": 3}),
     (["decompose", "--group", "C2", "--module-json"], {"action": 5}),
 ], ids=["cayley-entry-out-of-range", "cayley-ragged", "cayley-not-a-list",
-        "generators-a-string", "mul-not-a-list", "labels-not-a-list",
-        "action-not-a-list"])
+        "generators-a-string", "mul-not-a-list", "action-not-a-list"])
 def test_malformed_file_exits_2(capsys, tmp_path, argv, content):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))
@@ -849,6 +847,53 @@ def test_cayley_identity_off_zero_marks_like_its_relabelled_form(capsys, tmp_pat
         outputs.append(out)
     assert outputs[0] == outputs[1]
     assert outputs[0].startswith("table of marks for custom (4 classes)")
+
+
+def test_identity_off_zero_is_a_group_only_through_the_table_loader(capsys, tmp_path):
+    # C3 with its identity at index 2: u * v = u + v + 1 (mod 3)
+    table = tuple(tuple((u + v + 1) % 3 for v in range(3)) for u in range(3))
+    with pytest.raises(ValueError, match="index 0 is not a two-sided identity"):
+        FiniteGroup(3, table)
+    with pytest.raises(TypeError):
+        FiniteGroup(3, table, identity=2)
+    c3 = build_group(name="C3")
+    assert build_group(cayley=table) == c3
+    for command in ("g0", "wh0"):
+        outputs = []
+        for cayley in (table, c3.cayley):
+            path = tmp_path / "group.json"
+            path.write_text(json.dumps({"cayley": cayley}))
+            code, out, _ = run_cli(capsys, command, "--group-json", str(path))
+            assert code == 0, command
+            outputs.append(out)
+        assert outputs[0] == outputs[1], command
+
+
+@pytest.mark.parametrize("cayley,message", [
+    # a non-associative loop of order 5 with its unit at index 1
+    ([[1, 0, 3, 4, 2], [0, 1, 2, 3, 4], [4, 2, 1, 0, 3], [2, 3, 4, 1, 0],
+      [3, 4, 0, 2, 1]], "associativity fails at (0, 0, 2)"),
+    # row 1 is range(3), column 1 is not
+    ([[1, 2, 0], [0, 1, 2], [2, 0, 1]], "index 1 is not a two-sided identity"),
+], ids=["non-associative", "one-sided-unit"])
+def test_malformed_table_is_named_in_its_own_indices(capsys, tmp_path, cayley, message):
+    # the table is validated against its identity row before it is relabelled
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"cayley": cayley}))
+    assert run_cli(capsys, "marks", "--group-json", str(path)) == (
+        2, "", f"error: {message}\n")
+
+
+def test_monoid_labels_key_is_ignored(capsys, tmp_path):
+    mul = [[0, 0, 0], [0, 1, 2], [0, 2, 2]]
+    outputs = []
+    for extra in ({}, {"labels": ["0", "1", "e"]}, {"labels": 3}):
+        path = tmp_path / "monoid.json"
+        path.write_text(json.dumps({"size": 3, "mul": mul, **extra}))
+        code, out, _ = run_cli(capsys, "g0", "--monoid-json", str(path), "--bound", "6")
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_suite_exit_zero(capsys):

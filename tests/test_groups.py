@@ -352,8 +352,7 @@ def test_library_names_build():
         assert group.order >= 1
         assert group.name == name
         # the library builds its tables trusted; the constructor validates
-        assert FiniteGroup(group.order, group.cayley, group.identity,
-                           group.labels, group.name) == group
+        assert FiniteGroup(group.order, group.cayley, group.name) == group
 
 
 def test_classification_deterministic():

@@ -30,8 +30,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def nilpotent_monoid():
     # 0, 1, x with x*x = 0
-    return PointedMonoid(3, ((0, 0, 0), (0, 1, 2), (0, 2, 0)),
-                         ("0", "1", "x"))
+    return PointedMonoid(3, ((0, 0, 0), (0, 1, 2), (0, 2, 0)))
 
 
 def test_monoid_validation():
@@ -52,7 +51,7 @@ def test_group_monoid_roundtrip():
     for a in range(group.order):
         for b in range(group.order):
             assert m.op(a + 1, b + 1) == group.mul(a, b) + 1
-    again = detect_group(PointedMonoid(m.size, m.mul, m.labels))
+    again = detect_group(PointedMonoid(m.size, m.mul))
     assert again.group is not None
     assert again.group.order == 6
 
