@@ -17,7 +17,7 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .burnside import BurnsideRing, build_burnside, marks_to_csv
-from .errors import InternalCheckError, ResourceLimitError, charge
+from .errors import InternalCheckError, ResourceLimitError, charge, charge_printable
 from .groups import (FiniteGroup, build_group, conjugacy_classes_of_elements,
                      is_odd_cyclic, load_group)
 from .gtheory import (cartan_zero, count_simple_factors, g0_presentation,
@@ -185,6 +185,7 @@ def _cmd_burnside_mul(args) -> int:
     x = ring.element(_parse_coeffs(args.x, ring, "--x"))
     y = ring.element(_parse_coeffs(args.y, ring, "--y"))
     product = x * y
+    charge_printable("digit count of the largest coefficient", [max(map(abs, product.coeffs))])
     if args.format == "json":
         _emit_json({
             "basis": list(ring.labels),

@@ -15,9 +15,9 @@ from itertools import permutations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
-from .groups import (FiniteGroup, _derived, _generating_sequence,
+from .groups import (FiniteGroup, _check_table, _derived, _generating_sequence,
                      classify_subgroups)
-from .modules import (FiniteModule, ModuleHom, PointedMonoid,
+from .modules import (FiniteModule, ModuleHom, PointedMonoid, _check_on_generators,
                       _extend_equivariant, _pair_node, group_monoid,
                       is_cofibration, zero_module)
 from .records import _Record
@@ -46,17 +46,14 @@ class MonoidHom(_Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if len(self.map) != self.source.size:
-            raise ValueError("map length must equal source size")
-        for v in self.map:
-            if not 0 <= v < self.target.size:
-                raise ValueError(f"image {v} out of range")
-        if self.map[0] != 0 or self.map[1] != 1:
+        src, tgt, f = self.source, self.target, self.map
+        _check_table("map", (f,), 1, src.size, tgt.size)
+        if f[0] != 0 or f[1] != 1:
             raise ValueError("monoid hom must fix zero and unit")
-        for a in range(self.source.size):
-            for b in range(self.source.size):
-                if self.map[self.source.mul[a][b]] != self.target.mul[self.map[a]][self.map[b]]:
-                    raise ValueError(f"multiplicativity fails at ({a}, {b})")
+        _check_on_generators(
+            "multiplicativity fails at ({i}, {g})", src.mul, 1,
+            lambda _, b: (map(f.__getitem__, [row[b] for row in src.mul]),
+                          [tgt.mul[y][f[b]] for y in f]))
 
     def __call__(self, x: int) -> int:
         return self.map[x]
@@ -82,41 +79,18 @@ class Bimodule(_Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError("bimodule carrier needs size >= 1")
-        lm, rm = self.left_monoid, self.right_monoid
-        if len(self.left) != self.size or any(len(r) != lm.size for r in self.left):
-            raise ValueError("left table must be size x left_monoid.size")
-        if len(self.right) != self.size or any(len(r) != rm.size for r in self.right):
-            raise ValueError("right table must be size x right_monoid.size")
-        for s in range(self.size):
-            if self.left[s][0] != 0 or self.right[s][0] != 0:
-                raise ValueError("monoid zeros must act as the basepoint collapse")
-            if self.left[s][1] != s or self.right[s][1] != s:
-                raise ValueError("monoid units must act as the identity")
-        for m in range(lm.size):
-            if self.left[0][m] != 0:
-                raise ValueError("basepoint must be fixed on the left")
-        for n in range(rm.size):
-            if self.right[0][n] != 0:
-                raise ValueError("basepoint must be fixed on the right")
-        for s in range(self.size):
-            for m in range(lm.size):
-                ms = self.left[s][m]
-                for m2 in range(lm.size):
-                    # (m2 m) s == m2 (m s)
-                    if self.left[s][lm.mul[m2][m]] != self.left[ms][m2]:
-                        raise ValueError(f"left action fails at ({s}, {m}, {m2})")
-            for n in range(rm.size):
-                sn = self.right[s][n]
-                for n2 in range(rm.size):
-                    if self.right[s][rm.mul[n][n2]] != self.right[sn][n2]:
-                        raise ValueError(f"right action fails at ({s}, {n}, {n2})")
-        for s in range(self.size):
-            for m in range(lm.size):
-                for n in range(rm.size):
-                    if self.right[self.left[s][m]][n] != self.left[self.right[s][n]][m]:
-                        raise ValueError(f"actions fail to commute at ({s}, {m}, {n})")
+        lm, rm, left, right = self.left_monoid, self.right_monoid, self.left, self.right
+        # m·s = left[s][m] is the right action s·m of the opposite monoid
+        opposite = _derived(PointedMonoid, lm.size, tuple(zip(*lm.mul)), None)
+        for side, monoid, table in (("left", opposite, left), ("right", rm, right)):
+            try:
+                FiniteModule(monoid, self.size, table)
+            except ValueError as exc:
+                raise ValueError(f"{side} action: {exc}") from None
+        right_columns = tuple(zip(*right))
+        _check_on_generators(
+            "actions fail to commute at ({x}, {i}, {g})", rm.mul, self.size,
+            lambda s, n: (map(right_columns[n].__getitem__, left[s]), left[right[s][n]]))
 
 
 def bimodule_from_monoid_hom(alpha: MonoidHom) -> Bimodule:

@@ -21,6 +21,30 @@ ORDER_CAP = 1024
 SUBGROUP_ENUMERATION_LIMIT = 64
 
 
+def _check_table(what: str, table, rows: int, cols: int, bound: int) -> None:
+    """Raise ValueError unless `table` is rows x cols (both >= 1), entries in 0..bound-1."""
+    if len(table) != rows or any(len(row) != cols for row in table):
+        raise ValueError(f"{what} must be {rows} x {cols}")
+    low, high = min(map(min, table)), max(map(max, table))
+    if low < 0 or high >= bound:
+        raise ValueError(f"{what} entry {low if low < 0 else high} out of range 0..{bound - 1}")
+
+
+def _generators(table, unit: int) -> List[int]:
+    """Greedy generators of the monoid `table` with two-sided `unit`: an element
+    joins unless a product ((unit·g1)·g2)·... of the earlier ones reaches it."""
+    gens: List[int] = []
+    reached = {unit}
+    for g in range(len(table)):
+        if g not in reached:
+            gens.append(g)
+            fresh = reached
+            while fresh:
+                fresh = {table[x][h] for x in fresh for h in gens} - reached
+                reached |= fresh
+    return gens
+
+
 def _check_associativity(table: Tuple[Tuple[int, ...], ...], unit: int) -> None:
     """Raise ValueError unless the product `table` with two-sided `unit` is
     associative.
@@ -30,20 +54,11 @@ def _check_associativity(table: Tuple[Tuple[int, ...], ...], unit: int) -> None:
     x, y contain the unit and are closed under the product, as
     (x·ab)·y = ((x·a)·b)·y = (x·a)·(b·y) = x·(a·(b·y)) = x·(ab·y).  No
     inverse is used, so it holds for monoids.  It suffices to check
-    generators, picked greedily until right multiplication from the unit
-    reaches every element.
+    generators (`_generators`); `modules._check_on_generators` makes the
+    same argument for the laws of modules and their maps.
     """
     n, t = len(table), table
-    gens: List[int] = []
-    reached = {unit}
-    for g in range(n):
-        if g not in reached:
-            gens.append(g)
-            fresh = reached
-            while fresh:
-                fresh = {t[x][h] for x in fresh for h in gens} - reached
-                reached |= fresh
-    for g in gens:
+    for g in _generators(t, unit):
         row_g = t[g]
         for x in range(n):
             row_xg, row_x = t[t[x][g]], t[x]
@@ -55,26 +70,20 @@ def _check_associativity(table: Tuple[Tuple[int, ...], ...], unit: int) -> None:
 
 def _check_group_table(n: int, table: Tuple[Tuple[int, ...], ...], unit: int) -> None:
     """Raise ValueError unless `table` is an n x n group table whose
-    two-sided identity is `unit`."""
+    two-sided identity is `unit`.
+
+    Columns need no check: each permutation row x has a y with x·y = unit,
+    and an associative table with a unit and right inverses is a group.
+    """
     if n < 1:
         raise ValueError(f"group order must be >= 1, got {n}")
-    if len(table) != n or any(len(row) != n for row in table):
-        raise ValueError("cayley table must be an order x order square")
-    for row in table:
-        for v in row:
-            if not 0 <= v < n:
-                raise ValueError(f"cayley entry {v} out of range 0..{n - 1}")
-    full = tuple(range(n))
+    _check_table("cayley table", table, n, n, n)
     for i, row in enumerate(table):
-        if tuple(sorted(row)) != full:
+        if len(set(row)) != n:
             raise ValueError(f"row {i} is not a permutation")
-    for j in range(n):
-        col = tuple(sorted(table[i][j] for i in range(n)))
-        if col != full:
-            raise ValueError(f"column {j} is not a permutation")
-    for x in range(n):
-        if table[unit][x] != x or table[x][unit] != x:
-            raise ValueError(f"index {unit} is not a two-sided identity")
+    if (tuple(table[unit]) != tuple(range(n))
+            or any(row[unit] != x for x, row in enumerate(table))):
+        raise ValueError(f"index {unit} is not a two-sided identity")
     _check_associativity(table, unit)
 
 
@@ -143,21 +152,8 @@ class Subgroup(_Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        g = self.parent
-        elems = self.elements
-        if tuple(sorted(set(elems))) != elems:
-            raise ValueError("subgroup elements must be sorted and distinct")
-        if g.identity not in elems:
-            raise ValueError("subgroup must contain the identity")
-        member = set(elems)
-        for a in elems:
-            if g.inv(a) not in member:
-                raise ValueError(f"subgroup not closed under inverse at {a}")
-            for b in elems:
-                if g.mul(a, b) not in member:
-                    raise ValueError(f"subgroup not closed at ({a}, {b})")
-        if g.order % len(elems):
-            raise ValueError("subgroup order must divide the group order")
+        if _subgroup_elements(self.parent, self.elements) != self.elements:
+            raise ValueError(f"{self.elements} is not a sorted tuple")
 
     @property
     def order(self) -> int:
@@ -235,11 +231,19 @@ def _extend(group: FiniteGroup, h: Sequence[int], gens: Sequence[int]) -> Tuple[
 def closure_of(group: FiniteGroup, seed: Iterable[int]) -> Tuple[int, ...]:
     """Smallest subgroup of `group` containing `seed`, as a sorted tuple.
 
-    The coset extension (`_extend`) of the trivial subgroup by the seed:
-    multiplication by the seed elements alone suffices, since in a finite
-    group the monoid they generate is already the subgroup.
+    A seed element outside the subgroup so far joins the generators, and
+    the subgroup they generate is grown from the previous one by cosets
+    (`_extend`): at most log2 of its order extensions, since each one at
+    least doubles the order.
     """
-    return _extend(group, (group.identity,), tuple(set(seed)))
+    closure, gens = (group.identity,), []
+    members = set(closure)
+    for x in seed:
+        if x not in members:
+            gens.append(x)
+            closure = _extend(group, closure, gens)
+            members.update(closure)
+    return closure
 
 
 # --- permutation helpers -------------------------------------------------
@@ -539,18 +543,22 @@ class SubgroupClassification(_Record):
 
 def _subgroup_elements(group: FiniteGroup,
                        elements: Optional[Iterable[int]] = None) -> Tuple[int, ...]:
-    """The sorted elements of a subgroup (all of `group` for None), or ValueError."""
+    """The sorted elements of a subgroup (all of `group` for None), or ValueError.
+
+    Range first, then one closure: a finite subset of a group is a subgroup
+    exactly when it is the subgroup it generates.
+    """
     if elements is None:
         return tuple(range(group.order))
     elems = tuple(sorted(elements))
-    if elems in classify_subgroups(group).class_of:
-        return elems
-    raise ValueError(f"{elems} " + (
-        "is empty; a subgroup needs at least one element" if not elems
-        else f"has an element outside 0..{group.order - 1}"
-        if elems[0] < 0 or elems[-1] >= group.order
-        else "repeats an element" if len(set(elems)) != len(elems)
-        else "is not closed under multiplication"))
+    if not all(0 <= x < group.order for x in elems):
+        raise ValueError(f"{elems} has an element outside 0..{group.order - 1}")
+    if closure_of(group, elems) != elems:
+        raise ValueError(f"{elems} " + (
+            "is empty; a subgroup needs at least one element" if not elems
+            else "repeats an element" if len(set(elems)) != len(elems)
+            else "is not closed under multiplication"))
+    return elems
 
 
 def classify_subgroups(group: FiniteGroup,

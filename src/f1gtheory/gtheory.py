@@ -27,7 +27,7 @@ from .snf import cokernel_invariants, factorize, merge_cyclic_factors
 __all__ = [
     "AbelianGroupReport", "GrothendieckPresentation", "CartanReport",
     "g0_presentation", "g1_via_splitting", "cartan_zero",
-    "count_simple_factors", "WORK_BUDGET", "GROUP_GENERATOR_CAP",
+    "count_simple_factors", "WORK_BUDGET", "GROUP_GENERATOR_CAP", "SIMPLE_FACTORS_Q_CAP",
 ]
 
 # Candidate rows plus relabellings the general-monoid enumeration may spend.
@@ -36,6 +36,9 @@ WORK_BUDGET = 1000000
 # default bound |G| + 3, the largest library case, has 132,312.
 GROUP_GENERATOR_CAP = 150000
 RELATION_AUDIT_SAMPLE = 40
+# Largest q that `count_simple_factors` factorizes: trial division to sqrt(q)
+# takes 0.05 s at the prime 999,999,999,989 on 2 vCPUs.
+SIMPLE_FACTORS_Q_CAP = 10 ** 12
 
 
 class AbelianGroupReport(_Record):
@@ -326,7 +329,7 @@ def _audit_group_relation(ring: BurnsideRing, counts: Tuple[int, ...], cls: int)
 
 # --- G_0 for general monoids --------------------------------------------
 
-def _action_tables(m: PointedMonoid, s: int, spend: Callable[[int], None] = lambda work: None
+def _action_tables(m: PointedMonoid, s: int, spend: Callable[[int], None]
                    ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
     """Action tables on a carrier of size s, in lex order of their free entries.
 
@@ -567,6 +570,7 @@ def count_simple_factors(group: FiniteGroup, q: int) -> int:
     Counts orbits of the q-th power map on conjugacy classes of elements.
     Requires q a prime power coprime to the group order.
     """
+    charge("gtheory.SIMPLE_FACTORS_Q_CAP", q, SIMPLE_FACTORS_Q_CAP, "field size q")
     if q < 2 or len(factorize(q)) != 1:
         raise ValueError(f"{q} is not a prime power")
     if math.gcd(q, group.order) != 1:

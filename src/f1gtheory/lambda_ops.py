@@ -20,12 +20,11 @@ from __future__ import annotations
 import math
 import operator
 import random
-import sys
 from itertools import accumulate, combinations
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from .burnside import BurnsideElement, BurnsideRing, linear_dimension
-from .errors import charge
+from .errors import charge, charge_printable
 from .groups import _generating_sequence
 from .modules import FiniteModule
 from .polynomials import composition_rule, product_rule
@@ -43,25 +42,6 @@ __all__ = [
 # the cap.  Diamond's falling factorials are charged by the same rule,
 # though `math.perm` takes under 1 ns a unit.
 GHOST_WORK_CAP = 20000000
-
-
-def _charge_printable(what: str, growing: Iterable[int], over: int = 1) -> None:
-    """Refuse an answer with a number too long for Python's integer-string limit.
-
-    `growing` never decreases and ends at most `over` times the answer's
-    longest number (a bound on its marks for lambda of a virtual class), so
-    it is read until it reaches 10^limit * over.  The digits of
-    v = value // over are those of 2^(v.bit_length() - 1) or one more.
-    """
-    limit = sys.get_int_max_str_digits()
-    if limit:
-        stop, value = 10 ** limit * over, 0
-        for value in growing:
-            if value >= stop:
-                break
-        v = value // over
-        d = int((v.bit_length() - 1) * math.log10(2)) + 1
-        charge("sys.get_int_max_str_digits()", d + (v >= 10 ** d), limit, what)
 
 
 def _subset_decompose(ring: BurnsideRing, s: FiniteModule, k: int) -> BurnsideElement:
@@ -146,19 +126,19 @@ def lambda_k(ring: BurnsideRing, x: BurnsideElement, k: int) -> BurnsideElement:
         # the answer's c_i satisfy sum c_i |G:H_i| = C(n, k), and C(n, j)
         # grows with j <= n / 2
         n = linear_dimension(x)
-        _charge_printable("digit count of the largest coefficient",
-                          accumulate(range(1, min(k, n - k) + 1),
-                                     lambda c, j: c * (n - j + 1) // j, initial=1),
-                          sum(ring.coset_sizes))
+        charge_printable("digit count of the largest coefficient",
+                         accumulate(range(1, min(k, n - k) + 1),
+                                    lambda c, j: c * (n - j + 1) // j, initial=1),
+                         sum(ring.coset_sizes))
     else:
         # a mark of the answer is [t^k] of a product of (1 + t^L)^e_L with
         # sum |e_L| <= n, so at most [t^k] (1 - t)^-n = C(n + k - 1, k)
         n = linear_dimension(ring.element([abs(c) for c in x.coeffs]))
-        _charge_printable("digit count of the mark bound C(n + k - 1, k)", accumulate(
+        charge_printable("digit count of the mark bound C(n + k - 1, k)", accumulate(
             range(1, k + 1), lambda c, j: c * (n + j - 1) // j, initial=1))
     value = ring.from_marks([col[k] for col in _ghost_series(ring, x, k)])
     # back-substitution may still grow a coefficient past its marks
-    _charge_printable("digit count of the largest coefficient", [max(map(abs, value.coeffs))])
+    charge_printable("digit count of the largest coefficient", [max(map(abs, value.coeffs))])
     return value
 
 
@@ -190,7 +170,7 @@ def diamond_class(ring: BurnsideRing, x: BurnsideElement,
         return 1, ring.zero()
     charge("lambda_ops.GHOST_WORK_CAP", ring.rank * k * k, GHOST_WORK_CAP,
            f"ghost work rank x k^2 at k = {k}")
-    _charge_printable("digit count of the carrier size", (
+    charge_printable("digit count of the carrier size", (
         1 + p for p in accumulate(range(n, n - k, -1), operator.mul, initial=1)))
     return 1 + math.perm(n, k), ring.from_marks([math.perm(m, k) for m in x.marks()])
 

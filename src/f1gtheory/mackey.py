@@ -259,7 +259,7 @@ def double_coset_plans(group: FiniteGroup,
     h_ctx = subgroup_context(group, h_elements)
     inner: Dict[Tuple[int, ...], SubgroupContext] = {}
     for k in classify_subgroups(group).representatives:
-        yield _plan(h_ctx, subgroup_context(group, k.elements), inner)
+        yield _plan(h_ctx, _context(group, k.elements, tuple(range(group.order))), inner)
 
 
 def check_double_coset(group: FiniteGroup, h_elements: Sequence[int],

@@ -2,7 +2,7 @@
 
 Carriers are dense 0-based index sets.  Index 0 of a monoid is its absorbing
 zero and index 1 its unit; index 0 of a module carrier is the basepoint.
-The class constructors validate their tables exhaustively; objects the
+The class constructors validate their tables exactly; objects the
 functions here derive from validated ones are built with `_derived` and
 trusted.
 """
@@ -13,8 +13,8 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .groups import (FiniteGroup, _check_associativity, _derived, _int_table,
-                     _memo_on_group, _right_cosets)
+from .groups import (FiniteGroup, _check_associativity, _check_table, _derived,
+                     _generators, _int_table, _memo_on_group, _right_cosets)
 from .records import _Record
 
 __all__ = [
@@ -24,6 +24,32 @@ __all__ = [
     "module_from_json", "is_cofibration", "quotient",
     "quotient_with_projection", "diagonal_smash",
 ]
+
+
+def _check_on_generators(law: str, mul, points: int, sides: Callable) -> None:
+    """Raise ValueError unless the rows `sides(x, g)` agree for every
+    x < `points` and every generator g of the validated pointed monoid
+    `mul`; `law` is the message, formatted with x, g and the first position
+    i where the rows differ.
+
+    Each law here holds for all x and m at a monoid element n, and the n
+    where it does contain the unit (by the unit laws, checked first) and
+    are closed under products, so generators suffice, as in Light's test
+    (`groups._check_associativity`).  For a, b in that set, by the law at
+    a or b and the laws already checked:
+      (x·m)·n = x·mn:     (x·m)·ab = ((x·m)·a)·b = (x·ma)·b = x·(ma·b);
+      (m·x)·n = m·(x·n):  (m·x)·ab = ((m·x)·a)·b = (m·(x·a))·b = m·((x·a)·b);
+      f(x·n) = f(x)·n:    f(x·ab) = f((x·a)·b) = f(x·a)·b = (f(x)·a)·b;
+      f(mn) = f(m)f(n):   f(m·ab) = f(ma·b) = f(ma)f(b) = (f(m)f(a))f(b);
+    each chain ends at the law's right side at ab by an action or
+    associativity law.
+    """
+    for g in _generators(mul, 1):
+        for x in range(points):
+            lhs, rhs = map(tuple, sides(x, g))
+            if lhs != rhs:
+                i = next(i for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+                raise ValueError(law.format(x=x, i=i, g=g))
 
 
 class PointedMonoid(_Record):
@@ -44,12 +70,7 @@ class PointedMonoid(_Record):
         n = self.size
         if n < 2:
             raise ValueError(f"pointed monoid needs size >= 2, got {n}")
-        if len(self.mul) != n or any(len(r) != n for r in self.mul):
-            raise ValueError("mul table must be size x size")
-        for row in self.mul:
-            for v in row:
-                if not 0 <= v < n:
-                    raise ValueError(f"mul entry {v} out of range 0..{n - 1}")
+        _check_table("mul table", self.mul, n, n, n)
         for x in range(n):
             if self.mul[0][x] != 0 or self.mul[x][0] != 0:
                 raise ValueError(f"index 0 fails to absorb at {x}")
@@ -126,28 +147,20 @@ class FiniteModule(_Record):
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError("module carrier needs size >= 1")
-        if len(self.action) != self.size or any(len(r) != self.monoid.size for r in self.action):
-            raise ValueError("action table must be size x monoid.size")
-        for row in self.action:
-            for v in row:
-                if not 0 <= v < self.size:
-                    raise ValueError(f"action entry {v} out of range")
-        for m in range(self.monoid.size):
-            if self.action[0][m] != 0:
-                raise ValueError("basepoint must be fixed by the action")
-        for x in range(self.size):
-            if self.action[x][0] != 0:
+        act, mul = self.action, self.monoid.mul
+        _check_table("action table", act, self.size, self.monoid.size, self.size)
+        if any(act[0]):
+            raise ValueError("basepoint must be fixed by the action")
+        for x, row in enumerate(act):
+            if row[0] != 0:
                 raise ValueError("the monoid zero must send everything to the basepoint")
-            if self.action[x][1] != x:
+            if row[1] != x:
                 raise ValueError("the monoid unit must act as the identity")
-        mul = self.monoid.mul
-        for x in range(self.size):
-            row = self.action[x]
-            for m in range(self.monoid.size):
-                xm = row[m]
-                for n in range(self.monoid.size):
-                    if self.action[xm][n] != self.action[x][mul[m][n]]:
-                        raise ValueError(f"action compatibility fails at ({x}, {m}, {n})")
+        columns, mul_columns = tuple(zip(*act)), tuple(zip(*mul))
+        _check_on_generators(
+            "action compatibility fails at ({x}, {i}, {g})", mul, self.size,
+            lambda x, n: (map(columns[n].__getitem__, act[x]),
+                          map(act[x].__getitem__, mul_columns[n])))
 
     @cached_property
     def profile(self) -> Tuple[Tuple[int, int], ...]:
@@ -201,20 +214,16 @@ class ModuleHom(_Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.source.monoid != self.target.monoid:
+        src, tgt, f = self.source, self.target, self.map
+        if src.monoid != tgt.monoid:
             raise ValueError("source and target must share the monoid")
-        if len(self.map) != self.source.size:
-            raise ValueError("map length must equal source size")
-        for v in self.map:
-            if not 0 <= v < self.target.size:
-                raise ValueError(f"image {v} out of range")
-        if self.map[0] != 0:
+        _check_table("map", (f,), 1, src.size, tgt.size)
+        if f[0] != 0:
             raise ValueError("module hom must preserve the basepoint")
-        for x in range(self.source.size):
-            fx = self.map[x]
-            for m in range(self.source.monoid.size):
-                if self.map[self.source.action[x][m]] != self.target.action[fx][m]:
-                    raise ValueError(f"equivariance fails at ({x}, {m})")
+        _check_on_generators(
+            "equivariance fails at ({i}, {g})", src.monoid.mul, 1,
+            lambda _, m: (map(f.__getitem__, [row[m] for row in src.action]),
+                          [tgt.action[y][m] for y in f]))
 
     def __call__(self, x: int) -> int:
         return self.map[x]

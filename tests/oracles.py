@@ -88,6 +88,11 @@ k-subsets explicitly and `diamond_filtered` the diamond module of tuples
 compatible with a chain of cofibrations; the library reads lambda
 operations off orbit lengths in the ghost ring.
 
+`action_law_everywhere`, `equivariant_everywhere`,
+`multiplicative_everywhere` and `bimodule_laws_everywhere` test the module,
+module-hom, monoid-hom and bimodule laws at every pair or triple; the
+class constructors test them at the generators of the acting monoid.
+
 The seeded random builders at the end (monoid pool, homomorphisms, modules,
 maps and disguised split and extension instances) feed the module-category
 acceptance criteria.  They are deterministic given a `random.Random`; the
@@ -1171,6 +1176,42 @@ def subset_module(s: FiniteModule, k: int) -> FiniteModule:
                 row.append(index[tuple(sorted(image))])
         action.append(row)
     return _derived(FiniteModule, s.monoid, 1 + len(subsets), tuple(tuple(r) for r in action))
+
+
+# --- the table laws at every pair and triple -----------------------------
+
+def action_law_everywhere(monoid: PointedMonoid, action: Sequence[Sequence[int]]) -> bool:
+    """(x·m)·n = x·mn for every point x and monoid elements m, n."""
+    mul, elems = monoid.mul, range(monoid.size)
+    return all(action[action[x][m]][n] == action[x][mul[m][n]]
+               for x in range(len(action)) for m in elems for n in elems)
+
+
+def equivariant_everywhere(source: FiniteModule, target: FiniteModule,
+                           f: Sequence[int]) -> bool:
+    """f(x·m) = f(x)·m for every point x and monoid element m."""
+    return all(f[source.action[x][m]] == target.action[f[x]][m]
+               for x in range(source.size) for m in range(source.monoid.size))
+
+
+def multiplicative_everywhere(source: PointedMonoid, target: PointedMonoid,
+                              f: Sequence[int]) -> bool:
+    """f(ab) = f(a)f(b) for every a, b."""
+    elems = range(source.size)
+    return all(f[source.mul[a][b]] == target.mul[f[a]][f[b]] for a in elems for b in elems)
+
+
+def bimodule_laws_everywhere(lm: PointedMonoid, rm: PointedMonoid,
+                             left: Sequence[Sequence[int]],
+                             right: Sequence[Sequence[int]]) -> bool:
+    """Both action laws and their commutation at every triple; left[s][m] is m·s."""
+    points, ls, rs = range(len(left)), range(lm.size), range(rm.size)
+    return (all(left[s][lm.mul[a][m]] == left[left[s][m]][a]
+                for s in points for m in ls for a in ls)
+            and all(right[s][rm.mul[n][b]] == right[right[s][n]][b]
+                    for s in points for n in rs for b in rs)
+            and all(right[left[s][m]][n] == left[right[s][n]][m]
+                    for s in points for m in ls for n in rs))
 
 
 # --- seeded random builders ----------------------------------------------

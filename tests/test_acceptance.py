@@ -16,7 +16,7 @@ from f1gtheory.burnside import build_burnside
 from f1gtheory.constructions import (are_isomorphic, base_change,
                                      base_change_hom, diamond, find_section,
                                      pushout)
-from f1gtheory.groups import (all_subgroups, build_group, classify_subgroups,
+from f1gtheory.groups import (all_subgroups, build_group,
                               conjugacy_classes_of_elements, library_names)
 from f1gtheory.gtheory import (cartan_zero, count_simple_factors,
                                g0_presentation, g1_via_splitting)

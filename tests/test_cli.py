@@ -15,6 +15,7 @@ from f1gtheory import groups, lambda_ops
 from f1gtheory.burnside import BurnsideRing
 from f1gtheory.cli import build_parser, main
 from f1gtheory.groups import FiniteGroup, build_group
+from f1gtheory.snf import factorize
 
 from conftest import RUNGS
 
@@ -269,6 +270,56 @@ def test_simple_factors(capsys):
                            "--q", "2", "--format", "json")
     assert code == 0
     assert json.loads(out)["simple_factors"] == 2
+
+
+# Counts printed before q was capped: at q = 1000000007 and at the two q
+# that `suite` checks for the group, the least prime powers below 60
+# coprime to its order.
+SIMPLE_FACTORS = {
+    "C1": {2: 1, 3: 1, 1000000007: 1}, "C5": {2: 2, 3: 2, 1000000007: 2},
+    "S3": {5: 3, 7: 3, 1000000007: 3}, "Q8": {3: 5, 5: 5, 1000000007: 5},
+    "D6": {5: 6, 7: 6, 1000000007: 6}, "A4": {5: 3, 7: 4, 1000000007: 3},
+    "S4": {5: 5, 7: 5, 1000000007: 5}, "C24": {5: 14, 7: 15, 1000000007: 13},
+}
+
+
+@pytest.mark.parametrize("name", list(SIMPLE_FACTORS))
+def test_simple_factors_under_the_q_cap_print_the_same_bytes(capsys, name):
+    suite_qs = [q for q in range(2, 60) if math.gcd(q, build_group(name=name).order) == 1
+                and len(factorize(q)) == 1][:2]
+    assert sorted(SIMPLE_FACTORS[name]) == suite_qs + [1000000007]
+    for q, count in SIMPLE_FACTORS[name].items():
+        code, out, err = run_cli(capsys, "simple-factors", "--group", name, "--q", str(q))
+        assert (code, err) == (0, "")
+        assert out == f"group algebra over F_{q} splits into {count} simple factors\n"
+    code, out, _ = run_cli(capsys, "simple-factors", "--group", name,
+                           "--q", "1000000007", "--format", "json")
+    assert out == ('{\n  "group": "%s",\n  "q": 1000000007,\n  "simple_factors": %d\n}\n'
+                   % (name, SIMPLE_FACTORS[name][1000000007]))
+
+
+def test_simple_factors_refuses_a_q_past_its_cap_at_once(capsys):
+    # trial division to the square root of this prime would take minutes
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "simple-factors", "--group", "S3",
+                             "--q", "1000000000000000003")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("resource limit: field size q reaches 1000000000000000003, "
+                   "past gtheory.SIMPLE_FACTORS_Q_CAP = 1000000000000\n")
+
+
+def test_unprintable_product_is_refused_before_printing(capsys):
+    # 3,000 nines parse; their product, twice their square on C2/1, has
+    # 6,001 digits
+    limit = sys.get_int_max_str_digits()
+    x = f"[{'9' * 3000},0]"
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "burnside-mul", "--group", "C2",
+                                 "--x", x, "--y", x, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == (f"resource limit: digit count of the largest coefficient "
+                       f"reaches 6001, past sys.get_int_max_str_digits() = {limit}\n")
 
 
 def test_diamond(capsys):

@@ -309,7 +309,7 @@ def test_pruned_enumeration_matches_product_order():
             continue
         bound = 7 if m == IDEMPOTENT else 6 if m.size == 3 else 4
         for s in range(1, bound + 1):
-            assert list(gtheory._action_tables(m, s)) == \
+            assert list(gtheory._action_tables(m, s, lambda work: None)) == \
                 list(product_order_tables(m, s)), (m.mul, s)
         reps = gtheory._enumerate_modules(m, bound).reps
         assert [r.action for r in reps] == \
@@ -354,7 +354,8 @@ def test_g0_monoid3_enumeration_makes_no_isomorphism_calls(monkeypatch):
     monkeypatch.setattr(constructions, "are_isomorphic", refuse)
     index = gtheory._enumerate_modules(IDEMPOTENT, 6)
     # the memo holds every valid labelled table, and nothing else
-    tables = [t for s in range(1, 7) for t in gtheory._action_tables(IDEMPOTENT, s)]
+    tables = [t for s in range(1, 7)
+              for t in gtheory._action_tables(IDEMPOTENT, s, lambda work: None)]
     assert len(index._known) == len(tables) == 673
     assert set(index._known) == set(tables)
     p = g0_presentation(IDEMPOTENT, 6)

@@ -4,8 +4,6 @@ import random
 from math import factorial, perm
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from f1gtheory.burnside import BurnsideRing, build_burnside
 from f1gtheory.constructions import diamond

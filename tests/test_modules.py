@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f1gtheory.errors import InternalCheckError
 from f1gtheory.groups import build_group
 from f1gtheory.constructions import (F1, MonoidHom, are_isomorphic,
                                      base_change, base_change_hom,
@@ -21,7 +20,7 @@ from f1gtheory.modules import (FiniteModule, ModuleHom, PointedMonoid,
                                free_module, group_monoid, is_cofibration,
                                module_from_json, monoid_from_json, quotient,
                                quotient_with_projection, submodule_inclusion,
-                               wedge, wedge_with_inclusions, zero_module)
+                               wedge, wedge_with_inclusions)
 
 from oracles import _small_modules, identity_hom, monoid_pool, permute_module
 

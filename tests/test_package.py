@@ -4,8 +4,9 @@ A CLI process imports every engine layer and nothing else; `import
 f1gtheory` alone imports no submodule; every public name has a caller, is
 a library construction, or is listed below with its reason; the parser
 that `main` builds for one subcommand prints what the full parser prints;
-and the README lists every resource limit with the value the code holds,
-and only `errors.charge` raises `ResourceLimitError`.
+the README lists every resource limit with the value the code holds, and
+only `errors.charge` raises `ResourceLimitError`; and no module imports a
+name it never reads.
 """
 
 from __future__ import annotations
@@ -79,9 +80,6 @@ def test_every_public_name_resolves_and_is_listed():
 WITHOUT_CALLER = {
     "check_double_coset": "the double coset formula for one (H, K, y); "
                           "mackey-check runs the same plan per class pair",
-    "closure_of": "the subgroup generated by a seed, the coset extension "
-                  "of the trivial subgroup; the engine extends known "
-                  "subgroups instead",
     "conjugate": "conjugation between subgroup rings, the Mackey map "
                  "next to restrict and induce",
     "lambda_series": "the operations 0..cap at once, the series form of "
@@ -197,7 +195,7 @@ def test_main_parses_like_the_full_parser(capsys, argv):
 # Every resource limit, by the module that reads it.
 LIMITS = {
     "groups": ("ORDER_CAP", "SUBGROUP_ENUMERATION_LIMIT"),
-    "gtheory": ("GROUP_GENERATOR_CAP", "WORK_BUDGET"),
+    "gtheory": ("GROUP_GENERATOR_CAP", "WORK_BUDGET", "SIMPLE_FACTORS_Q_CAP"),
     "polynomials": ("MAX_PRODUCT_K", "MAX_COMPOSITION_L"),
     "lambda_ops": ("GHOST_WORK_CAP",),
 }
@@ -232,3 +230,35 @@ def test_only_charge_raises_resource_limit_error():
                 if getattr(exc, "id", getattr(exc, "attr", None)) == "ResourceLimitError":
                     raising.append(name)
     assert raising == ["errors.py"]
+
+
+def _unread_imports(path: str) -> list:
+    """Names that the module at `path` imports but never reads.
+
+    A name counts as read when the module loads it anywhere, or lists it
+    in its `__all__`; `from __future__` imports bind nothing.
+    """
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in node.targets):
+            read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return [f"{path}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unread = []
+    for folder in (os.path.join(SRC, "f1gtheory"), os.path.join(ROOT, "tests"),
+                   os.path.join(ROOT, "scripts")):
+        for name in sorted(os.listdir(folder)):
+            if name.endswith(".py"):
+                unread += _unread_imports(os.path.join(folder, name))
+    assert unread == []
