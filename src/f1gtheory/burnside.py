@@ -3,7 +3,8 @@
 Basis classes are conjugacy classes of subgroups in the canonical order of
 `classify_subgroups`; the table of marks is lower triangular with the mark
 m[H][K] counting K-fixed cosets in G/H.  Multiplication runs through the
-ghost (marks) ring and back-substitutes exactly.  A(H) for H <= G is in G's ids.
+ghost (marks) ring and back-substitutes exactly.  A(H) for H <= G is in G's
+element and lattice ids; `build_burnside` is the entry for element tuples.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
-from .groups import (FiniteGroup, SubgroupClassification, _memo_on_group,
-                     _subgroup_elements, classify_subgroups)
+from .groups import (FiniteGroup, SubgroupClassification, _classify, _lattice,
+                     _memo_on_group, _subgroup_id)
 from .modules import FiniteModule, coset_module, group_monoid, wedge, zero_module
 from .records import _Record
 
@@ -24,12 +25,14 @@ __all__ = [
 
 
 class BurnsideRing:
-    """The Burnside ring of a subgroup H of `group` (default all of it), in its ids."""
+    """The Burnside ring of the subgroup H of `group` with lattice id `sub`
+    (default all of it), in its ids."""
 
-    def __init__(self, group: FiniteGroup, elements: Optional[Iterable[int]] = None) -> None:
+    def __init__(self, group: FiniteGroup, sub: Optional[int] = None) -> None:
         self.group = group
-        self.classification: SubgroupClassification = classify_subgroups(group, elements)
-        self.elements = self.classification.elements
+        self.sub = _lattice(group).top if sub is None else sub
+        self.classification: SubgroupClassification = _classify(group, self.sub)
+        self.elements = _lattice(group).subgroups[self.sub].elements
         self.order = len(self.elements)
         self.rank = self.classification.rank
         self.labels = self.classification.labels
@@ -38,8 +41,7 @@ class BurnsideRing:
 
     def same_ring(self, other: "BurnsideRing") -> bool:
         """Rings of one subgroup of equal groups (names aside)."""
-        return self is other or (self.elements == other.elements
-                                 and self.group == other.group)
+        return self is other or (self.sub == other.sub and self.group == other.group)
 
     def _build_rows(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
         """The nonzero (column, mark) pairs of each row, read off the classification.
@@ -103,15 +105,13 @@ class BurnsideRing:
         G-set is built.  Ascending in L; built on first use by the lambda
         engine, not with the ring.
         """
-        def bits(sub) -> int:
-            return sum(1 << x for x in sub.elements)
-
-        reps = [(bits(rep), rep.order) for rep in self.classification.representatives]
+        masks = _lattice(self.group).masks
+        reps = [(masks[cls[0]], masks[cls[0]].bit_count()) for cls in self.classification.members]
         shared: Dict[tuple, tuple] = {}  # one object per distinct entry
         table = []
-        for cls in self.classification.classes:
-            weight = self.order // (cls[0].order * len(cls))
-            members = [bits(member) for member in cls]
+        for cls, (_, order) in zip(self.classification.members, reps):
+            weight = self.order // (order * len(cls))
+            members = [masks[member] for member in cls]
             row = []
             for k, size in reps:
                 points: Dict[int, int] = {}
@@ -155,9 +155,10 @@ class BurnsideRing:
         if self.order != self.group.order or module.monoid != group_monoid(self.group):
             raise ValueError("module lives over a different group")
         coeffs = [0] * self.rank
+        id_of = _lattice(self.group).id_of
         for orb in module.orbits():
-            stab = module.stabilizer_elements(orb[0])
-            coeffs[self.classification.class_index(stab)] += 1
+            stabilizer = id_of(module.stabilizer_elements(orb[0]))
+            coeffs[self.classification.class_index(stabilizer)] += 1
         return self.element(coeffs)
 
     def marks_of(self, x: "BurnsideElement") -> Tuple[int, ...]:
@@ -214,12 +215,12 @@ class BurnsideRing:
 
 def build_burnside(group: FiniteGroup, elements: Optional[Iterable[int]] = None) -> BurnsideRing:
     """A(H) for the subgroup H with these elements (default all of `group`)."""
-    return _burnside(group, _subgroup_elements(group, elements))
+    return _burnside(group, _subgroup_id(group, elements))
 
 
 @_memo_on_group
-def _burnside(group: FiniteGroup, elements: Tuple[int, ...]) -> BurnsideRing:
-    return BurnsideRing(group, elements)
+def _burnside(group: FiniteGroup, sub: int) -> BurnsideRing:
+    return BurnsideRing(group, sub)
 
 
 class BurnsideElement(_Record):

@@ -287,12 +287,11 @@ def _run_mackey_checks(group: FiniteGroup, trials: int,
     reps = ring.classification.representatives
     dc = CheckReport("double coset formula")
     for h in reps:
-        h_ring = subgroup_context(group, h.elements).ring
         for plan in double_coset_plans(group, h.elements):
             failing = plan.failures()
-            for i in range(h_ring.rank):
+            for i in range(plan.h_ctx.ring.rank):
                 dc.record(i not in failing, lambda: plan.check(
-                    h_ring.basis_element(i)).to_json())
+                    plan.h_ctx.ring.basis_element(i)).to_json())
     fr = CheckReport("Frobenius reciprocity")
     for _ in range(trials):
         h = reps[rng.randrange(len(reps))]

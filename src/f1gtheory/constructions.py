@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
 from .groups import (FiniteGroup, _check_table, _derived, _generating_sequence,
-                     classify_subgroups)
+                     _lattice, classify_subgroups)
 from .modules import (FiniteModule, ModuleHom, PointedMonoid, _check_on_generators,
                       _extend_equivariant, _pair_node, group_monoid,
                       is_cofibration, zero_module)
@@ -338,13 +338,13 @@ def generating_set(s: FiniteModule) -> Tuple[int, ...]:
 
 def _iso_group_case(s: FiniteModule, t: FiniteModule) -> Optional[Tuple[int, ...]]:
     group = s.monoid.group
-    cls = classify_subgroups(group)
+    cls, id_of = classify_subgroups(group), _lattice(group).id_of
     by_class_s: Dict[int, List[int]] = {}
     by_class_t: Dict[int, List[int]] = {}
     for module, bucket in ((s, by_class_s), (t, by_class_t)):
         for orb in module.orbits():
             rep = orb[0]
-            c = cls.class_index(module.stabilizer_elements(rep))
+            c = cls.class_index(id_of(module.stabilizer_elements(rep)))
             bucket.setdefault(c, []).append(rep)
     if {c: len(v) for c, v in by_class_s.items()} != {c: len(v) for c, v in by_class_t.items()}:
         return None

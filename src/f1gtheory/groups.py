@@ -228,8 +228,8 @@ def _extend(group: FiniteGroup, h: Sequence[int], gens: Sequence[int]) -> Tuple[
     return tuple(sorted(members))
 
 
-def closure_of(group: FiniteGroup, seed: Iterable[int]) -> Tuple[int, ...]:
-    """Smallest subgroup of `group` containing `seed`, as a sorted tuple.
+def _span(group: FiniteGroup, seed: Iterable[int]) -> Tuple[List[int], Tuple[int, ...]]:
+    """Greedy generators of the subgroup <seed>, and <seed> as a sorted tuple.
 
     A seed element outside the subgroup so far joins the generators, and
     the subgroup they generate is grown from the previous one by cosets
@@ -243,7 +243,12 @@ def closure_of(group: FiniteGroup, seed: Iterable[int]) -> Tuple[int, ...]:
             gens.append(x)
             closure = _extend(group, closure, gens)
             members.update(closure)
-    return closure
+    return gens, closure
+
+
+def closure_of(group: FiniteGroup, seed: Iterable[int]) -> Tuple[int, ...]:
+    """Smallest subgroup of `group` containing `seed`, as a sorted tuple."""
+    return _span(group, seed)[1]
 
 
 # --- permutation helpers -------------------------------------------------
@@ -466,14 +471,14 @@ def load_group(path: str) -> FiniteGroup:
 
 @_memo_on_group
 def all_subgroups(group: FiniteGroup) -> Tuple[Subgroup, ...]:
-    """All subgroups, sorted by (order, element tuple).
+    """All subgroups, sorted by (order, element tuple); a subgroup's index
+    here is its lattice id (`_Lattice`), the name the library uses for it.
 
-    Enumeration is by cyclic extension: grow each known subgroup H by one
-    extra element x until nothing new appears.  One x per coset xH is
-    tried, since <H, xh> = <H, x>.  Each subgroup keeps the generators it
-    was found with, and <H, x> is grown from H by cosets (`_extend`).
-    Exhaustive only up to order 64; larger groups are refused rather than
-    silently truncated.
+    Cyclic extension: each known subgroup H grows by one extra element x,
+    one x per coset xH (<H, xh> = <H, x>), until nothing new appears; each
+    keeps the generators it was found with, and <H, x> is grown from H by
+    cosets (`_extend`).  Exhaustive only up to order 64; larger groups are
+    refused rather than silently truncated.
     """
     charge("groups.SUBGROUP_ENUMERATION_LIMIT", group.order,
            SUBGROUP_ENUMERATION_LIMIT, "group order for the subgroup lattice")
@@ -501,23 +506,62 @@ def all_subgroups(group: FiniteGroup) -> Tuple[Subgroup, ...]:
     return tuple(_derived(Subgroup, group, t) for t in ordered)
 
 
-class SubgroupClassification(_Record):
-    """Conjugacy classes of the subgroups of H <= G, in the ids of G.
+class _Lattice:
+    """The subgroups of a group by id, their index in `all_subgroups`.
 
-    Classes are sorted by (subgroup order, least member's element tuple);
-    each class lists its members sorted by element tuple, the first member
-    being the canonical representative.
+    Ids ascend with (order, elements): the trivial subgroup is 0, the group
+    is `top`, and the subgroups of the subgroup with id h have ids <= h.
+    With the bitmask of each, an intersection is one AND and one lookup.
     """
 
-    _fields = ("group", "elements", "classes")
+    def __init__(self, group: FiniteGroup) -> None:
+        self.group = group
+        self.subgroups = all_subgroups(group)
+        self.masks = tuple(sum(1 << x for x in sub.elements) for sub in self.subgroups)
+        self.ids = {mask: i for i, mask in enumerate(self.masks)}
+        self.top = len(self.subgroups) - 1
+        self._conjugations: Dict[int, Tuple[int, ...]] = {}
 
-    def __init__(self, group: FiniteGroup, elements: Tuple[int, ...],
-                 classes: Tuple[Tuple[Subgroup, ...], ...]) -> None:
-        self.__dict__.update(group=group, elements=elements, classes=classes)
+    def id_of(self, elements: Iterable[int]) -> Optional[int]:
+        """The id of the subgroup with these elements; None for another set."""
+        return self.ids.get(sum(1 << x for x in elements))
+
+    def conjugation(self, g: int) -> Tuple[int, ...]:
+        """Entry i: the id of gSg^-1, S the subgroup with id i; built on first use."""
+        if g not in self._conjugations:
+            c = self.group.conjugations[g]
+            self._conjugations[g] = tuple(self.id_of(map(c.__getitem__, sub.elements))
+                                          for sub in self.subgroups)
+        return self._conjugations[g]
+
+
+@_memo_on_group
+def _lattice(group: FiniteGroup) -> _Lattice:
+    return _Lattice(group)
+
+
+class SubgroupClassification(_Record):
+    """Conjugacy classes of the subgroups of H <= G, by lattice id.
+
+    H has id `sub`; `members` lists the ids of each class, ascending, and
+    the classes come in the order of their least member, the canonical
+    representative.  `classes` gives the same subgroups as records.
+    """
+
+    _fields = ("group", "sub", "members")
+
+    def __init__(self, group: FiniteGroup, sub: int,
+                 members: Tuple[Tuple[int, ...], ...]) -> None:
+        self.__dict__.update(group=group, sub=sub, members=members)
 
     @property
     def rank(self) -> int:
-        return len(self.classes)
+        return len(self.members)
+
+    @cached_property
+    def classes(self) -> Tuple[Tuple[Subgroup, ...], ...]:
+        subgroups = _lattice(self.group).subgroups
+        return tuple(tuple(map(subgroups.__getitem__, cls)) for cls in self.members)
 
     @cached_property
     def representatives(self) -> Tuple[Subgroup, ...]:
@@ -530,15 +574,16 @@ class SubgroupClassification(_Record):
                      for rep in self.representatives)
 
     @cached_property
-    def class_of(self) -> Dict[Tuple[int, ...], int]:
-        return {sub.elements: i for i, cls in enumerate(self.classes) for sub in cls}
+    def class_of(self) -> Dict[int, int]:
+        """The class of each id below H."""
+        return {sub: i for i, cls in enumerate(self.members) for sub in cls}
 
-    def class_index(self, elements: Iterable[int]) -> int:
-        key = tuple(sorted(elements))
+    def class_index(self, sub: Optional[int]) -> int:
+        """The class of the subgroup with lattice id `sub`; ValueError unless it lies in H."""
         try:
-            return self.class_of[key]
+            return self.class_of[sub]
         except KeyError:
-            raise ValueError(f"{key} is not a subgroup of the classified group") from None
+            raise ValueError(f"subgroup {sub} is not a subgroup of the classified group") from None
 
 
 def _subgroup_elements(group: FiniteGroup,
@@ -561,50 +606,65 @@ def _subgroup_elements(group: FiniteGroup,
     return elems
 
 
+def _subgroup_id(group: FiniteGroup, elements: Optional[Iterable[int]] = None) -> int:
+    """The lattice id of the subgroup `_subgroup_elements` validates."""
+    elems = _subgroup_elements(group, elements)
+    return _lattice(group).id_of(elems)
+
+
 def classify_subgroups(group: FiniteGroup,
                        elements: Optional[Iterable[int]] = None) -> SubgroupClassification:
     """The H-orbits of the subgroups of G inside H = elements (default G)."""
-    return _classify(group, _subgroup_elements(group, elements))
+    return _classify(group, _subgroup_id(group, elements))
 
 
 @_memo_on_group
-def _classify(group: FiniteGroup, elements: Tuple[int, ...]) -> SubgroupClassification:
-    """The H-conjugacy classes of the subgroups inside H = `elements`.
+def _classify(group: FiniteGroup, sub: int) -> SubgroupClassification:
+    """The H-conjugacy classes of the subgroups inside H, the subgroup with
+    id `sub`: the orbits of H's generators, by conjugation, on the ids below H."""
+    lattice = _lattice(group)
+    top = lattice.masks[sub]
+    # central generators fix every subgroup
+    maps = [lattice.conjugation(g)
+            for g in _generating_sequence(group, lattice.subgroups[sub].elements)
+            if group.conjugations[g] != group.conjugations[group.identity]]
+    below = [i for i in range(sub + 1) if lattice.masks[i] | top == top]
+    return SubgroupClassification(group, sub, _orbits(below, maps))
 
-    Each class is the orbit of its least member, walked breadth-first
-    under one conjugation map per generator of H.
-    """
-    inside = set(elements)
-    subs = [s for s in all_subgroups(group) if inside.issuperset(s.elements)]
-    remaining = {s.elements: s for s in subs}
-    maps = {group.conjugations[g] for g in _generating_sequence(group, elements)}
-    maps.discard(group.conjugations[group.identity])  # central generators fix every subgroup
-    classes: List[Tuple[Subgroup, ...]] = []
-    for s in subs:  # ascending canonical order, so reps come out least-first
-        if s.elements not in remaining:
-            continue
-        orbit = [s.elements]
-        seen = {s.elements}
-        for t in orbit:
-            for c in maps:
-                u = tuple(sorted([c[x] for x in t]))
-                if u not in seen:
-                    seen.add(u)
-                    orbit.append(u)
-        classes.append(tuple(remaining.pop(m) for m in sorted(orbit)))
-    classes.sort(key=lambda cls: (cls[0].order, cls[0].elements))
-    return SubgroupClassification(group, elements, tuple(classes))
+
+def _orbits(points: Iterable[int], maps: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
+    """The orbits through `points` of the group the permutations `maps`
+    generate, each sorted, in the order of their first point in `points`."""
+    seen: set = set()
+    orbits = []
+    for x in points:
+        if x not in seen:
+            orbit = [x]
+            seen.add(x)
+            for y in orbit:
+                for c in maps:
+                    if c[y] not in seen:
+                        seen.add(c[y])
+                        orbit.append(c[y])
+            orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
 
 
 def normalizer(group: FiniteGroup, sub: Subgroup) -> Subgroup:
     """N_G(H): the g that conjugate the generators of H into H, checked
-    against the orbit-stabilizer count |N_G(H)| = |G| / |class of H|."""
+    against the orbit-stabilizer count |N_G(H)| = |G| / |class of H|.
+
+    ValueError unless `sub` is a subgroup of `group`.
+    """
+    if sub.parent != group:
+        raise ValueError("the subgroup belongs to another group")
     gens = _generating_sequence(group, sub.elements)
     inside = set(sub.elements)
     members = tuple(g for g, c in enumerate(group.conjugations)
                     if all(c[x] in inside for x in gens))
-    classification = classify_subgroups(group)
-    orbit = classification.classes[classification.class_index(sub.elements)]
+    lattice = _lattice(group)
+    classification = _classify(group, lattice.top)
+    orbit = classification.members[classification.class_index(lattice.id_of(sub.elements))]
     if len(members) * len(orbit) != group.order:
         raise InternalCheckError("normalizer order disagrees with the class size")
     return _derived(Subgroup, group, members)
@@ -644,15 +704,15 @@ def _power(group: FiniteGroup, x: int, e: int) -> int:
 def abelianization(group: FiniteGroup, sub: Optional[Subgroup] = None) -> List[int]:
     """Invariant factors of W^ab for W = N_G(H)/H, smallest first; [] if trivial.
 
-    H is `sub`, by default the trivial subgroup, which gives G^ab.  W^ab is
+    H is `sub`, by default the trivial subgroup, which gives G^ab; a
+    subgroup of another group is refused (`normalizer`).  W^ab is
     N/K for N = N_G(H) and K = H·[N, N], and both are read off in the ids
     of `group`: no quotient group is built.  K is normal in N, since H is
     (N normalizes it), [N, N] is (it is characteristic), and a product of
     normal subgroups is normal.  [N, N] is the normal closure of the
-    commutators of a generating set of N, so K is grown from H by those
-    commutators (`_extend`; <S>·H is a subgroup for every S inside N, H
-    being normal) and then by their images under the conjugation maps of
-    the generators until it is closed under them.
+    commutators of a generating set of N, so K is grown from H by their
+    orbits under conjugation by N (`_extend`; <S>·H is a subgroup for every
+    S inside N, H being normal).
 
     A = N/K is finite abelian; its p-primary part is a sum of cyclic groups
     Z/p^e_i, so the p^j-torsion A[p^j] has p^(sum_i min(e_i, j)) elements.
@@ -667,21 +727,10 @@ def abelianization(group: FiniteGroup, sub: Optional[Subgroup] = None) -> List[i
         h, n = sub.elements, normalizer(group, sub).elements
     gens = _generating_sequence(group, n)
     t, inverse = group.cayley, group.inverse
-    kgens = list({t[t[inverse[a]][inverse[b]]][t[a][b]] for a in gens for b in gens}
-                 - {group.identity})
-    k = _extend(group, h, kgens)
+    commutators = {t[t[inverse[a]][inverse[b]]][t[a][b]] for a in gens for b in gens}
+    conjugates = _orbits(commutators, [group.conjugations[g] for g in gens])
+    k = _extend(group, h, [x for orbit in conjugates for x in orbit])
     members = set(k)
-    maps = [group.conjugations[g] for g in gens]
-    queue = list(kgens)
-    while queue:
-        x = queue.pop()
-        for c in maps:
-            y = c[x]
-            if y not in members:
-                kgens.append(y)
-                queue.append(y)
-                k = _extend(group, k, kgens)
-                members = set(k)
     primary: List[int] = []
     for p, e in factorize(len(n) // len(k)).items():
         # count = |K|·|A[p^j]|, from j = 0 until A[p^j] is the whole p-part
@@ -699,23 +748,9 @@ def abelianization(group: FiniteGroup, sub: Optional[Subgroup] = None) -> List[i
 @_memo_on_group
 def _generating_sequence(group: FiniteGroup,
                          elements: Optional[Tuple[int, ...]] = None) -> Tuple[int, ...]:
-    """Greedy generators of the subgroup `elements` (default the whole group).
-
-    The least element outside the span so far joins next, and the span
-    grows from the previous one by coset extension (`_extend`).
-    """
-    pool = range(group.order) if elements is None else elements
-    gens: List[int] = []
-    current: Tuple[int, ...] = (group.identity,)
-    members = set(current)
-    for x in pool:
-        if len(current) == len(pool):
-            break
-        if x not in members:
-            gens.append(x)
-            current = _extend(group, current, gens)
-            members.update(current)
-    return tuple(gens)
+    """Greedy generators of the subgroup `elements` (default the whole
+    group): the least element outside the span so far joins next (`_span`)."""
+    return tuple(_span(group, range(group.order) if elements is None else elements)[0])
 
 
 def is_odd_cyclic(group: FiniteGroup) -> bool:
@@ -728,23 +763,7 @@ def is_odd_cyclic(group: FiniteGroup) -> bool:
 
 @_memo_on_group
 def conjugacy_classes_of_elements(group: FiniteGroup) -> Tuple[Tuple[int, ...], ...]:
-    """Conjugacy classes of elements, each sorted, ordered by least member.
-
-    Each class is an orbit walked under one conjugation map per generator.
-    """
-    maps = [group.conjugations[g] for g in _generating_sequence(group)]
-    seen = set()
-    classes = []
-    for x in range(group.order):
-        if x in seen:
-            continue
-        orbit = [x]
-        seen.add(x)
-        for y in orbit:
-            for c in maps:
-                z = c[y]
-                if z not in seen:
-                    seen.add(z)
-                    orbit.append(z)
-        classes.append(tuple(sorted(orbit)))
-    return tuple(classes)
+    """Conjugacy classes of elements, each sorted, ordered by least member:
+    the orbits of one conjugation map per generator."""
+    return _orbits(range(group.order),
+                   [group.conjugations[g] for g in _generating_sequence(group)])

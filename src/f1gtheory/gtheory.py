@@ -17,10 +17,10 @@ from typing import (Callable, Collection, Dict, Iterator, List, Optional,
 
 from .burnside import BurnsideRing, build_burnside
 from .errors import InternalCheckError, charge
-from .groups import (FiniteGroup, _derived, _power, abelianization,
+from .groups import (FiniteGroup, _derived, _orbits, _power, abelianization,
                      classify_subgroups, conjugacy_classes_of_elements)
-from .modules import (FiniteModule, ModuleHom, PointedMonoid, free_module,
-                      group_monoid, is_cofibration, quotient, submodule_inclusion)
+from .modules import (FiniteModule, ModuleHom, PointedMonoid, is_cofibration,
+                      quotient, submodule_inclusion)
 from .records import _Record
 from .snf import cokernel_invariants, factorize, merge_cyclic_factors
 
@@ -553,11 +553,12 @@ class CartanReport(_Record):
 def cartan_zero(group: FiniteGroup) -> CartanReport:
     """The map Z -> A(G) sending 1 to the free rank-1 class, with cokernel.
 
-    The image vector is computed from an explicit free module rather than
-    assumed, so basis-ordering mistakes would surface here.
+    The free rank-1 module is G/e, and the trivial subgroup is lattice id 0,
+    the least member of class 0: the image is basis element 0.  The tests
+    decompose an explicit free module against it.
     """
     ring = build_burnside(group)
-    image = ring.decompose(free_module(group_monoid(group), 1)).coeffs
+    image = ring.basis_element(0).coeffs
     free_rank, torsion = cokernel_invariants([list(image)], ring.rank)
     report = AbelianGroupReport(free_rank, tuple(torsion), "snf",
                                 tuple(ring.labels))
@@ -576,19 +577,7 @@ def count_simple_factors(group: FiniteGroup, q: int) -> int:
     if math.gcd(q, group.order) != 1:
         raise ValueError(f"{q} shares a factor with the group order {group.order}")
     classes = conjugacy_classes_of_elements(group)
-    class_of = {}
-    for i, cls in enumerate(classes):
-        for x in cls:
-            class_of[x] = i
+    class_of = {x: i for i, cls in enumerate(classes) for x in cls}
+    # x -> x^q permutes the elements, q being coprime to |G|
     step = [class_of[_power(group, cls[0], q)] for cls in classes]
-    seen = [False] * len(classes)
-    orbits = 0
-    for i in range(len(classes)):
-        if seen[i]:
-            continue
-        orbits += 1
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = step[j]
-    return orbits
+    return len(_orbits(range(len(classes)), [step]))

@@ -25,7 +25,7 @@ from typing import Dict, List, Tuple
 
 from .burnside import BurnsideElement, BurnsideRing, linear_dimension
 from .errors import charge, charge_printable
-from .groups import _generating_sequence
+from .groups import _generating_sequence, _lattice, _orbits
 from .modules import FiniteModule
 from .polynomials import composition_rule, product_rule
 from .reports import CheckReport
@@ -48,28 +48,20 @@ def _subset_decompose(ring: BurnsideRing, s: FiniteModule, k: int) -> BurnsideEl
     """Decompose the k-subset module of a module over a group monoid directly.
 
     Group actions permute nonzero elements, so subsets never collapse and the
-    orbit walk can run on the subsets without materializing the module.
+    orbits can be walked on the subsets without materializing the module.
     Orbits are walked under a generating set; stabilizers use every element.
     """
     perms = [[row[g + 1] for row in s.action] for g in range(ring.group.order)]
-    gens = [perms[g] for g in _generating_sequence(ring.group)]
+    subsets = list(map(frozenset, combinations(range(1, s.size), k)))
+    index = {c: i for i, c in enumerate(subsets)}
+    maps = [[index[frozenset(map(perms[g].__getitem__, c))] for c in subsets]
+            for g in _generating_sequence(ring.group)]
     coeffs = [0] * ring.rank
-    seen: set = set()
-    for c in map(frozenset, combinations(range(1, s.size), k)):
-        if c in seen:
-            continue
-        seen.add(c)
-        stack = [c]
-        while stack:
-            cur = stack.pop()
-            for p in gens:
-                nxt = frozenset(map(p.__getitem__, cur))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        stab = tuple(g for g, p in enumerate(perms)
-                     if c.issuperset(map(p.__getitem__, c)))
-        coeffs[ring.classification.class_index(stab)] += 1
+    id_of = _lattice(ring.group).id_of
+    for orbit in _orbits(range(len(subsets)), maps):
+        c = subsets[orbit[0]]
+        stab = tuple(g for g, p in enumerate(perms) if c.issuperset(map(p.__getitem__, c)))
+        coeffs[ring.classification.class_index(id_of(stab))] += 1
     return ring.element(coeffs)
 
 

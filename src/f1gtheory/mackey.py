@@ -14,11 +14,11 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .burnside import (BurnsideElement, BurnsideRing, build_burnside,
-                       linear_dimension)
+from .burnside import BurnsideElement, BurnsideRing, _burnside, linear_dimension
 from .errors import InternalCheckError
 from .groups import (FiniteGroup, SubgroupClassification, _classify,
-                     _memo_on_group, _subgroup_elements, classify_subgroups)
+                     _generating_sequence, _lattice, _memo_on_group,
+                     _orbits, _right_cosets, _subgroup_id)
 from .records import _Record
 from .reports import CheckReport
 
@@ -32,28 +32,26 @@ __all__ = [
 
 
 class SubgroupContext(_Record):
-    """A subgroup H inside an outer subgroup K of G, by sorted ambient ids."""
+    """A subgroup H inside an outer subgroup K of G, by their lattice ids."""
 
-    _fields = ("ambient", "elements", "outer")
+    _fields = ("ambient", "sub", "outer")
 
-    def __init__(self, ambient: FiniteGroup, elements: Tuple[int, ...],
-                 outer: Tuple[int, ...]) -> None:
-        self.__dict__.update(ambient=ambient, elements=elements, outer=outer)
+    def __init__(self, ambient: FiniteGroup, sub: int, outer: int) -> None:
+        self.__dict__.update(ambient=ambient, sub=sub, outer=outer)
 
     @cached_property
     def ring(self) -> BurnsideRing:
-        return build_burnside(self.ambient, self.elements)
+        return _burnside(self.ambient, self.sub)
 
     @cached_property
     def outer_ring(self) -> BurnsideRing:
-        return build_burnside(self.ambient, self.outer)
+        return _burnside(self.ambient, self.outer)
 
     @cached_property
     def class_map(self) -> Tuple[int, ...]:
         """Entry i: the outer class of subgroup class i's representative."""
-        class_index = self.outer_ring.classification.class_index
-        return tuple(class_index(rep.elements)
-                     for rep in self.ring.classification.representatives)
+        class_of = self.outer_ring.classification.class_of
+        return tuple(class_of[cls[0]] for cls in self.ring.classification.members)
 
     @cached_property
     def restriction(self) -> Tuple[Tuple[int, ...], ...]:
@@ -65,17 +63,17 @@ class SubgroupContext(_Record):
 def subgroup_context(ambient: FiniteGroup, elements: Sequence[int],
                      outer: Optional[Sequence[int]] = None) -> SubgroupContext:
     """H = elements inside `outer` (default G); ValueError unless H <= outer."""
-    elems = _subgroup_elements(ambient, elements)
-    outer_elems = _subgroup_elements(ambient, outer)
-    if not set(elems) <= set(outer_elems):
-        raise ValueError(f"{elems} does not lie in {outer_elems}")
-    return _context(ambient, elems, outer_elems)
+    sub, top = _subgroup_id(ambient, elements), _subgroup_id(ambient, outer)
+    lattice = _lattice(ambient)
+    if lattice.masks[sub] & ~lattice.masks[top]:
+        raise ValueError(f"{lattice.subgroups[sub].elements} does not lie in "
+                         f"{lattice.subgroups[top].elements}")
+    return _context(ambient, sub, top)
 
 
 @_memo_on_group
-def _context(ambient: FiniteGroup, elements: Tuple[int, ...],
-             outer: Tuple[int, ...]) -> SubgroupContext:
-    return SubgroupContext(ambient, elements, outer)
+def _context(ambient: FiniteGroup, sub: int, outer: int) -> SubgroupContext:
+    return SubgroupContext(ambient, sub, outer)
 
 
 def restrict(ctx: SubgroupContext, x: BurnsideElement) -> BurnsideElement:
@@ -96,16 +94,9 @@ def induce(ctx: SubgroupContext, y: BurnsideElement) -> BurnsideElement:
     return ctx.outer_ring.element(out)
 
 
-def _images(src_ring: BurnsideRing,
-            elem_map: Dict[int, int] | Sequence[int]) -> List[Tuple[int, ...]]:
-    """The sorted image under elem_map of each class representative."""
-    return [tuple(sorted([elem_map[e] for e in rep.elements]))
-            for rep in src_ring.classification.representatives]
-
-
-def _class_bijection(images: Sequence[Tuple[int, ...]],
+def _class_bijection(images: Sequence[Optional[int]],
                      dst: SubgroupClassification) -> Tuple[int, ...]:
-    """Entry i: the class of `dst` holding images[i].
+    """Entry i: the class of `dst` holding the subgroup with id images[i].
 
     A map that merges two classes is not an isomorphism; it is caught here.
     """
@@ -120,9 +111,11 @@ def transport(src_ring: BurnsideRing, dst_ring: BurnsideRing,
     """Push an element along a group isomorphism given on element ids."""
     if not y.ring.same_ring(src_ring):
         raise ValueError("element does not live over the source group")
+    id_of = _lattice(dst_ring.group).id_of
+    images = [id_of(map(elem_map.__getitem__, rep.elements))
+              for rep in src_ring.classification.representatives]
     out = [0] * dst_ring.rank
-    for c, j in zip(y.coeffs, _class_bijection(_images(src_ring, elem_map),
-                                               dst_ring.classification)):
+    for c, j in zip(y.coeffs, _class_bijection(images, dst_ring.classification)):
         out[j] += c
     return dst_ring.element(out)
 
@@ -130,26 +123,37 @@ def transport(src_ring: BurnsideRing, dst_ring: BurnsideRing,
 def conjugate(g: int, ctx: SubgroupContext,
               y: BurnsideElement) -> Tuple[SubgroupContext, BurnsideElement]:
     """Transport along conjugation by g in the outer subgroup; lands over gHg^-1."""
-    if g not in ctx.outer:
+    if g not in ctx.outer_ring.elements:
         raise ValueError("conjugating element is not in the outer subgroup")
-    conj = ctx.ambient.conjugations[g]
-    new_ctx = _context(ctx.ambient, tuple(sorted([conj[e] for e in ctx.elements])),
-                       ctx.outer)
-    return new_ctx, transport(ctx.ring, new_ctx.ring, conj, y)
+    new_ctx = _context(ctx.ambient, _lattice(ctx.ambient).conjugation(g)[ctx.sub], ctx.outer)
+    return new_ctx, transport(ctx.ring, new_ctx.ring, ctx.ambient.conjugations[g], y)
 
 
 def double_coset_reps(group: FiniteGroup, k_elements: Sequence[int],
                       h_elements: Sequence[int]) -> List[int]:
-    """Least-element representatives of the double cosets KgH, ascending."""
-    covered: set = set()
-    reps = []
-    for g in range(group.order):
-        if g not in covered:
-            reps.append(g)
-            coset = [group.cayley[g][b] for b in h_elements]
-            for a in k_elements:
-                covered.update(map(group.cayley[a].__getitem__, coset))
-    return reps
+    """Least-element representatives of the double cosets KgH, ascending;
+    ValueError unless K and H are subgroups."""
+    return _double_coset_reps(group, _subgroup_id(group, k_elements),
+                              _subgroup_id(group, h_elements))
+
+
+def _double_coset_reps(group: FiniteGroup, k: int, h: int) -> List[int]:
+    """`double_coset_reps` for the subgroups with lattice ids k and h.
+
+    KgH is the orbit of the right coset Kg under right multiplication by H;
+    cosets are numbered by least element, as are the orbits.
+    """
+    reps, coset_of = _right_coset_table(group, k)
+    cayley = group.cayley
+    maps = [[coset_of[cayley[x][s]] for x in reps]
+            for s in _generating_sequence(group, _lattice(group).subgroups[h].elements)]
+    return [reps[orbit[0]] for orbit in _orbits(range(len(reps)), maps)]
+
+
+@_memo_on_group
+def _right_coset_table(group: FiniteGroup, k: int) -> Tuple[List[int], List[int]]:
+    """`_right_cosets` of the subgroup with id k."""
+    return _right_cosets(group, _lattice(group).subgroups[k].elements)
 
 
 class DoubleCosetReport(_Record):
@@ -215,29 +219,31 @@ class DoubleCosetPlan(_Record):
                 for side, part in zip((lhs, rhs), self._sides(i)):
                     for j, v in enumerate(part):
                         side[j] += c * v
-        return DoubleCosetReport(self.h_ctx.elements, self.k_ctx.elements,
+        return DoubleCosetReport(self.h_ctx.ring.elements, self.k_ctx.ring.elements,
                                  y.coeffs, self.reps, tuple(lhs), tuple(rhs))
 
 
 def _plan(h_ctx: SubgroupContext, k_ctx: SubgroupContext,
-          inner: Dict[Tuple[int, ...], SubgroupContext]) -> DoubleCosetPlan:
+          inner: Dict[int, SubgroupContext]) -> DoubleCosetPlan:
     """The plan for (H, K), keeping the contexts inside H it uses in `inner`."""
     group = h_ctx.ambient
+    lattice = _lattice(group)
     # inside G, the top-level contexts memoized on the group serve
-    new = _context if len(h_ctx.elements) == group.order else SubgroupContext
-    reps = tuple(double_coset_reps(group, k_ctx.elements, h_ctx.elements))
-    k_set = set(k_ctx.elements)
+    new = _context if h_ctx.sub == lattice.top else SubgroupContext
+    reps = tuple(_double_coset_reps(group, k_ctx.sub, h_ctx.sub))
+    h_mask = lattice.masks[h_ctx.sub]
     class_of = k_ctx.ring.classification.class_of
     terms = []
     for g in reps:
-        conj = group.conjugations[g]
-        lower_h = tuple(e for e in h_ctx.elements if conj[e] in k_set)
+        conj = lattice.conjugation(g)
         # H cap g^-1 K g inside H, carried by g onto K cap g H g^-1
-        if lower_h not in inner:
-            inner[lower_h] = new(group, lower_h, h_ctx.elements)
-        inner_h = inner[lower_h]
-        images = _images(inner_h.ring, conj)
-        _class_bijection(images, _classify(group, tuple(sorted([conj[e] for e in lower_h]))))
+        lower = lattice.ids[h_mask & lattice.masks[
+            lattice.conjugation(group.inverse[g])[k_ctx.sub]]]
+        if lower not in inner:
+            inner[lower] = new(group, lower, h_ctx.sub)
+        inner_h = inner[lower]
+        images = [conj[cls[0]] for cls in inner_h.ring.classification.members]
+        _class_bijection(images, _classify(group, conj[lower]))
         terms.append((inner_h, tuple(map(class_of.__getitem__, images))))
     return DoubleCosetPlan(h_ctx, k_ctx, reps, tuple(terms))
 
@@ -257,9 +263,9 @@ def double_coset_plans(group: FiniteGroup,
     the generator, so they are freed with it.
     """
     h_ctx = subgroup_context(group, h_elements)
-    inner: Dict[Tuple[int, ...], SubgroupContext] = {}
-    for k in classify_subgroups(group).representatives:
-        yield _plan(h_ctx, _context(group, k.elements, tuple(range(group.order))), inner)
+    inner: Dict[int, SubgroupContext] = {}
+    for cls in _classify(group, h_ctx.outer).members:
+        yield _plan(h_ctx, _context(group, cls[0], h_ctx.outer), inner)
 
 
 def check_double_coset(group: FiniteGroup, h_elements: Sequence[int],
@@ -302,7 +308,7 @@ def check_frobenius(group: FiniteGroup, h_elements: Sequence[int],
     ctx = subgroup_context(group, h_elements)
     lhs = induce(ctx, restrict(ctx, x) * y)
     rhs = x * induce(ctx, y)
-    return FrobeniusReport(ctx.elements, x.coeffs, y.coeffs, lhs.coeffs,
+    return FrobeniusReport(ctx.ring.elements, x.coeffs, y.coeffs, lhs.coeffs,
                            rhs.coeffs)
 
 
@@ -313,9 +319,10 @@ def green_morphism_check(group: FiniteGroup):
     class context.
     """
     report = CheckReport("linearization dimension commutes with restriction")
-    ring = build_burnside(group)
-    for rep in ring.classification.representatives:
-        ctx = subgroup_context(group, rep.elements)
+    top = _lattice(group).top
+    ring = _burnside(group, top)
+    for cls, rep in zip(ring.classification.members, ring.classification.representatives):
+        ctx = _context(group, cls[0], top)
         for i, (dim, row) in enumerate(zip(ring.coset_sizes, ctx.restriction)):
             below = sum(c * s for c, s in zip(row, ctx.ring.coset_sizes))
             # restriction keeps the underlying carrier, hence the dimension

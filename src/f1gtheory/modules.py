@@ -14,7 +14,8 @@ from itertools import accumulate
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .groups import (FiniteGroup, _check_associativity, _check_table, _derived,
-                     _generators, _int_table, _memo_on_group, _right_cosets)
+                     _generating_sequence, _generators, _int_table, _memo_on_group,
+                     _orbits, _right_cosets)
 from .records import _Record
 
 __all__ = [
@@ -170,23 +171,13 @@ class FiniteModule(_Record):
     def act(self, x: int, m: int) -> int:
         return self.action[x][m]
 
-    def orbit(self, x: int) -> Tuple[int, ...]:
-        """The nonzero elements reachable from x; the full orbit for group monoids."""
-        return tuple(sorted(set(self.action[x]) - {0}))
-
     def orbits(self) -> List[Tuple[int, ...]]:
         """Orbit partition of the nonzero carrier (group monoids only)."""
         if not self.monoid.is_group_monoid:
             raise ValueError("orbit decomposition needs a group monoid")
-        seen: set = set()
-        parts = []
-        for x in range(1, self.size):
-            if x in seen:
-                continue
-            orb = self.orbit(x)
-            seen.update(orb)
-            parts.append(orb)
-        return parts
+        gens = _generating_sequence(self.monoid.group)
+        return list(_orbits(range(1, self.size),
+                            [[row[g + 1] for row in self.action] for g in gens]))
 
     def stabilizer_elements(self, x: int) -> Tuple[int, ...]:
         """Group element indices fixing x (group monoids only)."""

@@ -117,8 +117,7 @@ from f1gtheory.groups import (FiniteGroup, Subgroup, _derived, _memo_on_group,
                               _right_cosets, _subgroup_elements, build_group,
                               closure_of, normalizer)
 from f1gtheory.gtheory import _action_closed_subsets, _enumerate_modules
-from f1gtheory.mackey import (_context, double_coset_reps, subgroup_context,
-                              transport)
+from f1gtheory.mackey import double_coset_reps, subgroup_context, transport
 from f1gtheory.modules import (FiniteModule, ModuleHom, PointedMonoid,
                                free_module, group_monoid, is_cofibration,
                                quotient, quotient_with_projection,
@@ -883,9 +882,10 @@ def class_correspondence(ring: BurnsideRing,
                          embedding: Dict[int, int] | Sequence[int],
                          target: BurnsideRing) -> Tuple[int, ...]:
     """Entry i: the class of `target` holding class i of `ring` mapped
-    through `embedding`."""
-    class_index = target.classification.class_index
-    return tuple(class_index(embedding[e] for e in rep.elements)
+    through `embedding`, found by the sorted element tuple."""
+    class_of = {sub.elements: j for j, cls in enumerate(target.classification.classes)
+                for sub in cls}
+    return tuple(class_of[tuple(sorted(embedding[e] for e in rep.elements))]
                  for rep in ring.classification.representatives)
 
 
@@ -1035,14 +1035,14 @@ def double_coset_plan_by_contexts(group: FiniteGroup, h_elements: Sequence[int],
     g into the context of K cap gHg^-1 inside K and on into K."""
     h_ctx = subgroup_context(group, h_elements)
     k_ctx = subgroup_context(group, k_elements)
-    reps = tuple(double_coset_reps_by_products(group, k_ctx.elements, h_ctx.elements))
+    h_elements, k_elements = h_ctx.ring.elements, k_ctx.ring.elements
+    reps = tuple(double_coset_reps_by_products(group, k_elements, h_elements))
     terms = []
     for g in reps:
-        conj = {e: group.conj(g, e) for e in h_ctx.elements}
-        lower_h = tuple(e for e in h_ctx.elements if conj[e] in k_ctx.elements)
-        inner_h = _context(group, lower_h, h_ctx.elements)
-        inner_k = _context(group, tuple(sorted(conj[e] for e in lower_h)),
-                           k_ctx.elements)
+        conj = {e: group.conj(g, e) for e in h_elements}
+        lower_h = tuple(e for e in h_elements if conj[e] in k_elements)
+        inner_h = subgroup_context(group, lower_h, h_elements)
+        inner_k = subgroup_context(group, [conj[e] for e in lower_h], k_elements)
         to_inner_k = class_correspondence(inner_h.ring, conj, inner_k.ring)
         assert sorted(to_inner_k) == list(range(inner_k.ring.rank))
         terms.append((inner_h, tuple(inner_k.class_map[t] for t in to_inner_k)))

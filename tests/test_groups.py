@@ -374,6 +374,16 @@ def test_normalizer_matches_conjugation_by_every_element(name):
             normalizer_by_all_conjugates(group, sub), sub.elements
 
 
+def test_normalizer_and_abelianization_refuse_a_subgroup_of_another_group():
+    # <r^2> of C4 has the elements (0, 2), which D4 would read as its own
+    d4, c4 = build_group(name="D4"), build_group(name="C4")
+    r2 = next(s for s in all_subgroups(c4) if s.order == 2)
+    for fn in (normalizer, abelianization):
+        with pytest.raises(ValueError, match="another group"):
+            fn(d4, r2)
+    assert abelianization(c4, r2) == [2]
+
+
 def test_normalizer_checks_the_orbit_count():
     group = build_group(name="S3")
     c2 = next(s for s in all_subgroups(group) if s.order == 2)

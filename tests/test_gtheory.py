@@ -8,17 +8,19 @@ from math import factorial
 import pytest
 
 from f1gtheory import constructions, gtheory
+from f1gtheory.burnside import build_burnside
 from f1gtheory.errors import InternalCheckError, ResourceLimitError
 from f1gtheory.groups import (build_group, conjugacy_classes_of_elements,
                               library_names)
 from f1gtheory.gtheory import (AbelianGroupReport, cartan_zero,
                                count_simple_factors, g0_presentation,
                                g1_via_splitting)
-from f1gtheory.modules import (FiniteModule, PointedMonoid, group_monoid,
-                               is_cofibration, quotient, submodule_inclusion)
+from f1gtheory.modules import (FiniteModule, PointedMonoid, free_module,
+                               group_monoid, is_cofibration, quotient,
+                               submodule_inclusion)
 from f1gtheory.snf import cokernel_invariants
 
-from conftest import ring_of
+from conftest import RUNGS, group_of, ring_of
 from oracles import (cokernel_invariants_sparse, enumerate_modules_pairwise,
                      in_peel_kernel, monoid_pool, mult_by_regular,
                      object_relation_rows, pairwise_class, peel_rows_by_dict,
@@ -408,6 +410,14 @@ def test_cartan_cokernel_rank(name, rank):
 def test_cartan_image_is_free_orbit():
     report = cartan_zero(build_group(name="S3"))
     assert report.image == (1, 0, 0, 0)
+
+
+@pytest.mark.parametrize("name", library_names() + sorted(RUNGS))
+def test_cartan_image_is_the_class_of_an_explicit_free_module(name):
+    # the engine reads G/e as class 0; the oracle decomposes the free module
+    group = group_of(name)
+    free = build_burnside(group).decompose(free_module(group_monoid(group), 1))
+    assert cartan_zero(group).image == free.coeffs
 
 
 @pytest.mark.parametrize("name,torsion", [

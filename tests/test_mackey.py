@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -301,16 +302,25 @@ def test_mackey_check_reports_each_failing_basis_element(capsys, monkeypatch):
 @pytest.mark.parametrize("name", library_names() + ["S4xC2"])
 def test_plans_match_the_context_plan_builder(name):
     # every (H, K) class pair of every library group (all of order <= 24)
-    # and of the order-48 rung
+    # and of the order-48 rung: the double coset sum of each basis element
+    # of A(H), against the sum over the oracle's contexts
     group = group_of(name)
     reps = build_burnside(group).classification.representatives
     for h in reps:
+        h_ring = subgroup_context(group, h.elements).ring
         for k in reps:
             plan = double_coset_plan(group, h.elements, k.elements)
-            assert list(plan.reps) == double_coset_reps_by_products(
-                group, k.elements, h.elements)
-            assert (plan.reps, plan.terms) == double_coset_plan_by_contexts(
-                group, h.elements, k.elements), (h.elements, k.elements)
+            oracle_reps, terms = double_coset_plan_by_contexts(
+                group, h.elements, k.elements)
+            assert list(plan.reps) == list(oracle_reps) == \
+                double_coset_reps_by_products(group, k.elements, h.elements)
+            for i in range(h_ring.rank):
+                rhs = [0] * plan.k_ctx.ring.rank
+                for inner, to_k in terms:
+                    for j, v in enumerate(inner.restriction[i]):
+                        rhs[to_k[j]] += v
+                assert plan.check(h_ring.basis_element(i)).rhs == tuple(rhs), \
+                    (h.elements, k.elements, i)
 
 
 def test_plan_refuses_a_conjugation_that_merges_classes(monkeypatch):
@@ -323,20 +333,20 @@ def test_plan_refuses_a_conjugation_that_merges_classes(monkeypatch):
                          for g in range(s4.order) for x in s.elements))
     assert double_coset_plan(s4, klein, klein).reps
     monkeypatch.setattr(mackey, "_classify",
-                        lambda group, elements: groups.classify_subgroups(group))
+                        lambda group, sub: groups._classify(group, groups._lattice(group).top))
     with pytest.raises(InternalCheckError, match="class bijection"):
         double_coset_plan(s4, klein, klein)
 
 
 def test_mackey_check_plans_each_class_pair_once(capsys, monkeypatch):
     calls = []
-    real = mackey.double_coset_reps
+    real = mackey._double_coset_reps
 
     def counting(*args):
         calls.append(None)
         return real(*args)
 
-    monkeypatch.setattr(mackey, "double_coset_reps", counting)
+    monkeypatch.setattr(mackey, "_double_coset_reps", counting)
     assert main(["mackey-check", "--group", "D12"]) == 0
     assert len(calls) == 16 ** 2  # one call per basis element made 1,344
     assert "double coset formula: 1344 instances, pass" in capsys.readouterr().out
@@ -355,13 +365,13 @@ def test_restriction_table_rows_match_restrict(name):
         for k in reps:
             plan = double_coset_plan(group, h.elements, k.elements)
             for ctx in [plan.h_ctx, plan.k_ctx] + [inner for inner, _ in plan.terms]:
-                contexts[ctx.elements, ctx.outer] = ctx
+                contexts[ctx.sub, ctx.outer] = ctx
     assert len(contexts) > len(reps) or len(reps) == 1
     for ctx in contexts.values():
         outer = ctx.outer_ring
         assert ctx.restriction == tuple(
             restrict(ctx, outer.basis_element(i)).coeffs
-            for i in range(outer.rank)), (ctx.elements, ctx.outer)
+            for i in range(outer.rank)), (ctx.sub, ctx.outer)
 
 
 def test_check_report_builds_counterexamples_only_for_failures():
@@ -429,16 +439,17 @@ def test_restrict_and_induce_match_module_oracle():
 
 def test_context_builds_each_ring_once(monkeypatch):
     calls = []
-    original = mackey.build_burnside
+    original = mackey._burnside
 
-    def counting(group, elements=None):
+    def counting(group, sub):
         calls.append(group)
-        return original(group, elements)
+        return original(group, sub)
 
-    monkeypatch.setattr(mackey, "build_burnside", counting)
+    monkeypatch.setattr(mackey, "_burnside", counting)
     ambient = build_group(name="S3")
-    sub = next(s for s in all_subgroups(ambient) if s.order == 2)
-    ctx = SubgroupContext(ambient, sub.elements, tuple(range(ambient.order)))
+    subgroups = all_subgroups(ambient)
+    c2 = next(i for i, s in enumerate(subgroups) if s.order == 2)
+    ctx = SubgroupContext(ambient, c2, len(subgroups) - 1)
     rings = [ctx.ring for _ in range(3)]
     assert len(calls) == 1 and rings[0] is rings[1] is rings[2]
     outer_rings = [ctx.outer_ring for _ in range(3)]
@@ -492,8 +503,12 @@ def test_mackey_check_enumerates_one_lattice(capsys, monkeypatch):
     assert "double coset formula: 1344 instances, pass" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("build", [subgroup_context, build_burnside],
-                         ids=["subgroup_context", "build_burnside"])
+@pytest.mark.parametrize("build", [
+    subgroup_context, build_burnside,
+    lambda group, elements: double_coset_reps(group, elements, (0,)),
+    lambda group, elements: double_coset_reps(group, (0,), elements),
+], ids=["subgroup_context", "build_burnside", "double_coset_reps-k",
+        "double_coset_reps-h"])
 @pytest.mark.parametrize("elements,message", [
     ((0, 1, 2), "not closed"),
     ((), "at least one element"),
@@ -513,4 +528,50 @@ def test_context_refuses_a_subgroup_outside_its_outer_one():
         subgroup_context(group, c2, c3)
     with pytest.raises(ValueError, match="not closed"):
         subgroup_context(group, (0,), (0, 1, 2))
-    assert subgroup_context(group, (0,), c3).outer == c3
+    assert subgroup_context(group, (0,), c3).outer_ring.elements == c3
+
+
+def test_mackey_check_validates_only_at_public_entry_points(capsys, monkeypatch):
+    # derived subgroups travel by lattice id: nothing inside the plans, the
+    # contexts, the rings or the classifications re-validates one
+    internal = {mackey._plan.__code__, mackey.BurnsideRing.__init__.__code__,
+                groups._classify.__wrapped__.__code__} | {
+        attr.func.__code__ for attr in vars(SubgroupContext).values()
+        if hasattr(attr, "func")}
+    callers, inside = [], []
+    real = groups._subgroup_elements
+
+    def watched(group, elements=None):
+        frame = sys._getframe(1)
+        callers.append(frame.f_back.f_code.co_name)
+        while frame is not None:
+            if frame.f_code in internal:
+                inside.append(frame.f_code.co_name)
+            frame = frame.f_back
+        return real(group, elements)
+
+    monkeypatch.setattr(groups, "_subgroup_elements", watched)
+    assert main(["mackey-check", "--group", "D12"]) == 0
+    assert "double coset formula: 1344 instances, pass" in capsys.readouterr().out
+    assert callers and set(callers) <= {"build_burnside", "classify_subgroups",
+                                        "subgroup_context", "double_coset_reps"}
+    assert inside == []
+
+
+def test_mackey_check_memoizes_by_lattice_id(capsys, monkeypatch):
+    seen = []
+    real = cli._group_from_args
+
+    def keep(args):
+        seen.append(real(args))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "_group_from_args", keep)
+    assert main(["mackey-check", "--group", "D12"]) == 0
+    capsys.readouterr()
+    memos = {slot: memo for slot, memo in vars(seen[0]).items()
+             if slot in ("f1gtheory.mackey._context", "f1gtheory.burnside._burnside",
+                         "f1gtheory.groups._classify")}
+    assert len(memos) == 3
+    for slot, memo in memos.items():
+        assert memo and all(type(arg) is int for key in memo for arg in key), slot

@@ -82,6 +82,11 @@ WITHOUT_CALLER = {
                           "mackey-check runs the same plan per class pair",
     "conjugate": "conjugation between subgroup rings, the Mackey map "
                  "next to restrict and induce",
+    "double_coset_reps": "the double cosets of one (K, H) given as element "
+                         "tuples; the plans read them by lattice id",
+    "free_module": "the free module of rank r, whose class is r·G/e; `wh0` "
+                   "reads that class off the lattice, the tests build the "
+                   "module as its oracle",
     "lambda_series": "the operations 0..cap at once, the series form of "
                      "lambda_k",
     "wedge_with_inclusions": "the wedge with its block inclusions, the "

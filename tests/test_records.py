@@ -48,6 +48,7 @@ FREE = free_module(MONOID, 1)
 RING = build_burnside(S3)
 C2 = (0, 1)
 CONTEXT = subgroup_context(S3, C2)
+C2_ID, S3_ID = CONTEXT.sub, CONTEXT.outer
 CLASSES = classify_subgroups(S3)
 Z = AbelianGroupReport(1, (), "snf")
 P1 = universal_polynomial("product", 1)
@@ -56,8 +57,8 @@ CASES = [
     Case(FiniteGroup, ("order", "cayley", "name"), (6, S3.cayley, "S3"),
          (None,), ("name",), True),
     Case(Subgroup, ("parent", "elements"), (S3, C2), validated=True),
-    Case(SubgroupClassification, ("group", "elements", "classes"),
-         (S3, CLASSES.elements, CLASSES.classes)),
+    Case(SubgroupClassification, ("group", "sub", "members"),
+         (S3, CLASSES.sub, CLASSES.members)),
     Case(PointedMonoid, ("size", "mul", "group"), (MONOID.size, MONOID.mul, S3),
          (None,), ("group",), True),
     Case(FiniteModule, ("monoid", "size", "action"),
@@ -74,8 +75,7 @@ CASES = [
     Case(_PeelRelations, ("sizes", "budget"), ((1, 2), 3)),
     Case(_CountVectorLabels, ("sizes", "budget", "count"), ((1, 2), 3, 6)),
     Case(CartanReport, ("image", "wh0"), ((1,), Z)),
-    Case(SubgroupContext, ("ambient", "elements", "outer"),
-         (S3, C2, tuple(range(6)))),
+    Case(SubgroupContext, ("ambient", "sub", "outer"), (S3, C2_ID, S3_ID)),
     Case(DoubleCosetReport,
          ("h_elements", "k_elements", "y_coeffs", "reps", "lhs", "rhs"),
          (C2, C2, (0, 1), (0, 2), (1, 1), (1, 1))),
@@ -151,7 +151,7 @@ def test_frozen_records_refuse_assignment(case):
 def test_frozen_records_keep_cached_properties():
     group = FiniteGroup(6, S3.cayley)
     assert group.inverse == S3.inverse and group.__dict__["inverse"] is group.inverse
-    context = SubgroupContext(S3, C2, tuple(range(6)))
+    context = SubgroupContext(S3, C2_ID, S3_ID)
     assert context.ring is context.ring
 
 
