@@ -15,7 +15,9 @@ submodule, and the first use of a name loads the submodule that defines it.
 
 from __future__ import annotations
 
+import sys
 from importlib import import_module
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
 __version__ = "0.1.0"
 
@@ -58,6 +60,20 @@ _EXPORTS = {name: module for module, names in {
 }.items() for name in names}
 
 __all__ = sorted(_EXPORTS)
+
+
+def _layer(name: str):
+    """The submodule `name`, in `sys.modules` at once but compiled and run
+    on first attribute access; an already registered module as it is."""
+    fullname = f"{__name__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = find_spec(fullname)
+        spec.loader = LazyLoader(spec.loader)
+        module = sys.modules[fullname] = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        globals()[name] = module  # the package attribute an import sets
+    return module
 
 
 def __getattr__(name: str):

@@ -12,11 +12,14 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
+from . import _layer
 from .errors import InternalCheckError
 from .groups import (FiniteGroup, SubgroupClassification, _classify, _lattice,
                      _memo_on_group, _subgroup_id)
-from .modules import FiniteModule, coset_module, group_monoid, wedge, zero_module
 from .records import _Record
+
+# G-sets as modules are built only to decompose or realize one.
+modules = _layer("modules")
 
 __all__ = [
     "BurnsideRing", "BurnsideElement", "build_burnside",
@@ -37,7 +40,7 @@ class BurnsideRing:
         self.rank = self.classification.rank
         self.labels = self.classification.labels
         self.rows = self._build_rows()
-        self._cosets: Dict[int, FiniteModule] = {}
+        self._cosets: Dict[int, modules.FiniteModule] = {}
 
     def same_ring(self, other: "BurnsideRing") -> bool:
         """Rings of one subgroup of equal groups (names aside)."""
@@ -86,11 +89,11 @@ class BurnsideRing:
         if self.order != self.group.order:
             raise ValueError("G-sets are built only for the ring of the whole group")
 
-    def _coset(self, i: int) -> FiniteModule:
+    def _coset(self, i: int) -> modules.FiniteModule:
         """G/H for class i of the whole group's ring, built on first use."""
         if i not in self._cosets:
             self._check_whole_group()
-            self._cosets[i] = coset_module(
+            self._cosets[i] = modules._coset_module(
                 self.group, self.classification.representatives[i].elements)
         return self._cosets[i]
 
@@ -150,9 +153,9 @@ class BurnsideRing:
 
     # -- decomposition and multiplication ---------------------------------
 
-    def decompose(self, module: FiniteModule) -> "BurnsideElement":
+    def decompose(self, module: modules.FiniteModule) -> "BurnsideElement":
         """Coefficients of a finite module over this group's monoid."""
-        if self.order != self.group.order or module.monoid != group_monoid(self.group):
+        if self.order != self.group.order or module.monoid != modules.group_monoid(self.group):
             raise ValueError("module lives over a different group")
         coeffs = [0] * self.rank
         id_of = _lattice(self.group).id_of
@@ -192,15 +195,15 @@ class BurnsideRing:
         gb = self.marks_of(b)
         return self.from_marks([x * y for x, y in zip(ga, gb)])
 
-    def realize(self, x: "BurnsideElement") -> FiniteModule:
+    def realize(self, x: "BurnsideElement") -> modules.FiniteModule:
         """An explicit module with the classes of an effective element."""
         if any(c < 0 for c in x.coeffs):
             raise ValueError("only effective elements can be realized")
         self._check_whole_group()
         parts = [self._coset(i) for i, c in enumerate(x.coeffs) for _ in range(c)]
         if not parts:
-            return zero_module(group_monoid(self.group))
-        return wedge(parts)
+            return modules.zero_module(modules.group_monoid(self.group))
+        return modules.wedge(parts)
 
     # -- reporting --------------------------------------------------------
 
@@ -300,7 +303,7 @@ class BurnsideElement(_Record):
         return out or "0"
 
 
-def decompose(module: FiniteModule) -> BurnsideElement:
+def decompose(module: modules.FiniteModule) -> BurnsideElement:
     """Decompose a module over a group monoid in its Burnside ring."""
     group = module.monoid.group
     if group is None:

@@ -16,22 +16,21 @@ import random
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .burnside import BurnsideRing, build_burnside, marks_to_csv
+from . import _layer
 from .errors import InternalCheckError, ResourceLimitError, charge, charge_printable
-from .groups import (FiniteGroup, build_group, conjugacy_classes_of_elements,
-                     is_odd_cyclic, load_group)
-from .gtheory import (cartan_zero, count_simple_factors, g0_presentation,
-                      g1_via_splitting)
-from .lambda_ops import (diamond_class, lambda_k, verify_lambda_ring,
-                         verify_pre_lambda)
-from .mackey import (check_frobenius, double_coset_plans, green_morphism_check,
-                     subgroup_context)
-from .modules import (diagonal_smash, group_monoid, module_from_json,
-                      monoid_from_json)
-from .polynomials import MAX_COMPOSITION_L, MAX_PRODUCT_K
 from .reports import CheckReport
-from .sampling import random_effective, random_element
-from .snf import factorize
+
+# Each engine layer runs on first use, so a command compiles only the
+# layers it calls.
+burnside = _layer("burnside")
+groups = _layer("groups")
+gtheory = _layer("gtheory")
+lambda_ops = _layer("lambda_ops")
+mackey = _layer("mackey")
+modules = _layer("modules")
+polynomials = _layer("polynomials")
+sampling = _layer("sampling")
+snf = _layer("snf")
 
 DEFAULT_SEED = 1729
 
@@ -59,7 +58,7 @@ def _add_common_args(sub: argparse.ArgumentParser, formats=("text", "json")) -> 
     sub.add_argument("--format", choices=list(formats), default="text")
 
 
-def _group_from_args(args: argparse.Namespace) -> FiniteGroup:
+def _group_from_args(args: argparse.Namespace) -> groups.FiniteGroup:
     sources = [args.group is not None, args.group_json is not None,
                args.generators is not None]
     if sum(sources) != 1:
@@ -67,16 +66,16 @@ def _group_from_args(args: argparse.Namespace) -> FiniteGroup:
     if args.degree is not None and args.generators is None:
         raise ValueError("--degree is read only with --generators")
     if args.group is not None:
-        return build_group(name=args.group)
+        return groups.build_group(name=args.group)
     if args.group_json is not None:
-        return load_group(args.group_json)
+        return groups.load_group(args.group_json)
     if args.degree is None:
         raise ValueError("--generators requires --degree")
     gens = [g for g in args.generators.split(";") if g.strip()]
-    return build_group(generators=gens, degree=args.degree)
+    return groups.build_group(generators=gens, degree=args.degree)
 
 
-def _parse_coeffs(text: str, ring: BurnsideRing, what: str) -> List[int]:
+def _parse_coeffs(text: str, ring: burnside.BurnsideRing, what: str) -> List[int]:
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
@@ -128,7 +127,7 @@ def _report_checks(args, header: str, checks: List[Tuple[CheckReport, bool]],
 
 def _cmd_subgroups(args) -> int:
     group = _group_from_args(args)
-    ring = build_burnside(group)
+    ring = burnside.build_burnside(group)
     rows = []
     total = 0
     for i, cls in enumerate(ring.classification.classes):
@@ -161,9 +160,9 @@ def _cmd_subgroups(args) -> int:
 
 def _cmd_marks(args) -> int:
     group = _group_from_args(args)
-    ring = build_burnside(group)
+    ring = burnside.build_burnside(group)
     if args.format == "csv":
-        sys.stdout.write(marks_to_csv(ring))
+        sys.stdout.write(burnside.marks_to_csv(ring))
     elif args.format == "json":
         _emit_json(ring.to_json())
     else:
@@ -181,7 +180,7 @@ def _cmd_marks(args) -> int:
 
 def _cmd_burnside_mul(args) -> int:
     group = _group_from_args(args)
-    ring = build_burnside(group)
+    ring = burnside.build_burnside(group)
     x = ring.element(_parse_coeffs(args.x, ring, "--x"))
     y = ring.element(_parse_coeffs(args.y, ring, "--y"))
     product = x * y
@@ -201,11 +200,11 @@ def _cmd_burnside_mul(args) -> int:
 
 def _cmd_decompose(args) -> int:
     group = _group_from_args(args)
-    ring = build_burnside(group)
+    ring = burnside.build_burnside(group)
     with open(args.module_json, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    module = module_from_json(obj, group_monoid(group))
-    if module.monoid != group_monoid(group):
+    module = modules.module_from_json(obj, modules.group_monoid(group))
+    if module.monoid != modules.group_monoid(group):
         raise ValueError("module does not live over the selected group")
     element = ring.decompose(module)
     if args.format == "json":
@@ -222,9 +221,9 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_lambda(args) -> int:
     group = _group_from_args(args)
-    ring = build_burnside(group)
+    ring = burnside.build_burnside(group)
     x = ring.element(_parse_coeffs(args.element, ring, "--element"))
-    value = lambda_k(ring, x, args.k)
+    value = lambda_ops.lambda_k(ring, x, args.k)
     if args.format == "json":
         _emit_json({
             "basis": list(ring.labels),
@@ -242,14 +241,15 @@ def _cmd_lambda_verify(args) -> int:
     # the degree caps are the command's input contract, charged before any
     # ring work; l is read only when a composition rule runs (k >= 2)
     if args.k_cap >= 2:
-        charge("polynomials.MAX_COMPOSITION_L", args.l_cap, MAX_COMPOSITION_L, "--l-cap")
-    charge("polynomials.MAX_PRODUCT_K", args.k_cap, MAX_PRODUCT_K, "--k-cap")
-    ring = build_burnside(group)
+        charge("polynomials.MAX_COMPOSITION_L", args.l_cap,
+               polynomials.MAX_COMPOSITION_L, "--l-cap")
+    charge("polynomials.MAX_PRODUCT_K", args.k_cap, polynomials.MAX_PRODUCT_K, "--k-cap")
+    ring = burnside.build_burnside(group)
     rng = random.Random(args.seed)
-    pre = verify_pre_lambda(ring, args.k_cap, args.trials, rng)
-    families = verify_lambda_ring(ring, args.k_cap, args.l_cap, args.trials,
+    pre = lambda_ops.verify_pre_lambda(ring, args.k_cap, args.trials, rng)
+    families = lambda_ops.verify_lambda_ring(ring, args.k_cap, args.l_cap, args.trials,
                                   random.Random(args.seed + 1))
-    odd_cyclic = is_odd_cyclic(group)
+    odd_cyclic = groups.is_odd_cyclic(group)
     return _report_checks(
         args, f"lambda verification for {group.name or 'custom'} "
               f"(seed {args.seed})",
@@ -264,9 +264,9 @@ def _cmd_lambda_verify(args) -> int:
 
 def _cmd_diamond(args) -> int:
     group = _group_from_args(args)
-    ring = build_burnside(group)
+    ring = burnside.build_burnside(group)
     x = ring.element(_parse_coeffs(args.element, ring, "--element"))
-    size, element = diamond_class(ring, x, args.k)
+    size, element = lambda_ops.diamond_class(ring, x, args.k)
     if args.format == "json":
         _emit_json({
             "basis": list(ring.labels),
@@ -281,13 +281,13 @@ def _cmd_diamond(args) -> int:
     return 0
 
 
-def _run_mackey_checks(group: FiniteGroup, trials: int,
+def _run_mackey_checks(group: groups.FiniteGroup, trials: int,
                        rng: random.Random) -> List[CheckReport]:
-    ring = build_burnside(group)
+    ring = burnside.build_burnside(group)
     reps = ring.classification.representatives
     dc = CheckReport("double coset formula")
     for h in reps:
-        for plan in double_coset_plans(group, h.elements):
+        for plan in mackey.double_coset_plans(group, h.elements):
             failing = plan.failures()
             for i in range(plan.h_ctx.ring.rank):
                 dc.record(i not in failing, lambda: plan.check(
@@ -295,23 +295,23 @@ def _run_mackey_checks(group: FiniteGroup, trials: int,
     fr = CheckReport("Frobenius reciprocity")
     for _ in range(trials):
         h = reps[rng.randrange(len(reps))]
-        x = random_element(ring, rng)
-        y = random_element(subgroup_context(group, h.elements).ring, rng)
-        report = check_frobenius(group, h.elements, x, y)
+        x = sampling.random_element(ring, rng)
+        y = sampling.random_element(mackey.subgroup_context(group, h.elements).ring, rng)
+        report = mackey.check_frobenius(group, h.elements, x, y)
         fr.record(report.ok, report.to_json)
-    green = green_morphism_check(group)
+    green = mackey.green_morphism_check(group)
     return [dc, fr, green]
 
 
 def _cmd_mackey_check(args) -> int:
     group = _group_from_args(args)
-    reports = _run_mackey_checks(group, args.trials, random.Random(args.seed))
+    results = _run_mackey_checks(group, args.trials, random.Random(args.seed))
     return _report_checks(
         args, f"Mackey checks for {group.name or 'custom'} (seed {args.seed})",
-        [(rep, True) for rep in reports], {
+        [(rep, True) for rep in results], {
             "group": group.name or "custom",
             "seed": args.seed,
-            "checks": [rep.to_json() for rep in reports],
+            "checks": [rep.to_json() for rep in results],
         })
 
 
@@ -321,16 +321,16 @@ def _cmd_g0(args) -> int:
             if getattr(args, flag) is not None:
                 raise ValueError(f"--monoid-json takes no --{flag.replace('_', '-')}")
         with open(args.monoid_json, "r", encoding="utf-8") as fh:
-            monoid = monoid_from_json(json.load(fh))
+            monoid = modules.monoid_from_json(json.load(fh))
         label = "monoid"
         default_bound = monoid.size + 2
     else:
         group = _group_from_args(args)
-        monoid = group_monoid(group)
+        monoid = modules.group_monoid(group)
         label = group.name or "custom"
         default_bound = group.order + 3
     bound = args.bound if args.bound is not None else default_bound
-    presentation = g0_presentation(monoid, bound)
+    presentation = gtheory.g0_presentation(monoid, bound)
     if args.format == "json":
         _emit_json({"input": label, **presentation.to_json()})
     else:
@@ -344,7 +344,7 @@ def _cmd_g0(args) -> int:
 
 def _cmd_g1(args) -> int:
     group = _group_from_args(args)
-    report = g1_via_splitting(group)
+    report = gtheory.g1_via_splitting(group)
     if args.format == "json":
         _emit_json({"group": group.name or "custom", **report.to_json()})
     else:
@@ -357,7 +357,7 @@ def _cmd_g1(args) -> int:
 
 def _cmd_wh0(args) -> int:
     group = _group_from_args(args)
-    report = cartan_zero(group)
+    report = gtheory.cartan_zero(group)
     if args.format == "json":
         _emit_json({
             "group": group.name or "custom",
@@ -374,7 +374,7 @@ def _cmd_wh0(args) -> int:
 
 def _cmd_simple_factors(args) -> int:
     group = _group_from_args(args)
-    count = count_simple_factors(group, args.q)
+    count = gtheory.count_simple_factors(group, args.q)
     if args.format == "json":
         _emit_json({"group": group.name or "custom", "q": args.q,
                     "simple_factors": count})
@@ -385,38 +385,38 @@ def _cmd_simple_factors(args) -> int:
 
 # --- the invariant suite -------------------------------------------------
 
-def _suite_reports(group: FiniteGroup, seed: int) -> List[CheckReport]:
-    ring = build_burnside(group)
+def _suite_reports(group: groups.FiniteGroup, seed: int) -> List[CheckReport]:
+    ring = burnside.build_burnside(group)
     # the presentation is charged against its cap before any other stage
-    presentation = g0_presentation(group_monoid(group), group.order + 3)
+    presentation = gtheory.g0_presentation(modules.group_monoid(group), group.order + 3)
     rng = random.Random(seed)
-    reports: List[CheckReport] = []
+    results: List[CheckReport] = []
 
     structure = CheckReport("marks diagonal and triangularity")
     for i in range(ring.rank):
         ok = all(ring.marks[i][j] == 0 for j in range(i + 1, ring.rank))
         structure.record(ok and ring.marks[i][i] > 0,
                          lambda: {"row": i, "marks": list(ring.marks[i])})
-    reports.append(structure)
+    results.append(structure)
 
     oracle = CheckReport("product matches diagonal smash")
     for _ in range(20):
-        x = random_effective(ring, rng, max_size=8)
-        y = random_effective(ring, rng, max_size=8)
+        x = sampling.random_effective(ring, rng, max_size=8)
+        y = sampling.random_effective(ring, rng, max_size=8)
         direct = (x * y).coeffs
         modeled = ring.decompose(
-            diagonal_smash(ring.realize(x), ring.realize(y))).coeffs
+            modules.diagonal_smash(ring.realize(x), ring.realize(y))).coeffs
         oracle.record(direct == modeled, lambda: {
             "x": list(x.coeffs), "y": list(y.coeffs),
             "mul": list(direct), "smash": list(modeled),
         })
-    reports.append(oracle)
+    results.append(oracle)
 
-    pre = verify_pre_lambda(ring, 4, 20, random.Random(seed + 1))
-    reports.append(pre)
+    pre = lambda_ops.verify_pre_lambda(ring, 4, 20, random.Random(seed + 1))
+    results.append(pre)
 
     mackey_reports = _run_mackey_checks(group, 20, random.Random(seed + 2))
-    reports.extend(mackey_reports)
+    results.extend(mackey_reports)
 
     g0_check = CheckReport("degree-0 presentation stabilizes at Burnside rank")
     g0_check.record(
@@ -424,48 +424,48 @@ def _suite_reports(group: FiniteGroup, seed: int) -> List[CheckReport]:
         and presentation.result.free_rank == ring.rank
         and not presentation.result.torsion,
         presentation.to_json)
-    reports.append(g0_check)
+    results.append(g0_check)
 
     wh0_check = CheckReport("assembly cokernel is free of rank r-1")
-    cartan = cartan_zero(group)
+    cartan = gtheory.cartan_zero(group)
     wh0_check.record(
         cartan.wh0.free_rank == ring.rank - 1 and not cartan.wh0.torsion,
         cartan.to_json)
-    reports.append(wh0_check)
+    results.append(wh0_check)
 
     g1_check = CheckReport("degree-1 splitting is well formed")
-    g1 = g1_via_splitting(group)
+    g1 = gtheory.g1_via_splitting(group)
     chain_ok = all(
         g1.torsion[i] % g1.torsion[i - 1] == 0 for i in range(1, len(g1.torsion))
     ) and g1.free_rank == 0 and len(g1.torsion) >= ring.rank
     g1_check.record(chain_ok, g1.to_json)
-    reports.append(g1_check)
+    results.append(g1_check)
 
     factors_check = CheckReport("simple factor count at coprime prime powers")
-    class_count = len(conjugacy_classes_of_elements(group))
+    class_count = len(groups.conjugacy_classes_of_elements(group))
     for q in [q for q in range(2, 60)
-              if math.gcd(q, group.order) == 1 and len(factorize(q)) == 1][:2]:
-        count = count_simple_factors(group, q)
+              if math.gcd(q, group.order) == 1 and len(snf.factorize(q)) == 1][:2]:
+        count = gtheory.count_simple_factors(group, q)
         factors_check.record(1 <= count <= class_count,
                              lambda: {"q": q, "count": count})
-    reports.append(factors_check)
-    return reports
+    results.append(factors_check)
+    return results
 
 
 def _cmd_suite(args) -> int:
     group = _group_from_args(args)
-    reports = _suite_reports(group, args.seed)
-    ring_axioms = verify_lambda_ring(build_burnside(group), 3, 2, 5,
+    results = _suite_reports(group, args.seed)
+    ring_axioms = lambda_ops.verify_lambda_ring(burnside.build_burnside(group), 3, 2, 5,
                                      random.Random(args.seed + 3))
-    odd_cyclic = is_odd_cyclic(group)
+    odd_cyclic = groups.is_odd_cyclic(group)
     return _report_checks(
         args, f"invariant suite for {group.name or 'custom'} "
               f"(order {group.order}, seed {args.seed})",
-        _asserted(reports, ring_axioms, odd_cyclic), {
+        _asserted(results, ring_axioms, odd_cyclic), {
             "group": group.name or "custom",
             "order": group.order,
             "seed": args.seed,
-            "checks": [rep.to_json() for rep in reports],
+            "checks": [rep.to_json() for rep in results],
             "ring_axioms": [rep.to_json() for rep in ring_axioms],
             "odd_cyclic": odd_cyclic,
         })

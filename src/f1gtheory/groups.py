@@ -10,9 +10,12 @@ import re
 from functools import cached_property, wraps
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from . import _layer
 from .errors import InternalCheckError, charge
 from .records import _Record
-from .snf import factorize, merge_cyclic_factors
+
+# Only `abelianization` reads invariant factors.
+snf = _layer("snf")
 
 # Largest group a table, a generator closure or a JSON file may give, and
 # the most points a permutation generator may act on: every group within
@@ -732,17 +735,17 @@ def abelianization(group: FiniteGroup, sub: Optional[Subgroup] = None) -> List[i
     k = _extend(group, h, [x for orbit in conjugates for x in orbit])
     members = set(k)
     primary: List[int] = []
-    for p, e in factorize(len(n) // len(k)).items():
+    for p, e in snf.factorize(len(n) // len(k)).items():
         # count = |K|·|A[p^j]|, from j = 0 until A[p^j] is the whole p-part
         powers, count, ranks = n, len(k), []
         while count < len(k) * p ** e:
             powers = [_power(group, x, p) for x in powers]
             grown = sum(x in members for x in powers)
-            ranks.append(factorize(grown // count)[p])
+            ranks.append(snf.factorize(grown // count)[p])
             count = grown
         # summand i has exponent e_i = #{j : r_j > i}
         primary += [p ** sum(r > i for r in ranks) for i in range(ranks[0])]
-    return merge_cyclic_factors(primary)
+    return snf.merge_cyclic_factors(primary)
 
 
 @_memo_on_group

@@ -15,14 +15,16 @@ from operator import itemgetter
 from typing import (Callable, Collection, Dict, Iterator, List, Optional,
                     Sequence, Tuple)
 
+from . import _layer
 from .burnside import BurnsideRing, build_burnside
 from .errors import InternalCheckError, charge
 from .groups import (FiniteGroup, _derived, _orbits, _power, abelianization,
                      classify_subgroups, conjugacy_classes_of_elements)
-from .modules import (FiniteModule, ModuleHom, PointedMonoid, is_cofibration,
-                      quotient, submodule_inclusion)
 from .records import _Record
 from .snf import cokernel_invariants, factorize, merge_cyclic_factors
+
+# Only the degree-0 presentations build modules; g1 and wh0 never do.
+modules = _layer("modules")
 
 __all__ = [
     "AbelianGroupReport", "GrothendieckPresentation", "CartanReport",
@@ -314,14 +316,14 @@ def _audit_group_relation(ring: BurnsideRing, counts: Tuple[int, ...], cls: int)
             if not (j == cls and copy == c - 1):
                 keep.extend(range(offset, offset + block))
             offset += block
-    incl = submodule_inclusion(big, keep)
-    ok, _ = is_cofibration(incl)
+    incl = modules.submodule_inclusion(big, keep)
+    ok, _ = modules.is_cofibration(incl)
     if not ok:
         raise InternalCheckError("orbit-peel inclusion is not a cofibration")
     smaller = tuple(v - 1 if j == cls else v for j, v in enumerate(counts))
     if ring.decompose(incl.source).coeffs != smaller:
         raise InternalCheckError("peeled submodule decomposes incorrectly")
-    q = quotient(incl)
+    q = modules.quotient(incl)
     expected = tuple(1 if j == cls else 0 for j in range(ring.rank))
     if ring.decompose(q).coeffs != expected:
         raise InternalCheckError("peel quotient decomposes incorrectly")
@@ -329,7 +331,7 @@ def _audit_group_relation(ring: BurnsideRing, counts: Tuple[int, ...], cls: int)
 
 # --- G_0 for general monoids --------------------------------------------
 
-def _action_tables(m: PointedMonoid, s: int, spend: Callable[[int], None]
+def _action_tables(m: modules.PointedMonoid, s: int, spend: Callable[[int], None]
                    ) -> Iterator[Tuple[Tuple[int, ...], ...]]:
     """Action tables on a carrier of size s, in lex order of their free entries.
 
@@ -381,7 +383,7 @@ class _ClassIndex:
     """
 
     def __init__(self) -> None:
-        self.reps: List[FiniteModule] = []
+        self.reps: List[modules.FiniteModule] = []
         self._known: Dict[Tuple[Tuple[int, ...], ...], int] = {}
         self.spent = 0
 
@@ -396,7 +398,7 @@ class _ClassIndex:
             raise InternalCheckError("module of bounded size missing from enumeration")
         return i
 
-    def add(self, module: FiniteModule) -> None:
+    def add(self, module: modules.FiniteModule) -> None:
         """Open a class for a module whose table is in no known class."""
         self.spend(math.factorial(module.size - 1))
         i = len(self.reps)
@@ -410,7 +412,7 @@ class _ClassIndex:
             self._known[tuple(table)] = i
 
 
-def _enumerate_modules(m: PointedMonoid, size_bound: int) -> _ClassIndex:
+def _enumerate_modules(m: modules.PointedMonoid, size_bound: int) -> _ClassIndex:
     """The classes of all modules with carrier size <= bound, in table order.
 
     Every carrier size s has a class (units fix every point, non-units send
@@ -426,11 +428,11 @@ def _enumerate_modules(m: PointedMonoid, size_bound: int) -> _ClassIndex:
     for s in range(1, size_bound + 1):
         for table in _action_tables(m, s, index.spend):
             if table not in index._known:
-                index.add(_derived(FiniteModule, m, s, table))
+                index.add(_derived(modules.FiniteModule, m, s, table))
     return index
 
 
-def _action_closed_subsets(module: FiniteModule) -> List[Tuple[int, ...]]:
+def _action_closed_subsets(module: modules.FiniteModule) -> List[Tuple[int, ...]]:
     """Action-closed sets of nonzero points, in the order of their bit masks."""
     points = range(1, module.size)
     reach = [sum({1 << y for y in row if y}) for row in module.action]
@@ -439,7 +441,7 @@ def _action_closed_subsets(module: FiniteModule) -> List[Tuple[int, ...]]:
             if all(reach[x] & ~mask == 0 for x in points if mask >> x & 1)]
 
 
-def _split_tables(module: FiniteModule, subset: Tuple[int, ...]
+def _split_tables(module: modules.FiniteModule, subset: Tuple[int, ...]
                   ) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...], bool]:
     """Action tables of the submodule on an action-closed `subset` and of the
     quotient by it, laid out as `submodule_inclusion` and `quotient` lay them
@@ -461,7 +463,7 @@ def _split_tables(module: FiniteModule, subset: Tuple[int, ...]
     return sub, quot, collapse
 
 
-def _general_g0(m: PointedMonoid, size_bound: int) -> GrothendieckPresentation:
+def _general_g0(m: modules.PointedMonoid, size_bound: int) -> GrothendieckPresentation:
     """Presentation over a general monoid from enumerated module classes.
 
     Each action-closed subset of a representative gives the relation
@@ -478,9 +480,9 @@ def _general_g0(m: PointedMonoid, size_bound: int) -> GrothendieckPresentation:
     for i, rep in enumerate(reps):
         for subset in _action_closed_subsets(rep):
             sub, quot, collapse = _split_tables(rep, subset)
-            if not (collapse or is_cofibration(_derived(
-                    ModuleHom, _derived(FiniteModule, m, len(sub), sub), rep,
-                    (0,) + subset))[0]):
+            if not (collapse or modules.is_cofibration(_derived(
+                    modules.ModuleHom, _derived(modules.FiniteModule, m, len(sub), sub),
+                    rep, (0,) + subset))[0]):
                 continue
             row = {i: 1}
             for j in (index.lookup(sub), index.lookup(quot)):
@@ -501,7 +503,7 @@ def _general_g0(m: PointedMonoid, size_bound: int) -> GrothendieckPresentation:
                                     "bounded approximation")
 
 
-def g0_presentation(m: PointedMonoid, size_bound: int) -> GrothendieckPresentation:
+def g0_presentation(m: modules.PointedMonoid, size_bound: int) -> GrothendieckPresentation:
     """Degree-0 Grothendieck group of finite modules over m, presented at a bound.
 
     Group monoids run through the orbit classification and report stability

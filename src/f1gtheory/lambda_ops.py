@@ -26,7 +26,6 @@ from typing import Dict, List, Tuple
 from .burnside import BurnsideElement, BurnsideRing, linear_dimension
 from .errors import charge, charge_printable
 from .groups import _generating_sequence, _lattice, _orbits
-from .modules import FiniteModule
 from .polynomials import composition_rule, product_rule
 from .reports import CheckReport
 from .sampling import random_effective, random_element
@@ -44,8 +43,8 @@ __all__ = [
 GHOST_WORK_CAP = 20000000
 
 
-def _subset_decompose(ring: BurnsideRing, s: FiniteModule, k: int) -> BurnsideElement:
-    """Decompose the k-subset module of a module over a group monoid directly.
+def _subset_decompose(ring: BurnsideRing, s, k: int) -> BurnsideElement:
+    """Decompose the k-subset module of the module s over a group monoid directly.
 
     Group actions permute nonzero elements, so subsets never collapse and the
     orbits can be walked on the subsets without materializing the module.

@@ -15,7 +15,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .groups import (FiniteGroup, _check_associativity, _check_table, _derived,
                      _generating_sequence, _generators, _int_table, _memo_on_group,
-                     _orbits, _right_cosets)
+                     _orbits, _right_cosets, _subgroup_elements)
 from .records import _Record
 
 __all__ = [
@@ -272,8 +272,14 @@ def wedge_with_inclusions(mods: Sequence[FiniteModule]) -> Tuple[FiniteModule, L
 def coset_module(group: FiniteGroup, elements: Tuple[int, ...]) -> FiniteModule:
     """Right cosets Hx as a module over the group monoid, basepoint adjoined.
 
-    Cosets are listed by ascending least element.
+    Cosets are listed by ascending least element.  ValueError unless
+    `elements` is a subgroup of `group`.
     """
+    return _coset_module(group, _subgroup_elements(group, elements))
+
+
+def _coset_module(group: FiniteGroup, elements: Tuple[int, ...]) -> FiniteModule:
+    """`coset_module` of a subgroup the caller derived, not checked again."""
     monoid = group_monoid(group)
     reps, coset_of = _right_cosets(group, elements)
     action = ((0,) * monoid.size,) + tuple(

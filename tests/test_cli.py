@@ -564,7 +564,7 @@ def test_lambda_verify_refuses_over_cap_before_building_ring(
     def refuse(*args, **kwargs):
         raise AssertionError("lambda-verify built the ring")
 
-    monkeypatch.setattr("f1gtheory.cli.build_burnside", refuse)
+    monkeypatch.setattr("f1gtheory.burnside.build_burnside", refuse)
     code, _, err = run_cli(capsys, "lambda-verify", "--group", "C5",
                            flag, value)
     assert code == 2
@@ -766,7 +766,7 @@ def test_suite_refuses_a_rung_before_any_stage(capsys, monkeypatch, rung, bound,
     def no_stage(*args, **kwargs):
         raise AssertionError("a suite stage ran before the g0 cap was charged")
 
-    monkeypatch.setattr("f1gtheory.cli.verify_pre_lambda", no_stage)
+    monkeypatch.setattr("f1gtheory.lambda_ops.verify_pre_lambda", no_stage)
     monkeypatch.setattr("f1gtheory.cli._run_mackey_checks", no_stage)
     generators, degree = RUNGS[rung]
     code, out, err = run_cli(capsys, "suite", "--generators", ";".join(generators),

@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from f1gtheory import constructions, gtheory
+from f1gtheory import constructions, gtheory, modules
 from f1gtheory.burnside import build_burnside
 from f1gtheory.errors import InternalCheckError, ResourceLimitError
 from f1gtheory.groups import (build_group, conjugacy_classes_of_elements,
@@ -131,7 +131,7 @@ def test_g0_audit_visits_a_bounded_sample_of_peel_sites(monkeypatch):
 
 def test_g0_audit_catches_a_corrupted_quotient(monkeypatch):
     # the peel quotient should be one orbit; the whole module is returned
-    monkeypatch.setattr(gtheory, "quotient", lambda incl: incl.target)
+    monkeypatch.setattr(modules, "quotient", lambda incl: incl.target)
     with pytest.raises(InternalCheckError, match="peel quotient"):
         g0_presentation(group_monoid(build_group(name="S3")), 9)
 

@@ -280,7 +280,7 @@ def test_failures_name_the_basis_elements_that_fail(monkeypatch):
 def test_mackey_check_reports_each_failing_basis_element(capsys, monkeypatch):
     group = build_group(name="S3")
     real = mackey.double_coset_plans
-    monkeypatch.setattr(cli, "double_coset_plans",
+    monkeypatch.setattr(mackey, "double_coset_plans",
                         lambda *args: map(_without_last_coset, real(*args)))
     expected = []
     reps = build_burnside(group).classification.representatives

@@ -84,6 +84,15 @@ def test_coset_module_sizes():
     assert whole.size == 2
 
 
+@pytest.mark.parametrize("elements,message", [
+    ((0, 1, 2), "is not closed under multiplication"),
+    ((0, 7), "outside 0..5"),
+], ids=["not-closed", "out-of-range"])
+def test_coset_module_refuses_a_non_subgroup(elements, message):
+    with pytest.raises(ValueError, match=message):
+        coset_module(build_group(name="S3"), elements)
+
+
 def test_smash_over_f1_counts():
     s = free_module(F1, 3)
     t = free_module(F1, 4)

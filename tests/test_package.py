@@ -1,9 +1,9 @@
 """The package's import contract, its public surface, and the CLI parser.
 
-A CLI process imports every engine layer and nothing else; `import
-f1gtheory` alone imports no submodule; every public name has a caller, is
-a library construction, or is listed below with its reason; the parser
-that `main` builds for one subcommand prints what the full parser prints;
+A CLI process registers every engine layer and nothing else, and runs
+only the layers its command reads; `import f1gtheory` alone imports no
+submodule; every public name has a caller, is a library construction, or
+is listed below with its reason; the parser that `main` builds for one subcommand prints what the full parser prints;
 the README lists every resource limit with the value the code holds, and
 only `errors.charge` raises `ResourceLimitError`; and no module imports a
 name it never reads.
@@ -66,6 +66,56 @@ def test_imports_of_a_cli_process():
             if path and os.path.abspath(path).startswith(tests_dir)] == []
 
 
+# Runs one command in-process, then prints the layers whose source ran: a
+# layer bound with `f1gtheory._layer` and never read is still a lazy module.
+LAYERS_RUN = """
+import os
+import sys
+import types
+
+import f1gtheory.cli
+
+out, sys.stdout = sys.stdout, open(os.devnull, "w")
+status = f1gtheory.cli.main(sys.argv[1:])
+print(" ".join(sorted(name.split(".", 1)[1] for name, module in sys.modules.items()
+                      if name.startswith("f1gtheory.")
+                      and type(module) is types.ModuleType)), file=out)
+sys.exit(status)
+"""
+
+ALWAYS_RUN = ("cli", "errors", "groups", "records", "reports", "burnside")
+
+# The layers each benchmark job runs beyond ALWAYS_RUN, by job name.
+COMMAND_LAYERS = {
+    "setup-marks-c1": (["marks", "--group", "C1"], ()),
+    "marks-s4xc2": (["marks", "--generators", "(1 2 3 4);(1 2);(5 6)",
+                     "--degree", "6"], ()),
+    "mackey-check-d12": (["mackey-check", "--group", "D12"], ("mackey", "sampling")),
+    "lambda-s4-regular-k6": (["lambda", "--group", "S4", "--element",
+                              "[1,0,0,0,0,0,0,0,0,0,0]", "--k", "6"],
+                             ("lambda_ops", "polynomials", "sampling")),
+    "lambda-s4-virtual-k5": (["lambda", "--group", "S4", "--element",
+                              "[1,-1,2,0,0,0,0,0,-2,1,0]", "--k", "5"],
+                             ("lambda_ops", "polynomials", "sampling")),
+    "lambda-verify-c5": (["lambda-verify", "--group", "C5", "--l-cap", "3"],
+                         ("lambda_ops", "modules", "polynomials", "sampling")),
+    "g0-d6": (["g0", "--group", "D6"], ("gtheory", "modules", "snf")),
+    "g0-monoid3": (["g0", "--monoid-json", "perfbench/monoid3.json", "--bound", "6"],
+                   ("gtheory", "modules", "snf")),
+    "g1-d12": (["g1", "--group", "D12"], ("gtheory", "snf")),
+    "wh0-d12": (["wh0", "--group", "D12"], ("gtheory", "snf")),
+}
+
+
+@pytest.mark.parametrize("argv,layers", COMMAND_LAYERS.values(), ids=COMMAND_LAYERS)
+def test_each_command_runs_only_its_layers(argv, layers):
+    run = subprocess.run([sys.executable, "-c", LAYERS_RUN, *argv], cwd=ROOT,
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=SRC))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == sorted(ALWAYS_RUN + layers)
+
+
 def test_every_public_name_resolves_and_is_listed():
     listed = set(dir(f1gtheory))
     for name in f1gtheory.__all__:
@@ -82,6 +132,9 @@ WITHOUT_CALLER = {
                           "mackey-check runs the same plan per class pair",
     "conjugate": "conjugation between subgroup rings, the Mackey map "
                  "next to restrict and induce",
+    "coset_module": "G/H as a module for a subgroup given by its elements, "
+                    "checked; the ring builds its cosets from class "
+                    "representatives it derived, through `_coset_module`",
     "double_coset_reps": "the double cosets of one (K, H) given as element "
                          "tuples; the plans read them by lattice id",
     "free_module": "the free module of rank r, whose class is r·G/e; `wh0` "

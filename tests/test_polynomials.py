@@ -180,7 +180,7 @@ def test_caps_enforced(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("lambda-verify built the ring")
 
-    monkeypatch.setattr("f1gtheory.cli.build_burnside", refuse)
+    monkeypatch.setattr("f1gtheory.burnside.build_burnside", refuse)
     for k_cap, l_cap, err in [(5, 2, PRODUCT_CAP), (9, 3, PRODUCT_CAP),
                               (2, 4, COMPOSITION_CAP), (4, 7, COMPOSITION_CAP),
                               (5, 4, COMPOSITION_CAP)]:
