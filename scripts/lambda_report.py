@@ -1,6 +1,8 @@
 """Survey the lambda-ring axiom families across the group library.
 
-The addition identity holds for every finite group; the product and
+The addition identity holds for every finite group; its column checks
+`verify_pre_lambda`, which reads the ghost-ring values that `lambda` prints
+(the explicit subset walk is a test oracle, not run here).  The product and
 composition identities lambda^k(xy) = P_k and lambda^k(lambda^l x) = P_{k,l},
 evaluated by Newton's identities at each ghost coordinate, are only
 guaranteed for cyclic groups of odd order.  This script measures where they

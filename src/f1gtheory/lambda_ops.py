@@ -9,10 +9,11 @@ gives (`BurnsideRing.orbit_counts`), for effective and virtual classes
 alike, and diamond as a falling factorial of the marks.  Every column
 builder is charged against `GHOST_WORK_CAP` before it starts, and
 `lambda_k` and `diamond_class` refuse an answer too long for Python to
-print.  The ring axioms are checked against Newton's identities at each
-ghost coordinate.
-The explicit tuple module is `constructions.diamond`; explicit subset
-modules are test oracles (`tests/oracles.py`).
+print.  The checkers read the same ghost values: the pre-lambda axioms
+the series `lambda` prints, the ring axioms Newton's identities at each
+ghost coordinate.  The explicit tuple module is `constructions.diamond`;
+explicit subset modules and their orbit walk are test oracles
+(`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -20,15 +21,13 @@ from __future__ import annotations
 import math
 import operator
 import random
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import Dict, List, Tuple
 
+from . import _layer
 from .burnside import BurnsideElement, BurnsideRing, linear_dimension
 from .errors import charge, charge_printable
-from .groups import _generating_sequence, _lattice, _orbits
-from .polynomials import composition_rule, product_rule
 from .reports import CheckReport
-from .sampling import random_effective, random_element
 
 __all__ = [
     "GHOST_WORK_CAP", "diamond_class", "lambda_k", "lambda_series",
@@ -42,26 +41,9 @@ __all__ = [
 # though `math.perm` takes under 1 ns a unit.
 GHOST_WORK_CAP = 20000000
 
-
-def _subset_decompose(ring: BurnsideRing, s, k: int) -> BurnsideElement:
-    """Decompose the k-subset module of the module s over a group monoid directly.
-
-    Group actions permute nonzero elements, so subsets never collapse and the
-    orbits can be walked on the subsets without materializing the module.
-    Orbits are walked under a generating set; stabilizers use every element.
-    """
-    perms = [[row[g + 1] for row in s.action] for g in range(ring.group.order)]
-    subsets = list(map(frozenset, combinations(range(1, s.size), k)))
-    index = {c: i for i, c in enumerate(subsets)}
-    maps = [[index[frozenset(map(perms[g].__getitem__, c))] for c in subsets]
-            for g in _generating_sequence(ring.group)]
-    coeffs = [0] * ring.rank
-    id_of = _lattice(ring.group).id_of
-    for orbit in _orbits(range(len(subsets)), maps):
-        c = subsets[orbit[0]]
-        stab = tuple(g for g, p in enumerate(perms) if c.issuperset(map(p.__getitem__, c)))
-        coeffs[ring.classification.class_index(id_of(stab))] += 1
-    return ring.element(coeffs)
+# Only the checkers draw samples and evaluate the universal polynomials.
+polynomials = _layer("polynomials")
+sampling = _layer("sampling")
 
 
 def _ghost_series(ring: BurnsideRing, x: BurnsideElement, cap: int) -> List[List[int]]:
@@ -166,29 +148,21 @@ def diamond_class(ring: BurnsideRing, x: BurnsideElement,
     return 1 + math.perm(n, k), ring.from_marks([math.perm(m, k) for m in x.marks()])
 
 
-def _geometric_values(ring: BurnsideRing, x: BurnsideElement,
-                      cap: int) -> List[BurnsideElement]:
-    """Operations 0..cap computed directly on subsets of one realization."""
-    realization = ring.realize(x)
-    return [ring.one()] + [_subset_decompose(ring, realization, k) if k < realization.size
-                           else ring.zero() for k in range(1, cap + 1)]
-
-
 def verify_pre_lambda(ring: BurnsideRing, cap: int, trials: int,
                       rng: random.Random) -> CheckReport:
     """Check the unit, identity, and addition axioms on random effective pairs.
 
-    The left side of the addition axiom is computed on subsets of an actual
-    realization of x + y, so the check is independent of the ghost-ring
-    engine behind `lambda_k` and `lambda_series`.
+    The values come from `lambda_series`, the engine `lambda` prints from:
+    lambda^1 x = x compares the fixed-point orbit counts with the marks, and
+    the addition axiom exercises the binomial series and back-substitution.
     """
     report = CheckReport("pre-lambda axioms")
     for _ in range(trials):
-        x = random_effective(ring, rng, max_size=8)
-        y = random_effective(ring, rng, max_size=8)
-        gx = _geometric_values(ring, x, cap)
-        gy = _geometric_values(ring, y, cap)
-        gxy = _geometric_values(ring, x + y, cap)
+        x = sampling.random_effective(ring, rng, max_size=8)
+        y = sampling.random_effective(ring, rng, max_size=8)
+        gx = lambda_series(ring, x, cap)
+        gy = lambda_series(ring, y, cap)
+        gxy = lambda_series(ring, x + y, cap)
         ok0 = gx[0] == ring.one()
         ok1 = cap < 1 or gx[1] == x
         okadd = all(
@@ -227,12 +201,12 @@ def verify_lambda_ring(ring: BurnsideRing, k_cap: int, l_cap: int, trials: int,
         return list(ring.from_marks(ghost).coeffs)
 
     for _ in range(trials):
-        x = random_element(ring, rng)
-        y = random_element(ring, rng)
+        x = sampling.random_element(ring, rng)
+        y = sampling.random_element(ring, rng)
         cols_x = _ghost_series(ring, x, k_cap)
         cols_y = _ghost_series(ring, y, k_cap)
         cols_xy = _ghost_series(ring, x * y, k_cap)
-        rules = [product_rule(cx, cy, k_cap) for cx, cy in zip(cols_x, cols_y)]
+        rules = [polynomials.product_rule(cx, cy, k_cap) for cx, cy in zip(cols_x, cols_y)]
         for k in range(2, k_cap + 1):
             lhs = [col[k] for col in cols_xy]
             rhs = [rule[k] for rule in rules]
@@ -247,7 +221,7 @@ def verify_lambda_ring(ring: BurnsideRing, k_cap: int, l_cap: int, trials: int,
         for l in range(2, l_cap + 1):
             inner = ring.from_marks([col[l] for col in cols_deep])
             cols_inner = _ghost_series(ring, inner, k_cap)
-            rules = [composition_rule(col, k_cap, l) for col in cols_deep]
+            rules = [polynomials.composition_rule(col, k_cap, l) for col in cols_deep]
             for k in range(2, k_cap + 1):
                 lhs = [col[k] for col in cols_inner]
                 rhs = [rule[k] for rule in rules]

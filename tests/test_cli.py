@@ -129,6 +129,18 @@ def test_decompose_module_file(capsys, tmp_path):
     assert json.loads(out)["coeffs"] == [2, 0]
 
 
+def test_decompose_refuses_a_module_over_another_monoid(capsys, tmp_path):
+    # one point over the trivial group's monoid {0, 1}, not over C2's
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps({"monoid": {"size": 2, "mul": [[0, 0], [0, 1]]},
+                                "size": 2, "action": [[0, 0], [0, 1]]}))
+    code, out, err = run_cli(capsys, "decompose", "--group", "C2",
+                             "--module-json", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: module lives over a different group\n"
+
+
 def test_wh0_json(capsys):
     code, out, _ = run_cli(capsys, "wh0", "--group", "S3", "--format", "json")
     assert code == 0

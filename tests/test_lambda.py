@@ -8,8 +8,8 @@ import pytest
 from f1gtheory.burnside import BurnsideRing, build_burnside
 from f1gtheory.constructions import diamond
 from f1gtheory.groups import build_group, library_names
-from f1gtheory.lambda_ops import (_geometric_values, _ghost_series,
-                                  _subset_decompose, diamond_class, lambda_k,
+from f1gtheory.errors import InternalCheckError
+from f1gtheory.lambda_ops import (_ghost_series, diamond_class, lambda_k,
                                   lambda_series, verify_lambda_ring,
                                   verify_pre_lambda)
 from f1gtheory.modules import (free_module, group_monoid,
@@ -94,8 +94,8 @@ def test_diamond_filtered_restricts_first_coordinates():
 
 
 def test_subset_module_matches_fast_decomposition():
-    # the oracle (explicit subset modules decomposed by orbits, and the
-    # direct orbit walk) against each other and against the ghost engine
+    # the oracle (explicit subset modules decomposed by orbits) against the
+    # ghost engine
     rng = random.Random(21)
     for name in ("C2", "C4", "S3", "Q8", "D4"):
         ring = ring_of(name)
@@ -108,8 +108,7 @@ def test_subset_module_matches_fast_decomposition():
                     assert value.is_zero, (name, x.coeffs, k)
                     continue
                 direct = ring.decompose(subset_module(s, k))
-                fast = _subset_decompose(ring, s, k)
-                assert direct == fast == value, (name, x.coeffs, k)
+                assert direct == value, (name, x.coeffs, k)
 
 
 def test_orbit_counts_are_lazy_and_count_marks():
@@ -191,16 +190,27 @@ def test_series_of_virtual_matches_negation():
     assert series[2] == u * u - ring.basis_element(1)
 
 
+def _subset_values(ring, x, cap):
+    """Operations 0..cap of an effective x on subsets of one realization."""
+    s = ring.realize(x)
+    return [ring.one()] + [ring.decompose(subset_module(s, k)) if k < s.size
+                           else ring.zero() for k in range(1, cap + 1)]
+
+
 def test_multiplicative_series_matches_geometric_values():
-    # the ghost-ring series against subset modules of one realization
+    # the ghost-ring series of x, y and x + y, the values the pre-lambda
+    # check reads, against subset modules of one realization
     rng = random.Random(17)
-    for name in ("C2", "S3", "Q8"):
+    for name in library_names():
         ring = ring_of(name)
-        for _ in range(8):
+        if ring.order > 8:
+            continue
+        for _ in range(4):
             x = random_effective(ring, rng, max_size=8)
-            series = lambda_series(ring, x, 4)
-            geometric = _geometric_values(ring, x, 4)
-            assert list(series) == geometric, (name, x.coeffs)
+            y = random_effective(ring, rng, max_size=8)
+            for z in (x, y, x + y):
+                assert list(lambda_series(ring, z, 4)) == _subset_values(ring, z, 4), \
+                    (name, z.coeffs)
 
 
 def test_pre_lambda_report():
@@ -208,6 +218,22 @@ def test_pre_lambda_report():
     report = verify_pre_lambda(ring, 4, 25, random.Random(0))
     assert report.passed
     assert report.instances == 25
+
+
+def test_pre_lambda_check_reads_the_orbit_counts():
+    # the runtime check certifies the engine that `lambda` prints from, so
+    # one wrong fixed-point count must not pass it
+    ring = BurnsideRing(build_group(name="C2"))
+    counts = [list(row) for row in ring.orbit_counts]
+    (length, e), = counts[-1][-1]  # G/G at K = G: one fixed point
+    assert length == 1
+    counts[-1][-1] = ((1, e + 1),)
+    vars(ring)["orbit_counts"] = tuple(map(tuple, counts))
+    try:
+        passed = verify_pre_lambda(ring, 3, 10, random.Random(0)).passed
+    except InternalCheckError:
+        passed = False
+    assert not passed
 
 
 def test_lambda_ring_families_on_odd_cyclic():

@@ -93,12 +93,12 @@ COMMAND_LAYERS = {
     "mackey-check-d12": (["mackey-check", "--group", "D12"], ("mackey", "sampling")),
     "lambda-s4-regular-k6": (["lambda", "--group", "S4", "--element",
                               "[1,0,0,0,0,0,0,0,0,0,0]", "--k", "6"],
-                             ("lambda_ops", "polynomials", "sampling")),
+                             ("lambda_ops",)),
     "lambda-s4-virtual-k5": (["lambda", "--group", "S4", "--element",
                               "[1,-1,2,0,0,0,0,0,-2,1,0]", "--k", "5"],
-                             ("lambda_ops", "polynomials", "sampling")),
+                             ("lambda_ops",)),
     "lambda-verify-c5": (["lambda-verify", "--group", "C5", "--l-cap", "3"],
-                         ("lambda_ops", "modules", "polynomials", "sampling")),
+                         ("lambda_ops", "polynomials", "sampling")),
     "g0-d6": (["g0", "--group", "D6"], ("gtheory", "modules", "snf")),
     "g0-monoid3": (["g0", "--monoid-json", "perfbench/monoid3.json", "--bound", "6"],
                    ("gtheory", "modules", "snf")),
@@ -140,8 +140,6 @@ WITHOUT_CALLER = {
     "free_module": "the free module of rank r, whose class is r·G/e; `wh0` "
                    "reads that class off the lattice, the tests build the "
                    "module as its oracle",
-    "lambda_series": "the operations 0..cap at once, the series form of "
-                     "lambda_k",
     "wedge_with_inclusions": "the wedge with its block inclusions, the "
                              "coproduct's structure maps; the engine needs "
                              "only the module that `wedge` builds",

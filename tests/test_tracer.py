@@ -58,6 +58,7 @@ def test_tracer_keeps_stdout_and_traces_the_snf(argv):
     ["marks", "--group", "S4"],
     ["lambda", "--group", "S4", "--element", "[1,-1,2,0,0,0,0,0,-2,1,0]", "--k", "5"],
     ["mackey-check", "--group", "D12"],
-], ids=["marks-s4", "lambda-s4-virtual", "mackey-check-d12"])
+    ["lambda-verify", "--group", "C5", "--l-cap", "3"],
+], ids=["marks-s4", "lambda-s4-virtual", "mackey-check-d12", "lambda-verify-c5"])
 def test_tracer_keeps_stdout_of_each_layer(argv):
     _traced_stderr(argv)
