@@ -1,13 +1,13 @@
 """Degree-0 and degree-1 invariants of finite groups and pointed monoids.
 
-The package is organized in layers: finite groups and their subgroup
-structure, pointed monoids and their finite modules, the Burnside ring with
-its table of marks, lambda and diamond operations in the ghost ring,
-induction and restriction with the double coset formula, and presentations
-of the degree-0 and degree-1 invariant groups.  Library constructions that
-no engine layer uses (base change, smash products, pushouts, bimodules,
-the explicit ordered-tuple module, isomorphism testing) live in
-`constructions`.
+The package is organized in layers: finite groups and their subgroups,
+pointed monoids and their finite modules, the Burnside ring with its table
+of marks, lambda and diamond operations in the ghost ring, induction and
+restriction with the double coset formula, and the degree-0 and degree-1
+invariants (`gtheory`, with its engines `g0_group` and `g0_monoid`).  The
+CLI's commands run in the `*_commands` modules.  Constructions that no
+engine layer uses (base change, smash products, pushouts, bimodules, the
+explicit ordered-tuple module, isomorphism testing) are in `constructions`.
 
 The public names resolve lazily (PEP 562): `import f1gtheory` loads no
 submodule, and the first use of a name loads the submodule that defines it.

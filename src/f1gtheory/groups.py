@@ -5,7 +5,6 @@ Elements are 0-based indices into the table; the identity is index 0.
 
 from __future__ import annotations
 
-import json
 import re
 from functools import cached_property, wraps
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -466,6 +465,7 @@ def group_from_json(obj: Dict) -> FiniteGroup:
 
 
 def load_group(path: str) -> FiniteGroup:
+    import json
     with open(path, "r", encoding="utf-8") as fh:
         return group_from_json(json.load(fh))
 

@@ -27,7 +27,6 @@ from typing import Dict, List, Tuple
 from . import _layer
 from .burnside import BurnsideElement, BurnsideRing, linear_dimension
 from .errors import charge, charge_printable
-from .reports import CheckReport
 
 __all__ = [
     "GHOST_WORK_CAP", "diamond_class", "lambda_k", "lambda_series",
@@ -41,8 +40,10 @@ __all__ = [
 # though `math.perm` takes under 1 ns a unit.
 GHOST_WORK_CAP = 20000000
 
-# Only the checkers draw samples and evaluate the universal polynomials.
+# Only the checkers draw samples, evaluate the universal polynomials and
+# report.
 polynomials = _layer("polynomials")
+reports = _layer("reports")
 sampling = _layer("sampling")
 
 
@@ -149,14 +150,14 @@ def diamond_class(ring: BurnsideRing, x: BurnsideElement,
 
 
 def verify_pre_lambda(ring: BurnsideRing, cap: int, trials: int,
-                      rng: random.Random) -> CheckReport:
+                      rng: random.Random) -> reports.CheckReport:
     """Check the unit, identity, and addition axioms on random effective pairs.
 
     The values come from `lambda_series`, the engine `lambda` prints from:
     lambda^1 x = x compares the fixed-point orbit counts with the marks, and
     the addition axiom exercises the binomial series and back-substitution.
     """
-    report = CheckReport("pre-lambda axioms")
+    report = reports.CheckReport("pre-lambda axioms")
     for _ in range(trials):
         x = sampling.random_effective(ring, rng, max_size=8)
         y = sampling.random_effective(ring, rng, max_size=8)
@@ -177,7 +178,7 @@ def verify_pre_lambda(ring: BurnsideRing, cap: int, trials: int,
 
 
 def verify_lambda_ring(ring: BurnsideRing, k_cap: int, l_cap: int, trials: int,
-                       rng: random.Random) -> List[CheckReport]:
+                       rng: random.Random) -> List[reports.CheckReport]:
     """Evaluate the three ring-axiom families; failures are reported, not raised.
 
     Families: vanishing on the unit, the product rule against P_k, and the
@@ -188,9 +189,9 @@ def verify_lambda_ring(ring: BurnsideRing, k_cap: int, l_cap: int, trials: int,
     of one rule in one call per column.  Only a failure is written in the
     basis.
     """
-    unit_report = CheckReport("lambda of the unit vanishes")
-    product_report = CheckReport("product rule")
-    composition_report = CheckReport("composition rule")
+    unit_report = reports.CheckReport("lambda of the unit vanishes")
+    product_report = reports.CheckReport("product rule")
+    composition_report = reports.CheckReport("composition rule")
 
     for k in range(2, k_cap + 1):
         value = lambda_k(ring, ring.one(), k)

@@ -116,7 +116,7 @@ from f1gtheory.errors import InternalCheckError
 from f1gtheory.groups import (FiniteGroup, Subgroup, _derived, _memo_on_group,
                               _right_cosets, _subgroup_elements, build_group,
                               closure_of, normalizer)
-from f1gtheory.gtheory import _action_closed_subsets, _enumerate_modules
+from f1gtheory.g0_monoid import _action_closed_subsets, _enumerate_modules
 from f1gtheory.mackey import double_coset_reps, subgroup_context, transport
 from f1gtheory.modules import (FiniteModule, ModuleHom, PointedMonoid,
                                free_module, group_monoid, is_cofibration,

@@ -22,7 +22,7 @@ import pytest
 
 import f1gtheory
 from f1gtheory.burnside import build_burnside, decompose
-from f1gtheory.cli import _run_mackey_checks
+from f1gtheory.check_commands import _run_mackey_checks
 from f1gtheory.groups import (_memo_on_group, all_subgroups, build_group,
                               classify_subgroups, conjugacy_classes_of_elements)
 from f1gtheory.mackey import SubgroupContext, subgroup_context

@@ -779,7 +779,7 @@ def test_suite_refuses_a_rung_before_any_stage(capsys, monkeypatch, rung, bound,
         raise AssertionError("a suite stage ran before the g0 cap was charged")
 
     monkeypatch.setattr("f1gtheory.lambda_ops.verify_pre_lambda", no_stage)
-    monkeypatch.setattr("f1gtheory.cli._run_mackey_checks", no_stage)
+    monkeypatch.setattr("f1gtheory.check_commands._run_mackey_checks", no_stage)
     generators, degree = RUNGS[rung]
     code, out, err = run_cli(capsys, "suite", "--generators", ";".join(generators),
                              "--degree", str(degree))

@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from f1gtheory import constructions, gtheory, modules
+from f1gtheory import constructions, g0_group, g0_monoid, gtheory, modules
 from f1gtheory.burnside import build_burnside
 from f1gtheory.errors import InternalCheckError, ResourceLimitError
 from f1gtheory.groups import (build_group, conjugacy_classes_of_elements,
@@ -103,19 +103,19 @@ def test_g0_relations_view_is_sized_and_reiterable():
 
 
 def test_g0_certificate_rejects_row_outside_kernel(monkeypatch):
-    peel_rows = gtheory._peel_rows
+    peel_rows = g0_group._peel_rows
 
     def with_bad_row(gens, gen_index):
         yield from peel_rows(gens, gen_index)
         yield ((gen_index[(1,) + (0,) * (len(gens[0]) - 1)], 1),)
 
-    monkeypatch.setattr(gtheory, "_peel_rows", with_bad_row)
+    monkeypatch.setattr(g0_group, "_peel_rows", with_bad_row)
     with pytest.raises(InternalCheckError, match="kernel"):
         g0_presentation(group_monoid(build_group(name="C2")), 5)
 
 
 def test_g0_audit_visits_a_bounded_sample_of_peel_sites(monkeypatch):
-    audit = gtheory._audit_group_relation
+    audit = g0_group._audit_group_relation
     for group in small_library_groups():
         sites = []
 
@@ -123,7 +123,7 @@ def test_g0_audit_visits_a_bounded_sample_of_peel_sites(monkeypatch):
             sites.append((counts, cls))
             audit(ring, counts, cls)
 
-        monkeypatch.setattr(gtheory, "_audit_group_relation", record)
+        monkeypatch.setattr(g0_group, "_audit_group_relation", record)
         g0_presentation(group_monoid(group), group.order + 3)
         assert 1 <= len(sites) <= gtheory.RELATION_AUDIT_SAMPLE + 1, group.name
         assert all(c[i] > 0 for c, i in sites), group.name
@@ -140,9 +140,9 @@ def test_peel_rows_match_dict_oracle():
     for group in small_library_groups():
         sizes = ring_of(group.name).coset_sizes
         for bound in range(1, group.order + 4):
-            gens = gtheory._count_vectors(sizes, bound - 1)
+            gens = g0_group._count_vectors(sizes, bound - 1)
             gen_index = {c: i for i, c in enumerate(gens)}
-            rows = list(gtheory._peel_rows(gens, gen_index))
+            rows = list(g0_group._peel_rows(gens, gen_index))
             assert rows == list(peel_rows_by_dict(gens, gen_index)), \
                 (group.name, bound)
             assert all(in_peel_kernel(row, gens) for row in rows)
@@ -152,7 +152,7 @@ def test_g0_certificate_rejects_heavy_row_the_encoding_misses(monkeypatch):
     # over C2 at bound 5, B = 6 * 4 + 1 = 25 and enc(e_1) = 25 enc(e_0):
     # the row 25 [e_0] - [e_1] has encoded image 0 but lies outside the
     # kernel, so only the bound on the absolute sum refuses it
-    peel_rows = gtheory._peel_rows
+    peel_rows = g0_group._peel_rows
     found = []
 
     def with_heavy_row(gens, gen_index):
@@ -161,7 +161,7 @@ def test_g0_certificate_rejects_heavy_row_the_encoding_misses(monkeypatch):
         found.append((row, gens))
         yield row
 
-    monkeypatch.setattr(gtheory, "_peel_rows", with_heavy_row)
+    monkeypatch.setattr(g0_group, "_peel_rows", with_heavy_row)
     with pytest.raises(InternalCheckError, match="absolute sum 26"):
         g0_presentation(group_monoid(build_group(name="C2")), 5)
     (row, gens), = found
@@ -169,27 +169,27 @@ def test_g0_certificate_rejects_heavy_row_the_encoding_misses(monkeypatch):
 
 
 def test_g0_certificate_rejects_heavy_row_in_kernel(monkeypatch):
-    peel_rows = gtheory._peel_rows
+    peel_rows = g0_group._peel_rows
 
     def with_doubled_row(gens, gen_index):
         rows = list(peel_rows(gens, gen_index))
         yield from rows
         yield tuple((idx, 2 * v) for idx, v in rows[-1])
 
-    monkeypatch.setattr(gtheory, "_peel_rows", with_doubled_row)
+    monkeypatch.setattr(g0_group, "_peel_rows", with_doubled_row)
     with pytest.raises(InternalCheckError, match="absolute sum 6"):
         g0_presentation(group_monoid(build_group(name="C2")), 5)
 
 
 def test_g0_generator_labels_are_lazy_and_match_eager_tuple(monkeypatch):
     calls = []
-    count_vectors = gtheory._count_vectors
+    count_vectors = g0_group._count_vectors
 
     def counting(sizes, budget):
         calls.append(budget)
         return count_vectors(sizes, budget)
 
-    monkeypatch.setattr(gtheory, "_count_vectors", counting)
+    monkeypatch.setattr(g0_group, "_count_vectors", counting)
     for group in small_library_groups():
         sizes = ring_of(group.name).coset_sizes
         for bound in range(1, group.order + 4):
@@ -213,9 +213,9 @@ def test_general_rows_match_object_oracle():
 
 def test_collapse_first_matches_is_cofibration():
     for m, bound in ((IDEMPOTENT, 6),) + GOLDEN_MONOIDS:
-        for rep in gtheory._enumerate_modules(m, bound).reps:
-            for subset in gtheory._action_closed_subsets(rep):
-                sub, quot, collapse = gtheory._split_tables(rep, subset)
+        for rep in g0_monoid._enumerate_modules(m, bound).reps:
+            for subset in g0_monoid._action_closed_subsets(rep):
+                sub, quot, collapse = g0_monoid._split_tables(rep, subset)
                 incl = submodule_inclusion(rep, subset)
                 assert sub == incl.source.action
                 assert quot == quotient(incl).action
@@ -234,7 +234,7 @@ def test_g0_generator_cap_refuses_before_enumerating(monkeypatch):
         raise AssertionError("count vectors enumerated past the cap")
 
     monkeypatch.setattr(gtheory, "GROUP_GENERATOR_CAP", 10)
-    monkeypatch.setattr(gtheory, "_count_vectors", enumerate_nothing)
+    monkeypatch.setattr(g0_group, "_count_vectors", enumerate_nothing)
     m = group_monoid(build_group(name="C2"))
     with pytest.raises(ResourceLimitError, match=r"^generator count at size bound 6 "
                        r"reaches 12, past gtheory\.GROUP_GENERATOR_CAP = 10$"):
@@ -277,25 +277,25 @@ def test_g0_work_budget_refuses_large_bound_at_once():
 def test_work_budget_stores_nothing_past_it(monkeypatch):
     made = []
 
-    class Recording(gtheory._ClassIndex):
+    class Recording(g0_monoid._ClassIndex):
         def __init__(self):
             super().__init__()
             made.append(self)
 
-    monkeypatch.setattr(gtheory, "_ClassIndex", Recording)
-    full = gtheory._enumerate_modules(IDEMPOTENT, 6)
+    monkeypatch.setattr(g0_monoid, "_ClassIndex", Recording)
+    full = g0_monoid._enumerate_modules(IDEMPOTENT, 6)
     monkeypatch.setattr(gtheory, "WORK_BUDGET", full.spent)
-    assert gtheory._enumerate_modules(IDEMPOTENT, 6).reps == full.reps
+    assert g0_monoid._enumerate_modules(IDEMPOTENT, 6).reps == full.reps
     monkeypatch.setattr(gtheory, "WORK_BUDGET", 153)
     with pytest.raises(ResourceLimitError, match=r"^relabelling count at size bound 6 "
                        r"reaches 154, past gtheory\.WORK_BUDGET = 153$"):
-        gtheory._enumerate_modules(IDEMPOTENT, 6)  # 0! + 1! + ... + 5!
+        g0_monoid._enumerate_modules(IDEMPOTENT, 6)  # 0! + 1! + ... + 5!
     assert len(made) == 2
     for budget in (full.spent - 1, full.spent // 2, 200, 154):
         monkeypatch.setattr(gtheory, "WORK_BUDGET", budget)
         with pytest.raises(ResourceLimitError, match=r"^module enumeration work "
                            rf"reaches \d+, past gtheory\.WORK_BUDGET = {budget}$"):
-            gtheory._enumerate_modules(IDEMPOTENT, 6)
+            g0_monoid._enumerate_modules(IDEMPOTENT, 6)
         cut = made[-1]
         # each stored class was charged its (s-1)! relabellings within the
         # budget, and holds exactly its orbit in the complete memo
@@ -311,9 +311,9 @@ def test_pruned_enumeration_matches_product_order():
             continue
         bound = 7 if m == IDEMPOTENT else 6 if m.size == 3 else 4
         for s in range(1, bound + 1):
-            assert list(gtheory._action_tables(m, s, lambda work: None)) == \
+            assert list(g0_monoid._action_tables(m, s, lambda work: None)) == \
                 list(product_order_tables(m, s)), (m.mul, s)
-        reps = gtheory._enumerate_modules(m, bound).reps
+        reps = g0_monoid._enumerate_modules(m, bound).reps
         assert [r.action for r in reps] == \
             [r.action for r in enumerate_modules_pairwise(m, bound)], m.mul
 
@@ -321,9 +321,9 @@ def test_pruned_enumeration_matches_product_order():
 
 def test_class_index_agrees_with_pairwise_scan():
     for m in monoid_pool(max_size=4):
-        index = gtheory._enumerate_modules(m, 4)
+        index = g0_monoid._enumerate_modules(m, 4)
         reps = index.reps
-        fresh = gtheory._ClassIndex()
+        fresh = g0_monoid._ClassIndex()
         for rep in reps:
             fresh.add(rep)
         # pairwise_class certifies each table isomorphic to its representative,
@@ -342,8 +342,8 @@ def test_class_index_agrees_with_pairwise_scan():
 
 
 def test_class_index_refuses_an_unseen_class():
-    index = gtheory._enumerate_modules(IDEMPOTENT, 2)
-    big = gtheory._enumerate_modules(IDEMPOTENT, 3).reps[-1]
+    index = g0_monoid._enumerate_modules(IDEMPOTENT, 2)
+    big = g0_monoid._enumerate_modules(IDEMPOTENT, 3).reps[-1]
     with pytest.raises(InternalCheckError, match="missing from enumeration"):
         index.lookup(big.action)
 
@@ -353,11 +353,12 @@ def test_g0_monoid3_enumeration_makes_no_isomorphism_calls(monkeypatch):
         raise AssertionError("are_isomorphic called")
 
     assert not hasattr(gtheory, "are_isomorphic")
+    assert not hasattr(g0_monoid, "are_isomorphic")
     monkeypatch.setattr(constructions, "are_isomorphic", refuse)
-    index = gtheory._enumerate_modules(IDEMPOTENT, 6)
+    index = g0_monoid._enumerate_modules(IDEMPOTENT, 6)
     # the memo holds every valid labelled table, and nothing else
     tables = [t for s in range(1, 7)
-              for t in gtheory._action_tables(IDEMPOTENT, s, lambda work: None)]
+              for t in g0_monoid._action_tables(IDEMPOTENT, s, lambda work: None)]
     assert len(index._known) == len(tables) == 673
     assert set(index._known) == set(tables)
     p = g0_presentation(IDEMPOTENT, 6)

@@ -38,8 +38,9 @@ import json
 import sys
 
 def loaded():
+    # reading __file__ runs a lazy layer, which may register more modules
     return {name: getattr(module, "__file__", None)
-            for name, module in sys.modules.items()}
+            for name, module in list(sys.modules.items())}
 
 import f1gtheory
 bare = loaded()
@@ -66,54 +67,74 @@ def test_imports_of_a_cli_process():
             if path and os.path.abspath(path).startswith(tests_dir)] == []
 
 
-# Runs one command in-process, then prints the layers whose source ran: a
-# layer bound with `f1gtheory._layer` and never read is still a lazy module.
-LAYERS_RUN = """
+# Runs one command as `python -m f1gtheory.cli` does, then prints every
+# module whose source ran: a layer bound with `f1gtheory._layer` and never
+# read is still a lazy module.
+MAIN_RUN = """
 import os
+import runpy
 import sys
 import types
 
-import f1gtheory.cli
-
 out, sys.stdout = sys.stdout, open(os.devnull, "w")
-status = f1gtheory.cli.main(sys.argv[1:])
-print(" ".join(sorted(name.split(".", 1)[1] for name, module in sys.modules.items()
-                      if name.startswith("f1gtheory.")
-                      and type(module) is types.ModuleType)), file=out)
+try:
+    runpy.run_module("f1gtheory.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    status = exc.code
+print(" ".join(sorted(name for name, module in sys.modules.items()
+                      if type(module) is types.ModuleType)), file=out)
 sys.exit(status)
 """
 
-ALWAYS_RUN = ("cli", "errors", "groups", "records", "reports", "burnside")
+ALWAYS_RUN = ("errors", "groups", "records")
 
-# The layers each benchmark job runs beyond ALWAYS_RUN, by job name.
+# The modules each benchmark job runs beyond ALWAYS_RUN, by job name.
 COMMAND_LAYERS = {
-    "setup-marks-c1": (["marks", "--group", "C1"], ()),
+    "setup-marks-c1": (["marks", "--group", "C1"], ("burnside", "burnside_commands")),
     "marks-s4xc2": (["marks", "--generators", "(1 2 3 4);(1 2);(5 6)",
-                     "--degree", "6"], ()),
-    "mackey-check-d12": (["mackey-check", "--group", "D12"], ("mackey", "sampling")),
+                     "--degree", "6"], ("burnside", "burnside_commands")),
+    "mackey-check-d12": (["mackey-check", "--group", "D12"],
+                         ("burnside", "check_commands", "mackey", "reports", "sampling")),
     "lambda-s4-regular-k6": (["lambda", "--group", "S4", "--element",
                               "[1,0,0,0,0,0,0,0,0,0,0]", "--k", "6"],
-                             ("lambda_ops",)),
+                             ("burnside", "lambda_commands", "lambda_ops")),
     "lambda-s4-virtual-k5": (["lambda", "--group", "S4", "--element",
                               "[1,-1,2,0,0,0,0,0,-2,1,0]", "--k", "5"],
-                             ("lambda_ops",)),
+                             ("burnside", "lambda_commands", "lambda_ops")),
     "lambda-verify-c5": (["lambda-verify", "--group", "C5", "--l-cap", "3"],
-                         ("lambda_ops", "polynomials", "sampling")),
-    "g0-d6": (["g0", "--group", "D6"], ("gtheory", "modules", "snf")),
+                         ("burnside", "check_commands", "lambda_ops", "polynomials",
+                          "reports", "sampling")),
+    "g0-d6": (["g0", "--group", "D6"],
+              ("burnside", "g0_group", "gtheory", "gtheory_commands", "modules")),
     "g0-monoid3": (["g0", "--monoid-json", "perfbench/monoid3.json", "--bound", "6"],
-                   ("gtheory", "modules", "snf")),
-    "g1-d12": (["g1", "--group", "D12"], ("gtheory", "snf")),
-    "wh0-d12": (["wh0", "--group", "D12"], ("gtheory", "snf")),
+                   ("g0_monoid", "gtheory", "gtheory_commands", "modules", "snf")),
+    "g1-d12": (["g1", "--group", "D12"], ("gtheory", "gtheory_commands", "snf")),
+    "wh0-d12": (["wh0", "--group", "D12"],
+                ("burnside", "gtheory", "gtheory_commands", "snf")),
 }
+
+
+def _main_run(argv):
+    """The modules whose source a `python -m f1gtheory.cli argv` process ran."""
+    run = subprocess.run([sys.executable, "-c", MAIN_RUN, *argv], cwd=ROOT,
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=SRC))
+    assert run.returncode == 0, run.stderr
+    return run.stdout.split()
 
 
 @pytest.mark.parametrize("argv,layers", COMMAND_LAYERS.values(), ids=COMMAND_LAYERS)
 def test_each_command_runs_only_its_layers(argv, layers):
-    run = subprocess.run([sys.executable, "-c", LAYERS_RUN, *argv], cwd=ROOT,
-                         capture_output=True, text=True, timeout=120,
-                         env=dict(os.environ, PYTHONPATH=SRC))
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == sorted(ALWAYS_RUN + layers)
+    ran = _main_run(argv)
+    # the CLI runs as __main__ and its source is compiled once: a command
+    # module that imported a helper from `f1gtheory.cli` would compile it again
+    assert "f1gtheory.cli" not in ran
+    assert [name.split(".", 1)[1] for name in ran if name.startswith("f1gtheory.")] \
+        == sorted(ALWAYS_RUN + layers)
+
+
+def test_a_text_command_loads_no_json():
+    assert "json" not in _main_run(["marks", "--group", "C1"])
 
 
 def test_every_public_name_resolves_and_is_listed():

@@ -20,9 +20,9 @@ import pytest
 from f1gtheory.burnside import BurnsideElement, build_burnside
 from f1gtheory.groups import (FiniteGroup, Subgroup, SubgroupClassification,
                               _derived, build_group, classify_subgroups)
+from f1gtheory.g0_group import _CountVectorLabels, _PeelRelations
 from f1gtheory.gtheory import (AbelianGroupReport, CartanReport,
-                               GrothendieckPresentation, _CountVectorLabels,
-                               _PeelRelations)
+                               GrothendieckPresentation)
 from f1gtheory.mackey import (DoubleCosetPlan, DoubleCosetReport,
                               FrobeniusReport, SubgroupContext,
                               subgroup_context)
