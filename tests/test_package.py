@@ -1,7 +1,8 @@
 """The package's import contract, its public surface, and the CLI parser.
 
-A CLI process registers every engine layer and nothing else, and runs
-only the layers its command reads; `import f1gtheory` alone imports no
+A CLI process registers every engine layer and nothing else, runs only
+the modules its command reads, compiles `cli` once, and loads no `json`
+for a text command that reads and writes none; `import f1gtheory` alone imports no
 submodule; every public name has a caller, is a library construction, or
 is listed below with its reason; the parser that `main` builds for one subcommand prints what the full parser prints;
 the README lists every resource limit with the value the code holds, and
