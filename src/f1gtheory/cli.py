@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Sequence
 from . import _layer
 from .errors import InternalCheckError, ResourceLimitError
 
-# Every engine layer is registered at import and runs on first use, so a
-# command compiles only the layers it calls.
+# Every engine layer is registered here, to run on first use: the command
+# modules' `from . import` binds these, so a command compiles what it calls.
 burnside = _layer("burnside")
 groups = _layer("groups")
 for _name in ("gtheory", "lambda_ops", "mackey", "modules", "polynomials",
