@@ -24,7 +24,7 @@ Usage: python3 scripts/import_cost.py [--runs N] [command ...]
 from __future__ import annotations
 
 import argparse
-import json
+import ast
 import os
 import shutil
 import statistics
@@ -40,7 +40,8 @@ DEFAULT_COMMAND = ["marks", "--group", "C1"]
 # Runs the command like `-m f1gtheory.cli`, but imports cli as a module, so
 # it is timed too.  Every import statement and every source module run is a
 # span; a package module's self time is its run less its child spans.  The
-# self times go to stderr after MARKER as JSON.
+# self times go to stderr after MARKER as a dict repr, so printing them
+# imports nothing.
 MARKER = "import-cost-self-s:"
 RUN_MAIN = f"""
 import builtins, sys, time
@@ -68,8 +69,7 @@ SourceFileLoader.exec_module = spanned(SourceFileLoader.exec_module,
                                        lambda loader, module: module.__name__)
 import f1gtheory.cli
 status = f1gtheory.cli.main(sys.argv[1:])
-import json
-print({MARKER!r} + json.dumps(selfs), file=sys.stderr)
+print({MARKER!r} + repr(selfs), file=sys.stderr)
 sys.exit(status)
 """
 
@@ -92,7 +92,7 @@ def _import_times(argv: List[str], env: Dict[str, str]
     selfs: Dict[str, float] = {}
     for line in run.stderr.splitlines():
         if line.startswith(MARKER):
-            selfs = json.loads(line[len(MARKER):])
+            selfs = ast.literal_eval(line[len(MARKER):])
         if not line.startswith("import time:"):
             continue
         self_us, cumulative_us, field = line[len("import time:"):].split("|")

@@ -280,13 +280,6 @@ class BurnsideElement(_Record):
     def is_effective(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
 
-    def positive_part(self) -> "BurnsideElement":
-        return self.ring.element([max(c, 0) for c in self.coeffs])
-
-    def negative_part(self) -> "BurnsideElement":
-        """The effective element subtracted, so self == positive - negative."""
-        return self.ring.element([max(-c, 0) for c in self.coeffs])
-
     def marks(self) -> Tuple[int, ...]:
         return self.ring.marks_of(self)
 

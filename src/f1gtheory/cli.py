@@ -92,8 +92,7 @@ def _emit_json(payload: Dict) -> None:
 
 
 def _compact(vec: Sequence[int]) -> str:
-    import json
-    return json.dumps(list(vec), separators=(",", ":"))
+    return "[" + ",".join(map(str, vec)) + "]"
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:

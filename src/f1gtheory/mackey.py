@@ -12,9 +12,10 @@ y-independent part of the right side; both sides read restriction tables.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .burnside import BurnsideElement, BurnsideRing, _burnside, linear_dimension
+from .burnside import BurnsideElement, BurnsideRing, _burnside
 from .errors import InternalCheckError
 from .groups import (FiniteGroup, SubgroupClassification, _classify,
                      _generating_sequence, _lattice, _memo_on_group,
@@ -26,7 +27,7 @@ __all__ = [
     "SubgroupContext", "subgroup_context", "restrict", "induce", "conjugate",
     "transport", "double_coset_reps", "double_coset_plan", "double_coset_plans",
     "check_double_coset",
-    "check_frobenius", "green_morphism_check", "linear_dimension",
+    "check_frobenius", "green_morphism_check",
     "DoubleCosetPlan", "DoubleCosetReport", "FrobeniusReport",
 ]
 
@@ -323,11 +324,13 @@ def green_morphism_check(group: FiniteGroup):
     ring = _burnside(group, top)
     for cls, rep in zip(ring.classification.members, ring.classification.representatives):
         ctx = _context(group, cls[0], top)
-        for i, (dim, row) in enumerate(zip(ring.coset_sizes, ctx.restriction)):
-            below = sum(c * s for c, s in zip(row, ctx.ring.coset_sizes))
-            # restriction keeps the underlying carrier, hence the dimension
-            report.record(below == dim, lambda: {
-                "subgroup": list(rep.elements), "basis_index": i,
-                "ambient_dimension": dim, "restricted_dimension": below,
-            })
+        sizes = ctx.ring.coset_sizes
+        # restriction keeps the underlying carrier, hence the dimension
+        below = [sum(map(mul, row, sizes)) for row in ctx.restriction]
+        report.instances += ring.rank
+        report.failures += [
+            {"subgroup": list(rep.elements), "basis_index": i,
+             "ambient_dimension": dim, "restricted_dimension": dim_below}
+            for i, (dim, dim_below) in enumerate(zip(ring.coset_sizes, below))
+            if dim_below != dim]
     return report

@@ -83,9 +83,6 @@ class PointedMonoid(_Record):
     def is_group_monoid(self) -> bool:
         return self.group is not None
 
-    def op(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
     def to_json(self) -> Dict:
         return {"size": self.size, "mul": [list(r) for r in self.mul]}
 
@@ -167,9 +164,6 @@ class FiniteModule(_Record):
     def profile(self) -> Tuple[Tuple[int, int], ...]:
         """Per carrier element: how many monoid elements fix it and kill it."""
         return tuple((row.count(x), row.count(0)) for x, row in enumerate(self.action))
-
-    def act(self, x: int, m: int) -> int:
-        return self.action[x][m]
 
     def orbits(self) -> List[Tuple[int, ...]]:
         """Orbit partition of the nonzero carrier (group monoids only)."""

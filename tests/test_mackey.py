@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from f1gtheory.burnside import build_burnside
+from f1gtheory.burnside import build_burnside, linear_dimension
 from f1gtheory import cli, mackey
 from f1gtheory.cli import main
 from f1gtheory.errors import InternalCheckError
@@ -15,8 +15,8 @@ from f1gtheory.groups import all_subgroups, build_group, library_names
 from f1gtheory.mackey import (DoubleCosetPlan, SubgroupContext,
                               check_double_coset, check_frobenius, conjugate,
                               double_coset_plan, double_coset_reps,
-                              green_morphism_check, induce, linear_dimension,
-                              restrict, subgroup_context, transport)
+                              green_morphism_check, induce, restrict,
+                              subgroup_context, transport)
 from f1gtheory.constructions import MonoidHom, base_change, restrict_scalars
 from f1gtheory.modules import group_monoid
 from f1gtheory.reports import CheckReport
@@ -395,6 +395,27 @@ def test_green_morphism_check():
     for name in ("C4", "S3", "D4"):
         report = green_morphism_check(build_group(name=name))
         assert report.passed, name
+
+
+def test_green_morphism_check_reports_each_changed_row():
+    # one row of the memoized restriction table changed in each of two
+    # class contexts of D4; the later class holds the earlier basis index
+    group = build_group(name="D4")
+    ring = build_burnside(group)
+    reps = ring.classification.representatives
+    expected = []
+    for cls, i in ((3, 6), (5, 1)):
+        ctx = subgroup_context(group, reps[cls].elements)
+        rows = list(ctx.restriction)
+        rows[i] = (rows[i][0] + 1,) + rows[i][1:]
+        ctx.__dict__["restriction"] = tuple(rows)
+        # one more free orbit K/e, of |K| points
+        expected.append({"subgroup": list(reps[cls].elements), "basis_index": i,
+                         "ambient_dimension": ring.coset_sizes[i],
+                         "restricted_dimension": ring.coset_sizes[i] + reps[cls].order})
+    report = green_morphism_check(group)
+    assert report.instances == ring.rank ** 2 == 64
+    assert report.failures == expected
 
 
 def test_induction_transitivity():

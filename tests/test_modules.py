@@ -49,7 +49,7 @@ def test_group_monoid_roundtrip():
     assert m.is_group_monoid
     for a in range(group.order):
         for b in range(group.order):
-            assert m.op(a + 1, b + 1) == group.mul(a, b) + 1
+            assert m.mul[a + 1][b + 1] == group.mul(a, b) + 1
     again = detect_group(PointedMonoid(m.size, m.mul))
     assert again.group is not None
     assert again.group.order == 6
@@ -228,7 +228,7 @@ def test_permuted_module_is_isomorphic(name, seed):
     assert phi is not None
     for x in range(s.size):
         for m in range(s.monoid.size):
-            assert phi[s.act(x, m)] == moved.act(phi[x], m)
+            assert phi[s.action[x][m]] == moved.action[phi[x]][m]
 
 
 def test_non_isomorphic_modules():
