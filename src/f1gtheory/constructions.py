@@ -15,8 +15,8 @@ from itertools import permutations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError
-from .groups import (FiniteGroup, _check_table, _derived, _generating_sequence,
-                     _lattice, classify_subgroups)
+from .groups import (FiniteGroup, _check_table, _derived, _lattice,
+                     classify_subgroups)
 from .modules import (FiniteModule, ModuleHom, PointedMonoid, _check_on_generators,
                       _extend_equivariant, _pair_node, group_monoid,
                       is_cofibration, zero_module)
@@ -430,7 +430,7 @@ def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> Optional[Tuple[int, ..
     orders2 = sorted(g2.element_order(x) for x in range(g2.order))
     if orders1 != orders2:
         return None
-    gens = _generating_sequence(g1)
+    gens = g1.generators
     by_order: Dict[int, List[int]] = {}
     for y in range(g2.order):
         by_order.setdefault(g2.element_order(y), []).append(y)

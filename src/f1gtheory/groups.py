@@ -6,6 +6,7 @@ Elements are 0-based indices into the table; the identity is index 0.
 from __future__ import annotations
 
 import re
+from bisect import bisect
 from functools import cached_property, wraps
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -32,19 +33,22 @@ def _check_table(what: str, table, rows: int, cols: int, bound: int) -> None:
         raise ValueError(f"{what} entry {low if low < 0 else high} out of range 0..{bound - 1}")
 
 
-def _generators(table, unit: int) -> List[int]:
-    """Greedy generators of the monoid `table` with two-sided `unit`: an element
-    joins unless a product ((unit·g1)·g2)·... of the earlier ones reaches it."""
+def _generators(table, unit: int,
+                seed: Optional[Iterable[int]] = None) -> Tuple[List[int], set]:
+    """Greedy generators of the submonoid that `seed` (default every
+    element) generates in the monoid `table` with two-sided `unit`, and that
+    submonoid (in a finite group, the subgroup): a seed element joins unless
+    a product ((unit·g1)·g2)·... of the earlier ones reaches it."""
     gens: List[int] = []
     reached = {unit}
-    for g in range(len(table)):
+    for g in range(len(table)) if seed is None else seed:
         if g not in reached:
             gens.append(g)
             fresh = reached
             while fresh:
                 fresh = {table[x][h] for x in fresh for h in gens} - reached
                 reached |= fresh
-    return gens
+    return gens, reached
 
 
 def _check_associativity(table: Tuple[Tuple[int, ...], ...], unit: int) -> None:
@@ -60,7 +64,7 @@ def _check_associativity(table: Tuple[Tuple[int, ...], ...], unit: int) -> None:
     same argument for the laws of modules and their maps.
     """
     n, t = len(table), table
-    for g in _generators(t, unit):
+    for g in _generators(t, unit)[0]:
         row_g = t[g]
         for x in range(n):
             row_xg, row_x = t[t[x][g]], t[x]
@@ -119,6 +123,12 @@ class FiniteGroup(_Record):
         """Entry g: the map x -> g·x·g^-1, built for every g on first use."""
         t, inverse = self.cayley, self.inverse
         return tuple(tuple([t[y][inverse[g]] for y in t[g]]) for g in range(self.order))
+
+    @cached_property
+    def generators(self) -> Tuple[int, ...]:
+        """The greedy generators (`_generators`): the least element outside
+        the subgroup the earlier ones generate joins next."""
+        return tuple(_generators(self.cayley, self.identity)[0])
 
     def mul(self, a: int, b: int) -> int:
         return self.cayley[a][b]
@@ -230,27 +240,14 @@ def _extend(group: FiniteGroup, h: Sequence[int], gens: Sequence[int]) -> Tuple[
     return tuple(sorted(members))
 
 
-def _span(group: FiniteGroup, seed: Iterable[int]) -> Tuple[List[int], Tuple[int, ...]]:
-    """Greedy generators of the subgroup <seed>, and <seed> as a sorted tuple.
-
-    A seed element outside the subgroup so far joins the generators, and
-    the subgroup they generate is grown from the previous one by cosets
-    (`_extend`): at most log2 of its order extensions, since each one at
-    least doubles the order.
-    """
-    closure, gens = (group.identity,), []
-    members = set(closure)
-    for x in seed:
-        if x not in members:
-            gens.append(x)
-            closure = _extend(group, closure, gens)
-            members.update(closure)
-    return gens, closure
-
-
 def closure_of(group: FiniteGroup, seed: Iterable[int]) -> Tuple[int, ...]:
-    """Smallest subgroup of `group` containing `seed`, as a sorted tuple."""
-    return _span(group, seed)[1]
+    """Smallest subgroup of `group` containing `seed`, as a sorted tuple;
+    ValueError for a seed element outside the group."""
+    seed = tuple(seed)
+    for x in seed:
+        if not 0 <= x < group.order:
+            raise ValueError(f"seed element {x} outside 0..{group.order - 1}")
+    return tuple(sorted(_generators(group.cayley, group.identity, seed)[1]))
 
 
 # --- permutation helpers -------------------------------------------------
@@ -476,37 +473,41 @@ def load_group(path: str) -> FiniteGroup:
 def all_subgroups(group: FiniteGroup) -> Tuple[Subgroup, ...]:
     """All subgroups, sorted by (order, element tuple); a subgroup's index
     here is its lattice id (`_Lattice`), the name the library uses for it.
+    Exhaustive only up to order 64; larger groups are refused rather than
+    silently truncated."""
+    return tuple(_derived(Subgroup, group, t) for t in _subgroup_generators(group))
 
-    Cyclic extension: each known subgroup H grows by one extra element x,
-    one x per coset xH (<H, xh> = <H, x>), until nothing new appears; each
-    keeps the generators it was found with, and <H, x> is grown from H by
-    cosets (`_extend`).  Exhaustive only up to order 64; larger groups are
-    refused rather than silently truncated.
+
+@_memo_on_group
+def _subgroup_generators(group: FiniteGroup) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
+    """Each subgroup's sorted elements, in `all_subgroups` order, mapped to
+    its greedy generators (g1, ..., gm): g(i+1) is its least element
+    outside <g1, ..., gi>.
+
+    K is reached from its canonical parent P = <g1, ..., g(m-1)> (McKay,
+    J. Algorithms 26, 1998), whose greedy generators are K's but the last:
+    P is extended by each x > g(m-1) least in Px and in xP, and <P, x>
+    (`_extend`) is kept exactly when its elements below x lie in P, that
+    is, when x is its last greedy generator.
     """
     charge("groups.SUBGROUP_ENUMERATION_LIMIT", group.order,
            SUBGROUP_ENUMERATION_LIMIT, "group order for the subgroup lattice")
-    primes = {p for p in range(2, group.order + 1) if all(p % d for d in range(2, p))}
-    trivial = (group.identity,)
+    cayley, trivial = group.cayley, (group.identity,)
     found: Dict[Tuple[int, ...], Tuple[int, ...]] = {trivial: ()}
     frontier = [trivial]
     while frontier:
-        h = frontier.pop()
-        tried = set(h)
-        for x in range(group.order):
-            if x in tried:
+        p = frontier.pop()
+        gens, last = found[p], max(found[p], default=0)
+        for x in _right_cosets(group, p)[0]:
+            if x <= last or min(map(cayley[x].__getitem__, p)) < x:
                 continue
-            tried.update(map(group.cayley[x].__getitem__, h))
-            gens = found[h] + (x,)
-            k = _extend(group, h, gens)
-            if len(k) // len(h) in primes:
-                # by Lagrange no group lies strictly between H and K, so
-                # every x in K outside H generates K with H
-                tried.update(k)
-            if k not in found:
-                found[k] = gens
+            k = _extend(group, p, gens + (x,))
+            if k.index(x) == bisect(p, x):
+                if k in found:
+                    raise InternalCheckError(f"subgroup {k} reached twice")
+                found[k] = gens + (x,)
                 frontier.append(k)
-    ordered = sorted(found, key=lambda t: (len(t), t))
-    return tuple(_derived(Subgroup, group, t) for t in ordered)
+    return dict(sorted(found.items(), key=lambda item: (len(item[0]), item[0])))
 
 
 class _Lattice:
@@ -514,12 +515,14 @@ class _Lattice:
 
     Ids ascend with (order, elements): the trivial subgroup is 0, the group
     is `top`, and the subgroups of the subgroup with id h have ids <= h.
-    With the bitmask of each, an intersection is one AND and one lookup.
+    With the bitmask of each, an intersection is one AND and one lookup;
+    `generators` gives the greedy generators of each.
     """
 
     def __init__(self, group: FiniteGroup) -> None:
         self.group = group
         self.subgroups = all_subgroups(group)
+        self.generators = tuple(_subgroup_generators(group).values())
         self.masks = tuple(sum(1 << x for x in sub.elements) for sub in self.subgroups)
         self.ids = {mask: i for i, mask in enumerate(self.masks)}
         self.top = len(self.subgroups) - 1
@@ -593,14 +596,12 @@ def _subgroup_elements(group: FiniteGroup,
                        elements: Optional[Iterable[int]] = None) -> Tuple[int, ...]:
     """The sorted elements of a subgroup (all of `group` for None), or ValueError.
 
-    Range first, then one closure: a finite subset of a group is a subgroup
-    exactly when it is the subgroup it generates.
+    One closure, which refuses an element outside the group: a finite
+    subset is a subgroup exactly when it is the subgroup it generates.
     """
     if elements is None:
         return tuple(range(group.order))
     elems = tuple(sorted(elements))
-    if not all(0 <= x < group.order for x in elems):
-        raise ValueError(f"{elems} has an element outside 0..{group.order - 1}")
     if closure_of(group, elems) != elems:
         raise ValueError(f"{elems} " + (
             "is empty; a subgroup needs at least one element" if not elems
@@ -628,8 +629,7 @@ def _classify(group: FiniteGroup, sub: int) -> SubgroupClassification:
     lattice = _lattice(group)
     top = lattice.masks[sub]
     # central generators fix every subgroup
-    maps = [lattice.conjugation(g)
-            for g in _generating_sequence(group, lattice.subgroups[sub].elements)
+    maps = [lattice.conjugation(g) for g in lattice.generators[sub]
             if group.conjugations[g] != group.conjugations[group.identity]]
     below = [i for i in range(sub + 1) if lattice.masks[i] | top == top]
     return SubgroupClassification(group, sub, _orbits(below, maps))
@@ -661,13 +661,13 @@ def normalizer(group: FiniteGroup, sub: Subgroup) -> Subgroup:
     """
     if sub.parent != group:
         raise ValueError("the subgroup belongs to another group")
-    gens = _generating_sequence(group, sub.elements)
+    lattice = _lattice(group)
+    sub_id = lattice.id_of(sub.elements)
     inside = set(sub.elements)
     members = tuple(g for g, c in enumerate(group.conjugations)
-                    if all(c[x] in inside for x in gens))
-    lattice = _lattice(group)
+                    if all(c[x] in inside for x in lattice.generators[sub_id]))
     classification = _classify(group, lattice.top)
-    orbit = classification.members[classification.class_index(lattice.id_of(sub.elements))]
+    orbit = classification.members[classification.class_index(sub_id)]
     if len(members) * len(orbit) != group.order:
         raise InternalCheckError("normalizer order disagrees with the class size")
     return _derived(Subgroup, group, members)
@@ -725,10 +725,10 @@ def abelianization(group: FiniteGroup, sub: Optional[Subgroup] = None) -> List[i
     into invariant factors (`merge_cyclic_factors`).
     """
     if sub is None:
-        h, n = (group.identity,), tuple(range(group.order))
+        h, n, gens = (group.identity,), tuple(range(group.order)), group.generators
     else:
-        h, n = sub.elements, normalizer(group, sub).elements
-    gens = _generating_sequence(group, n)
+        h, n, lattice = sub.elements, normalizer(group, sub).elements, _lattice(group)
+        gens = lattice.generators[lattice.id_of(n)]
     t, inverse = group.cayley, group.inverse
     commutators = {t[t[inverse[a]][inverse[b]]][t[a][b]] for a in gens for b in gens}
     conjugates = _orbits(commutators, [group.conjugations[g] for g in gens])
@@ -748,14 +748,6 @@ def abelianization(group: FiniteGroup, sub: Optional[Subgroup] = None) -> List[i
     return snf.merge_cyclic_factors(primary)
 
 
-@_memo_on_group
-def _generating_sequence(group: FiniteGroup,
-                         elements: Optional[Tuple[int, ...]] = None) -> Tuple[int, ...]:
-    """Greedy generators of the subgroup `elements` (default the whole
-    group): the least element outside the span so far joins next (`_span`)."""
-    return tuple(_span(group, range(group.order) if elements is None else elements)[0])
-
-
 def is_odd_cyclic(group: FiniteGroup) -> bool:
     """Cyclic of odd order: where the lambda-ring identities are guaranteed."""
     if group.order % 2 == 0 and group.order > 1:
@@ -769,4 +761,4 @@ def conjugacy_classes_of_elements(group: FiniteGroup) -> Tuple[Tuple[int, ...], 
     """Conjugacy classes of elements, each sorted, ordered by least member:
     the orbits of one conjugation map per generator."""
     return _orbits(range(group.order),
-                   [group.conjugations[g] for g in _generating_sequence(group)])
+                   [group.conjugations[g] for g in group.generators])

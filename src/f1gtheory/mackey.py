@@ -17,9 +17,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .burnside import BurnsideElement, BurnsideRing, _burnside
 from .errors import InternalCheckError
-from .groups import (FiniteGroup, SubgroupClassification, _classify,
-                     _generating_sequence, _lattice, _memo_on_group,
-                     _orbits, _right_cosets, _subgroup_id)
+from .groups import (FiniteGroup, SubgroupClassification, _classify, _lattice,
+                     _memo_on_group, _orbits, _right_cosets, _subgroup_id)
 from .records import _Record
 from .reports import CheckReport
 
@@ -147,7 +146,7 @@ def _double_coset_reps(group: FiniteGroup, k: int, h: int) -> List[int]:
     reps, coset_of = _right_coset_table(group, k)
     cayley = group.cayley
     maps = [[coset_of[cayley[x][s]] for x in reps]
-            for s in _generating_sequence(group, _lattice(group).subgroups[h].elements)]
+            for s in _lattice(group).generators[h]]
     return [reps[orbit[0]] for orbit in _orbits(range(len(reps)), maps)]
 
 

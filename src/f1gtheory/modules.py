@@ -14,8 +14,8 @@ from itertools import accumulate
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .groups import (FiniteGroup, _check_associativity, _check_table, _derived,
-                     _generating_sequence, _generators, _int_table, _memo_on_group,
-                     _orbits, _right_cosets, _subgroup_elements)
+                     _generators, _int_table, _memo_on_group, _orbits, _right_cosets,
+                     _subgroup_elements)
 from .records import _Record
 
 __all__ = [
@@ -45,7 +45,7 @@ def _check_on_generators(law: str, mul, points: int, sides: Callable) -> None:
     each chain ends at the law's right side at ab by an action or
     associativity law.
     """
-    for g in _generators(mul, 1):
+    for g in _generators(mul, 1)[0]:
         for x in range(points):
             lhs, rhs = map(tuple, sides(x, g))
             if lhs != rhs:
@@ -169,7 +169,7 @@ class FiniteModule(_Record):
         """Orbit partition of the nonzero carrier (group monoids only)."""
         if not self.monoid.is_group_monoid:
             raise ValueError("orbit decomposition needs a group monoid")
-        gens = _generating_sequence(self.monoid.group)
+        gens = self.monoid.group.generators
         return list(_orbits(range(1, self.size),
                             [[row[g + 1] for row in self.action] for g in gens]))
 
@@ -282,8 +282,12 @@ def _coset_module(group: FiniteGroup, elements: Tuple[int, ...]) -> FiniteModule
 
 
 def submodule_inclusion(s: FiniteModule, members: Iterable[int]) -> ModuleHom:
-    """Inclusion of the action-closed subset {0} | members as a module."""
+    """Inclusion of the action-closed subset {0} | members as a module;
+    ValueError for a member outside the carrier."""
     keep = sorted(set(members) | {0})
+    for x in (keep[0], keep[-1]):
+        if not 0 <= x < s.size:
+            raise ValueError(f"member {x} outside 0..{s.size - 1}")
     pos = {x: i for i, x in enumerate(keep)}
     action = tuple(tuple(map(pos.get, s.action[x])) for x in keep)
     for x, row in zip(keep, action):

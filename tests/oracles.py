@@ -38,10 +38,14 @@ collapse-first.
 
 `all_subgroups_by_closure` enumerates subgroups by closing every candidate
 <H, x> from the identity over all of its elements, and
+`all_subgroups_by_cosets` grows every <H, x> by cosets of H, one x per
+coset xH of every subgroup H, keeping the first generators each subgroup
+is found with; the library extends each subgroup only to the subgroups it
+is the canonical parent of, and `greedy_generators_by_closure` recomputes
+the greedy generators it records by one closure per generator.
 `classify_by_all_conjugates` and `element_classes_by_all_conjugates`
-conjugate by every element of the ambient subgroup; the library grows
-<H, x> by cosets of H and walks each orbit under the conjugation maps of a
-generating set.
+conjugate by every element of the ambient subgroup; the library walks
+each orbit under the conjugation maps of a generating set.
 
 `dense_marks` builds the table of marks by testing every representative
 against every member of every class as frozensets, and `dense_marks_of`
@@ -113,7 +117,7 @@ from f1gtheory.burnside import BurnsideElement, BurnsideRing, build_burnside
 from f1gtheory.constructions import (MonoidHom, are_isomorphic, diamond,
                                      generating_set)
 from f1gtheory.errors import InternalCheckError
-from f1gtheory.groups import (FiniteGroup, Subgroup, _derived, _memo_on_group,
+from f1gtheory.groups import (FiniteGroup, Subgroup, _derived, _extend, _memo_on_group,
                               _right_cosets, _subgroup_elements, build_group,
                               closure_of, normalizer)
 from f1gtheory.g0_monoid import _action_closed_subsets, _enumerate_modules
@@ -703,6 +707,46 @@ def all_subgroups_by_closure(group: FiniteGroup) -> Tuple[Tuple[int, ...], ...]:
                 found[k] = gens
                 frontier.append(k)
     return tuple(sorted(found, key=lambda t: (len(t), t)))
+
+
+def all_subgroups_by_cosets(group: FiniteGroup) -> Tuple[Tuple[int, ...], ...]:
+    """Element tuples of all subgroups, sorted by (order, elements).
+
+    Cyclic extension, one x per coset xH, each <H, x> grown from H by
+    cosets; an index-p extension (p prime) marks all of <H, x> as tried,
+    since by Lagrange no group lies strictly between H and <H, x>.
+    """
+    primes = {p for p in range(2, group.order + 1) if all(p % d for d in range(2, p))}
+    trivial = (group.identity,)
+    found: Dict[Tuple[int, ...], Tuple[int, ...]] = {trivial: ()}
+    frontier = [trivial]
+    while frontier:
+        h = frontier.pop()
+        tried = set(h)
+        for x in range(group.order):
+            if x in tried:
+                continue
+            tried.update(group.cayley[x][a] for a in h)
+            gens = found[h] + (x,)
+            k = _extend(group, h, gens)
+            if len(k) // len(h) in primes:
+                tried.update(k)
+            if k not in found:
+                found[k] = gens
+                frontier.append(k)
+    return tuple(sorted(found, key=lambda t: (len(t), t)))
+
+
+def greedy_generators_by_closure(group: FiniteGroup, elements: Sequence[int]) -> Tuple[int, ...]:
+    """The greedy generators of the subgroup `elements`: each element joins
+    unless the closure from the identity of the earlier ones holds it."""
+    gens: List[int] = []
+    span = {group.identity}
+    for x in sorted(elements):
+        if x not in span:
+            gens.append(x)
+            span = set(closure_from_identity(group, gens))
+    return tuple(gens)
 
 
 def classify_by_all_conjugates(group: FiniteGroup, elements: Sequence[int],

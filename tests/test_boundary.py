@@ -9,6 +9,7 @@ those of the monoid and module pools, every table one entry away from
 them, every map between two modules of one pool, and seeded random tables
 on 5 and 6 elements one entry away from a valid one.  Entries fixed by the
 zero, the unit or the basepoint are left alone, so only the law decides.
+A seed or member outside the group or the carrier is refused by name.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ import pytest
 
 from f1gtheory.constructions import (Bimodule, MonoidHom, bimodule_from_module,
                                      bimodule_from_monoid_hom)
-from f1gtheory.groups import Subgroup, _subgroup_elements, all_subgroups, build_group
-from f1gtheory.modules import FiniteModule, ModuleHom, PointedMonoid
+from f1gtheory.groups import (Subgroup, _subgroup_elements, all_subgroups, build_group,
+                              closure_of)
+from f1gtheory.modules import (FiniteModule, ModuleHom, PointedMonoid, free_module,
+                               group_monoid, submodule_inclusion)
 
 from oracles import (_small_modules, action_law_everywhere, bimodule_laws_everywhere,
                      equivariant_everywhere, monoid_homs, monoid_pool,
@@ -195,3 +198,18 @@ def test_subgroup_test_matches_pairwise_closure(name):
             closed_sets += [subset] * closed
     assert closed_sets == sorted((s.elements for s in all_subgroups(group)),
                                  key=lambda t: (len(t), t))
+
+
+S3 = build_group(name="S3")
+
+
+@pytest.mark.parametrize("build,within,element,message", [
+    (closure_of, S3, 7, "seed element 7 outside 0..5"),
+    (closure_of, S3, -1, "seed element -1 outside 0..5"),
+    (submodule_inclusion, free_module(group_monoid(S3), 1), 9, "member 9 outside 0..6"),
+    (submodule_inclusion, free_module(group_monoid(S3), 1), -1, "member -1 outside 0..6"),
+], ids=["closure_of-7", "closure_of--1", "submodule_inclusion-9",
+        "submodule_inclusion--1"])
+def test_an_index_outside_the_group_or_the_carrier_is_refused(build, within, element,
+                                                              message):
+    assert refusal(build, within, [element]) == message

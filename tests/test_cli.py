@@ -658,6 +658,10 @@ def test_subgroup_lattice_past_order_64_exits_2(capsys):
     assert (code, out) == (2, "")
     assert err == ("resource limit: group order for the subgroup lattice reaches "
                    "72, past groups.SUBGROUP_ENUMERATION_LIMIT = 64\n")
+    # the whole group's generators need no lattice
+    code, out, _ = run_cli(capsys, "simple-factors", "--generators",
+                           "(1 2 3 4);(1 2);(5 6 7)", "--degree", "7", "--q", "5")
+    assert (code, out) == (0, "group algebra over F_5 splits into 10 simple factors\n")
 
 
 def test_ghost_work_cap_refuses_before_any_column_is_built(capsys, monkeypatch):

@@ -19,7 +19,7 @@ from f1gtheory.modules import PointedMonoid
 from conftest import RUNGS, group_of
 from oracles import (abelianization_by_relations, all_subgroups_by_closure,
                      classify_by_all_conjugates, commutator_subgroup,
-                     element_classes_by_all_conjugates,
+                     element_classes_by_all_conjugates, greedy_generators_by_closure,
                      normalizer_by_all_conjugates, quotient_group,
                      subgroup_as_group, weyl_group)
 
@@ -257,8 +257,9 @@ def _class_elements(classification):
 
 @pytest.mark.parametrize("name", library_names() + sorted(LARGER_GROUPS))
 def test_lattice_matches_the_closure_oracle(name):
-    """Coset extensions and generator orbits against closures from the
-    identity and conjugation by every element.
+    """Canonical-parent extensions, their recorded generators and generator
+    orbits against closures from the identity and conjugation by every
+    element.
 
     Classifications relative to a subgroup H run for every H of a group of
     order <= 24, and for every 13th subgroup of the larger groups.
@@ -270,6 +271,8 @@ def test_lattice_matches_the_closure_oracle(name):
         group = build_group(name=name)
     subgroups = all_subgroups_by_closure(group)
     assert tuple(sub.elements for sub in all_subgroups(group)) == subgroups
+    assert groups._lattice(group).generators == tuple(
+        greedy_generators_by_closure(group, sub) for sub in subgroups)
     assert conjugacy_classes_of_elements(group) == \
         element_classes_by_all_conjugates(group)
     whole = tuple(range(group.order))

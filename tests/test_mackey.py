@@ -511,14 +511,14 @@ def test_contexts_match_reindexed_construction():
 
 def test_mackey_check_enumerates_one_lattice(capsys, monkeypatch):
     enumerated = []
-    real = groups.all_subgroups.__wrapped__
+    real = groups._subgroup_generators.__wrapped__
 
     @groups._memo_on_group
     def counting(group):
         enumerated.append(group)
         return real(group)
 
-    monkeypatch.setattr(groups, "all_subgroups", counting)
+    monkeypatch.setattr(groups, "_subgroup_generators", counting)
     assert main(["mackey-check", "--group", "D12"]) == 0
     assert len(enumerated) == 1 and enumerated[0].name == "D12"
     assert "double coset formula: 1344 instances, pass" in capsys.readouterr().out

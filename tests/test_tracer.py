@@ -82,3 +82,8 @@ def test_tracer_traces_the_presentation(argv):
         "g1-d12"])
 def test_tracer_keeps_stdout_of_each_layer(argv):
     _traced_stderr(argv)
+
+
+def test_tracer_counts_the_subgroups_the_engine_enumerates():
+    trace, _ = _trace(["marks", "--group", "S4"])
+    assert trace["counters"]["groups.subgroups"] == 30

@@ -11,7 +11,9 @@ Every group is checked on its subgroup lattice, its conjugacy
 classification (whole and inside each class representative), its table
 of marks, its orbit counts, the abelianization of every Weyl group and
 the double coset plans of a grid of class pairs, each against the
-explicit construction in `tests/oracles.py`.
+explicit construction in `tests/oracles.py`.  The canonical-parent
+enumeration of the lattice also runs, with the order limit lifted, on
+S5, S4 x S3 and PSL(2,7).
 """
 
 from __future__ import annotations
@@ -21,16 +23,17 @@ from collections import Counter
 
 import pytest
 
+from f1gtheory import groups
 from f1gtheory.burnside import build_burnside
 from f1gtheory.groups import (abelianization, all_subgroups, build_group,
                               classify_subgroups)
 from f1gtheory.mackey import double_coset_plan, subgroup_context
 
 from oracles import (abelianization_by_relations, all_subgroups_by_closure,
-                     classify_by_all_conjugates, dense_marks,
-                     double_coset_plan_by_contexts,
-                     double_coset_reps_by_products, orbit_lengths_by_cosets,
-                     weyl_group)
+                     all_subgroups_by_cosets, classify_by_all_conjugates,
+                     dense_marks, double_coset_plan_by_contexts,
+                     double_coset_reps_by_products, greedy_generators_by_closure,
+                     orbit_lengths_by_cosets, weyl_group)
 
 # name: (generators in 1-based cycle notation, degree, order)
 ZOO = {
@@ -142,6 +145,43 @@ def test_lattice_and_classification_match_the_oracles(name):
     for rep in classify_subgroups(group).representatives:
         assert _class_elements(classify_subgroups(group, rep.elements)) == \
             classify_by_all_conjugates(group, rep.elements, subgroups), rep.elements
+
+
+# past groups.SUBGROUP_ENUMERATION_LIMIT: (generators, degree, order)
+PAST_THE_LIMIT = {
+    "S5": (["(1 2 3 4 5)", "(1 2)"], 5, 120),
+    "S4xS3": (["(1 2 3 4)", "(1 2)", "(5 6 7)", "(5 6)"], 7, 144),
+    "PSL(2,7)": (["(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)", "(1 2)(3 6)"], 7, 168),
+}
+
+
+@pytest.mark.parametrize("name", NAMES + list(PAST_THE_LIMIT))
+def test_canonical_parents_reach_each_subgroup_once(name, monkeypatch):
+    """The lattice against the cyclic extension by every coset, its
+    recorded generators against greedy closures, and one accepted
+    extension per subgroup but the trivial one."""
+    if name in PAST_THE_LIMIT:
+        monkeypatch.setattr(groups, "SUBGROUP_ENUMERATION_LIMIT", 1024)
+        gens, degree, order = PAST_THE_LIMIT[name]
+        group = build_group(generators=gens, degree=degree)
+        assert group.order == order
+    else:
+        group = zoo_group(name)
+    real, extensions = groups._extend, []
+
+    def extend(group, h, gens):
+        extensions.append((tuple(gens), real(group, h, gens)))
+        return extensions[-1][1]
+
+    monkeypatch.setattr(groups, "_extend", extend)
+    subgroups = tuple(sub.elements for sub in all_subgroups(group))
+    assert subgroups == all_subgroups_by_cosets(group)
+    recorded = dict(zip(subgroups, groups._lattice(group).generators))
+    assert all(gens == greedy_generators_by_closure(group, sub)
+               for sub, gens in recorded.items())
+    # an extension is accepted exactly when it records its generators
+    assert sum(recorded[k] == gens for gens, k in extensions) == len(subgroups) - 1
+    assert group.generators == greedy_generators_by_closure(group, range(group.order))
 
 
 @pytest.mark.parametrize("name", NAMES)
